@@ -119,6 +119,16 @@ from .engine import (
     load_rbac,
     run_scenario,
 )
-from .cli import main
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_")] + ["main"]
+
+
+def __getattr__(name: str):
+    # ``main`` is resolved on first use: importing ``.cli`` here would put
+    # it in sys.modules before ``python -m privcalc.cli`` runs it as
+    # ``__main__``, and runpy warns about that.
+    if name == "main":
+        from .cli import main
+
+        return main
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

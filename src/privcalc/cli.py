@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 negative verdict (eq, comply), 2 input or
-usage errors. All diagnostics go to stderr with file:line:column
-positions where available.
+Exit codes: 0 success, 1 negative verdict (eq, comply), 2 input,
+usage and internal errors. All diagnostics go to stderr with
+file:line:column positions where available.
 """
 
 from __future__ import annotations
@@ -30,6 +30,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # Last resort: exit 1 means a negative verdict, so a crash must
+        # not reach the interpreter's default handler.
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import PrivCalcError, SourceError
@@ -111,8 +112,10 @@ class FactFamily:
             canonical = self._by_set.setdefault(fact.statements, fact)
             self._by_id.setdefault(fact.id, canonical)
 
-    @property
+    @cached_property
     def facts(self) -> tuple[Fact, ...]:
+        """Canonical facts, smallest first; computed once, since a family
+        is never changed after construction."""
         return tuple(
             sorted(
                 self._by_set.values(),

@@ -12,19 +12,25 @@ Composition is atom-set union.
 Projecting a privilege onto an arrangement (an ordered, pairwise
 merge-disjoint employment basis) yields its normal form: per basis
 element, the disjunction of the condition conjunctions of the atoms
-whose employment overlaps it. Evaluating the coefficients at a fact
-yields the pulsed form, a bit vector; pulsing along a fact sequence
-yields a trace matrix. Congruence at a fact is pulsed-form equality,
-and p complies with q at a fact when p*q is congruent to q there. Both
-predicates can be packaged as high-order conditions, which is how guard
-privileges are built.
+whose employment overlaps it. An arrangement indexes its basis by
+function symbol and then by entity when it is built; building that
+index is the disjointness check, in time linear in the total size of
+the basis's entity sets, and projection looks each atom up in it, so
+an atom touches only the elements it overlaps. Evaluating the
+coefficients at a fact yields the pulsed form, a bit vector; pulsing
+along a fact sequence yields a trace matrix. Congruence at a fact is
+pulsed-form equality, and p complies with q at a fact when p*q is
+congruent to q there. Both predicates can be packaged as high-order
+conditions, which is how guard privileges are built; a guard projects
+its operands once, when it is built, and evaluates only their
+coefficients at each fact.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -227,29 +233,80 @@ def compose(u: Privilege, v: Privilege) -> Privilege:
     return Privilege(u.atoms | v.atoms)
 
 
+class _FunctionElements:
+    """The basis elements of one function symbol, by basis index."""
+
+    __slots__ = ("universal", "by_entity", "indices")
+
+    def __init__(self):
+        self.universal: int | None = None
+        self.by_entity: dict[Entity, int] = {}
+        self.indices: list[int] = []
+
+
 @dataclass(frozen=True)
 class Arrangement:
     """Ordered, pairwise merge-disjoint, non-empty employment basis.
 
     Order is significant only for display: it fixes the row order of
     normal and pulsed forms and trace matrices.
+
+    Construction indexes the basis by function symbol: per function,
+    the index of its universal element, if any, and the index of the
+    element holding each entity of its finite elements. Elements of
+    different functions never overlap, and two elements of one function
+    overlap exactly when both are universal, one is universal, or they
+    share an entity, so filling the index checks disjointness in
+    O(sum of |E|) over the elements f/E. The index takes no part in
+    equality or hashing.
     """
 
     basis: tuple[Employment, ...]
+    _index: dict[FunctionSymbol, _FunctionElements] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        for i, m in enumerate(self.basis):
-            if m.is_empty:
+        index: dict[FunctionSymbol, _FunctionElements] = {}
+        for j, n in enumerate(self.basis):
+            if n.is_empty or n.entities.is_empty:
                 raise ArrangementError("arrangement elements must be non-empty")
-            for n in self.basis[i + 1 :]:
+            slot = index.setdefault(n.function, _FunctionElements())
+            members = n.entities.members
+            if members is None:
+                clashes = slot.indices
+            else:
+                clashes = [slot.by_entity[e] for e in members if e in slot.by_entity]
+                if slot.universal is not None:
+                    clashes.append(slot.universal)
+            if clashes:
+                m = self.basis[min(clashes)]
                 if m == n:
                     raise ArrangementError(
                         f"duplicate arrangement element {m.render()}"
                     )
-                if not merge_employment(m, n).is_empty:
-                    raise ArrangementError(
-                        f"arrangement elements overlap: {m.render()} and {n.render()}"
-                    )
+                raise ArrangementError(
+                    f"arrangement elements overlap: {m.render()} and {n.render()}"
+                )
+            if members is None:
+                slot.universal = j
+            else:
+                slot.by_entity.update(dict.fromkeys(members, j))
+            slot.indices.append(j)
+        object.__setattr__(self, "_index", index)
+
+    def overlapping(self, employment: Employment) -> set[int]:
+        """Basis indices of the elements that ``employment`` overlaps."""
+        slot = self._index.get(employment.function)
+        if slot is None:  # also the empty employment, whose function is None
+            return set()
+        members = employment.entities.members
+        if members is None:
+            return set(slot.indices)
+        hit = {slot.by_entity[e] for e in members if e in slot.by_entity}
+        if members and slot.universal is not None:
+            hit.add(slot.universal)
+        return hit
 
     def labels(self) -> list[str]:
         return [m.render() for m in self.basis]
@@ -336,15 +393,15 @@ class NormalForm:
 def normal_form(p: Privilege, arrangement: Arrangement) -> NormalForm:
     """Project ``p`` onto the basis: per element, the disjunction of the
     condition conjunctions of the atoms whose employment overlaps it;
-    constant false where no atom does."""
-    coefficients = []
-    for m in arrangement.basis:
-        conjs = [
-            a.conditions
-            for a in p.atoms
-            if not merge_employment(a.employment, m).is_empty
-        ]
-        coefficients.append(Coefficient.from_conjunctions(conjs))
+    constant false where no atom does. Each atom is looked up in the
+    arrangement's index, so only overlapping elements are visited."""
+    buckets: dict[int, list[frozenset[Condition]]] = {}
+    for atom in p.atoms:
+        for i in arrangement.overlapping(atom.employment):
+            buckets.setdefault(i, []).append(atom.conditions)
+    coefficients = [Coefficient.false()] * len(arrangement)
+    for i, conjs in buckets.items():
+        coefficients[i] = Coefficient.from_conjunctions(conjs)
     return NormalForm(arrangement, tuple(coefficients))
 
 
@@ -401,8 +458,11 @@ def structural_eq(
     basis element at every fact of the family."""
     nu = normal_form(u, arrangement)
     nv = normal_form(v, arrangement)
+    facts = family.facts
     for cu, cv in zip(nu.coefficients, nv.coefficients):
-        for t in family:
+        if cu.is_false and cv.is_false:
+            continue  # nothing to evaluate: both are false at every fact
+        for t in facts:
             if cu.evaluate(t) != cv.evaluate(t):
                 return False
     return True
@@ -426,6 +486,25 @@ def compliant(
     return congruent(merge(p, q, mode), q, arrangement, fact)
 
 
+def _congruence_check(u: Privilege, v: Privilege, arrangement: Arrangement):
+    """Predicate on facts equal to ``congruent(u, v, arrangement, fact)``,
+    with both normal forms computed once, here. Elements where both
+    coefficients are false agree at every fact and are left out."""
+    rows = [
+        (cu, cv)
+        for cu, cv in zip(
+            normal_form(u, arrangement).coefficients,
+            normal_form(v, arrangement).coefficients,
+        )
+        if not (cu.is_false and cv.is_false)
+    ]
+
+    def check(fact: Fact) -> bool:
+        return [cu.evaluate(fact) for cu, _ in rows] == [cv.evaluate(fact) for _, cv in rows]
+
+    return check
+
+
 def compliance_condition(
     p: Privilege,
     q: Privilege,
@@ -435,16 +514,13 @@ def compliance_condition(
     """High-order condition testing compliance of ``p`` to ``q``.
 
     The operands, the arrangement and the merge mode are captured at
-    construction; evaluation needs only the fact. Later rebindings of
-    whatever names produced ``p`` and ``q`` do not change the condition.
+    construction, where the normal forms of p*q and q are computed;
+    evaluation only evaluates their coefficients at the fact. Later
+    rebindings of whatever names produced ``p`` and ``q`` do not change
+    the condition.
     """
-    merged = merge(p, q, mode)
     label = f"[{p.text()} <: {q.text()}]"
-
-    def check(fact: Fact) -> bool:
-        return congruent(merged, q, arrangement, fact)
-
-    return HighOrderCondition(label, check)
+    return HighOrderCondition(label, _congruence_check(merge(p, q, mode), q, arrangement))
 
 
 def congruence_condition(
@@ -452,11 +528,7 @@ def congruence_condition(
 ) -> Condition:
     """High-order condition testing congruence of the captured operands."""
     label = f"[{u.text()} ~ {v.text()}]"
-
-    def check(fact: Fact) -> bool:
-        return congruent(u, v, arrangement, fact)
-
-    return HighOrderCondition(label, check)
+    return HighOrderCondition(label, _congruence_check(u, v, arrangement))
 
 
 def atomic_arrangement(

@@ -7,7 +7,7 @@ normal-form machinery.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from privcalc import (
     Condition,
@@ -18,6 +18,7 @@ from privcalc import (
     Privilege,
     RbacModel,
     Statement,
+    merge_employment,
 )
 
 Grant = tuple[str, str]
@@ -54,6 +55,31 @@ def privilege_grants(
         if all(c.evaluate(fact) for c in atom.conditions):
             out |= employment_grants(atom.employment, universe)
     return frozenset(out)
+
+
+def pairwise_normal_form(
+    p: Privilege, basis: Sequence[Employment]
+) -> list[list[frozenset[Condition]]]:
+    """Per basis element, the condition sets of the atoms whose
+    employment merges with it to a non-empty employment: the dense
+    definition of the normal form, every element against every atom,
+    before constant folding."""
+    return [
+        [a.conditions for a in p.atoms if not merge_employment(a.employment, m).is_empty]
+        for m in basis
+    ]
+
+
+def pairwise_disjoint(basis: Sequence[Employment]) -> bool:
+    """Every element denotes some grant, and no two elements are equal
+    or merge to a non-empty employment."""
+    for i, m in enumerate(basis):
+        if m.is_empty or m.entities.is_empty:
+            return False
+        for n in basis[i + 1 :]:
+            if m == n or not merge_employment(m, n).is_empty:
+                return False
+    return True
 
 
 def closure_masks(generators: Iterable[int], n: int) -> frozenset[int]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -340,3 +341,25 @@ def test_module_main_via_subprocess(workspace):
     )
     assert proc.returncode == 0
     assert proc.stdout == "list/TechDoc + read/TechDoc\n"
+
+
+def test_module_main_writes_nothing_to_stderr():
+    sample = Path(__file__).resolve().parent.parent / "samples" / "example.pal"
+    proc = subprocess.run(
+        [sys.executable, "-m", "privcalc.cli", "eval", str(sample), "--expr", "session_2"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
+def test_crash_exits_2_not_1(tmp_path, capsys):
+    # A 3,000-term sum may evaluate or exhaust the recursion limit; either
+    # way main() returns, and a crash must not read as a negative verdict.
+    terms = " + ".join(f"f{i}" for i in range(3000))
+    path = tmp_path / "long.pal"
+    path.write_text(f'namespace "h" {{\n  x := {terms}\n}}\n')
+    code, out, err = run(capsys, "eval", str(path), "--expr", "x")
+    assert code in (0, 2)
+    assert code == 0 or err.startswith("error: ")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from privcalc import (
     ALWAYS,
@@ -31,13 +31,14 @@ from privcalc import (
     congruence_condition,
     congruent,
     merge,
+    merge_employment,
     normal_form,
     pulse,
     structural_eq,
     trace,
 )
 
-from oracles import privilege_grants
+from oracles import pairwise_disjoint, pairwise_normal_form, privilege_grants
 from fixtures import power_family
 
 READ = FunctionSymbol("read")
@@ -465,3 +466,141 @@ def test_compliance_matches_grant_containment_union_mode(u, v):
         gu = privilege_grants(u, universe, fact)
         gv = privilege_grants(v, universe, fact)
         assert lhs == (gu & gv == gv)
+
+
+# --- the arrangement index against the pairwise definitions -------------------
+
+_IDX_FUNCTIONS = [READ, WRITE, LIST_]
+_IDX_ENTITIES = [Entity(n) for n in ("a", "b", "c", "d")]
+_A, _B = _IDX_ENTITIES[:2]
+_READ_A = Employment(READ, EntitySet.finite([_A]))
+_READ_B = Employment(READ, EntitySet.finite([_B]))
+
+
+@st.composite
+def _entity_sets(draw):
+    kind = draw(st.sampled_from(["universal", "finite", "labelled"]))
+    if kind == "universal":
+        return UNIVERSAL
+    members = draw(st.frozensets(st.sampled_from(_IDX_ENTITIES)))
+    return EntitySet.finite(members, "X" if kind == "labelled" else None)
+
+
+@st.composite
+def _disjoint_bases(draw):
+    """Per function: nothing, the universal element, or a partition of
+    some of the entities; then shuffled."""
+    basis = []
+    for f in _IDX_FUNCTIONS:
+        kind = draw(st.sampled_from(["none", "universal", "partition"]))
+        if kind == "universal":
+            basis.append(Employment(f, UNIVERSAL))
+        elif kind == "partition":
+            blocks: dict[int, list[Entity]] = {}
+            for e in _IDX_ENTITIES:
+                block = draw(st.integers(-1, 2))  # -1 leaves the entity out
+                if block >= 0:
+                    blocks.setdefault(block, []).append(e)
+            for members in blocks.values():
+                label = draw(st.sampled_from([None, "X"]))
+                basis.append(Employment(f, EntitySet.finite(members, label)))
+    return tuple(draw(st.permutations(basis)))
+
+
+@st.composite
+def _any_bases(draw):
+    """A disjoint basis with up to three elements inserted: overlaps,
+    duplicates and elements over an empty entity set included."""
+    elems = list(draw(_disjoint_bases()))
+    extra = st.builds(Employment, st.sampled_from(_IDX_FUNCTIONS), _entity_sets())
+    for _ in range(draw(st.integers(0, 3))):
+        pick = st.one_of(extra, st.sampled_from(elems)) if elems else extra
+        elems.insert(draw(st.integers(0, len(elems))), draw(pick))
+    return tuple(elems)
+
+
+@st.composite
+def _index_privileges(draw):
+    # REMOVE is in no basis; an empty finite set overlaps nothing
+    fns = st.sampled_from(_IDX_FUNCTIONS + [REMOVE])
+    conds = st.frozensets(st.sampled_from([C1, C2, ALWAYS, NEVER]), max_size=2)
+    atom = st.builds(PrivilegeAtom, st.builds(Employment, fns, _entity_sets()), conds)
+    atoms = draw(st.lists(atom, max_size=5))
+    return Privilege(frozenset(atoms))
+
+
+def _names_a_clash(message: str, basis) -> bool:
+    if message == "arrangement elements must be non-empty":
+        return any(m.is_empty or m.entities.is_empty for m in basis)
+    pairs = list(itertools.combinations(basis, 2))
+    if message.startswith("duplicate arrangement element "):
+        named = message.removeprefix("duplicate arrangement element ")
+        return any(m == n and m.render() == named for m, n in pairs)
+    return any(
+        message == f"arrangement elements overlap: {m.render()} and {n.render()}"
+        and m != n
+        and not merge_employment(m, n).is_empty
+        for m, n in pairs
+    )
+
+
+@settings(max_examples=300)
+@given(st.one_of(_any_bases(), _disjoint_bases()))
+@example((Employment(READ, UNIVERSAL), _READ_A))
+@example((_READ_A, Employment(READ, UNIVERSAL)))
+@example((Employment(READ, UNIVERSAL), Employment(READ, UNIVERSAL)))
+@example((Employment(READ, EntitySet.finite([_A, _B])), _READ_B))
+@example((Employment(READ, EntitySet.finite([_A], "X")), _READ_A))
+def test_arrangement_accepts_exactly_the_disjoint_bases(basis):
+    if pairwise_disjoint(basis):
+        arr = Arrangement(basis)
+        assert arr.basis == basis
+        assert arr == Arrangement(basis) and hash(arr) == hash(Arrangement(basis))
+    else:
+        with pytest.raises(ArrangementError) as info:
+            Arrangement(basis)
+        assert _names_a_clash(str(info.value), basis), str(info.value)
+
+
+def test_arrangement_rejects_empty_entity_set():
+    with pytest.raises(ArrangementError, match="non-empty"):
+        Arrangement((Employment(READ, UNIVERSAL), Employment(READ, EntitySet.finite([]))))
+
+
+def test_arrangement_overlap_names_earliest_clash():
+    basis = (
+        _READ_A,
+        _READ_B,
+        Employment(READ, UNIVERSAL),
+    )
+    with pytest.raises(ArrangementError, match=r"overlap: read/\{a\} and read/\*"):
+        Arrangement(basis)
+
+
+@given(_disjoint_bases(), _index_privileges())
+@example(
+    (Employment(READ, UNIVERSAL), Employment(WRITE, EntitySet.finite([_A]))),
+    unconditioned(Employment(READ, EntitySet.finite([])), Employment(WRITE, UNIVERSAL)),
+)
+def test_normal_form_matches_pairwise_definition(basis, p):
+    want = tuple(Coefficient.from_conjunctions(c) for c in pairwise_normal_form(p, basis))
+    assert normal_form(p, Arrangement(basis)).coefficients == want
+
+
+@given(
+    _disjoint_bases(),
+    _index_privileges(),
+    _index_privileges(),
+    _index_privileges(),
+    st.sampled_from([INTER, UNION]),
+)
+def test_guard_conditions_agree_with_predicates(basis, p, q, r, mode):
+    arr = Arrangement(basis)
+    inner = p.with_condition(compliance_condition(r, q, arr, mode))
+    nested = q.with_condition(congruence_condition(inner, r, arr))
+    for u, v in ((p, q), (inner, q), (nested, inner), (r, nested)):
+        comply = compliance_condition(u, v, arr, mode)
+        congr = congruence_condition(u, v, arr)
+        for fact in FAM:
+            assert comply.evaluate(fact) == compliant(u, v, arr, fact, mode)
+            assert congr.evaluate(fact) == congruent(u, v, arr, fact)
