@@ -6,22 +6,19 @@ All values are immutable; operations return new values, so everything
 here is safe to share across threads.
 """
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
 from .algebra import (
     Category,
     EMPTY_EMPLOYMENT,
     Employment,
-    EmploymentSet,
     Entity,
     EntitySet,
     FunctionSymbol,
     UNIVERSAL,
-    compose_sets,
-    expand,
     merge_employment,
-    merge_sets,
-    restrict,
 )
 from .errors import PrivCalcError, SourceError
 from .facts import (
@@ -42,7 +39,6 @@ from .facts import (
     UnsupportedConditionError,
     WitnessCondition,
     close_family,
-    eval_condition,
     evidences,
     load_facts,
     minimum_evidences,
@@ -73,29 +69,12 @@ from .privilege import (
     trace,
 )
 from .pal import (
-    Define,
-    ExprNode,
-    Guard,
-    GuardOp,
-    LetIs,
     LexError,
-    Name,
-    Namespace,
     ParseError,
-    Product,
-    Program,
-    Slash,
-    StatementNode,
-    Sum,
-    Token,
-    TokenKind,
     format_expr,
-    format_node,
     format_program,
-    parse,
     parse_expression,
     parse_text,
-    tokenize,
 )
 from .engine import (
     ComplianceQuery,
@@ -111,16 +90,20 @@ from .engine import (
     ScenarioReport,
     TraceQuery,
     arrangement_from_text,
-    eval_expr,
     eval_text,
     import_rbac,
-    load_arrangement,
     load_program,
     load_rbac,
     run_scenario,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")] + ["main"]
+# Importing the names above also binds the submodules here; they are
+# reachable as attributes but not exported.
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["main"]
 
 
 def __getattr__(name: str):

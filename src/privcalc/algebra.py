@@ -2,9 +2,10 @@
 
 An employment pairs a function symbol with an entity set and is written
 f/E. Mergence keeps the function only when both sides employ it and
-intersects the entity sets; composition is plain set union. The empty
-employment is an ordinary value: it absorbs mergence, is dropped from
-employment sets, and shows up whenever an intersection comes out empty.
+intersects the entity sets. The empty employment is an ordinary value:
+it absorbs mergence and shows up whenever an intersection comes out
+empty. Sets of employments, with composition and restriction, are
+privileges (``privilege.py``), which never hold the empty employment.
 """
 
 from __future__ import annotations
@@ -16,16 +17,11 @@ __all__ = [
     "Category",
     "EMPTY_EMPLOYMENT",
     "Employment",
-    "EmploymentSet",
     "Entity",
     "EntitySet",
     "FunctionSymbol",
     "UNIVERSAL",
-    "compose_sets",
-    "expand",
     "merge_employment",
-    "merge_sets",
-    "restrict",
 ]
 
 
@@ -94,13 +90,6 @@ class EntitySet:
             return other
         return EntitySet(common)
 
-    def issubset(self, other: EntitySet) -> bool:
-        if other.members is None:
-            return True
-        if self.members is None:
-            return False
-        return self.members <= other.members
-
     def render(self) -> str:
         if self.members is None:
             return "*"
@@ -126,10 +115,6 @@ class Category:
 
     def add(self, entity: Entity) -> None:
         self._members.add(entity)
-
-    @property
-    def members(self) -> frozenset[Entity]:
-        return frozenset(self._members)
 
     def entity_set(self) -> EntitySet:
         """Immutable snapshot of the current membership."""
@@ -174,9 +159,6 @@ class Employment:
 
 EMPTY_EMPLOYMENT = Employment(None, None)
 
-EmploymentSet = frozenset
-"""A finite set of non-empty employments (plain frozenset of Employment)."""
-
 
 def merge_employment(a: Employment, b: Employment) -> Employment:
     """Mergence: same function over the entity intersection, else empty."""
@@ -185,32 +167,3 @@ def merge_employment(a: Employment, b: Employment) -> Employment:
     assert a.entities is not None and b.entities is not None
     return Employment.atom(a.function, a.entities.intersect(b.entities))
 
-
-def merge_sets(a: EmploymentSet, b: EmploymentSet) -> EmploymentSet:
-    """Pairwise mergence of two employment sets, dropping empty results."""
-    out = {merge_employment(x, y) for x in a for y in b}
-    out.discard(EMPTY_EMPLOYMENT)
-    return frozenset(out)
-
-
-def compose_sets(a: EmploymentSet, b: EmploymentSet) -> EmploymentSet:
-    """Set union; empty members are dropped defensively."""
-    return frozenset(x for x in (a | b) if not x.is_empty)
-
-
-def expand(functions: Iterable[FunctionSymbol], entities: EntitySet) -> EmploymentSet:
-    """F/E as one atom per function, all sharing the entity set."""
-    if entities.is_empty:
-        return frozenset()
-    return frozenset(Employment(f, entities) for f in functions)
-
-
-def restrict(atoms: EmploymentSet, scope: EntitySet) -> EmploymentSet:
-    """Intersect every atom's entity set with ``scope``."""
-    out = {
-        Employment.atom(a.function, a.entities.intersect(scope))
-        for a in atoms
-        if not a.is_empty
-    }
-    out.discard(EMPTY_EMPLOYMENT)
-    return frozenset(out)

@@ -17,13 +17,15 @@ reserved function ``guard``. Names bound to conditions (loaded from a
 facts file) work the same way: ``read * logged`` attaches the condition
 to the atoms of ``read``.
 
-Also here: the role-model importer (``load_rbac`` / ``import_rbac``)
-and the scenario runner the command line is built on.
+Also here: the role-model importer (``load_rbac`` / ``import_rbac``),
+and the environment set-up and query dispatch (``build_environment`` /
+``answer``) that ``run_scenario`` and the command line share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Sequence, Union
 
 from . import pal
@@ -61,7 +63,9 @@ __all__ = [
     "ResolutionError",
     "ScenarioReport",
     "TraceQuery",
+    "answer",
     "arrangement_from_text",
+    "build_environment",
     "eval_expr",
     "eval_text",
     "import_rbac",
@@ -93,20 +97,17 @@ class Environment:
 
     def __init__(
         self,
-        namespace: str = "",
         family: FactFamily | None = None,
         conditions: dict[str, Condition] | None = None,
         arrangement: Arrangement | None = None,
         merge_mode: ConditionMergeMode = ConditionMergeMode.INTERSECTION,
     ):
-        self.namespace = namespace
         self.functions: dict[str, FunctionSymbol] = {}
         self.entities: dict[str, Entity] = {}
         self.categories: dict[str, Category] = {}
         self.privileges: dict[str, Privilege] = {}
         self.family = family if family is not None else close_family((), ())
         self.conditions: dict[str, Condition] = dict(conditions or {})
-        self.arrangements: dict[str, Arrangement] = {}
         self.arrangement = arrangement
         self.merge_mode = merge_mode
         self.warnings: list[str] = []
@@ -157,9 +158,7 @@ def load_program(
     """
     block = _pick_namespace(program, namespace, filename)
     if env is None:
-        env = Environment(namespace=block.name)
-    elif not env.namespace:
-        env.namespace = block.name
+        env = Environment()
     for stmt in block.statements:
         if isinstance(stmt, pal.LetIs):
             _load_let(stmt, env, filename)
@@ -211,9 +210,9 @@ def eval_expr(
     if isinstance(node, pal.Name):
         return _eval_name(node, env, filename)
     if isinstance(node, pal.Sum):
-        return compose(
-            eval_expr(node.left, env, filename), eval_expr(node.right, env, filename)
-        )
+        # Left to right over the flattened chain: a long sum must not
+        # recurse once per term.
+        return reduce(compose, (eval_expr(t, env, filename) for t in _sum_terms(node)))
     if isinstance(node, pal.Product):
         return _eval_product(node, env, filename)
     if isinstance(node, pal.Slash):
@@ -340,9 +339,16 @@ def load_arrangement(
 
 
 def _sum_terms(node: pal.ExprNode) -> list[pal.ExprNode]:
-    if isinstance(node, pal.Sum):
-        return _sum_terms(node.left) + _sum_terms(node.right)
-    return [node]
+    """The operands of a sum, left to right, parenthesised sums included."""
+    terms: list[pal.ExprNode] = []
+    pending = [node]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, pal.Sum):
+            pending += (node.right, node.left)
+        else:
+            terms.append(node)
+    return terms
 
 
 def arrangement_from_text(
@@ -622,6 +628,30 @@ class ScenarioReport:
         return not self.errors
 
 
+def build_environment(
+    source: str | pal.Program,
+    family: FactFamily | None = None,
+    conditions: dict[str, Condition] | None = None,
+    arrangement: str | None = None,
+    merge_mode: ConditionMergeMode = ConditionMergeMode.INTERSECTION,
+    namespace: str | None = None,
+    filename: str | None = None,
+) -> Environment:
+    """Load one namespace of a program over facts and an arrangement.
+
+    The arrangement text is evaluated before the program is parsed and
+    loaded (its bare names become function symbols), so guards inside
+    the program can capture it. ``filename`` labels errors in the
+    program, not in the arrangement text.
+    """
+    env = Environment(family=family, conditions=conditions, merge_mode=merge_mode)
+    if arrangement is not None:
+        env.arrangement = arrangement_from_text(arrangement, env)
+    if isinstance(source, str):
+        source = pal.parse_text(source, filename)
+    return load_program(source, env, namespace=namespace, filename=filename)
+
+
 def run_scenario(
     source: str | pal.Program,
     family: FactFamily | None = None,
@@ -632,27 +662,18 @@ def run_scenario(
     namespace: str | None = None,
     filename: str | None = None,
 ) -> ScenarioReport:
-    """Parse, load and answer queries; query failures are collected.
-
-    The arrangement text is evaluated before the program loads (its
-    bare names become function symbols), so guards inside the program
-    can capture it.
-    """
+    """Build the environment and answer queries; failures are collected."""
     report = ScenarioReport()
     try:
-        program = (
-            pal.parse_text(source, filename) if isinstance(source, str) else source
+        env = build_environment(
+            source, family, conditions, arrangement, merge_mode, namespace, filename
         )
-        env = Environment(family=family, conditions=conditions, merge_mode=merge_mode)
-        if arrangement is not None:
-            env.arrangement = arrangement_from_text(arrangement, env, filename)
-        load_program(program, env, namespace=namespace, filename=filename)
     except PrivCalcError as exc:
         report.errors.append(str(exc))
         return report
     for query in queries:
         try:
-            report.results.append(_answer(query, env, filename))
+            report.results.append(answer(query, env, filename))
         except PrivCalcError as exc:
             report.errors.append(f"{type(query).__name__}: {exc}")
     return report
@@ -664,7 +685,8 @@ def _need_arrangement(env: Environment) -> Arrangement:
     return env.arrangement
 
 
-def _answer(query: Query, env: Environment, filename: str | None) -> QueryResult:
+def answer(query: Query, env: Environment, filename: str | None = None) -> QueryResult:
+    """Answer one query; ``filename`` labels errors in its expressions."""
     if isinstance(query, EvalQuery):
         value = eval_text(query.expr, env, filename)
         return QueryResult(query, value.text(), value)

@@ -44,7 +44,6 @@ __all__ = [
     "UnsupportedConditionError",
     "WitnessCondition",
     "close_family",
-    "eval_condition",
     "evidences",
     "load_facts",
     "minimum_evidences",
@@ -307,10 +306,6 @@ def table_condition(
     """Build a table condition from an explicit fact-set assignment."""
     true_sets = frozenset(s for s, v in assignment.items() if v)
     return TableCondition(cond_id, true_sets, frozenset(assignment))
-
-
-def eval_condition(condition: Condition, fact: Fact) -> bool:
-    return condition.evaluate(fact)
 
 
 @dataclass

@@ -430,11 +430,16 @@ def _expr_text(node: ExprNode, parent_prec: int, is_right: bool) -> str:
     if isinstance(node, Slash):
         text = f"{_expr_text(node.left, prec, False)}/{node.scope}"
     else:
-        joiner = " + " if isinstance(node, Sum) else " * "
-        text = (
-            _expr_text(node.left, prec, False)
-            + joiner
-            + _expr_text(node.right, prec, True)
+        # Walk the left-nested chain of this operator with a loop, so a
+        # long sum does not recurse once per term.
+        op, rights = type(node), []
+        while isinstance(node, op):
+            rights.append(node.right)
+            node = node.left
+        joiner = " + " if op is Sum else " * "
+        text = joiner.join(
+            [_expr_text(node, prec, False)]
+            + [_expr_text(right, prec, True) for right in reversed(rights)]
         )
     # Parenthesize when binding looser than the context, or equally on
     # the right of a left-associative operator.

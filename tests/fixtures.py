@@ -3,6 +3,10 @@ and small fact families."""
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
+import privcalc
 from privcalc import (
     ConditionMergeMode,
     Environment,
@@ -55,6 +59,17 @@ GUARDS_PAL = EXAMPLE_PAL.replace(
 )
 
 SESSION_ARRANGEMENT = "read + list + write + remove"
+
+# Environment for child interpreters: they import privcalc from the tree
+# under test, whether that is on PYTHONPATH or only on pytest's own path.
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(
+            None, [str(Path(privcalc.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        )
+    ),
+}
 
 
 def example_env(

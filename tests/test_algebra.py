@@ -1,5 +1,7 @@
 """Employment algebra: unit examples plus exhaustive law checks against
-the extensional grant oracle."""
+the extensional grant oracle. Sets of employments are unconditioned
+privileges, so their laws are checked on ``merge``, ``compose`` and
+``Privilege.restricted``."""
 
 from __future__ import annotations
 
@@ -15,12 +17,12 @@ from privcalc import (
     Entity,
     EntitySet,
     FunctionSymbol,
+    Privilege,
+    PrivilegeAtom,
     UNIVERSAL,
-    compose_sets,
-    expand,
+    compose,
+    merge,
     merge_employment,
-    merge_sets,
-    restrict,
 )
 
 from oracles import employment_grants, set_grants
@@ -146,94 +148,97 @@ def test_merge_employment_matches_grant_oracle_exhaustive():
         assert got == expected
 
 
-# --- employment sets ------------------------------------------------------
+# --- unconditioned privileges ----------------------------------------------
 
 
-def _sets_universe() -> list[frozenset[Employment]]:
+def priv(*employments: Employment) -> Privilege:
+    return Privilege.of(*(PrivilegeAtom(e) for e in employments))
+
+
+def grants(p: Privilege, universe) -> frozenset:
+    return set_grants((atom.employment for atom in p.atoms), universe)
+
+
+def no_empty_employment(p: Privilege) -> bool:
+    return all(not atom.employment.is_empty for atom in p.atoms)
+
+
+def _sets_universe() -> list[Privilege]:
     atoms = [a for a in _small_universe() if not a.is_empty]
-    sets = [frozenset()]
-    sets += [frozenset({a}) for a in atoms]
-    sets += [frozenset(pair) for pair in itertools.combinations(atoms, 2)]
+    sets = [Privilege.empty()]
+    sets += [priv(a) for a in atoms]
+    sets += [priv(*pair) for pair in itertools.combinations(atoms, 2)]
     return sets
 
 
 def test_merge_sets_session_example():
-    bob = frozenset({emp(READ, TECHDOC), emp(LIST_, TECHDOC), emp(WRITE, TECHDOC)})
-    officepc = frozenset(
-        {
-            emp(READ, UNIVERSAL),
-            emp(LIST_, UNIVERSAL),
-            emp(WRITE, UNIVERSAL),
-            emp(FunctionSymbol("remove"), UNIVERSAL),
-        }
+    bob = priv(emp(READ, TECHDOC), emp(LIST_, TECHDOC), emp(WRITE, TECHDOC))
+    officepc = priv(
+        emp(READ, UNIVERSAL),
+        emp(LIST_, UNIVERSAL),
+        emp(WRITE, UNIVERSAL),
+        emp(FunctionSymbol("remove"), UNIVERSAL),
     )
-    assert merge_sets(bob, officepc) == bob
+    assert merge(bob, officepc) == bob
 
 
 def test_merge_sets_with_empty_set():
-    a = frozenset({emp(READ, TECHDOC)})
-    assert merge_sets(a, frozenset()) == frozenset()
+    a = priv(emp(READ, TECHDOC))
+    assert merge(a, Privilege.empty()) == Privilege.empty()
 
 
 def test_compose_sets_identity_and_union():
-    a = frozenset({emp(READ, TECHDOC)})
-    b = frozenset({emp(WRITE, TECHDOC)})
-    assert compose_sets(a, frozenset()) == a
-    assert compose_sets(a, b) == a | b
-    assert compose_sets(a, a) == a
+    a = priv(emp(READ, TECHDOC))
+    b = priv(emp(WRITE, TECHDOC))
+    assert compose(a, Privilege.empty()) == a
+    assert compose(a, b) == priv(emp(READ, TECHDOC), emp(WRITE, TECHDOC))
+    assert compose(a, a) == a
 
 
 def test_set_ops_match_grant_oracle_exhaustive():
     universe = [DOC1, DOC2]
     sets = _sets_universe()
     for a, b in itertools.product(sets, repeat=2):
-        assert set_grants(merge_sets(a, b), universe) == set_grants(
-            a, universe
-        ) & set_grants(b, universe)
-        assert set_grants(compose_sets(a, b), universe) == set_grants(
-            a, universe
-        ) | set_grants(b, universe)
+        assert grants(merge(a, b), universe) == grants(a, universe) & grants(
+            b, universe
+        )
+        assert grants(compose(a, b), universe) == grants(a, universe) | grants(
+            b, universe
+        )
 
 
 def test_set_ops_laws_exhaustive():
     sets = _sets_universe()
     for a, b in itertools.product(sets, repeat=2):
-        assert merge_sets(a, b) == merge_sets(b, a)
-        assert compose_sets(a, b) == compose_sets(b, a)
+        assert merge(a, b) == merge(b, a)
+        assert compose(a, b) == compose(b, a)
     for a, b, c in itertools.product(sets, repeat=3):
-        assert merge_sets(merge_sets(a, b), c) == merge_sets(a, merge_sets(b, c))
-        assert compose_sets(compose_sets(a, b), c) == compose_sets(
-            a, compose_sets(b, c)
-        )
-        assert merge_sets(a, compose_sets(b, c)) == compose_sets(
-            merge_sets(a, b), merge_sets(a, c)
-        )
+        assert merge(merge(a, b), c) == merge(a, merge(b, c))
+        assert compose(compose(a, b), c) == compose(a, compose(b, c))
+        assert merge(a, compose(b, c)) == compose(merge(a, b), merge(a, c))
 
 
 def test_merge_result_never_contains_empty():
-    for a, b in itertools.product(_sets_universe(), repeat=2):
-        assert EMPTY_EMPLOYMENT not in merge_sets(a, b)
-        assert EMPTY_EMPLOYMENT not in compose_sets(a, b)
+    sets = _sets_universe()
+    scopes = [EntitySet.finite([DOC1]), EntitySet.finite([DOC2]), UNIVERSAL]
+    for a, b in itertools.product(sets, repeat=2):
+        assert no_empty_employment(merge(a, b))
+        assert no_empty_employment(compose(a, b))
+    for a, scope in itertools.product(sets, scopes):
+        assert no_empty_employment(a.restricted(scope))
 
 
-# --- expand / restrict -----------------------------------------------------
-
-
-def test_expand_examples():
-    got = expand([READ, LIST_], TECHDOC)
-    assert got == frozenset({emp(READ, TECHDOC), emp(LIST_, TECHDOC)})
-    assert expand([], TECHDOC) == frozenset()
-    assert expand([READ, LIST_], EntitySet.finite([])) == frozenset()
+# --- restriction -------------------------------------------------------------
 
 
 def test_restrict_examples():
-    atoms = frozenset({emp(READ, EntitySet.finite([DOC1]))})
+    atoms = priv(emp(READ, EntitySet.finite([DOC1])))
     other = EntitySet.finite([DOC2], label="Other")
-    assert restrict(atoms, other) == frozenset()
-    assert restrict(atoms, UNIVERSAL) == atoms
-    both = frozenset({emp(READ, UNIVERSAL), emp(WRITE, EntitySet.finite([DOC2]))})
-    got = restrict(both, EntitySet.finite([DOC1]))
-    assert got == frozenset({emp(READ, EntitySet.finite([DOC1]))})
+    assert atoms.restricted(other) == Privilege.empty()
+    assert atoms.restricted(UNIVERSAL) == atoms
+    both = priv(emp(READ, UNIVERSAL), emp(WRITE, EntitySet.finite([DOC2])))
+    got = both.restricted(EntitySet.finite([DOC1]))
+    assert got == priv(emp(READ, EntitySet.finite([DOC1])))
 
 
 _names = st.sampled_from(["f", "g", "h"])
@@ -245,25 +250,23 @@ _entity_sets = st.one_of(
 _atoms = st.builds(lambda n, es: emp(FunctionSymbol(n), es), _names, _entity_sets).filter(
     lambda a: not a.is_empty
 )
-_atom_sets = st.frozensets(_atoms, max_size=4)
+_atom_sets = st.frozensets(_atoms, max_size=4).map(lambda atoms: priv(*atoms))
 
 
 @given(_atom_sets, _atom_sets, _entity_sets)
 def test_restrict_distributes_over_composition(a, b, scope):
-    assert restrict(compose_sets(a, b), scope) == compose_sets(
-        restrict(a, scope), restrict(b, scope)
+    assert compose(a, b).restricted(scope) == compose(
+        a.restricted(scope), b.restricted(scope)
     )
 
 
 @given(_atom_sets, _atom_sets)
 def test_random_set_ops_match_grant_oracle(a, b):
     universe = [DOC1, DOC2, Entity("doc3")]
-    assert set_grants(merge_sets(a, b), universe) == set_grants(a, universe) & set_grants(
+    assert grants(merge(a, b), universe) == grants(a, universe) & grants(b, universe)
+    assert grants(compose(a, b), universe) == grants(a, universe) | grants(
         b, universe
     )
-    assert set_grants(compose_sets(a, b), universe) == set_grants(
-        a, universe
-    ) | set_grants(b, universe)
 
 
 def test_atom_normalization():

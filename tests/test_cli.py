@@ -8,9 +8,21 @@ from pathlib import Path
 
 import pytest
 
-from privcalc import main
+from privcalc import (
+    ComplianceQuery,
+    EquivalenceQuery,
+    EvalQuery,
+    NormalFormQuery,
+    PulseQuery,
+    TraceQuery,
+    load_facts,
+    main,
+    run_scenario,
+)
 
-from fixtures import EXAMPLE_PAL, GUARDS_PAL, SESSION_ARRANGEMENT
+from fixtures import CHILD_ENV, EXAMPLE_PAL, GUARDS_PAL, SESSION_ARRANGEMENT
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 FACTS_TEXT = """\
 statement s1
@@ -73,6 +85,14 @@ def test_check_loads_every_namespace_by_default(workspace, capsys):
     # selecting the healthy namespace passes
     code, out, _ = run(capsys, "check", str(path), "--namespace", "a")
     assert (code, out) == (0, "ok\n")
+
+
+def test_eval_reports_warnings_and_answers(workspace, capsys):
+    path = workspace / "redefine.pal"
+    path.write_text('namespace "n" { p := read\np := write }')
+    code, out, err = run(capsys, "eval", str(path), "--expr", "p")
+    assert (code, out) == (0, "write\n")
+    assert err == f"{path}: warning: line 2: redefinition of 'p' (latest wins)\n"
 
 
 def test_eval_session(workspace, capsys):
@@ -321,6 +341,7 @@ def test_console_entry_point():
         [sys.executable, "-m", "privcalc.cli", "--help"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode in (0, 2)
 
@@ -338,6 +359,7 @@ def test_module_main_via_subprocess(workspace):
         ],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout == "list/TechDoc + read/TechDoc\n"
@@ -349,6 +371,7 @@ def test_module_main_writes_nothing_to_stderr():
         [sys.executable, "-m", "privcalc.cli", "eval", str(sample), "--expr", "session_2"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert proc.stderr == ""
@@ -363,3 +386,86 @@ def test_crash_exits_2_not_1(tmp_path, capsys):
     code, out, err = run(capsys, "eval", str(path), "--expr", "x")
     assert code in (0, 2)
     assert code == 0 or err.startswith("error: ")
+
+
+def test_long_sum_checks_and_evaluates(tmp_path, capsys):
+    names = [f"f{i:04d}" for i in range(3000)]
+    path = tmp_path / "long.pal"
+    path.write_text(f'namespace "h" {{\n  x := {" + ".join(names)}\n}}\n')
+    assert run(capsys, "check", str(path)) == (0, "ok\n", "")
+    assert run(capsys, "eval", str(path), "--expr", "x") == (
+        0,
+        " + ".join(names) + "\n",
+        "",
+    )
+
+
+def test_import_rbac_wide_user(tmp_path, capsys):
+    roles = [f"q{i:04d}" for i in range(1200)]
+    path = tmp_path / "wide.rbac"
+    path.write_text(
+        "\n".join(
+            ["op read", "cat C"]
+            + [f"role {r} = read/C" for r in roles]
+            + ["user wide = " + ", ".join(roles)]
+        )
+        + "\n"
+    )
+    code, out, err = run(capsys, "import-rbac", str(path))
+    assert (code, err) == (0, "")
+    assert f"  wide := {' + '.join(roles)}" in out.splitlines()
+
+
+# Expression pairs per sample; each pair is also asked the other way
+# round and against itself, so both verdicts of eq and comply occur.
+DIFFERENTIAL_PAIRS = {
+    "example.pal": ("session_1", "session_2"),
+    "audited.pal": ("audited", "reader"),
+}
+
+
+def _query_commands(p: str, q: str, fact: str, seq: tuple[str, ...]):
+    return [
+        (["eval", "--expr", p], EvalQuery(p)),
+        (["nf", "--expr", p], NormalFormQuery(p)),
+        (["eq", "--left", p, "--right", q], EquivalenceQuery(p, q)),
+        (["pulse", "--expr", p, "--fact", fact], PulseQuery(p, fact)),
+        (["trace", "--expr", p, "--seq", ",".join(seq)], TraceQuery(p, seq)),
+        (["comply", "--p", p, "--q", q, "--fact", fact], ComplianceQuery(p, q, fact)),
+    ]
+
+
+@pytest.mark.parametrize("with_facts", [False, True])
+@pytest.mark.parametrize("sample", sorted(DIFFERENTIAL_PAIRS))
+def test_cli_matches_library(sample, with_facts, capsys):
+    path = SAMPLES / sample
+    arrangement = SAMPLES / "sessions.arr"
+    options = ["--arrangement", f"@{arrangement}"]
+    family = conditions = None
+    fact, seq = "empty", ("empty",)
+    if with_facts:
+        facts = SAMPLES / "store.facts"
+        family, conditions = load_facts(facts.read_text(), filename=str(facts))
+        options += ["--facts", str(facts)]
+        fact, seq = "roaming", ("empty", "roaming", "office")
+    a, b = DIFFERENTIAL_PAIRS[sample]
+    verdicts = set()
+    for p, q in [(a, b), (b, a), (a, a)]:
+        for argv, query in _query_commands(p, q, fact, seq):
+            report = run_scenario(
+                path.read_text(),
+                family,
+                conditions,
+                arrangement=arrangement.read_text(),
+                queries=[query],
+                filename=str(path),
+            )
+            assert report.ok, report.errors
+            (result,) = report.results
+            code, out, err = run(capsys, argv[0], str(path), *argv[1:], *options)
+            # the trace CSV already ends in a newline
+            end = "" if isinstance(query, TraceQuery) else "\n"
+            assert (out, err) == (result.text + end, ""), argv
+            assert code == (1 if result.value is False else 0), argv
+            verdicts.add((argv[0], code))
+    assert {("eq", 0), ("eq", 1), ("comply", 0), ("comply", 1)} <= verdicts

@@ -187,6 +187,9 @@ def test_arrangement_from_text_preserves_order():
     env = Environment()
     arr = arrangement_from_text("write + read", env)
     assert arr.labels() == ["write/*", "read/*"]
+    # a parenthesised sum is flattened in place, not sorted as one term
+    arr = arrangement_from_text("write + (remove + list) + read", Environment())
+    assert arr.labels() == ["write/*", "remove/*", "list/*", "read/*"]
 
 
 def test_arrangement_rejects_overlapping_terms():
@@ -398,7 +401,6 @@ def test_import_rbac_round_trip_matches_transitive_closure():
         # one member per category so grants are observable
         stmt = pal.LetIs(f"item_{cat}", cat)
         load_program(pal.Program((pal.Namespace("seed", (stmt,)),)), env)
-        env.namespace = ""
     load_program(import_rbac(model), env)
     expected = rbac_role_grants(model)
     for name in list(model.roles) + list(model.users):

@@ -19,7 +19,6 @@ from privcalc import (
     UnsupportedConditionError,
     WitnessCondition,
     close_family,
-    eval_condition,
     evidences,
     load_facts,
     minimum_evidences,
@@ -147,34 +146,34 @@ def test_closure_always_verifies(seeds):
 def test_constants():
     fam = power_family("s1")
     for fact in fam:
-        assert eval_condition(ALWAYS, fact) is True
-        assert eval_condition(NEVER, fact) is False
+        assert ALWAYS.evaluate(fact) is True
+        assert NEVER.evaluate(fact) is False
 
 
 def test_witness_condition():
     fam = power_family("s1", "s2")
     cond = WitnessCondition("saw1", frozenset({S1}))
-    assert eval_condition(cond, fam.fact("s1")) is True
-    assert eval_condition(cond, fam.fact("s1+s2")) is True
-    assert eval_condition(cond, fam.fact("s2")) is False
-    assert eval_condition(cond, fam.fact("empty")) is False
+    assert cond.evaluate(fam.fact("s1")) is True
+    assert cond.evaluate(fam.fact("s1+s2")) is True
+    assert cond.evaluate(fam.fact("s2")) is False
+    assert cond.evaluate(fam.fact("empty")) is False
 
 
 def test_table_condition_domain_checked():
     fam = power_family("s1")
     cond = table_condition("t", {frozenset({S1}): True, frozenset(): False})
-    assert eval_condition(cond, fam.fact("s1")) is True
-    assert eval_condition(cond, fam.fact("empty")) is False
+    assert cond.evaluate(fam.fact("s1")) is True
+    assert cond.evaluate(fam.fact("empty")) is False
     other = power_family("s1", "s2")
     with pytest.raises(EvaluationError):
-        eval_condition(cond, other.fact("s1+s2"))
+        cond.evaluate(other.fact("s1+s2"))
 
 
 def test_high_order_condition_evaluates_predicate():
     fam = power_family("s1")
     cond = HighOrderCondition("ho", lambda fact: len(fact.statements) == 0)
-    assert eval_condition(cond, fam.fact("empty")) is True
-    assert eval_condition(cond, fam.fact("s1")) is False
+    assert cond.evaluate(fam.fact("empty")) is True
+    assert cond.evaluate(fam.fact("s1")) is False
 
 
 def test_axiom_holds_for_witness_conditions():
@@ -235,8 +234,8 @@ def test_table_condition_can_pass_axiom_yet_not_be_monotone():
     # is satisfied vacuously
     assert verify_condition_axiom(cond, fam).ok
     # yet the condition flips from true to false on a superset fact
-    assert eval_condition(cond, fam.fact("a")) is True
-    assert eval_condition(cond, fam.fact("s1+s2")) is False
+    assert cond.evaluate(fam.fact("a")) is True
+    assert cond.evaluate(fam.fact("s1+s2")) is False
 
 
 @given(st.frozensets(st.sampled_from([S1, S2, S3]), min_size=1, max_size=3))
@@ -244,8 +243,8 @@ def test_witness_conditions_are_monotone(witnesses):
     fam = power_family("s1", "s2", "s3")
     cond = WitnessCondition("w", witnesses)
     for a, b in itertools.product(fam, repeat=2):
-        if a.statements <= b.statements and eval_condition(cond, a):
-            assert eval_condition(cond, b)
+        if a.statements <= b.statements and cond.evaluate(a):
+            assert cond.evaluate(b)
 
 
 # --- evidences ---------------------------------------------------------------
@@ -309,10 +308,10 @@ def test_load_facts_round_trip():
     assert {f.id for f in fam} >= {"empty", "phone_session", "pc_session"}
     assert verify_family(fam).ok
     assert set(conds) == {"logged", "open", "sealed"}
-    assert eval_condition(conds["logged"], fam.fact("pc_session")) is True
-    assert eval_condition(conds["logged"], fam.fact("phone_session")) is False
-    assert eval_condition(conds["open"], fam.fact("empty")) is True
-    assert eval_condition(conds["sealed"], fam.fact("pc_session")) is False
+    assert conds["logged"].evaluate(fam.fact("pc_session")) is True
+    assert conds["logged"].evaluate(fam.fact("phone_session")) is False
+    assert conds["open"].evaluate(fam.fact("empty")) is True
+    assert conds["sealed"].evaluate(fam.fact("pc_session")) is False
 
 
 def test_load_facts_reports_line_numbers():

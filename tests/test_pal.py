@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from privcalc import (
+from privcalc.pal import (
     Define,
     Guard,
     GuardOp,
