@@ -259,23 +259,40 @@ def _named_condition(node: pal.ExprNode, env: Environment) -> Condition | None:
     return None
 
 
+def _is_condition(node: pal.ExprNode, env: Environment) -> bool:
+    return isinstance(node, pal.Guard) or _named_condition(node, env) is not None
+
+
+def _operand_condition(
+    node: pal.ExprNode, env: Environment, filename: str | None
+) -> Condition:
+    if isinstance(node, pal.Guard):
+        return _guard_condition(node, env, filename)
+    return _named_condition(node, env)
+
+
 def _eval_product(
     node: pal.Product, env: Environment, filename: str | None
 ) -> Privilege:
-    # A guard or condition operand hands its condition to the other
-    # side's atoms instead of merging as a separate atom.
-    for side, other in ((node.right, node.left), (node.left, node.right)):
-        if isinstance(side, pal.Guard):
-            base = eval_expr(other, env, filename)
-            return base.with_condition(_guard_condition(side, env, filename))
-        named = _named_condition(side, env)
-        if named is not None:
-            return eval_expr(other, env, filename).with_condition(named)
-    return merge(
-        eval_expr(node.left, env, filename),
-        eval_expr(node.right, env, filename),
-        env.merge_mode,
-    )
+    # Left to right over the left-nested chain, with a loop: a long
+    # product must not recurse once per factor. A guard or condition
+    # operand hands its condition to the other side's atoms instead of
+    # merging as a separate atom; a leading one goes to the second
+    # factor, after that factor is evaluated.
+    rights: list[pal.ExprNode] = []
+    while isinstance(node, pal.Product):
+        rights.append(node.right)
+        node = node.left
+    first, second = node, rights[-1]
+    if _is_condition(first, env) and not _is_condition(second, env):
+        rights[-1], first = first, second
+    value = eval_expr(first, env, filename)
+    for right in reversed(rights):
+        if _is_condition(right, env):
+            value = value.with_condition(_operand_condition(right, env, filename))
+        else:
+            value = merge(value, eval_expr(right, env, filename), env.merge_mode)
+    return value
 
 
 def _resolve_scope(
@@ -399,37 +416,37 @@ class RbacModel:
                     raise RbacImportError(
                         f"user '{user}' references unknown role '{role}'"
                     )
-        cycle = self._find_cycle()
-        if cycle:
-            raise RbacImportError(
-                "role hierarchy contains a cycle: " + " -> ".join(cycle)
-            )
+        self._juniors_first()
 
-    def _find_cycle(self) -> list[str] | None:
+    def _juniors_first(self) -> list[str]:
+        """Every role after all of its juniors: depth first, roots and
+        juniors in alphabetical order; a cycle is an error. The explicit
+        stack keeps a deep hierarchy from recursing once per role."""
         juniors = {role: sorted(self.juniors_of(role)) for role in self.roles}
-        state: dict[str, int] = {}  # 1 = on stack, 2 = done
-        stack: list[str] = []
-
-        def visit(role: str) -> list[str] | None:
-            state[role] = 1
-            stack.append(role)
-            for nxt in juniors[role]:
-                if state.get(nxt) == 1:
-                    return stack[stack.index(nxt) :] + [nxt]
-                if state.get(nxt) is None:
-                    found = visit(nxt)
-                    if found:
-                        return found
-            stack.pop()
-            state[role] = 2
-            return None
-
-        for role in sorted(self.roles):
-            if state.get(role) is None:
-                found = visit(role)
-                if found:
-                    return found
-        return None
+        order: list[str] = []
+        done: set[str] = set()
+        for root in sorted(self.roles):
+            if root in done:
+                continue
+            path, on_path, pending = [root], {root}, [iter(juniors[root])]
+            while pending:
+                nxt = next(pending[-1], None)
+                if nxt is None:
+                    pending.pop()
+                    role = path.pop()
+                    on_path.discard(role)
+                    done.add(role)
+                    order.append(role)
+                elif nxt in on_path:
+                    cycle = path[path.index(nxt) :] + [nxt]
+                    raise RbacImportError(
+                        "role hierarchy contains a cycle: " + " -> ".join(cycle)
+                    )
+                elif nxt not in done:
+                    path.append(nxt)
+                    on_path.add(nxt)
+                    pending.append(iter(juniors[nxt]))
+        return order
 
 
 def load_rbac(text: str, filename: str | None = None) -> RbacModel:
@@ -516,25 +533,6 @@ def _sum_of(terms: list[pal.ExprNode]) -> pal.ExprNode:
     return node
 
 
-def _topological_roles(model: RbacModel) -> list[str]:
-    # Juniors first so every referenced role name is already bound when
-    # the emitted program loads front to back. Alphabetical tie-break.
-    order: list[str] = []
-    done: set[str] = set()
-
-    def visit(role: str) -> None:
-        if role in done:
-            return
-        done.add(role)
-        for junior in sorted(model.juniors_of(role)):
-            visit(junior)
-        order.append(role)
-
-    for role in sorted(model.roles):
-        visit(role)
-    return order
-
-
 def import_rbac(model: RbacModel) -> pal.Program:
     """Emit a PAL program defining each role and each user as a privilege.
 
@@ -545,7 +543,9 @@ def import_rbac(model: RbacModel) -> pal.Program:
     """
     model.validate()
     statements: list[pal.StatementNode] = []
-    for role in _topological_roles(model):
+    # Juniors first, so every referenced role name is already bound when
+    # the emitted program loads front to back.
+    for role in model._juniors_first():
         terms: list[pal.ExprNode] = [
             pal.Name(junior) for junior in sorted(model.juniors_of(role))
         ]
@@ -673,7 +673,7 @@ def run_scenario(
         return report
     for query in queries:
         try:
-            report.results.append(answer(query, env, filename))
+            report.results.append(answer(query, env))
         except PrivCalcError as exc:
             report.errors.append(f"{type(query).__name__}: {exc}")
     return report
@@ -685,40 +685,41 @@ def _need_arrangement(env: Environment) -> Arrangement:
     return env.arrangement
 
 
-def answer(query: Query, env: Environment, filename: str | None = None) -> QueryResult:
-    """Answer one query; ``filename`` labels errors in its expressions."""
+def answer(query: Query, env: Environment) -> QueryResult:
+    """Answer one query. Its expressions are text of their own, not part
+    of a file, so errors in them carry no file name."""
     if isinstance(query, EvalQuery):
-        value = eval_text(query.expr, env, filename)
+        value = eval_text(query.expr, env)
         return QueryResult(query, value.text(), value)
     if isinstance(query, NormalFormQuery):
-        nf = normal_form(eval_text(query.expr, env, filename), _need_arrangement(env))
+        nf = normal_form(eval_text(query.expr, env), _need_arrangement(env))
         return QueryResult(query, nf.render(), nf)
     if isinstance(query, EquivalenceQuery):
         eq = structural_eq(
-            eval_text(query.left, env, filename),
-            eval_text(query.right, env, filename),
+            eval_text(query.left, env),
+            eval_text(query.right, env),
             _need_arrangement(env),
             env.family,
         )
         return QueryResult(query, "equal" if eq else "different", eq)
     if isinstance(query, PulseQuery):
         form = pulse(
-            eval_text(query.expr, env, filename),
+            eval_text(query.expr, env),
             _need_arrangement(env),
             env.family.fact(query.fact),
         )
         return QueryResult(query, form.render(), form)
     if isinstance(query, TraceQuery):
         matrix = trace(
-            eval_text(query.expr, env, filename),
+            eval_text(query.expr, env),
             _need_arrangement(env),
             [env.family.fact(fid) for fid in query.facts],
         )
         return QueryResult(query, matrix.to_csv(), matrix)
     if isinstance(query, ComplianceQuery):
         verdict = compliant(
-            eval_text(query.holder, env, filename),
-            eval_text(query.target, env, filename),
+            eval_text(query.holder, env),
+            eval_text(query.target, env),
             _need_arrangement(env),
             env.family.fact(query.fact),
             env.merge_mode,

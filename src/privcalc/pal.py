@@ -39,6 +39,7 @@ __all__ = [
     "GuardOp",
     "LetIs",
     "LexError",
+    "MAX_NESTING",
     "Name",
     "Namespace",
     "ParseError",
@@ -269,11 +270,18 @@ class Program:
     namespaces: tuple[Namespace, ...] = ()
 
 
+# Deepest nesting of "(" and "[" the parser accepts. Each level costs
+# the parser and the evaluator a few stack frames, so without a bound a
+# deeply nested input exhausts Python's recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[Token], filename: str | None = None):
         self.tokens = tokens
         self.pos = 0
         self.filename = filename
+        self.depth = 0  # "(" and "[" open around the current token
 
     @property
     def current(self) -> Token:
@@ -375,13 +383,21 @@ class _Parser:
         if tok.kind is TokenKind.IDENT:
             self.advance()
             return Name(tok.text, tok.line, tok.column)
+        if tok.kind not in (TokenKind.LPAREN, TokenKind.LBRACKET):
+            self.fail(TokenKind.IDENT, TokenKind.LPAREN, TokenKind.LBRACKET)
+        if self.depth == MAX_NESTING:
+            raise ParseError(
+                f"'{tok.text}' nested more than {MAX_NESTING} deep",
+                line=tok.line,
+                column=tok.column,
+                filename=self.filename,
+            )
+        self.advance()
+        self.depth += 1
         if tok.kind is TokenKind.LPAREN:
-            self.advance()
             node = self.expr()
             self.expect(TokenKind.RPAREN)
-            return node
-        if tok.kind is TokenKind.LBRACKET:
-            self.advance()
+        else:
             left = self.expr()
             op_tok = self.expect(TokenKind.COMPLIES, TokenKind.TILDE)
             op = (
@@ -391,9 +407,9 @@ class _Parser:
             )
             right = self.expr()
             self.expect(TokenKind.RBRACKET)
-            return Guard(op, left, right)
-        self.fail(TokenKind.IDENT, TokenKind.LPAREN, TokenKind.LBRACKET)
-        raise AssertionError("unreachable")
+            node = Guard(op, left, right)
+        self.depth -= 1
+        return node
 
 
 def parse(tokens: list[Token], filename: str | None = None) -> Program:

@@ -3,11 +3,13 @@
 A privilege is a finite set of atoms, each an employment together with
 a set of conditions read conjunctively (no conditions means always
 granted). Mergence combines atoms pairwise: the employments merge, and
-the condition sets combine according to the active mode. The
-INTERSECTION mode follows the definition of mergence literally, which
-can weaken mixed condition sets so far that a privilege fails to comply
-with itself; the UNION mode keeps the requirements of both sides.
-Composition is atom-set union.
+the condition sets combine according to the active mode. Atoms of
+different functions always merge to the empty employment, so mergence
+pairs each atom only with the other side's atoms of its own function.
+The INTERSECTION mode follows the definition of mergence literally,
+which can weaken mixed condition sets so far that a privilege fails to
+comply with itself; the UNION mode keeps the requirements of both
+sides. Composition is atom-set union.
 
 Projecting a privilege onto an arrangement (an ordered, pairwise
 merge-disjoint employment basis) yields its normal form: per basis
@@ -18,12 +20,15 @@ index is the disjointness check, in time linear in the total size of
 the basis's entity sets, and projection looks each atom up in it, so
 an atom touches only the elements it overlaps. Evaluating the
 coefficients at a fact yields the pulsed form, a bit vector; pulsing
-along a fact sequence yields a trace matrix. Congruence at a fact is
-pulsed-form equality, and p complies with q at a fact when p*q is
-congruent to q there. Both predicates can be packaged as high-order
-conditions, which is how guard privileges are built; a guard projects
-its operands once, when it is built, and evaluates only their
-coefficients at each fact.
+along a fact sequence yields a trace matrix. Only the coefficients of
+overlapped elements can be true, so pulses, traces and structural
+equality evaluate those and leave every other element false without
+building its coefficient. Congruence at a fact is pulsed-form
+equality, and p complies with q at a fact when p*q is congruent to q
+there. Both predicates can be packaged as high-order conditions,
+which is how guard privileges are built; a guard projects its operands
+once, when it is built, and evaluates only their coefficients at each
+fact.
 """
 
 from __future__ import annotations
@@ -213,10 +218,17 @@ def merge(
     v: Privilege,
     mode: ConditionMergeMode = ConditionMergeMode.INTERSECTION,
 ) -> Privilege:
-    """Pairwise atom mergence; condition sets combine per ``mode``."""
+    """Atom mergence; condition sets combine per ``mode``.
+
+    Atoms of different functions merge to the empty employment, so each
+    atom of ``u`` is paired only with the atoms of ``v`` over its own
+    function."""
+    by_function: dict[FunctionSymbol, list[PrivilegeAtom]] = {}
+    for b in v.atoms:
+        by_function.setdefault(b.employment.function, []).append(b)
     out = set()
     for a in u.atoms:
-        for b in v.atoms:
+        for b in by_function.get(a.employment.function, ()):
             emp = merge_employment(a.employment, b.employment)
             if emp.is_empty:
                 continue
@@ -390,18 +402,25 @@ class NormalForm:
         )
 
 
-def normal_form(p: Privilege, arrangement: Arrangement) -> NormalForm:
-    """Project ``p`` onto the basis: per element, the disjunction of the
-    condition conjunctions of the atoms whose employment overlaps it;
-    constant false where no atom does. Each atom is looked up in the
-    arrangement's index, so only overlapping elements are visited."""
+def _overlapped(p: Privilege, arrangement: Arrangement) -> dict[int, Coefficient]:
+    """The coefficients of the elements some atom of ``p`` overlaps, by
+    basis index; every other element's coefficient is constant false.
+    Each atom is looked up in the arrangement's index, so only
+    overlapping elements are visited."""
     buckets: dict[int, list[frozenset[Condition]]] = {}
     for atom in p.atoms:
         for i in arrangement.overlapping(atom.employment):
             buckets.setdefault(i, []).append(atom.conditions)
+    return {i: Coefficient.from_conjunctions(conjs) for i, conjs in buckets.items()}
+
+
+def normal_form(p: Privilege, arrangement: Arrangement) -> NormalForm:
+    """Project ``p`` onto the basis: per element, the disjunction of the
+    condition conjunctions of the atoms whose employment overlaps it;
+    constant false where no atom does."""
     coefficients = [Coefficient.false()] * len(arrangement)
-    for i, conjs in buckets.items():
-        coefficients[i] = Coefficient.from_conjunctions(conjs)
+    for i, coefficient in _overlapped(p, arrangement).items():
+        coefficients[i] = coefficient
     return NormalForm(arrangement, tuple(coefficients))
 
 
@@ -415,9 +434,12 @@ class PulsedForm:
 
 
 def pulse(p: Privilege, arrangement: Arrangement, fact: Fact) -> PulsedForm:
-    """Normal-form coefficients evaluated at one fact."""
-    nf = normal_form(p, arrangement)
-    return PulsedForm(arrangement, tuple(c.evaluate(fact) for c in nf.coefficients))
+    """Normal-form coefficients evaluated at one fact; only the elements
+    ``p`` overlaps are evaluated, the rest are false."""
+    bits = [False] * len(arrangement)
+    for i, coefficient in _overlapped(p, arrangement).items():
+        bits[i] = coefficient.evaluate(fact)
+    return PulsedForm(arrangement, tuple(bits))
 
 
 @dataclass(frozen=True)
@@ -444,11 +466,23 @@ class TraceMatrix:
 def trace(
     p: Privilege, arrangement: Arrangement, sequence: Sequence[Fact]
 ) -> TraceMatrix:
-    nf = normal_form(p, arrangement)
-    cells = tuple(
-        tuple(c.evaluate(t) for t in sequence) for c in nf.coefficients
-    )
-    return TraceMatrix(arrangement, tuple(sequence), cells)
+    """Pulses along the sequence; as in ``pulse``, only the elements ``p``
+    overlaps are evaluated."""
+    sequence = tuple(sequence)
+    cells = [(False,) * len(sequence)] * len(arrangement)
+    for i, coefficient in _overlapped(p, arrangement).items():
+        cells[i] = tuple(coefficient.evaluate(t) for t in sequence)
+    return TraceMatrix(arrangement, sequence, tuple(cells))
+
+
+def _overlapped_pairs(
+    u: Privilege, v: Privilege, arrangement: Arrangement
+) -> list[tuple[Coefficient, Coefficient]]:
+    """The coefficient pairs of the elements ``u`` or ``v`` overlaps, in
+    basis order. Elsewhere both are false, so they agree at every fact."""
+    cu, cv = _overlapped(u, arrangement), _overlapped(v, arrangement)
+    false = Coefficient.false()
+    return [(cu.get(i, false), cv.get(i, false)) for i in sorted(cu.keys() | cv.keys())]
 
 
 def structural_eq(
@@ -456,16 +490,12 @@ def structural_eq(
 ) -> bool:
     """Extensional normal-form equality: the coefficients agree on every
     basis element at every fact of the family."""
-    nu = normal_form(u, arrangement)
-    nv = normal_form(v, arrangement)
     facts = family.facts
-    for cu, cv in zip(nu.coefficients, nv.coefficients):
-        if cu.is_false and cv.is_false:
-            continue  # nothing to evaluate: both are false at every fact
-        for t in facts:
-            if cu.evaluate(t) != cv.evaluate(t):
-                return False
-    return True
+    return all(
+        cu.evaluate(t) == cv.evaluate(t)
+        for cu, cv in _overlapped_pairs(u, v, arrangement)
+        for t in facts
+    )
 
 
 def congruent(
@@ -488,16 +518,8 @@ def compliant(
 
 def _congruence_check(u: Privilege, v: Privilege, arrangement: Arrangement):
     """Predicate on facts equal to ``congruent(u, v, arrangement, fact)``,
-    with both normal forms computed once, here. Elements where both
-    coefficients are false agree at every fact and are left out."""
-    rows = [
-        (cu, cv)
-        for cu, cv in zip(
-            normal_form(u, arrangement).coefficients,
-            normal_form(v, arrangement).coefficients,
-        )
-        if not (cu.is_false and cv.is_false)
-    ]
+    with both projections computed once, here."""
+    rows = _overlapped_pairs(u, v, arrangement)
 
     def check(fact: Fact) -> bool:
         return [cu.evaluate(fact) for cu, _ in rows] == [cv.evaluate(fact) for _, cv in rows]
@@ -514,7 +536,7 @@ def compliance_condition(
     """High-order condition testing compliance of ``p`` to ``q``.
 
     The operands, the arrangement and the merge mode are captured at
-    construction, where the normal forms of p*q and q are computed;
+    construction, where p*q and q are projected onto the arrangement;
     evaluation only evaluates their coefficients at the fact. Later
     rebindings of whatever names produced ``p`` and ``q`` do not change
     the condition.

@@ -11,11 +11,13 @@ from typing import Iterable, Sequence
 
 from privcalc import (
     Condition,
+    ConditionMergeMode,
     Employment,
     Entity,
     Fact,
     FactFamily,
     Privilege,
+    PrivilegeAtom,
     RbacModel,
     Statement,
     merge_employment,
@@ -55,6 +57,24 @@ def privilege_grants(
         if all(c.evaluate(fact) for c in atom.conditions):
             out |= employment_grants(atom.employment, universe)
     return frozenset(out)
+
+
+def pairwise_merge(u: Privilege, v: Privilege, mode: ConditionMergeMode) -> Privilege:
+    """Mergence by its definition: every atom of ``u`` against every atom
+    of ``v``, keeping the pairs whose employments merge to a non-empty
+    employment, with the condition sets intersected or joined per
+    ``mode``."""
+    atoms = set()
+    for a in u.atoms:
+        for b in v.atoms:
+            emp = merge_employment(a.employment, b.employment)
+            if emp.is_empty:
+                continue
+            if mode is ConditionMergeMode.INTERSECTION:
+                atoms.add(PrivilegeAtom(emp, a.conditions & b.conditions))
+            else:
+                atoms.add(PrivilegeAtom(emp, a.conditions | b.conditions))
+    return Privilege(frozenset(atoms))
 
 
 def pairwise_normal_form(

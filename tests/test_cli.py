@@ -19,6 +19,7 @@ from privcalc import (
     main,
     run_scenario,
 )
+from privcalc.pal import MAX_NESTING
 
 from fixtures import CHILD_ENV, EXAMPLE_PAL, GUARDS_PAL, SESSION_ARRANGEMENT
 
@@ -398,6 +399,43 @@ def test_long_sum_checks_and_evaluates(tmp_path, capsys):
         " + ".join(names) + "\n",
         "",
     )
+
+
+def test_long_product_checks_and_evaluates(tmp_path, capsys):
+    names = [f"f{i:04d}" for i in range(3000)]
+    path = tmp_path / "product.pal"
+    path.write_text(
+        f'namespace "h" {{\n  x := {" * ".join(names)}\n  y := {" * ".join(["read"] * 3000)}\n}}\n'
+    )
+    assert run(capsys, "check", str(path)) == (0, "ok\n", "")
+    assert run(capsys, "eval", str(path), "--expr", "x") == (0, "0\n", "")
+    assert run(capsys, "eval", str(path), "--expr", "y") == (0, "read\n", "")
+
+
+def test_import_rbac_deep_hierarchy(tmp_path, capsys):
+    roles = [f"r{i:04d}" for i in range(1200)]
+    path = tmp_path / "deep.rbac"
+    path.write_text(
+        "\n".join(
+            ["op read", "cat C"]
+            + [f"role {r} = read/C" for r in roles]
+            + [f"inherits {s} {j}" for s, j in zip(roles, roles[1:])]
+        )
+        + "\n"
+    )
+    code, out, err = run(capsys, "import-rbac", str(path))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[1] == "  r1199 := read/C"
+    assert lines[-2] == "  r0000 := r0001 + read/C"
+
+
+def test_deep_nesting_exits_2_with_position(tmp_path, capsys):
+    path = tmp_path / "deep.pal"
+    path.write_text(f'namespace "h" {{\n  x := {"(" * 1200}read{")" * 1200}\n}}\n')
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}:2:{8 + MAX_NESTING}: '(' nested more than {MAX_NESTING} deep\n"
 
 
 def test_import_rbac_wide_user(tmp_path, capsys):

@@ -15,6 +15,7 @@ from privcalc import (
     EquivalenceQuery,
     EvalQuery,
     NormalFormQuery,
+    Privilege,
     PulseQuery,
     RbacImportError,
     ResolutionError,
@@ -309,6 +310,53 @@ def test_privilege_binding_shadows_condition():
     assert eval_text("read * logged", env).text() == "0"
 
 
+_FACTORS = ["read", "read/TechDoc", "write", "(read + list)", "logged", "[read <: write]"]
+
+
+def _product_env(mode: ConditionMergeMode) -> Environment:
+    env = _condition_env()
+    env.merge_mode = mode
+    env.arrangement = arrangement_from_text(SESSION_ARRANGEMENT, env)
+    return load_program(parse_text('namespace "n" { let doc1 is TechDoc }'), env)
+
+
+def _value_or_error(text: str, env: Environment) -> Privilege | str:
+    try:
+        return eval_text(text, env)
+    except ResolutionError as exc:
+        return f"error: {exc}"
+
+
+@given(
+    st.lists(st.sampled_from(_FACTORS), min_size=2, max_size=6),
+    st.sampled_from([ConditionMergeMode.INTERSECTION, UNION]),
+)
+def test_product_chain_equals_stepwise_binary_products(factors, mode):
+    # A name bound to a privilege is never a condition operand, so
+    # "prefix * f" is one binary product of the value so far and f.
+    env = _product_env(mode)
+    chain = _value_or_error(" * ".join(factors), env)
+    step = _value_or_error(f"{factors[0]} * {factors[1]}", env)
+    for factor in factors[2:]:
+        if isinstance(step, str):
+            break
+        env.privileges["prefix"] = step
+        step = _value_or_error(f"prefix * {factor}", env)
+        del env.privileges["prefix"]
+    assert str(chain) == str(step)
+
+
+def test_long_product_hands_a_condition_along_the_chain():
+    factors = ["read"] * 3000
+    factors[1500] = "logged"
+    chain = " * ".join(factors)
+    env = _product_env(ConditionMergeMode.INTERSECTION)
+    assert eval_text(chain, env).text() == "read"  # later factors intersect it away
+    assert eval_text(f"{chain} * logged", env).text() == "read ? logged"
+    env.merge_mode = UNION
+    assert eval_text(chain, env).text() == "read ? logged"
+
+
 # --- role-model import ------------------------------------------------------------
 
 
@@ -371,6 +419,27 @@ def test_rbac_cycle_reported_with_path():
     )
     with pytest.raises(RbacImportError, match="cycle: x -> y -> z -> x"):
         load_rbac(text)
+
+
+def _role_chain(n: int) -> list[str]:
+    """n roles, each inheriting the next; only the last has a permission."""
+    roles = [f"r{i:04d}" for i in range(n)]
+    return (
+        ["op a", "cat C", f"role {roles[-1]} = a/C"]
+        + [f"role {r} = a/C" for r in roles[:-1]]
+        + [f"inherits {s} {j}" for s, j in zip(roles, roles[1:])]
+    )
+
+
+def test_rbac_deep_hierarchy_imports_juniors_first():
+    lines = _role_chain(1200)
+    program = import_rbac(load_rbac("\n".join(lines)))
+    defined = [stmt.name for stmt in program.namespaces[0].statements]
+    assert defined == [f"r{i:04d}" for i in reversed(range(1200))]
+    with pytest.raises(RbacImportError) as exc:
+        load_rbac("\n".join(lines + ["inherits r1199 r0000"]))
+    path = " -> ".join(f"r{i:04d}" for i in range(1200))
+    assert str(exc.value) == f"role hierarchy contains a cycle: {path} -> r0000"
 
 
 def test_rbac_empty_role_and_user_rejected():
@@ -452,6 +521,18 @@ def test_run_scenario_collects_query_errors():
     assert not report.ok
     assert len(report.errors) == 1 and "doc1" in report.errors[0]
     assert len(report.results) == 1
+
+
+def test_run_scenario_query_errors_carry_no_file_name():
+    report = run_scenario(
+        EXAMPLE_PAL, filename="x.pal", queries=[EvalQuery("session_2 +"), EvalQuery("doc1")]
+    )
+    assert report.errors == [
+        "EvalQuery: 1:12: expected '(' or '[' or identifier, found end of input",
+        "EvalQuery: 1:1: 'doc1' is an entity and has no privilege value",
+    ]
+    report = run_scenario(EXAMPLE_PAL + "}", filename="x.pal")
+    assert report.errors[0].startswith("x.pal:16:1: ")
 
 
 def test_run_scenario_reports_load_failures():

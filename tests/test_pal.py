@@ -11,6 +11,7 @@ from privcalc.pal import (
     GuardOp,
     LetIs,
     LexError,
+    MAX_NESTING,
     Name,
     Namespace,
     ParseError,
@@ -178,6 +179,20 @@ def test_statement_errors():
     with pytest.raises(ParseError) as exc:
         parse_text('namespace "n" { + }')
     assert exc.value.expected == {"'let'", "identifier", "'}'"}
+
+
+def test_nesting_is_bounded_at_the_opening_token():
+    deepest = "(" * MAX_NESTING + "a" + ")" * MAX_NESTING
+    assert parse_expression(deepest) == Name("a")
+    mixed = "[a <: (" * (MAX_NESTING // 2) + "b" + ")]" * (MAX_NESTING // 2)
+    assert isinstance(parse_expression(mixed), Guard)
+    with pytest.raises(ParseError, match=r"'\(' nested more than") as exc:
+        parse_expression("(" + deepest + ")")
+    assert (exc.value.line, exc.value.column) == (1, MAX_NESTING + 1)
+    guards = "[" * MAX_NESTING + "a" + " ~ b]" * MAX_NESTING
+    with pytest.raises(ParseError, match=r"'\[' nested more than") as exc:
+        parse_text(f'namespace "n" {{\n  x := [{guards} ~ a]\n}}', filename="d.pal")
+    assert str(exc.value).startswith(f"d.pal:2:{len('  x := ') + MAX_NESTING + 1}: ")
 
 
 def test_parse_error_includes_filename():

@@ -38,7 +38,9 @@ from privcalc import (
     trace,
 )
 
-from oracles import pairwise_disjoint, pairwise_normal_form, privilege_grants
+import privcalc.privilege as privilege_module
+
+from oracles import pairwise_disjoint, pairwise_merge, pairwise_normal_form, privilege_grants
 from fixtures import power_family
 
 READ = FunctionSymbol("read")
@@ -604,3 +606,83 @@ def test_guard_conditions_agree_with_predicates(basis, p, q, r, mode):
         for fact in FAM:
             assert comply.evaluate(fact) == compliant(u, v, arr, fact, mode)
             assert congr.evaluate(fact) == congruent(u, v, arr, fact)
+
+
+# --- the sparse paths against the dense definitions ---------------------------
+
+_G1 = compliance_condition(PHONE, BOB, SESSIONS)
+_G2 = congruence_condition(BOB, OFFICEPC, SESSIONS)
+
+
+@st.composite
+def _mixed_privileges(draw):
+    """Atoms over several functions, with plain and guard conditions."""
+    fns = st.sampled_from(_IDX_FUNCTIONS + [REMOVE])
+    conds = st.frozensets(st.sampled_from([C1, C2, ALWAYS, NEVER, _G1, _G2]), max_size=3)
+    atom = st.builds(PrivilegeAtom, st.builds(Employment, fns, _entity_sets()), conds)
+    return Privilege(frozenset(draw(st.lists(atom, max_size=6))))
+
+
+@given(_mixed_privileges(), _mixed_privileges(), st.sampled_from([INTER, UNION]))
+@example(BOB, PHONE, INTER)
+@example(priv((READ, TECHDOC, [_G1])), priv((WRITE, UNIVERSAL, [C1])), UNION)
+def test_merge_matches_pairwise_definition(u, v, mode):
+    assert merge(u, v, mode) == pairwise_merge(u, v, mode)
+
+
+@given(_disjoint_bases(), _index_privileges(), _index_privileges())
+@example(
+    (Employment(READ, UNIVERSAL), Employment(WRITE, EntitySet.finite([_A]))),
+    # every conjunction on read/* folds to false
+    priv((READ, UNIVERSAL, [NEVER]), (READ, EntitySet.finite([_B]), [C1, NEVER])),
+    Privilege.empty(),
+)
+def test_pulse_trace_and_eq_match_every_coefficient(basis, p, q):
+    arr = Arrangement(basis)
+    facts = list(FAM)
+    cp = normal_form(p, arr).coefficients
+    cq = normal_form(q, arr).coefficients
+    for fact in facts:
+        assert pulse(p, arr, fact).bits == tuple(c.evaluate(fact) for c in cp)
+    assert trace(p, arr, facts).cells == tuple(
+        tuple(c.evaluate(t) for t in facts) for c in cp
+    )
+    assert structural_eq(p, q, arr, FAM) == all(
+        a.evaluate(t) == b.evaluate(t) for a, b in zip(cp, cq) for t in facts
+    )
+
+
+def test_merge_pairs_atoms_only_within_a_function(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return merge_employment(a, b)
+
+    monkeypatch.setattr(privilege_module, "merge_employment", counting)
+    entities = [Entity(f"e{i}") for i in range(20)]
+    reads = unconditioned(*(Employment(READ, EntitySet.finite([e])) for e in entities))
+    writes = unconditioned(*(Employment(WRITE, EntitySet.finite([e])) for e in entities))
+    assert merge(reads, writes).is_empty
+    assert calls == []
+    assert merge(reads, PHONE) == reads  # PHONE's list/* pairs with nothing
+    assert len(calls) == len(entities)
+
+
+def test_pulse_and_trace_evaluate_only_overlapped_elements(monkeypatch):
+    entities = [Entity(f"e{i:03d}") for i in range(100)]
+    arr = atomic_arrangement([READ, WRITE, LIST_, REMOVE], entities)
+    evaluated = []
+    evaluate = Coefficient.evaluate
+
+    def counting(self, fact):
+        evaluated.append(self)
+        return evaluate(self, fact)
+
+    monkeypatch.setattr(Coefficient, "evaluate", counting)
+    p = priv((READ, EntitySet.finite(entities[:2]), [C1]))
+    assert pulse(p, arr, T_S1).bits.count(True) == 2
+    assert len(evaluated) == 2
+    cells = trace(p, arr, [T_EMPTY, T_S1]).cells
+    assert sum(row.count(True) for row in cells) == 2
+    assert len(evaluated) == 2 + 2 * 2
