@@ -31,7 +31,6 @@ from .facts import (
     FactFamily,
     FalseCondition,
     FamilyReport,
-    HighOrderCondition,
     NEVER,
     Statement,
     TableCondition,
@@ -51,6 +50,7 @@ from .privilege import (
     ArrangementError,
     Coefficient,
     ConditionMergeMode,
+    HighOrderCondition,
     NormalForm,
     Privilege,
     PrivilegeAtom,

@@ -389,9 +389,13 @@ class RbacModel:
     roles: dict[str, frozenset[tuple[str, str]]] = field(default_factory=dict)
     hierarchy: frozenset[tuple[str, str]] = frozenset()
     users: dict[str, frozenset[str]] = field(default_factory=dict)
+    # senior -> its direct juniors, sorted; built once from ``hierarchy``
+    _juniors: dict[str, list[str]] = field(init=False, repr=False, compare=False)
 
-    def juniors_of(self, role: str) -> frozenset[str]:
-        return frozenset(j for s, j in self.hierarchy if s == role)
+    def __post_init__(self):
+        self._juniors = {}
+        for senior, junior in sorted(self.hierarchy):
+            self._juniors.setdefault(senior, []).append(junior)
 
     def validate(self) -> None:
         for role, perms in self.roles.items():
@@ -404,8 +408,8 @@ class RbacModel:
                     raise RbacImportError(
                         f"role '{role}' uses undeclared category '{cat}'"
                     )
-        for senior, junior in self.hierarchy:
-            for role in (senior, junior):
+        for senior, juniors in self._juniors.items():
+            for role in (senior, *juniors):
                 if role not in self.roles:
                     raise RbacImportError(f"hierarchy references unknown role '{role}'")
         for user, roles in self.users.items():
@@ -422,13 +426,12 @@ class RbacModel:
         """Every role after all of its juniors: depth first, roots and
         juniors in alphabetical order; a cycle is an error. The explicit
         stack keeps a deep hierarchy from recursing once per role."""
-        juniors = {role: sorted(self.juniors_of(role)) for role in self.roles}
         order: list[str] = []
         done: set[str] = set()
         for root in sorted(self.roles):
             if root in done:
                 continue
-            path, on_path, pending = [root], {root}, [iter(juniors[root])]
+            path, on_path, pending = [root], {root}, [iter(self._juniors.get(root, ()))]
             while pending:
                 nxt = next(pending[-1], None)
                 if nxt is None:
@@ -445,7 +448,7 @@ class RbacModel:
                 elif nxt not in done:
                     path.append(nxt)
                     on_path.add(nxt)
-                    pending.append(iter(juniors[nxt]))
+                    pending.append(iter(self._juniors.get(nxt, ())))
         return order
 
 
@@ -547,7 +550,7 @@ def import_rbac(model: RbacModel) -> pal.Program:
     # the emitted program loads front to back.
     for role in model._juniors_first():
         terms: list[pal.ExprNode] = [
-            pal.Name(junior) for junior in sorted(model.juniors_of(role))
+            pal.Name(junior) for junior in model._juniors.get(role, ())
         ]
         terms.extend(
             pal.Slash(pal.Name(op), cat) for op, cat in sorted(model.roles[role])

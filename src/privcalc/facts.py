@@ -11,10 +11,8 @@ functions on facts constrained by the disjoint-union axiom
 Witness conditions (true on any fact containing at least one witness
 statement) satisfy the axiom by construction. Table conditions carry an
 explicit truth assignment and should be checked with
-``verify_condition_axiom`` when loaded. High-order conditions wrap
-compliance or congruence predicates built in the privilege layer; they
-capture their operands at construction time and are exempt from the
-axiom check.
+``verify_condition_axiom`` when loaded. Guards, the high-order
+conditions of the privilege layer, are exempt from the axiom check.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import PrivCalcError, SourceError
 
@@ -36,7 +34,6 @@ __all__ = [
     "FactFamily",
     "FalseCondition",
     "FamilyReport",
-    "HighOrderCondition",
     "NEVER",
     "Statement",
     "TableCondition",
@@ -285,17 +282,6 @@ class TableCondition(Condition):
         return fact.statements in self.true_sets
 
 
-@dataclass(frozen=True)
-class HighOrderCondition(Condition):
-    """Wraps a compliance or congruence predicate over captured operands."""
-
-    id: str
-    predicate: Callable[[Fact], bool]
-
-    def evaluate(self, fact: Fact) -> bool:
-        return self.predicate(fact)
-
-
 ALWAYS = TrueCondition()
 NEVER = FalseCondition()
 
@@ -323,11 +309,12 @@ class ConditionReport:
 def verify_condition_axiom(condition: Condition, family: FactFamily) -> ConditionReport:
     """Check r(x1 | x2) = r(x1) or r(x2) over every disjoint pair.
 
-    High-order conditions are outside the axiom's scope and are
-    rejected. Note the axiom does not force monotonicity on families
-    that lack relative complements; witness conditions are monotone
-    regardless, arbitrary tables need not be.
+    Guards are outside the axiom's scope and are rejected. The axiom
+    does not force monotonicity on families that lack relative
+    complements; witness conditions are monotone regardless, arbitrary
+    tables need not be.
     """
+    from .privilege import HighOrderCondition  # privilege imports this module
     if isinstance(condition, HighOrderCondition):
         raise UnsupportedConditionError(
             "high-order conditions are exempt from the disjoint-union axiom"

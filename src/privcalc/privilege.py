@@ -1,40 +1,31 @@
 """Privileges over employments, and their forms over arrangements.
 
-A privilege is a finite set of atoms, each an employment together with
-a set of conditions read conjunctively (no conditions means always
-granted). Mergence combines atoms pairwise: the employments merge, and
-the condition sets combine according to the active mode. Atoms of
-different functions always merge to the empty employment, so mergence
-pairs each atom only with the other side's atoms of its own function.
-The INTERSECTION mode follows the definition of mergence literally,
+A privilege is a finite set of atoms, each an employment with a set of
+conditions read conjunctively (none means always granted). Mergence
+pairs the atoms of each function: employments merge, condition sets
+combine per the mode. INTERSECTION follows the definition literally,
 which can weaken mixed condition sets so far that a privilege fails to
-comply with itself; the UNION mode keeps the requirements of both
-sides. Composition is atom-set union.
+comply with itself; UNION keeps both sides' requirements. Composition
+is atom-set union.
 
-Projecting a privilege onto an arrangement (an ordered, pairwise
-merge-disjoint employment basis) yields its normal form: per basis
-element, the disjunction of the condition conjunctions of the atoms
-whose employment overlaps it. An arrangement indexes its basis by
-function symbol and then by entity when it is built; building that
-index is the disjointness check, in time linear in the total size of
-the basis's entity sets, and projection looks each atom up in it, so
-an atom touches only the elements it overlaps. Evaluating the
-coefficients at a fact yields the pulsed form, a bit vector; pulsing
-along a fact sequence yields a trace matrix. Only the coefficients of
-overlapped elements can be true, so pulses, traces and structural
-equality evaluate those and leave every other element false without
-building its coefficient. Congruence at a fact is pulsed-form
-equality, and p complies with q at a fact when p*q is congruent to q
-there. Both predicates can be packaged as high-order conditions,
-which is how guard privileges are built; a guard projects its operands
-once, when it is built, and evaluates only their coefficients at each
-fact.
+An arrangement is an ordered, pairwise merge-disjoint employment basis,
+indexed by function and entity when built (filling the index is the
+disjointness check). A privilege's normal form over it gives each
+element the disjunction of the condition conjunctions of the atoms that
+overlap it; at a fact that is the pulsed form, a bit vector, and along
+a fact sequence a trace matrix. Queries evaluate only overlapped
+elements; the rest are false.
+
+Congruence at a fact is pulsed-form equality, and p complies with q
+when p*q is congruent to q. A guard (``HighOrderCondition``) packages
+either test as a value; equal guards are hash-consed into one object.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
@@ -52,7 +43,6 @@ from .facts import (
     Fact,
     FactFamily,
     FalseCondition,
-    HighOrderCondition,
     TrueCondition,
 )
 
@@ -61,6 +51,7 @@ __all__ = [
     "ArrangementError",
     "Coefficient",
     "ConditionMergeMode",
+    "HighOrderCondition",
     "NormalForm",
     "Privilege",
     "PrivilegeAtom",
@@ -404,9 +395,7 @@ class NormalForm:
 
 def _overlapped(p: Privilege, arrangement: Arrangement) -> dict[int, Coefficient]:
     """The coefficients of the elements some atom of ``p`` overlaps, by
-    basis index; every other element's coefficient is constant false.
-    Each atom is looked up in the arrangement's index, so only
-    overlapping elements are visited."""
+    basis index; every other element's coefficient is constant false."""
     buckets: dict[int, list[frozenset[Condition]]] = {}
     for atom in p.atoms:
         for i in arrangement.overlapping(atom.employment):
@@ -485,24 +474,25 @@ def _overlapped_pairs(
     return [(cu.get(i, false), cv.get(i, false)) for i in sorted(cu.keys() | cv.keys())]
 
 
+def _rows_agree(rows: list[tuple[Coefficient, Coefficient]], fact: Fact) -> bool:
+    """The overlapped coefficient pairs agree at the fact."""
+    return all(cu.evaluate(fact) == cv.evaluate(fact) for cu, cv in rows)
+
+
 def structural_eq(
     u: Privilege, v: Privilege, arrangement: Arrangement, family: FactFamily
 ) -> bool:
-    """Extensional normal-form equality: the coefficients agree on every
-    basis element at every fact of the family."""
-    facts = family.facts
-    return all(
-        cu.evaluate(t) == cv.evaluate(t)
-        for cu, cv in _overlapped_pairs(u, v, arrangement)
-        for t in facts
-    )
+    """Extensional normal-form equality: congruent at every fact of the
+    family."""
+    rows = _overlapped_pairs(u, v, arrangement)
+    return all(_rows_agree(rows, t) for t in family.facts)
 
 
 def congruent(
     u: Privilege, v: Privilege, arrangement: Arrangement, fact: Fact
 ) -> bool:
     """Same pulsed form at the fact."""
-    return pulse(u, arrangement, fact).bits == pulse(v, arrangement, fact).bits
+    return _rows_agree(_overlapped_pairs(u, v, arrangement), fact)
 
 
 def compliant(
@@ -516,15 +506,44 @@ def compliant(
     return congruent(merge(p, q, mode), q, arrangement, fact)
 
 
-def _congruence_check(u: Privilege, v: Privilege, arrangement: Arrangement):
-    """Predicate on facts equal to ``congruent(u, v, arrangement, fact)``,
-    with both projections computed once, here."""
-    rows = _overlapped_pairs(u, v, arrangement)
+@dataclass(frozen=True)
+class HighOrderCondition(Condition):
+    """A guard: ``[left <: right]`` holds where ``left`` complies with
+    ``right``, ``[left ~ right]`` where they are congruent.
 
-    def check(fact: Fact) -> bool:
-        return [cu.evaluate(fact) for cu, _ in rows] == [cv.evaluate(fact) for _, cv in rows]
+    Operator, operands, arrangement and mode give equality and hashing;
+    the arrangement stays out of the hash, which would walk the whole
+    basis, and congruence stores mode ``None``. The projected rows and
+    the label are derived once, here, and take no part in equality."""
 
-    return check
+    op: str
+    left: Privilege
+    right: Privilege
+    arrangement: Arrangement = field(hash=False, repr=False)
+    mode: ConditionMergeMode | None
+    id: str = field(init=False, compare=False)
+    _rows: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.op == "~":
+            object.__setattr__(self, "mode", None)
+        elif self.op != "<:":
+            raise ValueError(f"unknown guard operator {self.op!r}")
+        u = merge(self.left, self.right, self.mode) if self.op == "<:" else self.left
+        object.__setattr__(self, "_rows", _overlapped_pairs(u, self.right, self.arrangement))
+        object.__setattr__(self, "id", f"[{self.left.text()} {self.op} {self.right.text()}]")
+
+    def evaluate(self, fact: Fact) -> bool:
+        return _rows_agree(self._rows, fact)
+
+
+# Hash-consing: one live guard per value, so comparing two guards stops
+# at their shared inner guards instead of recursing through every level.
+_guards: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _canonical(guard: HighOrderCondition) -> HighOrderCondition:
+    return _guards.setdefault(guard, weakref.ref(guard))() or guard
 
 
 def compliance_condition(
@@ -532,25 +551,16 @@ def compliance_condition(
     q: Privilege,
     arrangement: Arrangement,
     mode: ConditionMergeMode = ConditionMergeMode.INTERSECTION,
-) -> Condition:
-    """High-order condition testing compliance of ``p`` to ``q``.
-
-    The operands, the arrangement and the merge mode are captured at
-    construction, where p*q and q are projected onto the arrangement;
-    evaluation only evaluates their coefficients at the fact. Later
-    rebindings of whatever names produced ``p`` and ``q`` do not change
-    the condition.
-    """
-    label = f"[{p.text()} <: {q.text()}]"
-    return HighOrderCondition(label, _congruence_check(merge(p, q, mode), q, arrangement))
+) -> HighOrderCondition:
+    """The guard ``[p <: q]``, with mergence in ``mode``."""
+    return _canonical(HighOrderCondition("<:", p, q, arrangement, mode))
 
 
 def congruence_condition(
     u: Privilege, v: Privilege, arrangement: Arrangement
-) -> Condition:
-    """High-order condition testing congruence of the captured operands."""
-    label = f"[{u.text()} ~ {v.text()}]"
-    return HighOrderCondition(label, _congruence_check(u, v, arrangement))
+) -> HighOrderCondition:
+    """The guard ``[u ~ v]``."""
+    return _canonical(HighOrderCondition("~", u, v, arrangement, None))
 
 
 def atomic_arrangement(

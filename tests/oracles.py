@@ -162,10 +162,13 @@ def minimal_evidence_sets(
 def rbac_role_grants(model: RbacModel) -> dict[str, frozenset[tuple[str, str]]]:
     """Per role, every (op, cat) grant through the hierarchy's
     transitive closure."""
+    juniors: dict[str, set[str]] = {}
+    for senior, junior in model.hierarchy:
+        juniors.setdefault(senior, set()).add(junior)
 
     def grants(role: str, seen: frozenset[str]) -> frozenset[tuple[str, str]]:
         out = set(model.roles[role])
-        for junior in model.juniors_of(role):
+        for junior in juniors.get(role, ()):
             if junior not in seen:
                 out |= grants(junior, seen | {junior})
         return frozenset(out)

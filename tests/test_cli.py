@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -507,3 +508,71 @@ def test_cli_matches_library(sample, with_facts, capsys):
             assert code == (1 if result.value is False else 0), argv
             verdicts.add((argv[0], code))
     assert {("eq", 0), ("eq", 1), ("comply", 0), ("comply", 1)} <= verdicts
+
+
+# A guard merged with an equal copy of itself: the copies are equal
+# values, so mergence keeps the guard in either mode.
+TWICE_GUARDED_PAL = """\
+namespace "g" {
+  x := (read * [write <: read]) * (read * [write <: read])
+  y := read * [write <: read]
+}
+"""
+
+
+def test_guard_merged_with_its_copy_keeps_the_guard(tmp_path, capsys):
+    path = tmp_path / "g.pal"
+    path.write_text(TWICE_GUARDED_PAL)
+    arr = ("--arrangement", "read + write")
+    assert run(capsys, "pulse", str(path), *arr, "--expr", "x") == (0, "0 0\n", "")
+    assert run(capsys, "pulse", str(path), *arr, "--expr", "y") == (0, "0 0\n", "")
+    assert run(capsys, "eq", str(path), *arr, "--left", "x", "--right", "y") == (
+        0,
+        "equal\n",
+        "",
+    )
+    for mode in ("union", "intersection"):
+        assert run(
+            capsys, "eval", str(path), *arr, "--merge-conditions", mode, "--expr", "x"
+        ) == (0, "read * [write <: read]\n", "")
+
+
+@pytest.mark.parametrize("op", ["<:", "~"])
+def test_deepest_guard_merged_with_itself_at_low_recursion_limit(tmp_path, capsys, op):
+    # Comparing two copies of a guard nested MAX_NESTING deep must not
+    # recurse once per level. The limit leaves the program 450 frames
+    # above the test's own stack, as a script run at limit 450 has.
+    guard = "[" * MAX_NESTING + "read" + f" {op} write]" * MAX_NESTING
+    path = tmp_path / "deep.pal"
+    path.write_text(f'namespace "d" {{\n  e := {guard}\n  x := {guard} * {guard}\n}}\n')
+    arr = ("--arrangement", "read + write + guard")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 450)
+    try:
+        code, out, err = run(capsys, "eval", str(path), *arr, "--expr", "x")
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "eval", str(path), *arr, "--expr", "e")[1]
+        for mode in ("union", "intersection"):
+            assert run(
+                capsys, "eq", str(path), *arr, "--merge-conditions", mode,
+                "--left", "x", "--right", "e",
+            ) == (0, "equal\n", "")
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_bench_tracer_counts_guard_evaluations(monkeypatch, capsys):
+    # The bench reads facts.guard_evals from the tracer, which finds the
+    # guard class among the Condition subclasses by name.
+    monkeypatch.syspath_prepend(str(SAMPLES.parent / "bench"))
+    from tracing import Tracer
+
+    with Tracer().installed() as tracer:
+        code = main([
+            "pulse", str(SAMPLES / "guards.pal"),
+            "--arrangement", f"@{SAMPLES / 'sessions.arr'}",
+            "--expr", "readguard",
+        ])
+    assert code == 0
+    assert capsys.readouterr().out == "1 0 0 0\n"
+    assert tracer.metrics()["facts.guard_evals"][0] > 0

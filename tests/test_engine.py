@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from privcalc import (
     ArrangementError,
@@ -14,6 +14,7 @@ from privcalc import (
     Environment,
     EquivalenceQuery,
     EvalQuery,
+    FunctionSymbol,
     NormalFormQuery,
     Privilege,
     PulseQuery,
@@ -22,16 +23,18 @@ from privcalc import (
     TraceQuery,
     WitnessCondition,
     arrangement_from_text,
+    atomic_arrangement,
     eval_text,
     format_program,
     import_rbac,
+    load_facts,
     load_program,
     load_rbac,
     parse_text,
     run_scenario,
     structural_eq,
 )
-from privcalc.engine import load_arrangement
+from privcalc.engine import build_environment, load_arrangement
 import privcalc.pal as pal
 
 from oracles import rbac_role_grants
@@ -357,6 +360,95 @@ def test_long_product_hands_a_condition_along_the_chain():
     assert eval_text(chain, env).text() == "read ? logged"
 
 
+# --- laws over every value PAL can produce ------------------------------------
+
+
+_LAW_FACTS = """\
+statement s1
+statement s2
+fact a = s1
+fact b = s2
+condition c1 = any s1
+condition c2 = any s2
+"""
+def _pal_text(guard_depth: int):
+    """PAL expression text: names, '+', '*', '/', named conditions and,
+    below ``guard_depth`` levels, both guard forms, alone or attached."""
+    leaf = st.sampled_from(["read", "write"])
+    guard = None
+    if guard_depth:
+        inner = _pal_text(guard_depth - 1)
+        guard = st.builds(
+            lambda left, op, right: f"[{left} {op} {right}]",
+            inner, st.sampled_from(["<:", "~"]), inner,
+        )
+        leaf = st.one_of(leaf, guard)
+
+    def extend(sub):
+        options = [
+            st.builds(lambda a, b: f"({a}) + ({b})", sub, sub),
+            st.builds(lambda a, b: f"({a}) * ({b})", sub, sub),
+            st.builds(lambda a, s: f"({a})/{s}", sub, st.sampled_from(["d1", "d2", "C", "D"])),
+            st.builds(lambda a, c: f"({a}) * {c}", sub, st.sampled_from(["c1", "c2"])),
+        ]
+        if guard is not None:
+            options.append(st.builds(lambda a, g: f"({a}) * {g}", sub, guard))
+        return st.one_of(options)
+
+    return st.recursive(leaf, extend, max_leaves=3)
+
+
+_LAW_EXPR = _pal_text(3)
+
+
+# Each law as a pair of definitions over the bound values, so a guard
+# operand is merged as a value rather than attached as a condition.
+_LAWS = {
+    "commutative": ("e1 * e2", "e2 * e1"),
+    "associative": ("(e1 * e2) * e3", "e1 * (e2 * e3)"),
+    "distributive": ("e1 * (e2 + e3)", "e1 * e2 + e1 * e3"),
+    "idempotent": ("e1 * e1", "e1"),
+}
+
+
+def _law_env(texts: tuple[str, ...], mode: ConditionMergeMode) -> Environment:
+    lines = ["let d1 is C", "let d2 is C", "let d2 is D"]
+    for i, text in enumerate(texts, 1):
+        lines += [f"e{i} := {text}", f"e{i}_again := {text}"]
+    for law, (left, right) in _LAWS.items():
+        lines += [f"{law}_l := {left}", f"{law}_r := {right}"]
+    family, conditions = load_facts(_LAW_FACTS)
+    program = 'namespace "laws" {\n' + "".join(f"  {line}\n" for line in lines) + "}\n"
+    return build_environment(program, family, conditions, "read + write + guard", mode)
+
+
+# The laws are compared entity by entity, finer than the guards' own
+# function-level arrangement.
+_LAW_BASIS = atomic_arrangement(
+    [FunctionSymbol(n) for n in ("read", "write", "guard")], [Entity("d1"), Entity("d2")]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_LAW_EXPR, _LAW_EXPR, _LAW_EXPR)
+@example("read * [write <: read]", "read", "write")
+def test_pal_values_have_value_identity_and_obey_the_laws(e1, e2, e3):
+    for mode in (ConditionMergeMode.INTERSECTION, UNION):
+        env = _law_env((e1, e2, e3), mode)
+        values = env.privileges
+        for i in (1, 2, 3):
+            first, second = values[f"e{i}"], values[f"e{i}_again"]
+            assert first == second and hash(first) == hash(second)
+        laws = list(_LAWS)
+        # Intersection mergence weakens mixed condition sets by design, so
+        # p * p = p holds there only when every atom carries the same set.
+        if mode is not UNION and len({a.conditions for a in values["e1"].atoms}) > 1:
+            laws.remove("idempotent")
+        for law in laws:
+            left, right = values[f"{law}_l"], values[f"{law}_r"]
+            assert structural_eq(left, right, _LAW_BASIS, env.family), (law, mode)
+
+
 # --- role-model import ------------------------------------------------------------
 
 
@@ -386,7 +478,7 @@ def test_load_rbac_shapes():
     model = load_rbac(RBAC_TEXT)
     assert model.operations == {"read", "write", "audit"}
     assert model.roles["editor"] == {("write", "Drafts"), ("read", "Drafts")}
-    assert model.juniors_of("chief") == {"editor", "auditor"}
+    assert {j for s, j in model.hierarchy if s == "chief"} == {"editor", "auditor"}
     assert model.users["erin"] == {"chief", "clerk"}
 
 
@@ -440,6 +532,14 @@ def test_rbac_deep_hierarchy_imports_juniors_first():
         load_rbac("\n".join(lines + ["inherits r1199 r0000"]))
     path = " -> ".join(f"r{i:04d}" for i in range(1200))
     assert str(exc.value) == f"role hierarchy contains a cycle: {path} -> r0000"
+
+
+def test_rbac_long_chain_loads_and_imports():
+    # The hierarchy is indexed once per model, so a long chain loads and
+    # imports in linear time.
+    model = load_rbac("\n".join(_role_chain(4800)))
+    defined = [stmt.name for stmt in import_rbac(model).namespaces[0].statements]
+    assert defined == [f"r{i:04d}" for i in reversed(range(4800))]
 
 
 def test_rbac_empty_role_and_user_rejected():

@@ -10,15 +10,20 @@ from hypothesis import given, strategies as st
 from privcalc import (
     ALWAYS,
     NEVER,
+    UNIVERSAL,
+    Arrangement,
     DeclarationError,
+    Employment,
     EvaluationError,
     Fact,
     FactFamily,
-    HighOrderCondition,
+    FunctionSymbol,
+    Privilege,
     Statement,
     UnsupportedConditionError,
     WitnessCondition,
     close_family,
+    congruence_condition,
     evidences,
     load_facts,
     minimum_evidences,
@@ -31,6 +36,14 @@ from oracles import closure_masks, minimal_evidence_sets
 from fixtures import power_family
 
 S1, S2, S3 = Statement("s1"), Statement("s2"), Statement("s3")
+
+READ = Employment(FunctionSymbol("read"), UNIVERSAL)
+
+
+def _read_unless(statement: Statement):
+    """The guard [read ? w ~ 0]: true exactly on facts without ``statement``."""
+    witnessed = Privilege.single(READ, [WitnessCondition("w", frozenset({statement}))])
+    return congruence_condition(witnessed, Privilege.empty(), Arrangement((READ,)))
 
 
 # --- families --------------------------------------------------------------
@@ -171,7 +184,7 @@ def test_table_condition_domain_checked():
 
 def test_high_order_condition_evaluates_predicate():
     fam = power_family("s1")
-    cond = HighOrderCondition("ho", lambda fact: len(fact.statements) == 0)
+    cond = _read_unless(S1)
     assert cond.evaluate(fam.fact("empty")) is True
     assert cond.evaluate(fam.fact("s1")) is False
 
@@ -216,7 +229,7 @@ def test_axiom_check_reports_missing_unions():
 def test_axiom_rejects_high_order():
     fam = power_family("s1")
     with pytest.raises(UnsupportedConditionError):
-        verify_condition_axiom(HighOrderCondition("ho", lambda f: True), fam)
+        verify_condition_axiom(_read_unless(S1), fam)
 
 
 def test_table_condition_can_pass_axiom_yet_not_be_monotone():

@@ -130,14 +130,18 @@ def test_text_splits_unlabeled_multi_entity():
     assert unconditioned(Employment(READ, es)).text() == "read/a + read/b"
 
 
+_P, _Q = Employment(FunctionSymbol("p"), UNIVERSAL), Employment(FunctionSymbol("q"), UNIVERSAL)
+_P_LE_Q = compliance_condition(unconditioned(_P), unconditioned(_Q), Arrangement((_P, _Q)))
+
+
 def test_text_guard_suffix():
-    guard = HighOrderCondition("[p <: q]", lambda f: True)
+    guard = _P_LE_Q
     p = priv((READ, UNIVERSAL, [guard]))
     assert p.text() == "read * [p <: q]"
 
 
 def test_text_guard_on_split_atom_parenthesizes():
-    guard = HighOrderCondition("[p <: q]", lambda f: True)
+    guard = _P_LE_Q
     es = EntitySet.finite([Entity("a"), Entity("b")])
     p = priv((READ, es, [guard]))
     assert p.text() == "(read/a + read/b) * [p <: q]"
@@ -263,7 +267,7 @@ def test_restricted_narrows_entities():
 
 
 def test_with_condition_attaches_everywhere():
-    guard = HighOrderCondition("[g]", lambda f: False)
+    guard = congruence_condition(BOB, Privilege.empty(), SESSIONS)  # false everywhere
     p = BOB.with_condition(guard)
     assert all(guard in a.conditions for a in p.atoms)
     assert Privilege.empty().with_condition(guard).is_empty
@@ -457,6 +461,25 @@ def test_congruence_condition():
     assert cond.evaluate(T_EMPTY) is False
 
 
+def test_guards_compare_by_value():
+    u = priv((READ, UNIVERSAL, [C1]))
+    v = unconditioned(Employment(READ, UNIVERSAL))
+    arr = Arrangement((Employment(READ, UNIVERSAL),))
+    equal_arr = Arrangement((Employment(READ, UNIVERSAL),))
+    guard = compliance_condition(u, v, arr, UNION)
+    assert compliance_condition(u, v, equal_arr, UNION) is guard  # hash-consed
+    built = HighOrderCondition("<:", u, v, equal_arr, UNION)
+    assert built == guard and hash(built) == hash(guard)
+    assert guard != compliance_condition(u, v, arr, INTER)
+    assert guard != congruence_condition(u, v, arr)
+    # congruence ignores the merge mode
+    assert HighOrderCondition("~", u, v, arr, UNION) == congruence_condition(u, v, arr)
+    wider = Arrangement((Employment(READ, UNIVERSAL), Employment(WRITE, UNIVERSAL)))
+    assert congruence_condition(u, v, wider) != congruence_condition(u, v, arr)
+    with pytest.raises(ValueError, match="unknown guard operator"):
+        HighOrderCondition("<=", u, v, arr, None)
+
+
 @given(_privileges(), _privileges())
 def test_compliance_matches_grant_containment_union_mode(u, v):
     # under UNION-mode mergence, compliance at a fact over an atomic basis
@@ -597,6 +620,8 @@ def test_normal_form_matches_pairwise_definition(basis, p):
     st.sampled_from([INTER, UNION]),
 )
 def test_guard_conditions_agree_with_predicates(basis, p, q, r, mode):
+    # Guards, congruent and compliant share one row comparison, so each
+    # is checked against the dense definition: equal pulsed forms.
     arr = Arrangement(basis)
     inner = p.with_condition(compliance_condition(r, q, arr, mode))
     nested = q.with_condition(congruence_condition(inner, r, arr))
@@ -604,8 +629,11 @@ def test_guard_conditions_agree_with_predicates(basis, p, q, r, mode):
         comply = compliance_condition(u, v, arr, mode)
         congr = congruence_condition(u, v, arr)
         for fact in FAM:
-            assert comply.evaluate(fact) == compliant(u, v, arr, fact, mode)
-            assert congr.evaluate(fact) == congruent(u, v, arr, fact)
+            pv = pulse(v, arr, fact).bits
+            dense_comply = pulse(merge(u, v, mode), arr, fact).bits == pv
+            dense_congr = pulse(u, arr, fact).bits == pv
+            assert comply.evaluate(fact) == compliant(u, v, arr, fact, mode) == dense_comply
+            assert congr.evaluate(fact) == congruent(u, v, arr, fact) == dense_congr
 
 
 # --- the sparse paths against the dense definitions ---------------------------
