@@ -186,9 +186,12 @@ def _load_let(stmt: pal.LetIs, env: Environment, filename: str | None) -> None:
     bad = {"function", "entity", "privilege"} & set(env.kinds_of(stmt.category))
     if bad:
         raise _clash(stmt.category, bad, "a category", stmt, filename)
+    _add_member(stmt, env)
+
+
+def _add_member(stmt: pal.LetIs, env: Environment) -> None:
     entity = env.entities.setdefault(stmt.entity, Entity(stmt.entity))
-    category = env.categories.setdefault(stmt.category, Category(stmt.category))
-    category.add(entity)
+    env.categories.setdefault(stmt.category, Category(stmt.category)).add(entity)
 
 
 def _load_define(stmt: pal.Define, env: Environment, filename: str | None) -> None:
@@ -216,8 +219,16 @@ def eval_expr(
     if isinstance(node, pal.Product):
         return _eval_product(node, env, filename)
     if isinstance(node, pal.Slash):
-        base = eval_expr(node.left, env, filename)
-        return base.restricted(_resolve_scope(node, env, filename))
+        # Innermost first, with a loop: a long chain must not recurse
+        # once per step.
+        slashes: list[pal.Slash] = []
+        while isinstance(node, pal.Slash):
+            slashes.append(node)
+            node = node.left
+        value = eval_expr(node, env, filename)
+        for slash in reversed(slashes):
+            value = value.restricted(_resolve_scope(slash, env, filename))
+        return value
     if isinstance(node, pal.Guard):
         condition = _guard_condition(node, env, filename)
         return Privilege.single(Employment(GUARD_FUNCTION, UNIVERSAL), [condition])
@@ -341,11 +352,18 @@ def load_arrangement(
 
     Atoms must be unconditioned and the collected basis pairwise
     merge-disjoint; within one expression the atoms are taken in
-    canonical order.
+    canonical order. An expression that evaluates to nothing is an
+    error at its first name.
     """
     basis: list[Employment] = []
     for node in exprs:
         value = eval_expr(node, env, filename)
+        if value.is_empty:
+            first = node
+            while not isinstance(first, pal.Name):
+                first = first.left
+            message = f"arrangement element '{pal.format_expr(node)}' is empty"
+            raise ArrangementError(message, first.line, first.column, filename)
         for atom in value.sorted_atoms():
             if atom.conditions:
                 raise ArrangementError(
@@ -412,9 +430,18 @@ class RbacModel:
             for role in (senior, *juniors):
                 if role not in self.roles:
                     raise RbacImportError(f"hierarchy references unknown role '{role}'")
+        # Each name becomes one PAL binding, so it may have one kind only.
+        kinds: dict[str, str] = {}
+        declared = zip(
+            ("op", "cat", "role", "user"),
+            (self.operations, self.categories, self.roles, self.users),
+        )
+        for kind, names in declared:
+            for name in sorted(names):
+                if kinds.setdefault(name, kind) != kind:
+                    message = f"'{name}' is declared both as {kinds[name]} and {kind}"
+                    raise RbacImportError(message)
         for user, roles in self.users.items():
-            if user in self.roles:
-                raise RbacImportError(f"'{user}' is declared both as role and user")
             for role in roles:
                 if role not in self.roles:
                     raise RbacImportError(
@@ -462,6 +489,10 @@ def load_rbac(text: str, filename: str | None = None) -> RbacModel:
         role <id> = <op>/<cat>[, <op>/<cat> ...]
         inherits <senior> <junior>
         user <id> = <role>[, <role> ...]
+
+    Every declared ``<id>`` is a PAL identifier (``pal.is_identifier``),
+    and no name is declared as two of op, cat, role and user: each
+    becomes one PAL name.
     """
     operations: set[str] = set()
     categories: set[str] = set()
@@ -472,25 +503,27 @@ def load_rbac(text: str, filename: str | None = None) -> RbacModel:
     def err(line_no: int, message: str) -> RbacImportError:
         return RbacImportError(message, line=line_no, filename=filename)
 
+    def ident(line_no: int, name: str, kind: str) -> str:
+        if not pal.is_identifier(name):
+            raise err(line_no, f"invalid {kind} name '{name}'")
+        return name
+
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
-        if head == "op":
+        if head in ("op", "cat"):
             if not rest or " " in rest:
-                raise err(line_no, "expected: op <id>")
-            operations.add(rest)
-        elif head == "cat":
-            if not rest or " " in rest:
-                raise err(line_no, "expected: cat <id>")
-            categories.add(rest)
+                raise err(line_no, f"expected: {head} <id>")
+            (operations if head == "op" else categories).add(ident(line_no, rest, head))
         elif head == "role":
             name, eq, perms = rest.partition("=")
             name = name.strip()
             if not eq or not name:
                 raise err(line_no, "expected: role <id> = <op>/<cat>, ...")
+            ident(line_no, name, "role")
             if name in roles:
                 raise err(line_no, f"duplicate role '{name}'")
             pairs = set()
@@ -513,6 +546,7 @@ def load_rbac(text: str, filename: str | None = None) -> RbacModel:
             name = name.strip()
             if not eq or not name:
                 raise err(line_no, "expected: user <id> = <role>, ...")
+            ident(line_no, name, "user")
             if name in users:
                 raise err(line_no, f"duplicate user '{name}'")
             names = [r.strip() for r in role_list.split(",")]
@@ -642,16 +676,24 @@ def build_environment(
 ) -> Environment:
     """Load one namespace of a program over facts and an arrangement.
 
-    The arrangement text is evaluated before the program is parsed and
-    loaded (its bare names become function symbols), so guards inside
-    the program can capture it. ``filename`` labels errors in the
-    program, not in the arrangement text.
+    The arrangement text is parsed first, so a broken one is reported
+    before the program. It is then evaluated in a scope of its own that
+    holds the conditions and the namespace's final category membership
+    (every ``let``), so its names never bind in the program; guards in
+    the program capture it. ``filename`` labels errors in the program,
+    not in the arrangement text.
     """
-    env = Environment(family=family, conditions=conditions, merge_mode=merge_mode)
     if arrangement is not None:
-        env.arrangement = arrangement_from_text(arrangement, env)
+        elements = _sum_terms(pal.parse_expression(arrangement))
     if isinstance(source, str):
         source = pal.parse_text(source, filename)
+    env = Environment(family=family, conditions=conditions, merge_mode=merge_mode)
+    if arrangement is not None:
+        scope = Environment(env.family, env.conditions, merge_mode=merge_mode)
+        for stmt in _pick_namespace(source, namespace, filename).statements:
+            if isinstance(stmt, pal.LetIs):
+                _add_member(stmt, scope)
+        env.arrangement = load_arrangement(elements, scope)
     return load_program(source, env, namespace=namespace, filename=filename)
 
 

@@ -17,12 +17,12 @@ conditions of the privilege layer, are exempt from the axiom check.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .errors import PrivCalcError, SourceError
+from .pal import is_identifier
 
 __all__ = [
     "ALWAYS",
@@ -354,9 +354,6 @@ def minimum_evidences(condition: Condition, family: FactFamily) -> frozenset[Fac
     )
 
 
-_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-
-
 def load_facts(
     text: str, filename: str | None = None
 ) -> tuple[FactFamily, dict[str, Condition]]:
@@ -370,6 +367,7 @@ def load_facts(
         condition <id> = true
         condition <id> = false
 
+    Every ``<id>`` is a PAL identifier (``pal.is_identifier``).
     Statements must be declared before facts or conditions mention
     them. The loader closes the declared facts into a family, so
     synthesized facts (unions, intersections, "empty") are addressable
@@ -383,7 +381,7 @@ def load_facts(
         return DeclarationError(message, line=line_no, filename=filename)
 
     def ident(line_no: int, token: str, role: str) -> str:
-        if not _IDENT.match(token):
+        if not is_identifier(token):
             raise err(line_no, f"invalid {role} name '{token}'")
         return token
 

@@ -13,11 +13,13 @@ Grammar:
                | "(" expr ")"
                | "[" expr ("<:" | "~") expr "]"
 
-Identifiers are a letter followed by letters, digits or underscores;
-``#`` starts a comment running to end of line; whitespace is otherwise
-insignificant. ``/`` binds tighter than ``*``, which binds tighter than
-``+``; all three associate to the left. The bracket form denotes a
-guard: ``<:`` for compliance, ``~`` for congruence.
+Identifiers are an ASCII letter followed by ASCII letters, digits or
+underscores, keywords excepted (``is_identifier``); ``#`` starts a
+comment running to end of line; blanks (space, tab, carriage return)
+and newlines are otherwise insignificant. ``/`` binds tighter than
+``*``, which binds tighter than ``+``; all three associate to the left.
+The bracket form denotes a guard: ``<:`` for compliance, ``~`` for
+congruence.
 
 ``format_node(parse(tokenize(text)))`` is the canonical spelling of
 ``text``; formatting then parsing returns an equal tree (node equality
@@ -26,6 +28,7 @@ ignores source positions).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
@@ -53,6 +56,7 @@ __all__ = [
     "format_expr",
     "format_node",
     "format_program",
+    "is_identifier",
     "parse",
     "parse_expression",
     "parse_text",
@@ -108,93 +112,43 @@ class Token:
     column: int
 
 
-_KEYWORDS = {
-    "namespace": TokenKind.NAMESPACE,
-    "let": TokenKind.LET,
-    "is": TokenKind.IS,
-}
-
-_SINGLE = {
-    "+": TokenKind.PLUS,
-    "*": TokenKind.STAR,
-    "/": TokenKind.SLASH,
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    "[": TokenKind.LBRACKET,
-    "]": TokenKind.RBRACKET,
-    "~": TokenKind.TILDE,
-}
+# Keywords and punctuation by spelling, read off the kinds' quoted names.
+_SPELLINGS = {kind.value[1:-1]: kind for kind in TokenKind if kind.value[0] == "'"}
+# ASCII only, unlike \w. One alternative per token class, tried in order;
+# "quote" is an unpaired '"', "bad" any other character no token starts with.
+_WORD = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|(?P<blank>[ \t\r]+(?:#[^\n]*)?|#[^\n]*)"
+    rf"|(?P<word>{_WORD.pattern})|(?P<string>\"[^\"\n]*\")|(?P<quote>\")"
+    r"|(?P<op>:=|<:|[+*/(){}\[\]~])|(?P<bad>.)"
+)
 
 
-def _is_letter(ch: str) -> bool:
-    return "a" <= ch <= "z" or "A" <= ch <= "Z"
+def is_identifier(text: str) -> bool:
+    """A name PAL can bind: a word that is not a keyword. Facts and RBAC
+    files name things by the same rule."""
+    return _WORD.fullmatch(text) is not None and text not in _SPELLINGS
 
 
-def _is_ident_char(ch: str) -> bool:
-    return _is_letter(ch) or "0" <= ch <= "9" or ch == "_"
-
-
-def tokenize(source: str) -> list[Token]:
-    """Scan the whole text; positions are 1-based line and column."""
+def tokenize(source: str, filename: str | None = None) -> list[Token]:
+    """Scan the whole text; positions are 1-based line and column, and
+    a ``LexError`` names ``filename``."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if _is_letter(ch):
-            start = i
-            while i < n and _is_ident_char(source[i]):
-                i += 1
-            text = source[start:i]
-            tokens.append(Token(_KEYWORDS.get(text, TokenKind.IDENT), text, line, col))
-            col += i - start
-            continue
-        if ch == ":":
-            if i + 1 < n and source[i + 1] == "=":
-                tokens.append(Token(TokenKind.ASSIGN, ":=", line, col))
-                i += 2
-                col += 2
-                continue
-            raise LexError("unexpected character ':'", line=line, column=col)
-        if ch == "<":
-            if i + 1 < n and source[i + 1] == ":":
-                tokens.append(Token(TokenKind.COMPLIES, "<:", line, col))
-                i += 2
-                col += 2
-                continue
-            raise LexError("unexpected character '<'", line=line, column=col)
-        if ch == '"':
-            j = i + 1
-            while j < n and source[j] not in '"\n':
-                j += 1
-            if j >= n or source[j] == "\n":
-                raise LexError("unterminated string", line=line, column=col)
-            tokens.append(Token(TokenKind.STRING, source[i + 1 : j], line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch in _SINGLE:
-            tokens.append(Token(_SINGLE[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise LexError(f"unexpected character {ch!r}", line=line, column=col)
-    tokens.append(Token(TokenKind.EOF, "", line, col))
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(source):
+        group, text = match.lastgroup, match.group()
+        column = match.start() - line_start + 1
+        if group == "newline":
+            line, line_start = line + 1, match.end()
+        elif group == "string":
+            tokens.append(Token(TokenKind.STRING, text[1:-1], line, column))
+        elif group == "quote":
+            raise LexError("unterminated string", line, column, filename)
+        elif group == "bad":
+            raise LexError(f"unexpected character {text!r}", line, column, filename)
+        elif group != "blank":
+            tokens.append(Token(_SPELLINGS.get(text, TokenKind.IDENT), text, line, column))
+    tokens.append(Token(TokenKind.EOF, "", line, len(source) - line_start + 1))
     return tokens
 
 
@@ -417,18 +371,19 @@ def parse(tokens: list[Token], filename: str | None = None) -> Program:
 
 
 def parse_text(source: str, filename: str | None = None) -> Program:
-    return parse(tokenize(source), filename)
+    return parse(tokenize(source, filename), filename)
 
 
 def parse_expression(source: str, filename: str | None = None) -> ExprNode:
     """Parse a bare expression (the whole text must be one expr)."""
-    parser = _Parser(tokenize(source), filename)
+    parser = _Parser(tokenize(source, filename), filename)
     node = parser.expr()
     parser.expect(TokenKind.EOF)
     return node
 
 
 _PRECEDENCE = {Sum: 1, Product: 2, Slash: 3}
+_JOINERS = {Sum: " + ", Product: " * ", Slash: "/"}
 
 
 def format_expr(node: ExprNode) -> str:
@@ -442,21 +397,14 @@ def _expr_text(node: ExprNode, parent_prec: int, is_right: bool) -> str:
         left = _expr_text(node.left, 0, False)
         right = _expr_text(node.right, 0, False)
         return f"[{left} {node.op.value} {right}]"
-    prec = _PRECEDENCE[type(node)]
-    if isinstance(node, Slash):
-        text = f"{_expr_text(node.left, prec, False)}/{node.scope}"
-    else:
-        # Walk the left-nested chain of this operator with a loop, so a
-        # long sum does not recurse once per term.
-        op, rights = type(node), []
-        while isinstance(node, op):
-            rights.append(node.right)
-            node = node.left
-        joiner = " + " if op is Sum else " * "
-        text = joiner.join(
-            [_expr_text(node, prec, False)]
-            + [_expr_text(right, prec, True) for right in reversed(rights)]
-        )
+    # Walk the left-nested chain of this operator with a loop, so a long
+    # sum, product or "/" chain does not recurse once per step.
+    op, rights = type(node), []
+    prec = _PRECEDENCE[op]
+    while isinstance(node, op):
+        rights.append(node.scope if op is Slash else _expr_text(node.right, prec, True))
+        node = node.left
+    text = _JOINERS[op].join([_expr_text(node, prec, False)] + rights[::-1])
     # Parenthesize when binding looser than the context, or equally on
     # the right of a left-associative operator.
     if prec < parent_prec or (prec == parent_prec and is_right):

@@ -37,7 +37,7 @@ from .algebra import (
     FunctionSymbol,
     merge_employment,
 )
-from .errors import PrivCalcError
+from .errors import SourceError
 from .facts import (
     Condition,
     Fact,
@@ -71,8 +71,9 @@ __all__ = [
 ]
 
 
-class ArrangementError(PrivCalcError):
-    """The employment basis is not pairwise merge-disjoint."""
+class ArrangementError(SourceError):
+    """The employment basis is not pairwise merge-disjoint, or an
+    element of it is empty or conditioned."""
 
 
 class ConditionMergeMode(Enum):

@@ -413,6 +413,50 @@ def test_long_product_checks_and_evaluates(tmp_path, capsys):
     assert run(capsys, "eval", str(path), "--expr", "y") == (0, "read\n", "")
 
 
+def test_long_slash_chain_checks_and_evaluates(tmp_path, capsys):
+    path = tmp_path / "slash.pal"
+    path.write_text('namespace "h" {\n  let d is c\n  x := f' + "/c" * 3000 + "\n}\n")
+    assert run(capsys, "check", str(path)) == (0, "ok\n", "")
+    assert run(capsys, "eval", str(path), "--expr", "x") == (0, "f/c\n", "")
+
+
+def test_lex_error_names_the_file(tmp_path, capsys):
+    path = tmp_path / "bad.pal"
+    path.write_text('namespace "n" {\n  a := b\n  9x := a\n}\n')
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out, err) == (2, "", f"error: {path}:3:3: unexpected character '9'\n")
+
+
+def test_arrangement_resolves_in_the_programs_scope(workspace, capsys):
+    path = str(workspace / "example.pal")
+    nf = ("nf", path, "--expr", "session_2", "--arrangement")
+    assert run(capsys, *nf, "read/TechDoc + write") == (
+        0,
+        "read/TechDoc: true\nwrite/*: false\n",
+        "",
+    )
+    assert run(capsys, *nf, "read/doc1 + write") == (
+        0,
+        "read/{doc1}: true\nwrite/*: false\n",
+        "",
+    )
+    assert run(capsys, *nf, "write + read/Nowhere") == (
+        2,
+        "",
+        "error: 1:9: arrangement element 'read/Nowhere' is empty\n",
+    )
+
+
+def test_import_rbac_rejects_names_pal_cannot_bind(tmp_path, capsys):
+    path = tmp_path / "bad.rbac"
+    path.write_text("op read\ncat C\nrole 9lives = read/C\n")
+    code, out, err = run(capsys, "import-rbac", str(path))
+    assert (code, out, err) == (2, "", f"error: {path}:3: invalid role name '9lives'\n")
+    path.write_text("op read\ncat C\nrole r = read/C\nuser read = r\n")
+    code, out, err = run(capsys, "import-rbac", str(path))
+    assert (code, out, err) == (2, "", "error: 'read' is declared both as op and user\n")
+
+
 def test_import_rbac_deep_hierarchy(tmp_path, capsys):
     roles = [f"r{i:04d}" for i in range(1200)]
     path = tmp_path / "deep.rbac"

@@ -166,6 +166,11 @@ namespace "n" {
     assert env.privileges["late"].text() == "read/Lab"
 
 
+def test_long_slash_chain_evaluates_without_recursion():
+    source = 'namespace "n" {\n  let d is c\n  x := f' + "/c" * 3000 + "\n}\n"
+    assert build_environment(source).privileges["x"].text() == "f/c"
+
+
 def test_slash_rejects_privilege_scope():
     with pytest.raises(ResolutionError, match="needs a category or an entity"):
         example_env(source='namespace "n" { p := read\nq := write/p }')
@@ -215,6 +220,49 @@ def test_load_arrangement_flattens_compound_terms():
     env = example_env()
     arr = load_arrangement([pal.parse_expression("reader + write")], env)
     assert arr.labels() == ["list/TechDoc", "read/TechDoc", "write/*"]
+
+
+def test_arrangement_resolves_in_the_programs_scope():
+    env = build_environment(EXAMPLE_PAL, arrangement="read/TechDoc + write")
+    assert env.arrangement.labels() == ["read/TechDoc", "write/*"]
+    env = build_environment(EXAMPLE_PAL, arrangement="read/doc1 + audit")
+    assert env.arrangement.labels() == ["read/{doc1}", "audit/*"]
+    # the arrangement's names never bind in the program
+    assert "audit" not in env.functions
+    assert env.privileges == build_environment(EXAMPLE_PAL).privileges
+
+
+def test_empty_arrangement_element_is_an_error_at_its_position():
+    with pytest.raises(ArrangementError) as exc:
+        build_environment(EXAMPLE_PAL, arrangement="write + read/Nowhere")
+    assert str(exc.value) == "1:9: arrangement element 'read/Nowhere' is empty"
+    with pytest.raises(ArrangementError, match=r"'read \* write' is empty"):
+        arrangement_from_text("list +\n read * write", Environment())
+
+
+def test_arrangement_sees_final_membership_definitions_keep_snapshots():
+    source = """\
+namespace "s" {
+  let doc1 is C
+  early := read/C
+  let doc2 is C
+  late := read/C
+}
+"""
+    env = build_environment(source, arrangement="read/C")
+    members = lambda emp: {e.name for e in emp.entities.members}  # noqa: E731
+    assert members(env.arrangement.basis[0]) == {"doc1", "doc2"}
+    # a let after a definition still leaves that definition unchanged
+    assert [members(a.employment) for a in env.privileges["early"].atoms] == [{"doc1"}]
+    assert env.privileges == build_environment(source).privileges
+
+
+def test_broken_arrangement_is_reported_before_the_program():
+    with pytest.raises(pal.ParseError) as exc:
+        build_environment(
+            'namespace "n" { p := + }', arrangement="read +", filename="p.pal"
+        )
+    assert str(exc.value).startswith("1:7: ")
 
 
 # --- guards ---------------------------------------------------------------------
@@ -501,6 +549,69 @@ def test_rbac_validation_errors():
         load_rbac("op a\ncat C\nrole r = a/C\ninherits r ghost\n")
     with pytest.raises(RbacImportError, match="both as role and user"):
         load_rbac("op a\ncat C\nrole r = a/C\nuser r = r\n")
+
+
+def test_rbac_names_follow_the_pal_identifier_rule():
+    for line, kind, name in [
+        ("op a-b", "op", "a-b"),
+        ("cat 9x", "cat", "9x"),
+        ("role is = a/C", "role", "is"),
+        ("user let = r", "user", "let"),
+    ]:
+        with pytest.raises(RbacImportError) as exc:
+            load_rbac(f"op a\ncat C\nrole r = a/C\n{line}\n", filename="m.rbac")
+        assert str(exc.value) == f"m.rbac:4: invalid {kind} name '{name}'"
+
+
+def test_rbac_names_are_disjoint_across_kinds():
+    base = "op read\ncat C\nrole r = read/C\n"
+    for extra, kinds in [
+        ("cat read", "'read' is declared both as op and cat"),
+        ("user read = r", "'read' is declared both as op and user"),
+        ("role C = read/C", "'C' is declared both as cat and role"),
+        ("user r = r", "'r' is declared both as role and user"),
+    ]:
+        with pytest.raises(RbacImportError) as exc:
+            load_rbac(base + extra)
+        assert str(exc.value) == kinds
+
+
+_TROUBLE = ["is", "let", "namespace", "a-b", "9x", "read", "C", "r1", "u1"]
+
+
+def _rbac_names(*own: str):
+    # mostly the kind's own names, sometimes a bad or cross-kind one
+    own_names = st.sampled_from(own)
+    return st.one_of(own_names, own_names, st.sampled_from(_TROUBLE))
+
+
+@st.composite
+def _rbac_texts(draw):
+    ops = draw(st.lists(_rbac_names("read", "write"), min_size=1, max_size=3))
+    cats = draw(st.lists(_rbac_names("C", "D"), min_size=1, max_size=2))
+    roles = draw(st.lists(_rbac_names("r1", "r2", "r3"), min_size=1, max_size=3))
+    lines = [f"op {op}" for op in ops] + [f"cat {cat}" for cat in cats]
+    for role in roles:
+        perm = st.tuples(st.sampled_from(ops), st.sampled_from(cats))
+        perms = draw(st.lists(perm, min_size=1))
+        lines.append(f"role {role} = " + ", ".join(f"{op}/{cat}" for op, cat in perms))
+    role_names = st.sampled_from(roles)
+    for senior, junior in draw(st.lists(st.tuples(role_names, role_names), max_size=2)):
+        lines.append(f"inherits {senior} {junior}")
+    for user in draw(st.lists(_rbac_names("u1", "u2"), max_size=2)):
+        lines.append(f"user {user} = " + ", ".join(draw(st.lists(role_names, min_size=1))))
+    return "\n".join(draw(st.permutations(lines)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rbac_texts())
+def test_rbac_import_loads_as_pal_or_is_rejected(text):
+    try:
+        model = load_rbac(text)
+    except RbacImportError:
+        return
+    # the emitted text, not just the tree, must load: names pass the lexer
+    load_program(parse_text(format_program(import_rbac(model))))
 
 
 def test_rbac_cycle_reported_with_path():

@@ -350,3 +350,15 @@ def test_load_facts_filename_in_message():
     with pytest.raises(DeclarationError) as exc:
         load_facts("junk\n", filename="store.facts")
     assert str(exc.value).startswith("store.facts:1:")
+
+
+def test_load_facts_names_follow_the_pal_identifier_rule():
+    for text, message in [
+        ("statement is\n", "invalid statement name 'is'"),
+        ("statement a-b\n", "invalid statement name 'a-b'"),
+        ("statement s\nfact 9x = s\n", "invalid fact name '9x'"),
+        ("statement s\ncondition let = true\n", "invalid condition name 'let'"),
+    ]:
+        with pytest.raises(DeclarationError) as exc:
+            load_facts(text)
+        assert exc.value.message == message

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from privcalc.pal import (
     Define,
@@ -23,6 +25,7 @@ from privcalc.pal import (
     format_expr,
     format_node,
     format_program,
+    is_identifier,
     parse_expression,
     parse_text,
     tokenize,
@@ -88,6 +91,74 @@ def test_identifiers_allow_digits_and_underscores():
     assert toks[0].kind is TokenKind.IDENT and toks[0].text == "session_1"
     with pytest.raises(LexError):
         tokenize("1session")
+
+
+# PAL's own spellings plus characters no token starts with.
+_LEX_PIECES = st.sampled_from(
+    ["a", "b_1", "Zz9", "namespace", "let", "is", "isis", ":=", "<:", "+", "*",
+     "/", "(", ")", "{", "}", "[", "]", "~", '"s t"', " ", "\t", "\r", "\n",
+     "# c", ":", "<", '"', "9", "_", "$", "-", "\u00e9", "\u0663", "\x0b"]
+)
+
+
+def _offset(source: str, line: int, column: int) -> int:
+    lines = source.split("\n")
+    return sum(len(text) + 1 for text in lines[: line - 1]) + column - 1
+
+
+@settings(max_examples=300)
+@given(st.lists(_LEX_PIECES, max_size=40).map("".join))
+def test_token_positions_index_their_own_text(source):
+    try:
+        tokens = tokenize(source, "in.pal")
+    except LexError as exc:
+        assert exc.filename == "in.pal"
+        assert str(exc).startswith(f"in.pal:{exc.line}:{exc.column}: ")
+        bad = source[_offset(source, exc.line, exc.column)]
+        if exc.message == "unterminated string":
+            assert bad == '"'
+        else:
+            assert exc.message == f"unexpected character {bad!r}"
+        return
+    end = 0
+    for tok in tokens:
+        start = _offset(source, tok.line, tok.column)
+        # only blanks and comments lie between tokens
+        assert re.fullmatch(r"(?:[ \t\r\n]|#[^\n]*)*", source[end:start])
+        spelled = f'"{tok.text}"' if tok.kind is TokenKind.STRING else tok.text
+        assert source.startswith(spelled, start)
+        end = start + len(spelled)
+    assert tokens[-1].kind is TokenKind.EOF
+    assert _offset(source, tokens[-1].line, tokens[-1].column) == len(source)
+
+
+def test_end_of_input_after_a_trailing_comment():
+    # The end-of-input token sits past the comment, where the input ends.
+    eof = tokenize("a\n  x := a + # trailing")[-1]
+    assert (eof.kind, eof.line, eof.column) == (TokenKind.EOF, 2, 22)
+    with pytest.raises(ParseError) as exc:
+        parse_text('namespace "n" {\n  x := a + # trailing', "t.pal")
+    assert str(exc.value).startswith("t.pal:2:22: expected ")
+
+
+def test_lex_errors_name_their_file():
+    with pytest.raises(LexError) as exc:
+        parse_text('namespace "n" {\n  9x := a\n}', "bad.pal")
+    assert str(exc.value) == "bad.pal:2:3: unexpected character '9'"
+    with pytest.raises(LexError) as exc:
+        parse_expression("a $ b", "expr")
+    assert str(exc.value) == "expr:1:3: unexpected character '$'"
+    with pytest.raises(LexError) as exc:
+        tokenize("a $ b")
+    assert str(exc.value) == "1:3: unexpected character '$'"
+
+
+def test_is_identifier_is_the_lexers_name_rule():
+    for name in ["a", "Read", "session_1", "x9_", "isis", "lets", "Namespace"]:
+        assert is_identifier(name)
+        assert [t.kind for t in tokenize(name)] == [TokenKind.IDENT, TokenKind.EOF]
+    for name in ["", "9lives", "_a", "a-b", "a b", "is", "let", "namespace", "caf\u00e9"]:
+        assert not is_identifier(name)
 
 
 # --- expression parsing -------------------------------------------------------
@@ -217,6 +288,12 @@ def test_format_expr_golden():
     }
     for source, want in cases.items():
         assert format_expr(parse_expression(source)) == want
+
+
+def test_format_long_slash_chain_without_recursion():
+    text = "f" + "/c" * 3000
+    assert format_expr(parse_expression(text)) == text
+    assert format_expr(Slash(Sum(Name("a"), Name("b")), "C")) == "(a + b)/C"
 
 
 def test_format_program_golden():
