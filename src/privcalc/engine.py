@@ -324,9 +324,7 @@ def _resolve_scope(
         )
     # Unknown scope: start an empty category, to be populated by later
     # let declarations (or left empty, restricting everything away).
-    category = Category(name)
-    env.categories[name] = category
-    return category.entity_set()
+    return env.categories.setdefault(name, Category(name)).entity_set()
 
 
 def _guard_condition(
@@ -389,7 +387,11 @@ def _sum_terms(node: pal.ExprNode) -> list[pal.ExprNode]:
 def arrangement_from_text(
     text: str, env: Environment, filename: str | None = None
 ) -> Arrangement:
-    """Parse "m1 + m2 + ..." and load it as an arrangement."""
+    """Parse "m1 + m2 + ..." and load it as an arrangement.
+
+    The text is evaluated in ``env`` itself, so its new names bind there;
+    ``build_environment`` gives the arrangement a scope of its own.
+    """
     expr = pal.parse_expression(text, filename)
     return load_arrangement(_sum_terms(expr), env, filename)
 
@@ -563,13 +565,6 @@ def load_rbac(text: str, filename: str | None = None) -> RbacModel:
     return model
 
 
-def _sum_of(terms: list[pal.ExprNode]) -> pal.ExprNode:
-    node = terms[0]
-    for term in terms[1:]:
-        node = pal.Sum(node, term)
-    return node
-
-
 def import_rbac(model: RbacModel) -> pal.Program:
     """Emit a PAL program defining each role and each user as a privilege.
 
@@ -594,14 +589,14 @@ def import_rbac(model: RbacModel) -> pal.Program:
                 f"role '{role}' has no permissions or juniors; "
                 "the empty privilege has no PAL form"
             )
-        statements.append(pal.Define(role, _sum_of(terms)))
+        statements.append(pal.Define(role, reduce(pal.Sum, terms)))
     for user in sorted(model.users):
         roles = sorted(model.users[user])
         if not roles:
             raise RbacImportError(
                 f"user '{user}' has no roles; the empty privilege has no PAL form"
             )
-        statements.append(pal.Define(user, _sum_of([pal.Name(r) for r in roles])))
+        statements.append(pal.Define(user, reduce(pal.Sum, map(pal.Name, roles))))
     return pal.Program((pal.Namespace("rbac", tuple(statements)),))
 
 
@@ -676,12 +671,11 @@ def build_environment(
 ) -> Environment:
     """Load one namespace of a program over facts and an arrangement.
 
-    The arrangement text is parsed first, so a broken one is reported
-    before the program. It is then evaluated in a scope of its own that
-    holds the conditions and the namespace's final category membership
-    (every ``let``), so its names never bind in the program; guards in
-    the program capture it. ``filename`` labels errors in the program,
-    not in the arrangement text.
+    The arrangement is parsed first, then evaluated after the program
+    parses, in a scope of the conditions and the namespace's final
+    ``let`` membership: its names never bind in the program, and a
+    fault of the program is reported before its own. ``filename``
+    labels the program.
     """
     if arrangement is not None:
         elements = _sum_terms(pal.parse_expression(arrangement))
@@ -689,11 +683,26 @@ def build_environment(
         source = pal.parse_text(source, filename)
     env = Environment(family=family, conditions=conditions, merge_mode=merge_mode)
     if arrangement is not None:
-        scope = Environment(env.family, env.conditions, merge_mode=merge_mode)
-        for stmt in _pick_namespace(source, namespace, filename).statements:
-            if isinstance(stmt, pal.LetIs):
-                _add_member(stmt, scope)
-        env.arrangement = load_arrangement(elements, scope)
+        try:
+            scope = Environment(family, conditions, merge_mode=merge_mode)
+            defined = set()
+            for stmt in _pick_namespace(source, namespace, filename).statements:
+                if isinstance(stmt, pal.LetIs):
+                    _add_member(stmt, scope)
+                else:
+                    defined.add(stmt.name)
+            # Here a privilege's name would be a function that overlaps
+            # no atom of the program, and every guard would pass.
+            for token in pal.tokenize(arrangement):
+                if token.text in defined and not scope.kinds_of(token.text):
+                    message = f"'{token.text}' is a privilege of the program"
+                    raise ArrangementError(message, token.line, token.column)
+            env.arrangement = load_arrangement(elements, scope)
+        except PrivCalcError:
+            # The program's own fault, found over an empty basis, first.
+            probe = Environment(family, conditions, Arrangement(()), merge_mode)
+            load_program(source, probe, namespace=namespace, filename=filename)
+            raise
     return load_program(source, env, namespace=namespace, filename=filename)
 
 

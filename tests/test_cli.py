@@ -445,6 +445,12 @@ def test_arrangement_resolves_in_the_programs_scope(workspace, capsys):
         "",
         "error: 1:9: arrangement element 'read/Nowhere' is empty\n",
     )
+    # a privilege of the program would be a function that overlaps nothing
+    assert run(capsys, *nf, "reader") == (
+        2,
+        "",
+        "error: 1:1: 'reader' is a privilege of the program\n",
+    )
 
 
 def test_import_rbac_rejects_names_pal_cannot_bind(tmp_path, capsys):

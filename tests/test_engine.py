@@ -240,6 +240,27 @@ def test_empty_arrangement_element_is_an_error_at_its_position():
         arrangement_from_text("list +\n read * write", Environment())
 
 
+def test_arrangement_rejects_the_programs_privileges():
+    # in the arrangement's scope 'reader' would be the function reader/*,
+    # which overlaps no atom, so every guard would pass vacuously
+    with pytest.raises(ArrangementError) as exc:
+        build_environment(GUARDS_PAL, arrangement="read + reader/TechDoc")
+    assert str(exc.value) == "1:8: 'reader' is a privilege of the program"
+    # a name that is also an entity is in the arrangement's scope
+    source = 'namespace "n" {\n  let x is C\n  x := read\n}\n'
+    env = build_environment(source, arrangement="read/x")
+    assert env.arrangement.labels() == ["read/{x}"]
+
+
+def test_program_fault_is_reported_before_the_arrangement():
+    source = 'namespace "n" {\n  x := read\n  let read is C\n}\n'
+    with pytest.raises(ResolutionError) as exc:
+        build_environment(source, arrangement="read", filename="p.pal")
+    assert str(exc.value) == (
+        "p.pal:3:3: 'read' is already a function, cannot use it as an entity"
+    )
+
+
 def test_arrangement_sees_final_membership_definitions_keep_snapshots():
     source = """\
 namespace "s" {
