@@ -25,7 +25,6 @@ and the environment set-up and query dispatch (``build_environment`` /
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Sequence, Union
 
 from . import pal
@@ -213,21 +212,16 @@ def eval_expr(
     if isinstance(node, pal.Name):
         return _eval_name(node, env, filename)
     if isinstance(node, pal.Sum):
-        # Left to right over the flattened chain: a long sum must not
-        # recurse once per term.
-        return reduce(compose, (eval_expr(t, env, filename) for t in _sum_terms(node)))
+        value = eval_expr(node.operands[0], env, filename)
+        for operand in node.operands[1:]:
+            value = compose(value, eval_expr(operand, env, filename))
+        return value
     if isinstance(node, pal.Product):
-        return _eval_product(node, env, filename)
+        return _eval_product(node.operands, env, filename)
     if isinstance(node, pal.Slash):
-        # Innermost first, with a loop: a long chain must not recurse
-        # once per step.
-        slashes: list[pal.Slash] = []
-        while isinstance(node, pal.Slash):
-            slashes.append(node)
-            node = node.left
-        value = eval_expr(node, env, filename)
-        for slash in reversed(slashes):
-            value = value.restricted(_resolve_scope(slash, env, filename))
+        value = eval_expr(node.operand, env, filename)
+        for scope in node.scopes:
+            value = value.restricted(_resolve_scope(scope, env, filename))
         return value
     if isinstance(node, pal.Guard):
         condition = _guard_condition(node, env, filename)
@@ -283,33 +277,28 @@ def _operand_condition(
 
 
 def _eval_product(
-    node: pal.Product, env: Environment, filename: str | None
+    factors: tuple[pal.ExprNode, ...], env: Environment, filename: str | None
 ) -> Privilege:
-    # Left to right over the left-nested chain, with a loop: a long
-    # product must not recurse once per factor. A guard or condition
-    # operand hands its condition to the other side's atoms instead of
-    # merging as a separate atom; a leading one goes to the second
-    # factor, after that factor is evaluated.
-    rights: list[pal.ExprNode] = []
-    while isinstance(node, pal.Product):
-        rights.append(node.right)
-        node = node.left
-    first, second = node, rights[-1]
+    # Left to right. A guard or condition operand hands its condition to
+    # the other side's atoms instead of merging as a separate atom; a
+    # leading one goes to the second factor, after that factor is
+    # evaluated.
+    first, second, *rest = factors
     if _is_condition(first, env) and not _is_condition(second, env):
-        rights[-1], first = first, second
+        first, second = second, first
     value = eval_expr(first, env, filename)
-    for right in reversed(rights):
-        if _is_condition(right, env):
-            value = value.with_condition(_operand_condition(right, env, filename))
+    for factor in (second, *rest):
+        if _is_condition(factor, env):
+            value = value.with_condition(_operand_condition(factor, env, filename))
         else:
-            value = merge(value, eval_expr(right, env, filename), env.merge_mode)
+            value = merge(value, eval_expr(factor, env, filename), env.merge_mode)
     return value
 
 
 def _resolve_scope(
-    node: pal.Slash, env: Environment, filename: str | None
+    scope: pal.Name, env: Environment, filename: str | None
 ) -> EntitySet:
-    name = node.scope
+    name = scope.id
     if name in env.categories:
         return env.categories[name].entity_set()
     if name in env.entities:
@@ -318,8 +307,8 @@ def _resolve_scope(
     if kinds:
         raise ResolutionError(
             f"'{name}' is a {kinds[0]}; '/' needs a category or an entity",
-            line=node.line,
-            column=node.column,
+            line=scope.line,
+            column=scope.column,
             filename=filename,
         )
     # Unknown scope: start an empty category, to be populated by later
@@ -334,6 +323,8 @@ def _guard_condition(
         raise ResolutionError(
             "guard expressions need an arrangement in scope "
             "(set one before loading, or pass --arrangement)",
+            line=node.line,
+            column=node.column,
             filename=filename,
         )
     left = eval_expr(node.left, env, filename)
@@ -356,17 +347,16 @@ def load_arrangement(
     basis: list[Employment] = []
     for node in exprs:
         value = eval_expr(node, env, filename)
+        first = node  # the element's first name or guard, for its position
+        while isinstance(first, (pal.Sum, pal.Product, pal.Slash)):
+            first = first.operand if isinstance(first, pal.Slash) else first.operands[0]
         if value.is_empty:
-            first = node
-            while not isinstance(first, pal.Name):
-                first = first.left
             message = f"arrangement element '{pal.format_expr(node)}' is empty"
             raise ArrangementError(message, first.line, first.column, filename)
         for atom in value.sorted_atoms():
             if atom.conditions:
-                raise ArrangementError(
-                    f"arrangement element {atom.employment.render()} carries conditions"
-                )
+                message = f"arrangement element {atom.employment.render()} carries conditions"
+                raise ArrangementError(message, first.line, first.column, filename)
             basis.append(atom.employment)
     return Arrangement(tuple(basis))
 
@@ -378,7 +368,7 @@ def _sum_terms(node: pal.ExprNode) -> list[pal.ExprNode]:
     while pending:
         node = pending.pop()
         if isinstance(node, pal.Sum):
-            pending += (node.right, node.left)
+            pending.extend(reversed(node.operands))
         else:
             terms.append(node)
     return terms
@@ -402,13 +392,20 @@ def arrangement_from_text(
 @dataclass
 class RbacModel:
     """Operations, categories, roles with permissions, a role hierarchy
-    (senior inherits junior), and user-role assignments."""
+    (senior inherits junior), and user-role assignments.
+
+    ``load_rbac`` also records the file and the line of each declaration,
+    keyed ``(kind, name)`` or ``("inherits", senior, junior)``, so that
+    ``validate`` can place its errors; a model built by hand has none.
+    """
 
     operations: frozenset[str] = frozenset()
     categories: frozenset[str] = frozenset()
     roles: dict[str, frozenset[tuple[str, str]]] = field(default_factory=dict)
     hierarchy: frozenset[tuple[str, str]] = frozenset()
     users: dict[str, frozenset[str]] = field(default_factory=dict)
+    lines: dict[tuple[str, ...], int] = field(default_factory=dict, repr=False, compare=False)
+    filename: str | None = field(default=None, repr=False, compare=False)
     # senior -> its direct juniors, sorted; built once from ``hierarchy``
     _juniors: dict[str, list[str]] = field(init=False, repr=False, compare=False)
 
@@ -417,21 +414,22 @@ class RbacModel:
         for senior, junior in sorted(self.hierarchy):
             self._juniors.setdefault(senior, []).append(junior)
 
+    def _error(self, message: str, line: int | None) -> RbacImportError:
+        return RbacImportError(message, line=line, filename=self.filename)
+
     def validate(self) -> None:
         for role, perms in self.roles.items():
+            line = self.lines.get(("role", role))
             for op, cat in perms:
                 if op not in self.operations:
-                    raise RbacImportError(
-                        f"role '{role}' uses undeclared operation '{op}'"
-                    )
+                    raise self._error(f"role '{role}' uses undeclared operation '{op}'", line)
                 if cat not in self.categories:
-                    raise RbacImportError(
-                        f"role '{role}' uses undeclared category '{cat}'"
-                    )
-        for senior, juniors in self._juniors.items():
-            for role in (senior, *juniors):
+                    raise self._error(f"role '{role}' uses undeclared category '{cat}'", line)
+        for senior, junior in sorted(self.hierarchy):
+            for role in (senior, junior):
                 if role not in self.roles:
-                    raise RbacImportError(f"hierarchy references unknown role '{role}'")
+                    line = self.lines.get(("inherits", senior, junior))
+                    raise self._error(f"hierarchy references unknown role '{role}'", line)
         # Each name becomes one PAL binding, so it may have one kind only.
         kinds: dict[str, str] = {}
         declared = zip(
@@ -440,15 +438,16 @@ class RbacModel:
         )
         for kind, names in declared:
             for name in sorted(names):
-                if kinds.setdefault(name, kind) != kind:
-                    message = f"'{name}' is declared both as {kinds[name]} and {kind}"
-                    raise RbacImportError(message)
+                first = kinds.setdefault(name, kind)
+                if first != kind:
+                    message = f"'{name}' is declared both as {first} and {kind}"
+                    lines = [self.lines.get((k, name)) for k in (first, kind)]
+                    raise self._error(message, max(filter(None, lines), default=None))
         for user, roles in self.users.items():
             for role in roles:
                 if role not in self.roles:
-                    raise RbacImportError(
-                        f"user '{user}' references unknown role '{role}'"
-                    )
+                    message = f"user '{user}' references unknown role '{role}'"
+                    raise self._error(message, self.lines.get(("user", user)))
         self._juniors_first()
 
     def _juniors_first(self) -> list[str]:
@@ -471,8 +470,9 @@ class RbacModel:
                     order.append(role)
                 elif nxt in on_path:
                     cycle = path[path.index(nxt) :] + [nxt]
-                    raise RbacImportError(
-                        "role hierarchy contains a cycle: " + " -> ".join(cycle)
+                    raise self._error(
+                        "role hierarchy contains a cycle: " + " -> ".join(cycle),
+                        self.lines.get(("inherits", path[-1], nxt)),
                     )
                 elif nxt not in done:
                     path.append(nxt)
@@ -501,6 +501,7 @@ def load_rbac(text: str, filename: str | None = None) -> RbacModel:
     roles: dict[str, frozenset[tuple[str, str]]] = {}
     hierarchy: set[tuple[str, str]] = set()
     users: dict[str, frozenset[str]] = {}
+    lines: dict[tuple[str, ...], int] = {}
 
     def err(line_no: int, message: str) -> RbacImportError:
         return RbacImportError(message, line=line_no, filename=filename)
@@ -520,6 +521,7 @@ def load_rbac(text: str, filename: str | None = None) -> RbacModel:
             if not rest or " " in rest:
                 raise err(line_no, f"expected: {head} <id>")
             (operations if head == "op" else categories).add(ident(line_no, rest, head))
+            lines.setdefault((head, rest), line_no)
         elif head == "role":
             name, eq, perms = rest.partition("=")
             name = name.strip()
@@ -538,11 +540,13 @@ def load_rbac(text: str, filename: str | None = None) -> RbacModel:
                     raise err(line_no, f"bad permission '{chunk}' (want op/cat)")
                 pairs.add((op.strip(), cat.strip()))
             roles[name] = frozenset(pairs)
+            lines[("role", name)] = line_no
         elif head == "inherits":
             parts = rest.split()
             if len(parts) != 2:
                 raise err(line_no, "expected: inherits <senior> <junior>")
             hierarchy.add((parts[0], parts[1]))
+            lines.setdefault(("inherits", *parts), line_no)
         elif head == "user":
             name, eq, role_list = rest.partition("=")
             name = name.strip()
@@ -555,11 +559,18 @@ def load_rbac(text: str, filename: str | None = None) -> RbacModel:
             if not all(names):
                 raise err(line_no, f"user '{name}' has an empty role reference")
             users[name] = frozenset(names)
+            lines[("user", name)] = line_no
         else:
             raise err(line_no, f"unknown declaration '{head}'")
 
     model = RbacModel(
-        frozenset(operations), frozenset(categories), roles, frozenset(hierarchy), users
+        frozenset(operations),
+        frozenset(categories),
+        roles,
+        frozenset(hierarchy),
+        users,
+        lines,
+        filename,
     )
     model.validate()
     return model
@@ -582,21 +593,22 @@ def import_rbac(model: RbacModel) -> pal.Program:
             pal.Name(junior) for junior in model._juniors.get(role, ())
         ]
         terms.extend(
-            pal.Slash(pal.Name(op), cat) for op, cat in sorted(model.roles[role])
+            pal.Slash(pal.Name(op), (pal.Name(cat),))
+            for op, cat in sorted(model.roles[role])
         )
         if not terms:
             raise RbacImportError(
                 f"role '{role}' has no permissions or juniors; "
                 "the empty privilege has no PAL form"
             )
-        statements.append(pal.Define(role, reduce(pal.Sum, terms)))
+        statements.append(pal.Define(role, pal.chain(pal.Sum, terms)))
     for user in sorted(model.users):
         roles = sorted(model.users[user])
         if not roles:
             raise RbacImportError(
                 f"user '{user}' has no roles; the empty privilege has no PAL form"
             )
-        statements.append(pal.Define(user, reduce(pal.Sum, map(pal.Name, roles))))
+        statements.append(pal.Define(user, pal.chain(pal.Sum, map(pal.Name, roles))))
     return pal.Program((pal.Namespace("rbac", tuple(statements)),))
 
 

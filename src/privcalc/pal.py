@@ -7,17 +7,19 @@ Grammar:
     stmt      := "let" IDENT "is" IDENT
                | IDENT ":=" expr
     expr      := term ("+" term)*
-    term      := factor ("*" factor)*
-    factor    := primary ("/" IDENT)*
-    primary   := IDENT
-               | "(" expr ")"
-               | "[" expr ("<:" | "~") expr "]"
+    term      := primary ("*" primary)*
+    primary   := (IDENT
+                 | "(" expr ")"
+                 | "[" expr ("<:" | "~") expr "]") ("/" IDENT)*
 
 Identifiers are an ASCII letter followed by ASCII letters, digits or
 underscores, keywords excepted (``is_identifier``); ``#`` starts a
 comment running to end of line; blanks (space, tab, carriage return)
 and newlines are otherwise insignificant. ``/`` binds tighter than
-``*``, which binds tighter than ``+``; all three associate to the left.
+``*``, which binds tighter than ``+``. Each run of one operator is one
+node holding its operands, read left to right: ``Sum`` and ``Product``
+hold two or more, ``Slash`` one operand and its scopes. Parentheses
+are kept as nesting, so ``(a * b) * c`` is a product inside a product.
 The bracket form denotes a guard: ``<:`` for compliance, ``~`` for
 congruence.
 
@@ -31,7 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Union
+from typing import Iterable, Union
 
 from .errors import SourceError
 
@@ -53,6 +55,7 @@ __all__ = [
     "Sum",
     "Token",
     "TokenKind",
+    "chain",
     "format_expr",
     "format_node",
     "format_program",
@@ -166,22 +169,18 @@ class Name:
 
 @dataclass(frozen=True)
 class Sum:
-    left: ExprNode
-    right: ExprNode
+    operands: tuple[ExprNode, ...]  # two or more
 
 
 @dataclass(frozen=True)
 class Product:
-    left: ExprNode
-    right: ExprNode
+    operands: tuple[ExprNode, ...]  # two or more
 
 
 @dataclass(frozen=True)
 class Slash:
-    left: ExprNode
-    scope: str
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
+    operand: ExprNode
+    scopes: tuple[Name, ...]  # one or more, applied left to right
 
 
 @dataclass(frozen=True)
@@ -189,9 +188,17 @@ class Guard:
     op: GuardOp
     left: ExprNode
     right: ExprNode
+    line: int = field(default=0, compare=False)  # of the "["
+    column: int = field(default=0, compare=False)
 
 
 ExprNode = Union[Name, Sum, Product, Slash, Guard]
+
+
+def chain(kind: type[Sum] | type[Product], operands: Iterable[ExprNode]) -> ExprNode:
+    """A ``Sum`` or ``Product`` of ``operands``, or the one operand itself."""
+    operands = tuple(operands)
+    return operands[0] if len(operands) == 1 else kind(operands)
 
 
 @dataclass(frozen=True)
@@ -225,8 +232,9 @@ class Program:
 
 
 # Deepest nesting of "(" and "[" the parser accepts. Each level costs
-# the parser and the evaluator a few stack frames, so without a bound a
-# deeply nested input exhausts Python's recursion limit.
+# the parser two stack frames (``expr`` and ``primary``) and the
+# evaluator at most two, so without a bound a deeply nested input
+# exhausts Python's recursion limit.
 MAX_NESTING = 100
 
 
@@ -314,56 +322,51 @@ class _Parser:
         raise AssertionError("unreachable")
 
     def expr(self) -> ExprNode:
-        node = self.term()
-        while self.accept(TokenKind.PLUS):
-            node = Sum(node, self.term())
-        return node
-
-    def term(self) -> ExprNode:
-        node = self.factor()
-        while self.accept(TokenKind.STAR):
-            node = Product(node, self.factor())
-        return node
-
-    def factor(self) -> ExprNode:
-        node = self.primary()
-        while self.accept(TokenKind.SLASH):
-            tok = self.expect(TokenKind.IDENT)
-            node = Slash(node, tok.text, tok.line, tok.column)
-        return node
+        """A sum of products, each chain built once from a loop."""
+        terms: list[ExprNode] = []
+        while True:
+            factors = [self.primary()]
+            while self.accept(TokenKind.STAR):
+                factors.append(self.primary())
+            terms.append(chain(Product, factors))
+            if not self.accept(TokenKind.PLUS):
+                return chain(Sum, terms)
 
     def primary(self) -> ExprNode:
         tok = self.current
         if tok.kind is TokenKind.IDENT:
             self.advance()
-            return Name(tok.text, tok.line, tok.column)
-        if tok.kind not in (TokenKind.LPAREN, TokenKind.LBRACKET):
-            self.fail(TokenKind.IDENT, TokenKind.LPAREN, TokenKind.LBRACKET)
-        if self.depth == MAX_NESTING:
-            raise ParseError(
-                f"'{tok.text}' nested more than {MAX_NESTING} deep",
-                line=tok.line,
-                column=tok.column,
-                filename=self.filename,
-            )
-        self.advance()
-        self.depth += 1
-        if tok.kind is TokenKind.LPAREN:
-            node = self.expr()
-            self.expect(TokenKind.RPAREN)
+            node: ExprNode = Name(tok.text, tok.line, tok.column)
         else:
-            left = self.expr()
-            op_tok = self.expect(TokenKind.COMPLIES, TokenKind.TILDE)
-            op = (
-                GuardOp.COMPLIANCE
-                if op_tok.kind is TokenKind.COMPLIES
-                else GuardOp.CONGRUENCE
-            )
-            right = self.expr()
-            self.expect(TokenKind.RBRACKET)
-            node = Guard(op, left, right)
-        self.depth -= 1
-        return node
+            if tok.kind not in (TokenKind.LPAREN, TokenKind.LBRACKET):
+                self.fail(TokenKind.IDENT, TokenKind.LPAREN, TokenKind.LBRACKET)
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"'{tok.text}' nested more than {MAX_NESTING} deep",
+                    line=tok.line,
+                    column=tok.column,
+                    filename=self.filename,
+                )
+            self.advance()
+            self.depth += 1
+            node = self.expr()
+            if tok.kind is TokenKind.LPAREN:
+                self.expect(TokenKind.RPAREN)
+            else:
+                op_tok = self.expect(TokenKind.COMPLIES, TokenKind.TILDE)
+                op = (
+                    GuardOp.COMPLIANCE
+                    if op_tok.kind is TokenKind.COMPLIES
+                    else GuardOp.CONGRUENCE
+                )
+                node = Guard(op, node, self.expr(), tok.line, tok.column)
+                self.expect(TokenKind.RBRACKET)
+            self.depth -= 1
+        scopes: list[Name] = []
+        while self.accept(TokenKind.SLASH):
+            scope = self.expect(TokenKind.IDENT)
+            scopes.append(Name(scope.text, scope.line, scope.column))
+        return Slash(node, tuple(scopes)) if scopes else node
 
 
 def parse(tokens: list[Token], filename: str | None = None) -> Program:
@@ -383,33 +386,28 @@ def parse_expression(source: str, filename: str | None = None) -> ExprNode:
 
 
 _PRECEDENCE = {Sum: 1, Product: 2, Slash: 3}
-_JOINERS = {Sum: " + ", Product: " * ", Slash: "/"}
+_JOINERS = {Sum: " + ", Product: " * "}
 
 
 def format_expr(node: ExprNode) -> str:
-    return _expr_text(node, 0, False)
+    return _expr_text(node, 0)
 
 
-def _expr_text(node: ExprNode, parent_prec: int, is_right: bool) -> str:
+def _expr_text(node: ExprNode, context: int) -> str:
+    """``node`` as an operand of an operator of precedence ``context``
+    (0 for none): parenthesised unless it binds tighter, so that parsing
+    the text gives back the same nesting."""
     if isinstance(node, Name):
         return node.id
     if isinstance(node, Guard):
-        left = _expr_text(node.left, 0, False)
-        right = _expr_text(node.right, 0, False)
+        left, right = _expr_text(node.left, 0), _expr_text(node.right, 0)
         return f"[{left} {node.op.value} {right}]"
-    # Walk the left-nested chain of this operator with a loop, so a long
-    # sum, product or "/" chain does not recurse once per step.
-    op, rights = type(node), []
-    prec = _PRECEDENCE[op]
-    while isinstance(node, op):
-        rights.append(node.scope if op is Slash else _expr_text(node.right, prec, True))
-        node = node.left
-    text = _JOINERS[op].join([_expr_text(node, prec, False)] + rights[::-1])
-    # Parenthesize when binding looser than the context, or equally on
-    # the right of a left-associative operator.
-    if prec < parent_prec or (prec == parent_prec and is_right):
-        return f"({text})"
-    return text
+    prec = _PRECEDENCE[type(node)]
+    if isinstance(node, Slash):
+        text = "/".join([_expr_text(node.operand, prec), *(s.id for s in node.scopes)])
+    else:
+        text = _JOINERS[type(node)].join([_expr_text(o, prec) for o in node.operands])
+    return f"({text})" if prec <= context else text
 
 
 def format_program(program: Program) -> str:

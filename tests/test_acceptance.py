@@ -494,16 +494,18 @@ def test_criterion_7_rbac_round_trip():
 
 
 def _random_expr(rnd: random.Random, depth: int) -> pal.ExprNode:
+    # Chains of 2-4 operands; an operand may be a chain of the same
+    # operator, and a "/" node may restrict another "/" node.
     names = ["a", "b", "read", "s_1", "x9"]
     if depth == 0 or rnd.random() < 0.25:
         return pal.Name(rnd.choice(names))
     pick = rnd.randrange(4)
-    if pick == 0:
-        return pal.Sum(_random_expr(rnd, depth - 1), _random_expr(rnd, depth - 1))
-    if pick == 1:
-        return pal.Product(_random_expr(rnd, depth - 1), _random_expr(rnd, depth - 1))
+    if pick < 2:
+        operands = [_random_expr(rnd, depth - 1) for _ in range(rnd.randint(2, 4))]
+        return (pal.Sum, pal.Product)[pick](tuple(operands))
     if pick == 2:
-        return pal.Slash(_random_expr(rnd, depth - 1), rnd.choice(["C", "D", "Docs"]))
+        scopes = [pal.Name(rnd.choice(["C", "D", "Docs"])) for _ in range(rnd.randint(1, 3))]
+        return pal.Slash(_random_expr(rnd, depth - 1), tuple(scopes))
     return pal.Guard(
         rnd.choice(list(pal.GuardOp)),
         _random_expr(rnd, depth - 1),

@@ -460,7 +460,7 @@ def test_import_rbac_rejects_names_pal_cannot_bind(tmp_path, capsys):
     assert (code, out, err) == (2, "", f"error: {path}:3: invalid role name '9lives'\n")
     path.write_text("op read\ncat C\nrole r = read/C\nuser read = r\n")
     code, out, err = run(capsys, "import-rbac", str(path))
-    assert (code, out, err) == (2, "", "error: 'read' is declared both as op and user\n")
+    assert (code, out, err) == (2, "", f"error: {path}:4: 'read' is declared both as op and user\n")
 
 
 def test_import_rbac_deep_hierarchy(tmp_path, capsys):
@@ -609,6 +609,34 @@ def test_deepest_guard_merged_with_itself_at_low_recursion_limit(tmp_path, capsy
             ) == (0, "equal\n", "")
     finally:
         sys.setrecursionlimit(limit)
+
+
+_DEEP = MAX_NESTING
+DEEP_SHAPES = {
+    "compliance": "[" * _DEEP + "read" + " <: write]" * _DEEP,
+    "congruence": "[" * _DEEP + "read" + " ~ write]" * _DEEP,
+    "parentheses": "(" * _DEEP + "read" + ")" * _DEEP,
+    "product": "(a * " * _DEEP + "read" + ")" * _DEEP,
+    "sum": "(a + " * _DEEP + "read" + ")" * _DEEP,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
+def test_deepest_nesting_checks_and_evaluates_at_low_recursion_limit(tmp_path, capsys, shape):
+    # The parser spends two frames per bracket and the evaluator at most
+    # two, so MAX_NESTING levels fit in 250 frames above the caller's.
+    path = tmp_path / "deep.pal"
+    path.write_text(f'namespace "d" {{\n  x := {DEEP_SHAPES[shape]}\n}}\n')
+    arr = ("--arrangement", "read + write + guard")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 250)
+    try:
+        assert run(capsys, "check", str(path), *arr) == (0, "ok\n", "")
+        code, out, err = run(capsys, "eval", str(path), *arr, "--expr", "x")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "eval", str(path), *arr, "--expr", DEEP_SHAPES[shape])[1]
 
 
 def test_bench_tracer_counts_guard_evaluations(monkeypatch, capsys):

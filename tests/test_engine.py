@@ -19,6 +19,7 @@ from privcalc import (
     Privilege,
     PulseQuery,
     RbacImportError,
+    RbacModel,
     ResolutionError,
     TraceQuery,
     WitnessCondition,
@@ -212,8 +213,9 @@ def test_arrangement_rejects_conditioned_atoms():
     env.privileges["guarded"] = eval_text("read", env).with_condition(
         WitnessCondition("w", frozenset())
     )
-    with pytest.raises(ArrangementError, match="carries conditions"):
-        arrangement_from_text("guarded", env)
+    with pytest.raises(ArrangementError) as exc:
+        arrangement_from_text("write +\n  (guarded)", env)
+    assert str(exc.value) == "2:4: arrangement element read/* carries conditions"
 
 
 def test_load_arrangement_flattens_compound_terms():
@@ -292,6 +294,9 @@ def test_broken_arrangement_is_reported_before_the_program():
 def test_guards_need_an_arrangement():
     with pytest.raises(ResolutionError, match="need an arrangement"):
         example_env(source=GUARDS_PAL)
+    with pytest.raises(ResolutionError) as exc:
+        load_program(parse_text('namespace "g" {\n  x := read * [a <: b]\n}'), filename="g.pal")
+    assert str(exc.value).startswith("g.pal:2:15: guard expressions need an arrangement")
 
 
 def test_guard_attaches_condition_to_other_operand():
@@ -416,6 +421,31 @@ def test_product_chain_equals_stepwise_binary_products(factors, mode):
         step = _value_or_error(f"prefix * {factor}", env)
         del env.privileges["prefix"]
     assert str(chain) == str(step)
+
+
+def _text_or_message(text: str, env: Environment) -> str:
+    try:
+        return eval_text(text, env).text()
+    except ResolutionError as exc:
+        return f"error: {exc.message}"
+
+
+@example(["[read <: write]", "read", "logged", "write"], UNION)
+@example(["[read <: write]", "read/TechDoc", "logged"], ConditionMergeMode.INTERSECTION)
+@example(["logged", "read", "[read <: write]"], ConditionMergeMode.INTERSECTION)
+@given(
+    st.lists(st.sampled_from(_FACTORS), min_size=2, max_size=5),
+    st.sampled_from([ConditionMergeMode.INTERSECTION, UNION]),
+)
+def test_parenthesised_left_chain_evaluates_as_the_flat_chain(factors, mode):
+    # "(a * b) * c" is a product inside a product; it folds as "a * b * c",
+    # a leading guard or condition included, and likewise for sums.
+    env = _product_env(mode)
+    for op in (" * ", " + "):
+        nested = factors[0]
+        for factor in factors[1:]:
+            nested = f"({nested}){op}{factor}"
+        assert _text_or_message(nested, env) == _text_or_message(op.join(factors), env)
 
 
 def test_long_product_hands_a_condition_along_the_chain():
@@ -572,6 +602,65 @@ def test_rbac_validation_errors():
         load_rbac("op a\ncat C\nrole r = a/C\nuser r = r\n")
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("cat C\nrole r = fly/C\n", "2: role 'r' uses undeclared operation 'fly'"),
+        ("op a\n\nrole r = a/C\n", "3: role 'r' uses undeclared category 'C'"),
+        (
+            "op a\ncat C\nrole r = a/C\ninherits r ghost\nop b\n",
+            "4: hierarchy references unknown role 'ghost'",
+        ),
+        (
+            "op a\ncat C\nrole r = a/C\nrole s = a/C\ninherits r s\ninherits s r\n",
+            "6: role hierarchy contains a cycle: r -> s -> r",
+        ),
+        # the later of the two declarations, whichever kind it is
+        ("user r = r\nop a\ncat C\nrole r = a/C\n", "4: 'r' is declared both as role and user"),
+        ("user a = r\nop a\ncat C\nrole r = a/C\n", "2: 'a' is declared both as op and user"),
+        ("op a\ncat C\nuser u = r, x\nrole r = a/C\n", "3: user 'u' references unknown role 'x'"),
+    ],
+    ids=["operation", "category", "hierarchy", "cycle", "clash", "clash-first", "user"],
+)
+def test_rbac_validation_errors_name_the_declaration_line(text, error):
+    with pytest.raises(RbacImportError) as exc:
+        load_rbac(text, filename="m.rbac")
+    assert str(exc.value) == f"m.rbac:{error}"
+
+
+@pytest.mark.parametrize(
+    "model, error",
+    [
+        (
+            RbacModel(roles={"r": frozenset({("fly", "C")})}),
+            "role 'r' uses undeclared operation 'fly'",
+        ),
+        (
+            RbacModel(frozenset({"a"}), roles={"r": frozenset({("a", "C")})}),
+            "role 'r' uses undeclared category 'C'",
+        ),
+        (
+            RbacModel(hierarchy=frozenset({("x", "y")})),
+            "hierarchy references unknown role 'x'",
+        ),
+        (
+            RbacModel(
+                roles={"r": frozenset(), "s": frozenset()},
+                hierarchy=frozenset({("r", "s"), ("s", "r")}),
+            ),
+            "role hierarchy contains a cycle: r -> s -> r",
+        ),
+        (RbacModel(frozenset({"a"}), frozenset({"a"})), "'a' is declared both as op and cat"),
+        (RbacModel(users={"u": frozenset({"x"})}), "user 'u' references unknown role 'x'"),
+    ],
+    ids=["operation", "category", "hierarchy", "cycle", "clash", "user"],
+)
+def test_rbac_validation_of_a_hand_built_model_has_no_position(model, error):
+    with pytest.raises(RbacImportError) as exc:
+        model.validate()
+    assert str(exc.value) == error
+
+
 def test_rbac_names_follow_the_pal_identifier_rule():
     for line, kind, name in [
         ("op a-b", "op", "a-b"),
@@ -594,7 +683,7 @@ def test_rbac_names_are_disjoint_across_kinds():
     ]:
         with pytest.raises(RbacImportError) as exc:
             load_rbac(base + extra)
-        assert str(exc.value) == kinds
+        assert str(exc.value) == f"4: {kinds}"
 
 
 _TROUBLE = ["is", "let", "namespace", "a-b", "9x", "read", "C", "r1", "u1"]
@@ -663,7 +752,7 @@ def test_rbac_deep_hierarchy_imports_juniors_first():
     with pytest.raises(RbacImportError) as exc:
         load_rbac("\n".join(lines + ["inherits r1199 r0000"]))
     path = " -> ".join(f"r{i:04d}" for i in range(1200))
-    assert str(exc.value) == f"role hierarchy contains a cycle: {path} -> r0000"
+    assert str(exc.value) == f"{len(lines) + 1}: role hierarchy contains a cycle: {path} -> r0000"
 
 
 def test_rbac_long_chain_loads_and_imports():

@@ -22,6 +22,7 @@ from privcalc.pal import (
     Slash,
     Sum,
     TokenKind,
+    chain,
     format_expr,
     format_node,
     format_program,
@@ -164,39 +165,60 @@ def test_is_identifier_is_the_lexers_name_rule():
 # --- expression parsing -------------------------------------------------------
 
 
+a, b, c = Name("a"), Name("b"), Name("c")
+
+
 def test_precedence_slash_star_plus():
     got = parse_expression("a + b * c/D")
-    assert got == Sum(Name("a"), Product(Name("b"), Slash(Name("c"), "D")))
+    assert got == Sum((a, Product((b, Slash(c, (Name("D"),))))))
 
 
 def test_left_associativity():
-    assert parse_expression("a + b + c") == Sum(Sum(Name("a"), Name("b")), Name("c"))
-    assert parse_expression("a * b * c") == Product(
-        Product(Name("a"), Name("b")), Name("c")
-    )
-    assert parse_expression("a/B/C") == Slash(Slash(Name("a"), "B"), "C")
+    # A chain of one operator is one node, read left to right; a
+    # parenthesised chain is kept as a nested node.
+    assert parse_expression("a + b + c") == Sum((a, b, c))
+    assert parse_expression("a * b * c") == Product((a, b, c))
+    assert parse_expression("a/B/C") == Slash(a, (Name("B"), Name("C")))
+    assert parse_expression("(a + b) + c") == Sum((Sum((a, b)), c))
+    assert parse_expression("(a * b) * c") == Product((Product((a, b)), c))
+    assert parse_expression("(a/B)/C") == Slash(Slash(a, (Name("B"),)), (Name("C"),))
+    assert parse_expression("((a))") == a
+
+
+def test_chain_of_one_operand_is_the_operand():
+    assert chain(Sum, [a]) == a
+    assert chain(Product, iter([a, b])) == Product((a, b))
 
 
 def test_parens_override():
     got = parse_expression("(a + b)/C")
-    assert got == Slash(Sum(Name("a"), Name("b")), "C")
+    assert got == Slash(Sum((a, b)), (Name("C"),))
 
 
 def test_guard_forms():
     comp = parse_expression("[a <: b]")
-    assert comp == Guard(GuardOp.COMPLIANCE, Name("a"), Name("b"))
+    assert comp == Guard(GuardOp.COMPLIANCE, a, b)
     cong = parse_expression("[a + b ~ c]")
-    assert cong == Guard(GuardOp.CONGRUENCE, Sum(Name("a"), Name("b")), Name("c"))
+    assert cong == Guard(GuardOp.CONGRUENCE, Sum((a, b)), c)
 
 
 def test_guard_composes_like_primary():
     got = parse_expression("write * [s <: w]")
-    assert got == Product(Name("write"), Guard(GuardOp.COMPLIANCE, Name("s"), Name("w")))
+    assert got == Product((Name("write"), Guard(GuardOp.COMPLIANCE, Name("s"), Name("w"))))
 
 
 def test_ast_equality_ignores_positions():
     assert parse_expression("a +\n  b") == parse_expression("a + b")
-    assert parse_expression("x/Y") == Slash(Name("x", 9, 9), "Y", 1, 1)
+    assert parse_expression("x/Y") == Slash(Name("x", 9, 9), (Name("Y", 1, 1),))
+    assert parse_expression(" [a ~ b]") == Guard(GuardOp.CONGRUENCE, a, b, 7, 7)
+
+
+def test_nodes_keep_the_positions_of_names_and_brackets():
+    got = parse_expression("x +\n  [a ~ b]/C")
+    assert (got.operands[0].line, got.operands[0].column) == (1, 1)
+    slash = got.operands[1]
+    assert (slash.operand.line, slash.operand.column) == (2, 3)
+    assert (slash.scopes[0].line, slash.scopes[0].column) == (2, 11)
 
 
 def test_expression_errors_carry_expectations():
@@ -281,6 +303,9 @@ def test_format_expr_golden():
         "(a+b)*c": "(a + b) * c",
         "a*(b*c)": "a * (b * c)",
         "a + (b + c)": "a + (b + c)",
+        "(a + b) + c": "(a + b) + c",
+        "(a * b) * c": "(a * b) * c",
+        "(a/C)/D": "(a/C)/D",
         "(a+b)/C/D": "(a + b)/C/D",
         "w * [x + y <: z]": "w * [x + y <: z]",
         "[a~b]": "[a ~ b]",
@@ -293,7 +318,7 @@ def test_format_expr_golden():
 def test_format_long_slash_chain_without_recursion():
     text = "f" + "/c" * 3000
     assert format_expr(parse_expression(text)) == text
-    assert format_expr(Slash(Sum(Name("a"), Name("b")), "C")) == "(a + b)/C"
+    assert format_expr(Slash(Sum((a, b)), (Name("C"),))) == "(a + b)/C"
 
 
 def test_format_program_golden():
@@ -325,14 +350,18 @@ _scopes = st.sampled_from(["C", "D", "TechDoc"])
 
 
 def _exprs(depth: int):
+    # Chains of 2-4 operands, which may themselves be chains of the same
+    # operator (parenthesised), and "/" nodes inside "/" nodes.
     if depth <= 0:
         return st.builds(Name, _names)
     sub = _exprs(depth - 1)
+    operands = st.lists(sub, min_size=2, max_size=4).map(tuple)
+    scopes = st.lists(st.builds(Name, _scopes), min_size=1, max_size=3).map(tuple)
     return st.one_of(
         st.builds(Name, _names),
-        st.builds(Sum, sub, sub),
-        st.builds(Product, sub, sub),
-        st.builds(Slash, sub, _scopes),
+        st.builds(Sum, operands),
+        st.builds(Product, operands),
+        st.builds(Slash, sub, scopes),
         st.builds(Guard, st.sampled_from(list(GuardOp)), sub, sub),
     )
 
