@@ -3,8 +3,13 @@
 A fact is a subset of a statement universe. A family of facts contains
 the empty fact and the whole universe and is closed under union and
 intersection; for a finite family, pairwise closure is equivalent to
-closure under arbitrary sub-collections. Conditions are boolean
-functions on facts constrained by the disjoint-union axiom
+closure under arbitrary sub-collections. ``close_family`` builds the
+smallest such family in two passes, the intersections of the generators
+and then their unions, and refuses a family of more than ``MAX_FAMILY``
+facts.
+
+Conditions are boolean functions on facts constrained by the
+disjoint-union axiom
 
     r(x1 | x2) = r(x1) or r(x2)    whenever x1 and x2 are disjoint.
 
@@ -34,6 +39,7 @@ __all__ = [
     "FactFamily",
     "FalseCondition",
     "FamilyReport",
+    "MAX_FAMILY",
     "NEVER",
     "Statement",
     "TableCondition",
@@ -49,6 +55,12 @@ __all__ = [
     "verify_condition_axiom",
     "verify_family",
 ]
+
+
+# The most facts a closed family may hold: 2**14, the power set of 14
+# statements. Closing is exponential in the number of generators, so a
+# short facts file could otherwise hang every command.
+MAX_FAMILY = 16_384
 
 
 class DeclarationError(SourceError):
@@ -148,14 +160,17 @@ def close_family(
 ) -> FactFamily:
     """Smallest family over ``universe`` containing the generators.
 
-    Adds the empty fact and the full universe, then closes under
-    pairwise union and intersection to a fixed point; for finite
-    families this coincides with closure under arbitrary sub-collection
-    unions. Synthesized facts get ids derived from their sorted
-    statements ("a+b", the empty fact is "empty"); declared ids win for
-    statement sets already present (the derived id then aliases the
-    declared fact), and a synthesized id that collides with a declared
-    one is suffixed with underscores until free.
+    Closes in two passes. Pass 1 closes the generators and the universe
+    under intersection; pass 2 closes that and the empty fact under
+    union. Intersection distributes over union, so the union of
+    intersections is closed under both: it is the ring of sets the
+    generators span. Each pass raises ``DeclarationError`` as soon as it
+    holds more than ``MAX_FAMILY`` sets. Synthesized facts get ids
+    derived from their sorted statements ("a+b", the empty fact is
+    "empty"); declared ids win for statement sets already present (the
+    derived id then aliases the declared fact), and a synthesized id
+    that collides with a declared one is suffixed with underscores until
+    free.
     """
     universe_set = frozenset(universe)
     gens = list(generators)
@@ -166,19 +181,27 @@ def close_family(
             raise DeclarationError(
                 f"fact '{fact.id}' references unknown statement '{name}'"
             )
-    sets: set[frozenset[Statement]] = {frozenset(), universe_set}
-    sets.update(f.statements for f in gens)
-    changed = True
-    while changed:
-        changed = False
-        current = list(sets)
-        for i, a in enumerate(current):
-            for b in current[i:]:
-                for c in (a | b, a & b):
-                    if c not in sets:
-                        sets.add(c)
-                        changed = True
     declared = {f.statements for f in gens}
+
+    def add(found: set[frozenset[Statement]], members: frozenset[Statement]) -> None:
+        found.add(members)
+        if len(found) > MAX_FAMILY:
+            raise DeclarationError(
+                f"{len(gens)} facts close to more than {MAX_FAMILY} facts"
+            )
+
+    meets = {universe_set}
+    for g in declared:
+        for m in list(meets):
+            add(meets, m & g)
+    # The unions found so far are closed under union, so a set already
+    # among them adds nothing; taken smallest first, every set that is a
+    # union of smaller ones is skipped.
+    sets = {frozenset()}
+    for m in sorted(meets, key=len):
+        if m not in sets:
+            for s in list(sets):
+                add(sets, s | m)
     taken = {f.id for f in gens}
     facts = list(gens)
     for members in sorted(sets, key=synthesized_id):
@@ -371,13 +394,15 @@ def load_facts(
     Statements must be declared before facts or conditions mention
     them. The loader closes the declared facts into a family, so
     synthesized facts (unions, intersections, "empty") are addressable
-    by their derived ids afterwards.
+    by their derived ids afterwards. A family of more than
+    ``MAX_FAMILY`` facts is an error at the last ``fact`` line.
     """
     statements: dict[str, Statement] = {}
-    generators: list[Fact] = []
+    generators: dict[str, Fact] = {}
+    last_fact_line: int | None = None
     conditions: dict[str, Condition] = {}
 
-    def err(line_no: int, message: str) -> DeclarationError:
+    def err(line_no: int | None, message: str) -> DeclarationError:
         return DeclarationError(message, line=line_no, filename=filename)
 
     def ident(line_no: int, token: str, role: str) -> str:
@@ -410,9 +435,10 @@ def load_facts(
             if len(tokens) < 3 or tokens[2] != "=":
                 raise err(line_no, "expected: fact <id> = [<stmt-id> ...]")
             name = ident(line_no, tokens[1], "fact")
-            if any(f.id == name for f in generators):
+            if name in generators:
                 raise err(line_no, f"duplicate fact '{name}'")
-            generators.append(Fact(name, resolve(line_no, name, tokens[3:])))
+            generators[name] = Fact(name, resolve(line_no, name, tokens[3:]))
+            last_fact_line = line_no
         elif head == "condition":
             if len(tokens) < 4 or tokens[2] != "=":
                 raise err(line_no, "expected: condition <id> = any|true|false ...")
@@ -435,5 +461,8 @@ def load_facts(
         else:
             raise err(line_no, f"unknown declaration '{head}'")
 
-    family = close_family(statements.values(), generators)
+    try:
+        family = close_family(statements.values(), generators.values())
+    except DeclarationError as exc:  # the family outgrew MAX_FAMILY
+        raise err(last_fact_line, exc.message) from None
     return family, conditions

@@ -5,6 +5,7 @@ from __future__ import annotations
 import inspect
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from privcalc import (
     main,
     run_scenario,
 )
+from privcalc.facts import MAX_FAMILY
 from privcalc.pal import MAX_NESTING
 
 from fixtures import CHILD_ENV, EXAMPLE_PAL, GUARDS_PAL, SESSION_ARRANGEMENT
@@ -654,3 +656,17 @@ def test_bench_tracer_counts_guard_evaluations(monkeypatch, capsys):
     assert code == 0
     assert capsys.readouterr().out == "1 0 0 0\n"
     assert tracer.metrics()["facts.guard_evals"][0] > 0
+
+
+def test_oversized_fact_family_exits_2_within_a_second(workspace, capsys):
+    lines = [f"statement s{i}" for i in range(24)]
+    lines += [f"fact f{i} = s{i}" for i in range(24)]
+    path = workspace / "f24.facts"
+    path.write_text("\n".join(lines) + "\n")
+    started = time.perf_counter()
+    code, out, err = run(
+        capsys, "check", str(workspace / "example.pal"), "--facts", str(path)
+    )
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}:48: 24 facts close to more than {MAX_FAMILY} facts\n"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -31,6 +32,7 @@ from privcalc import (
     verify_condition_axiom,
     verify_family,
 )
+import privcalc.facts as facts
 
 from oracles import closure_masks, minimal_evidence_sets
 from fixtures import power_family
@@ -129,16 +131,68 @@ def test_verify_family_accepts_closed():
     assert report.violations == []
 
 
-def test_closure_matches_bitmask_oracle():
-    stmts = [S1, S2, S3]
-    seeds = [frozenset({S1}), frozenset({S2, S3})]
-    fam = close_family(stmts, [Fact(f"f{i}", s) for i, s in enumerate(seeds)])
+@given(st.data())
+def test_closure_matches_bitmask_oracle(data):
+    n = data.draw(st.integers(0, 5))
+    members = st.frozensets(st.integers(0, max(n - 1, 0)), max_size=n)
+    seeds = data.draw(st.lists(members, max_size=6))
+    stmts = [Statement(f"s{i}") for i in range(n)]
+    gens = [Fact(f"f{i}", frozenset(stmts[j] for j in s)) for i, s in enumerate(seeds)]
+    fam = close_family(stmts, gens)
 
     def mask(s):
         return sum(1 << i for i, stmt in enumerate(stmts) if stmt in s)
 
     got = {mask(f.statements) for f in fam}
-    assert got == closure_masks({mask(s) for s in seeds}, 3)
+    assert got == closure_masks({sum(1 << j for j in s) for s in seeds}, n)
+    assert len(fam.facts) == len(got)
+
+
+def _singletons(n: int) -> tuple[list[Statement], list[Fact]]:
+    stmts = [Statement(f"s{i}") for i in range(n)]
+    return stmts, [Fact(f"f{i}", frozenset({s})) for i, s in enumerate(stmts)]
+
+
+def _complements(n: int) -> tuple[list[Statement], list[Fact]]:
+    stmts, singles = _singletons(n)
+    return stmts, [Fact(f.id, frozenset(stmts) - f.statements) for f in singles]
+
+
+@pytest.mark.parametrize(
+    "generators",
+    [
+        # Singletons meet only in the empty fact: the unions outgrow the bound.
+        _singletons,
+        # Complements of singletons intersect to every subset: the
+        # intersections alone outgrow it.
+        _complements,
+    ],
+    ids=["unions", "intersections"],
+)
+def test_closure_stops_past_the_bound(monkeypatch, generators):
+    # Both close to the 16 subsets of 4 statements.
+    monkeypatch.setattr(facts, "MAX_FAMILY", 15)
+    with pytest.raises(DeclarationError) as exc:
+        close_family(*generators(4))
+    assert exc.value.message == "4 facts close to more than 15 facts"
+    monkeypatch.setattr(facts, "MAX_FAMILY", 16)
+    fam = close_family(*generators(4))
+    assert len(fam) == 16
+    assert verify_family(fam).ok
+
+
+def test_closure_intersections_stop_at_the_bound():
+    # Unbounded, the intersections of 20 complements are 2**20 sets.
+    started = time.perf_counter()
+    with pytest.raises(DeclarationError) as exc:
+        close_family(*_complements(20))
+    assert time.perf_counter() - started < 1.0
+    assert exc.value.message == f"20 facts close to more than {facts.MAX_FAMILY} facts"
+
+
+def test_max_family_closes_fourteen_singletons():
+    fam = close_family(*_singletons(14))
+    assert len(fam) == facts.MAX_FAMILY == 2**14
 
 
 @given(
@@ -362,3 +416,30 @@ def test_load_facts_names_follow_the_pal_identifier_rule():
         with pytest.raises(DeclarationError) as exc:
             load_facts(text)
         assert exc.value.message == message
+
+
+def test_load_facts_positions_an_oversized_family_at_the_last_fact(monkeypatch):
+    monkeypatch.setattr(facts, "MAX_FAMILY", 7)
+    text = "statement a\nstatement b\nstatement c\nfact x = a\nfact y = b\nfact z = c\n# end\n"
+    with pytest.raises(DeclarationError) as exc:
+        load_facts(text, filename="f3.facts")
+    assert str(exc.value) == "f3.facts:6: 3 facts close to more than 7 facts"
+
+
+def test_load_facts_rejects_duplicate_fact():
+    with pytest.raises(DeclarationError) as exc:
+        load_facts("statement s\nfact a = s\nfact b =\nfact a =\n")
+    assert (exc.value.line, exc.value.message) == (4, "duplicate fact 'a'")
+
+
+def test_load_facts_many_facts_over_few_sets_load_in_linear_time():
+    # 20,000 names over the four subsets of two statements: a scan of
+    # the earlier names per line took about 14 s on a 2-core Xeon VM.
+    lines = ["statement s1", "statement s2"]
+    members = ["", "s1", "s2", "s1 s2"]
+    lines += [f"fact f{i} = {members[i % 4]}" for i in range(20_000)]
+    started = time.perf_counter()
+    fam, _ = load_facts("\n".join(lines) + "\n")
+    assert time.perf_counter() - started < 1.0
+    assert len(fam) == 4
+    assert fam.fact("f19999") is fam.fact("f3")
