@@ -18,9 +18,8 @@ from .privilege import ConditionMergeMode
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else int(exc.code or 0)
     try:
@@ -176,6 +175,10 @@ def _cmd_import_rbac(args: argparse.Namespace) -> int:
     print(pal.format_program(engine.import_rbac(model)), end="")
     return 0
 
+
+# Built once, after the handlers it names: parsing reads it and never
+# changes it.
+_PARSER = _build_parser()
 
 if __name__ == "__main__":
     sys.exit(main())

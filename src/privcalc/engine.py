@@ -13,9 +13,9 @@ Guards need an arrangement to project onto, so expressions containing
 ``[p <: q]`` or ``[u ~ v]`` require ``Environment.arrangement`` to be
 set before evaluation. Inside a product, a guard hands its condition to
 the other operand's atoms; a bare guard becomes an atom over the
-reserved function ``guard``. Names bound to conditions (loaded from a
-facts file) work the same way: ``read * logged`` attaches the condition
-to the atoms of ``read``.
+reserved function ``guard``, a name no program can rebind. Names bound
+to conditions (loaded from a facts file) work the same way:
+``read * logged`` attaches the condition to the atoms of ``read``.
 
 Also here: the role-model importer (``load_rbac`` / ``import_rbac``),
 and the environment set-up and query dispatch (``build_environment`` /
@@ -32,6 +32,7 @@ from .algebra import Category, Employment, Entity, EntitySet, FunctionSymbol, UN
 from .errors import PrivCalcError, SourceError
 from .facts import Condition, FactFamily, close_family
 from .privilege import (
+    GUARD_FUNCTION,
     Arrangement,
     ArrangementError,
     ConditionMergeMode,
@@ -83,9 +84,6 @@ class RbacImportError(SourceError):
     """The role model is malformed or cannot be translated."""
 
 
-GUARD_FUNCTION = FunctionSymbol("guard")
-
-
 class Environment:
     """Per-namespace binding scope plus fact and arrangement context.
 
@@ -101,7 +99,9 @@ class Environment:
         arrangement: Arrangement | None = None,
         merge_mode: ConditionMergeMode = ConditionMergeMode.INTERSECTION,
     ):
-        self.functions: dict[str, FunctionSymbol] = {}
+        # Bare guards' function, there from the start, so that no program
+        # can bind its name to anything else.
+        self.functions: dict[str, FunctionSymbol] = {"guard": GUARD_FUNCTION}
         self.entities: dict[str, Entity] = {}
         self.categories: dict[str, Category] = {}
         self.privileges: dict[str, Privilege] = {}
@@ -372,6 +372,22 @@ def _sum_terms(node: pal.ExprNode) -> list[pal.ExprNode]:
         else:
             terms.append(node)
     return terms
+
+
+def _names(node: pal.ExprNode) -> list[pal.Name]:
+    """Every ``Name`` in an expression, scopes and guard operands included."""
+    names: list[pal.Name] = []
+    pending = [node]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, pal.Name):
+            names.append(node)
+        elif isinstance(node, pal.Slash):
+            names += node.scopes
+            pending.append(node.operand)
+        else:
+            pending += (node.left, node.right) if isinstance(node, pal.Guard) else node.operands
+    return names
 
 
 def arrangement_from_text(
@@ -705,10 +721,12 @@ def build_environment(
                     defined.add(stmt.name)
             # Here a privilege's name would be a function that overlaps
             # no atom of the program, and every guard would pass.
-            for token in pal.tokenize(arrangement):
-                if token.text in defined and not scope.kinds_of(token.text):
-                    message = f"'{token.text}' is a privilege of the program"
-                    raise ArrangementError(message, token.line, token.column)
+            names = [name for element in elements for name in _names(element)]
+            clashes = [n for n in names if n.id in defined and not scope.kinds_of(n.id)]
+            if clashes:
+                first = min(clashes, key=lambda n: (n.line, n.column))
+                message = f"'{first.id}' is a privilege of the program"
+                raise ArrangementError(message, first.line, first.column)
             env.arrangement = load_arrangement(elements, scope)
         except PrivCalcError:
             # The program's own fault, found over an empty basis, first.

@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .errors import SourceError
 
@@ -107,8 +107,7 @@ class TokenKind(Enum):
     EOF = "end of input"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     line: int
@@ -117,20 +116,23 @@ class Token:
 
 # Keywords and punctuation by spelling, read off the kinds' quoted names.
 _SPELLINGS = {kind.value[1:-1]: kind for kind in TokenKind if kind.value[0] == "'"}
-# ASCII only, unlike \w. One alternative per token class, tried in order;
-# "quote" is an unpaired '"', "bad" any other character no token starts with.
+# ASCII only, unlike \w. Each match takes the blanks, newlines and
+# comments before a token (group 1, possessive, so a long run is never
+# backtracked into) and then one of: a word or operator (2), a string's
+# body (3), an unpaired '"' (4), any other character (5) or the end of
+# the input (none).
 _WORD = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _TOKEN = re.compile(
-    r"(?P<newline>\n)|(?P<blank>[ \t\r]+(?:#[^\n]*)?|#[^\n]*)"
-    rf"|(?P<word>{_WORD.pattern})|(?P<string>\"[^\"\n]*\")|(?P<quote>\")"
-    r"|(?P<op>:=|<:|[+*/(){}\[\]~])|(?P<bad>.)"
+    r"((?:[ \t\r\n]+|#[^\n]*)*+)"
+    rf"(?:({_WORD.pattern}|:=|<:|[+*/(){{}}\[\]~])|\"([^\"\n]*)\"|(\")|(.)|\Z)"
 )
 
 
 def is_identifier(text: str) -> bool:
-    """A name PAL can bind: a word that is not a keyword. Facts and RBAC
-    files name things by the same rule."""
-    return _WORD.fullmatch(text) is not None and text not in _SPELLINGS
+    """A name PAL can bind: a word that is neither a keyword nor
+    ``guard``, the function of bare guards. Facts and RBAC files name
+    things by the same rule."""
+    return _WORD.fullmatch(text) is not None and text not in _SPELLINGS and text != "guard"
 
 
 def tokenize(source: str, filename: str | None = None) -> list[Token]:
@@ -139,20 +141,24 @@ def tokenize(source: str, filename: str | None = None) -> list[Token]:
     tokens: list[Token] = []
     line, line_start = 1, 0
     for match in _TOKEN.finditer(source):
-        group, text = match.lastgroup, match.group()
-        column = match.start() - line_start + 1
-        if group == "newline":
-            line, line_start = line + 1, match.end()
-        elif group == "string":
-            tokens.append(Token(TokenKind.STRING, text[1:-1], line, column))
-        elif group == "quote":
-            raise LexError("unterminated string", line, column, filename)
-        elif group == "bad":
-            raise LexError(f"unexpected character {text!r}", line, column, filename)
-        elif group != "blank":
+        skipped, start = match.span(1)
+        newlines = source.count("\n", skipped, start)
+        if newlines:
+            line += newlines
+            line_start = source.rfind("\n", skipped, start) + 1
+        column, group = start - line_start + 1, match.lastindex
+        if group == 2:
+            text = match[2]
             tokens.append(Token(_SPELLINGS.get(text, TokenKind.IDENT), text, line, column))
-    tokens.append(Token(TokenKind.EOF, "", line, len(source) - line_start + 1))
-    return tokens
+        elif group == 3:
+            tokens.append(Token(TokenKind.STRING, match[3], line, column))
+        elif group == 4:
+            raise LexError("unterminated string", line, column, filename)
+        elif group == 5:
+            raise LexError(f"unexpected character {match[5]!r}", line, column, filename)
+        else:
+            tokens.append(Token(TokenKind.EOF, "", line, column))
+            return tokens
 
 
 class GuardOp(Enum):
@@ -239,35 +245,24 @@ MAX_NESTING = 100
 
 
 class _Parser:
+    """Reads ``tokens[pos]`` directly. Every token list ends in the EOF
+    token, which is never consumed, so ``pos`` always indexes a token."""
+
     def __init__(self, tokens: list[Token], filename: str | None = None):
         self.tokens = tokens
         self.pos = 0
         self.filename = filename
         self.depth = 0  # "(" and "[" open around the current token
 
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
+    def expect(self, *kinds: TokenKind) -> Token:
         tok = self.tokens[self.pos]
-        if tok.kind is not TokenKind.EOF:
-            self.pos += 1
+        if tok.kind not in kinds:
+            self.fail(*kinds)
+        self.pos += 1
         return tok
 
-    def accept(self, kind: TokenKind) -> Token | None:
-        if self.current.kind is kind:
-            return self.advance()
-        return None
-
-    def expect(self, *kinds: TokenKind) -> Token:
-        if self.current.kind in kinds:
-            return self.advance()
-        self.fail(*kinds)
-        raise AssertionError("unreachable")
-
     def fail(self, *kinds: TokenKind):
-        tok = self.current
+        tok = self.tokens[self.pos]
         names = sorted(k.value for k in kinds)
         found = tok.kind.value if tok.kind is TokenKind.EOF else f"'{tok.text}'"
         raise ParseError(
@@ -282,8 +277,7 @@ class _Parser:
     def program(self) -> Program:
         namespaces: list[Namespace] = []
         seen: set[str] = set()
-        while self.current.kind is not TokenKind.EOF:
-            tok = self.current
+        while (tok := self.tokens[self.pos]).kind is not TokenKind.EOF:
             ns = self.namespace()
             if ns.name in seen:
                 raise ParseError(
@@ -302,20 +296,21 @@ class _Parser:
         name = self.expect(TokenKind.STRING).text
         self.expect(TokenKind.LBRACE)
         statements: list[StatementNode] = []
-        while self.current.kind is not TokenKind.RBRACE:
+        while self.tokens[self.pos].kind is not TokenKind.RBRACE:
             statements.append(self.statement())
         self.expect(TokenKind.RBRACE)
         return Namespace(name, tuple(statements))
 
     def statement(self) -> StatementNode:
-        if self.current.kind is TokenKind.LET:
-            tok = self.advance()
+        tok = self.tokens[self.pos]
+        if tok.kind is TokenKind.LET:
+            self.pos += 1
             entity = self.expect(TokenKind.IDENT).text
             self.expect(TokenKind.IS)
             category = self.expect(TokenKind.IDENT).text
             return LetIs(entity, category, tok.line, tok.column)
-        if self.current.kind is TokenKind.IDENT:
-            tok = self.advance()
+        if tok.kind is TokenKind.IDENT:
+            self.pos += 1
             self.expect(TokenKind.ASSIGN)
             return Define(tok.text, self.expr(), tok.line, tok.column)
         self.fail(TokenKind.LET, TokenKind.IDENT, TokenKind.RBRACE)
@@ -323,19 +318,21 @@ class _Parser:
 
     def expr(self) -> ExprNode:
         """A sum of products, each chain built once from a loop."""
-        terms: list[ExprNode] = []
+        tokens, terms = self.tokens, []
         while True:
             factors = [self.primary()]
-            while self.accept(TokenKind.STAR):
+            while tokens[self.pos].kind is TokenKind.STAR:
+                self.pos += 1
                 factors.append(self.primary())
             terms.append(chain(Product, factors))
-            if not self.accept(TokenKind.PLUS):
+            if tokens[self.pos].kind is not TokenKind.PLUS:
                 return chain(Sum, terms)
+            self.pos += 1
 
     def primary(self) -> ExprNode:
-        tok = self.current
+        tok = self.tokens[self.pos]
         if tok.kind is TokenKind.IDENT:
-            self.advance()
+            self.pos += 1
             node: ExprNode = Name(tok.text, tok.line, tok.column)
         else:
             if tok.kind not in (TokenKind.LPAREN, TokenKind.LBRACKET):
@@ -347,7 +344,7 @@ class _Parser:
                     column=tok.column,
                     filename=self.filename,
                 )
-            self.advance()
+            self.pos += 1
             self.depth += 1
             node = self.expr()
             if tok.kind is TokenKind.LPAREN:
@@ -363,7 +360,8 @@ class _Parser:
                 self.expect(TokenKind.RBRACKET)
             self.depth -= 1
         scopes: list[Name] = []
-        while self.accept(TokenKind.SLASH):
+        while self.tokens[self.pos].kind is TokenKind.SLASH:
+            self.pos += 1
             scope = self.expect(TokenKind.IDENT)
             scopes.append(Name(scope.text, scope.line, scope.column))
         return Slash(node, tuple(scopes)) if scopes else node
@@ -381,7 +379,8 @@ def parse_expression(source: str, filename: str | None = None) -> ExprNode:
     """Parse a bare expression (the whole text must be one expr)."""
     parser = _Parser(tokenize(source, filename), filename)
     node = parser.expr()
-    parser.expect(TokenKind.EOF)
+    if parser.tokens[parser.pos].kind is not TokenKind.EOF:
+        parser.fail(TokenKind.EOF)
     return node
 
 

@@ -51,6 +51,7 @@ __all__ = [
     "ArrangementError",
     "Coefficient",
     "ConditionMergeMode",
+    "GUARD_FUNCTION",
     "HighOrderCondition",
     "NormalForm",
     "Privilege",
@@ -69,6 +70,11 @@ __all__ = [
     "structural_eq",
     "trace",
 ]
+
+
+# A bare guard ``[p <: q]`` is an atom of this function under its own
+# condition; ``Privilege.text`` spells such an atom by the guard alone.
+GUARD_FUNCTION = FunctionSymbol("guard")
 
 
 class ArrangementError(SourceError):
@@ -180,7 +186,10 @@ class Privilege:
 def _atom_terms(atom: PrivilegeAtom) -> list[str]:
     emp = atom.employment
     assert emp.function is not None and emp.entities is not None
+    guards = sorted(c.id for c in atom.conditions if isinstance(c, HighOrderCondition))
     name = emp.function.name
+    if emp.function == GUARD_FUNCTION and guards:
+        name, guards = guards[0], guards[1:]
     es = emp.entities
     if es.is_universal:
         cores = [name]
@@ -189,7 +198,6 @@ def _atom_terms(atom: PrivilegeAtom) -> list[str]:
     else:
         assert es.members is not None
         cores = [f"{name}/{e.name}" for e in sorted(es.members, key=lambda e: e.name)]
-    guards = sorted(c.id for c in atom.conditions if isinstance(c, HighOrderCondition))
     plain = sorted(
         c.id
         for c in atom.conditions

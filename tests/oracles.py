@@ -22,6 +22,7 @@ from privcalc import (
     Statement,
     merge_employment,
 )
+from privcalc.pal import LexError, Token, TokenKind
 
 Grant = tuple[str, str]
 
@@ -174,3 +175,72 @@ def rbac_role_grants(model: RbacModel) -> dict[str, frozenset[tuple[str, str]]]:
         return frozenset(out)
 
     return {role: grants(role, frozenset({role})) for role in model.roles}
+
+
+# --- PAL tokens ------------------------------------------------------------------
+
+_PAL_SPELLINGS = {
+    "namespace": TokenKind.NAMESPACE,
+    "let": TokenKind.LET,
+    "is": TokenKind.IS,
+    ":=": TokenKind.ASSIGN,
+    "<:": TokenKind.COMPLIES,
+    "+": TokenKind.PLUS,
+    "*": TokenKind.STAR,
+    "/": TokenKind.SLASH,
+    "(": TokenKind.LPAREN,
+    ")": TokenKind.RPAREN,
+    "{": TokenKind.LBRACE,
+    "}": TokenKind.RBRACE,
+    "[": TokenKind.LBRACKET,
+    "]": TokenKind.RBRACKET,
+    "~": TokenKind.TILDE,
+}
+
+
+def reference_tokens(source: str, filename: str | None = None) -> list[Token]:
+    """PAL's tokens by a scan one character at a time: blanks (space,
+    tab, carriage return), newlines and ``#`` comments separate tokens;
+    a word is an ASCII letter then ASCII letters, digits and
+    underscores; a string runs between two '"' on one line. Any other
+    character raises ``LexError`` at its own line and column."""
+    tokens: list[Token] = []
+    i, line, column = 0, 1, 1
+    while i < len(source):
+        ch = source[i]
+        if ch == "\n":
+            i, line, column = i + 1, line + 1, 1
+            continue
+        if ch in " \t\r":
+            i, column = i + 1, column + 1
+            continue
+        if ch == "#":
+            end = source.find("\n", i)
+            end = len(source) if end < 0 else end
+            i, column = end, column + end - i
+            continue
+        end = i + 1
+        if ch.isascii() and ch.isalpha():
+            while end < len(source) and source[end].isascii() and (
+                source[end].isalnum() or source[end] == "_"
+            ):
+                end += 1
+            word = source[i:end]
+            tokens.append(Token(_PAL_SPELLINGS.get(word, TokenKind.IDENT), word, line, column))
+        elif ch == '"':
+            while end < len(source) and source[end] not in '"\n':
+                end += 1
+            if end == len(source) or source[end] == "\n":
+                raise LexError("unterminated string", line, column, filename)
+            end += 1
+            tokens.append(Token(TokenKind.STRING, source[i + 1 : end - 1], line, column))
+        elif source[i : i + 2] in (":=", "<:"):
+            end = i + 2
+            tokens.append(Token(_PAL_SPELLINGS[source[i:end]], source[i:end], line, column))
+        elif ch in _PAL_SPELLINGS:
+            tokens.append(Token(_PAL_SPELLINGS[ch], ch, line, column))
+        else:
+            raise LexError(f"unexpected character {ch!r}", line, column, filename)
+        i, column = end, column + end - i
+    tokens.append(Token(TokenKind.EOF, "", line, column))
+    return tokens

@@ -381,6 +381,57 @@ def test_module_main_writes_nothing_to_stderr():
     assert proc.stderr == ""
 
 
+def test_bare_guard_prints_in_bracket_form(tmp_path, capsys):
+    # A bare guard is an atom of the reserved function 'guard'; printing
+    # it as "guard * [...]" read like the program's own 'guard' under a
+    # condition.
+    path = tmp_path / "g.pal"
+    path.write_text('namespace "g" {\n  x := [list <: read]\n  y := guard\n}\n')
+    arr = ("--arrangement", "read + guard")
+    assert run(capsys, "eval", str(path), *arr, "--expr", "x + y") == (
+        0, "guard + [list <: read]\n", "",
+    )
+    for right, verdict in [("guard + [list <: read]", (0, "equal\n")), ("x", (1, "different\n"))]:
+        code, out, _ = run(capsys, "eq", str(path), *arr, "--left", "x + y", "--right", right)
+        assert (code, out) == verdict
+    path.write_text('namespace "g" {\n  guard := read\n}\n')
+    assert run(capsys, "check", str(path)) == (
+        2, "", f"error: {path}:2:3: 'guard' is already a function, cannot use it as a privilege\n",
+    )
+
+
+def test_one_process_answers_like_fresh_processes(workspace, capsys):
+    # The argument parser is built once per process: no option, default
+    # or handler may carry over from one call of main to the next.
+    quirk = workspace / "quirk.pal"
+    quirk.write_text(EXAMPLE_PAL.replace(
+        "}\n",
+        "  p := read * [session_2 <: write/doc1] + read/doc1 * [session_2 <: remove/doc1]\n}\n",
+    ))
+    example, facts = str(workspace / "example.pal"), str(workspace / "store.facts")
+    comply = ["comply", str(quirk), "--arrangement", SESSION_ARRANGEMENT, "--p", "p", "--q", "p"]
+    logged = ["eval", example, "--expr", "read * logged"]
+    calls = [
+        [*comply, "--merge-conditions", "union"],
+        comply,
+        ["eval", example, "--namespace", "example", "--expr", "session_2"],
+        ["eval", example, "--namespace", "other", "--expr", "session_2"],
+        [*logged, "--facts", facts],
+        logged,
+        ["import-rbac", str(workspace / "staff.rbac")],
+        ["eval", example],
+        ["check", example],
+    ]
+    for argv in calls:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "privcalc.cli", *argv],
+            capture_output=True, text=True, env=CHILD_ENV,
+        )
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    codes = [run(capsys, *argv)[0] for argv in calls]
+    assert codes == [0, 1, 0, 2, 0, 0, 0, 2, 0]
+
+
 def test_crash_exits_2_not_1(tmp_path, capsys):
     # A 3,000-term sum may evaluate or exhaust the recursion limit; either
     # way main() returns, and a crash must not read as a negative verdict.

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import re
+import subprocess
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +24,7 @@ from privcalc.pal import (
     Program,
     Slash,
     Sum,
+    Token,
     TokenKind,
     chain,
     format_expr,
@@ -32,7 +36,8 @@ from privcalc.pal import (
     tokenize,
 )
 
-from fixtures import EXAMPLE_PAL
+from fixtures import CHILD_ENV, EXAMPLE_PAL
+from oracles import reference_tokens
 
 
 # --- lexer -----------------------------------------------------------------
@@ -160,6 +165,79 @@ def test_is_identifier_is_the_lexers_name_rule():
         assert [t.kind for t in tokenize(name)] == [TokenKind.IDENT, TokenKind.EOF]
     for name in ["", "9lives", "_a", "a-b", "a b", "is", "let", "namespace", "caf\u00e9"]:
         assert not is_identifier(name)
+
+
+# PAL's spellings, blanks, comments, newlines and stray characters.
+_DIFF_PIECES = st.sampled_from(
+    ["a", "b_1", "Zz9", "namespace", "let", "is", "x", ":=", "<:", "+", "*", "/",
+     "(", ")", "{", "}", "[", "]", "~", '"s t"', '""', " ", "  ", "\t", "\r", "\n",
+     "\n\n", "#", "# c", "#:=", ":", "<", '"', "$", "9", "\u00e9", "\x0b"]
+)
+
+
+@settings(max_examples=500)
+@given(st.lists(_DIFF_PIECES, max_size=40).map("".join))
+def test_tokenize_agrees_with_the_reference_lexer(source):
+    try:
+        expected = reference_tokens(source, "in.pal")
+    except LexError as exc:
+        with pytest.raises(LexError) as got:
+            tokenize(source, "in.pal")
+        assert (str(got.value), got.value.line, got.value.column) == (
+            str(exc), exc.line, exc.column
+        )
+        return
+    assert tokenize(source, "in.pal") == expected
+
+
+def test_tokens_are_named_tuples():
+    (tok, eof) = tokenize("read")
+    assert tok == Token(TokenKind.IDENT, "read", 1, 1) == (TokenKind.IDENT, "read", 1, 1)
+    assert (tok.kind, tok.text, tok.line, tok.column) == tuple(tok)
+    assert eof == (TokenKind.EOF, "", 1, 5)
+
+
+MEGABYTE = 1 << 20
+
+
+@pytest.mark.parametrize(
+    "source, line, column, message",
+    [
+        (" " * MEGABYTE, 1, MEGABYTE + 1, None),
+        ("\n#" * (MEGABYTE // 2), MEGABYTE // 2 + 1, 2, None),
+        ("# c\n" * (MEGABYTE // 4) + "$", MEGABYTE // 4 + 1, 1, "unexpected character '$'"),
+    ],
+    ids=["blanks", "newline-hash", "comment-lines"],
+)
+def test_megabyte_of_blanks_and_comments_lexes_in_linear_time(source, line, column, message):
+    # Untrusted input: a pattern that backtracked catastrophically over
+    # these runs would not finish within the bound.
+    start = time.perf_counter()
+    try:
+        (eof,) = tokenize(source)
+        found = (eof.line, eof.column, None)
+    except LexError as exc:
+        found = (exc.line, exc.column, exc.message)
+    assert time.perf_counter() - start < 2.0
+    assert found == (line, column, message)
+
+
+def test_megabyte_of_comment_lines_lexes_in_constant_memory():
+    # A backtracking repeat keeps a record per blank run and comment it
+    # has passed: about 200 MB for this input.
+    script = (
+        "import resource\n"
+        "from privcalc.pal import tokenize\n"
+        "source = '\\n#' * (1 << 19)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "tokenize(source)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 32 * 1024  # KiB
 
 
 # --- expression parsing -------------------------------------------------------
