@@ -12,13 +12,11 @@ __version__ = "0.1.0"
 
 from .algebra import (
     Category,
-    EMPTY_EMPLOYMENT,
     Employment,
     Entity,
     EntitySet,
     FunctionSymbol,
     UNIVERSAL,
-    merge_employment,
 )
 from .errors import PrivCalcError, SourceError
 from .facts import (

@@ -1,11 +1,11 @@
 """Ground algebra of function symbols, entities and employments.
 
 An employment pairs a function symbol with an entity set and is written
-f/E. Mergence keeps the function only when both sides employ it and
-intersects the entity sets. The empty employment is an ordinary value:
-it absorbs mergence and shows up whenever an intersection comes out
-empty. Sets of employments, with composition and restriction, are
-privileges (``privilege.py``), which never hold the empty employment.
+f/E. Sets of employments, with mergence, composition and restriction,
+are privileges (``privilege.py``). Mergence keeps the function only
+when both sides employ it and intersects the entity sets; a pair whose
+intersection comes out empty grants nothing and is dropped, so the
+calculus has one zero, the empty privilege.
 """
 
 from __future__ import annotations
@@ -15,13 +15,11 @@ from typing import Iterable
 
 __all__ = [
     "Category",
-    "EMPTY_EMPLOYMENT",
     "Employment",
     "Entity",
     "EntitySet",
     "FunctionSymbol",
     "UNIVERSAL",
-    "merge_employment",
 ]
 
 
@@ -127,43 +125,16 @@ class Category:
 
 @dataclass(frozen=True)
 class Employment:
-    """f/E, or the empty employment when both fields are None."""
+    """f/E: the function ``function`` over the entity set ``entities``."""
 
-    function: FunctionSymbol | None
-    entities: EntitySet | None
-
-    @staticmethod
-    def atom(function: FunctionSymbol, entities: EntitySet) -> Employment:
-        """Build f/E, normalizing a drained entity set to empty."""
-        if entities.is_empty:
-            return EMPTY_EMPLOYMENT
-        return Employment(function, entities)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.function is None
+    function: FunctionSymbol
+    entities: EntitySet
 
     def render(self) -> str:
-        if self.function is None or self.entities is None:
-            return "0"
         return f"{self.function.name}/{self.entities.render()}"
 
     def sort_key(self) -> tuple:
-        if self.function is None or self.entities is None:
-            return ("",)
         return (self.function.name, self.entities.sort_key())
 
     def __repr__(self) -> str:
         return f"emp:{self.render()}"
-
-
-EMPTY_EMPLOYMENT = Employment(None, None)
-
-
-def merge_employment(a: Employment, b: Employment) -> Employment:
-    """Mergence: same function over the entity intersection, else empty."""
-    if a.is_empty or b.is_empty or a.function != b.function:
-        return EMPTY_EMPLOYMENT
-    assert a.entities is not None and b.entities is not None
-    return Employment.atom(a.function, a.entities.intersect(b.entities))
-

@@ -237,6 +237,8 @@ def eval_text(source: str, env: Environment, filename: str | None = None) -> Pri
 def _eval_name(node: pal.Name, env: Environment, filename: str | None) -> Privilege:
     if node.id in env.privileges:
         return env.privileges[node.id]
+    if node.id == "0":
+        return Privilege()
     kinds = env.kinds_of(node.id)
     if "entity" in kinds or "category" in kinds:
         article = "an entity" if "entity" in kinds else "a category"
@@ -596,9 +598,8 @@ def import_rbac(model: RbacModel) -> pal.Program:
     """Emit a PAL program defining each role and each user as a privilege.
 
     Role bodies list inherited role names first, then own permissions as
-    op/cat terms, all sorted; users compose their roles' names. Roles or
-    users that would denote the empty privilege cannot be expressed in
-    PAL and are rejected.
+    op/cat terms, all sorted; users compose their roles' names. A role
+    with neither, or a user without roles, is defined as ``0``.
     """
     model.validate()
     statements: list[pal.StatementNode] = []
@@ -612,19 +613,10 @@ def import_rbac(model: RbacModel) -> pal.Program:
             pal.Slash(pal.Name(op), (pal.Name(cat),))
             for op, cat in sorted(model.roles[role])
         )
-        if not terms:
-            raise RbacImportError(
-                f"role '{role}' has no permissions or juniors; "
-                "the empty privilege has no PAL form"
-            )
         statements.append(pal.Define(role, pal.chain(pal.Sum, terms)))
     for user in sorted(model.users):
-        roles = sorted(model.users[user])
-        if not roles:
-            raise RbacImportError(
-                f"user '{user}' has no roles; the empty privilege has no PAL form"
-            )
-        statements.append(pal.Define(user, pal.chain(pal.Sum, map(pal.Name, roles))))
+        roles = map(pal.Name, sorted(model.users[user]))
+        statements.append(pal.Define(user, pal.chain(pal.Sum, roles)))
     return pal.Program((pal.Namespace("rbac", tuple(statements)),))
 
 

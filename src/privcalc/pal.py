@@ -8,20 +8,21 @@ Grammar:
                | IDENT ":=" expr
     expr      := term ("+" term)*
     term      := primary ("*" primary)*
-    primary   := (IDENT
+    primary   := (IDENT | "0"
                  | "(" expr ")"
                  | "[" expr ("<:" | "~") expr "]") ("/" IDENT)*
 
 Identifiers are an ASCII letter followed by ASCII letters, digits or
-underscores, keywords excepted (``is_identifier``); ``#`` starts a
-comment running to end of line; blanks (space, tab, carriage return)
-and newlines are otherwise insignificant. ``/`` binds tighter than
-``*``, which binds tighter than ``+``. Each run of one operator is one
-node holding its operands, read left to right: ``Sum`` and ``Product``
-hold two or more, ``Slash`` one operand and its scopes. Parentheses
-are kept as nesting, so ``(a * b) * c`` is a product inside a product.
-The bracket form denotes a guard: ``<:`` for compliance, ``~`` for
-congruence.
+underscores, keywords excepted (``is_identifier``). ``0`` is the empty
+privilege; it cannot be bound, and a word character right after it is a
+lexer error, as any other digit is. ``#`` starts a comment running to
+end of line; blanks (space, tab, carriage return) and newlines are
+otherwise insignificant. ``/`` binds tighter than ``*``, which binds
+tighter than ``+``. Each run of one operator is one node holding its
+operands, read left to right: ``Sum`` and ``Product`` hold two or more,
+``Slash`` one operand and its scopes. Parentheses are kept as nesting,
+so ``(a * b) * c`` is a product inside a product. The bracket form
+denotes a guard: ``<:`` for compliance, ``~`` for congruence.
 
 ``format_node(parse(tokenize(text)))`` is the canonical spelling of
 ``text``; formatting then parsing returns an equal tree (node equality
@@ -104,6 +105,7 @@ class TokenKind(Enum):
     RBRACKET = "']'"
     COMPLIES = "'<:'"
     TILDE = "'~'"
+    ZERO = "'0'"
     EOF = "end of input"
 
 
@@ -120,11 +122,11 @@ _SPELLINGS = {kind.value[1:-1]: kind for kind in TokenKind if kind.value[0] == "
 # comments before a token (group 1, possessive, so a long run is never
 # backtracked into) and then one of: a word or operator (2), a string's
 # body (3), an unpaired '"' (4), any other character (5) or the end of
-# the input (none).
+# the input (none). A "0" is a token only when no word character follows.
 _WORD = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _TOKEN = re.compile(
     r"((?:[ \t\r\n]+|#[^\n]*)*+)"
-    rf"(?:({_WORD.pattern}|:=|<:|[+*/(){{}}\[\]~])|\"([^\"\n]*)\"|(\")|(.)|\Z)"
+    rf"(?:({_WORD.pattern}|0(?![A-Za-z0-9_])|:=|<:|[+*/(){{}}\[\]~])|\"([^\"\n]*)\"|(\")|(.)|\Z)"
 )
 
 
@@ -202,9 +204,12 @@ ExprNode = Union[Name, Sum, Product, Slash, Guard]
 
 
 def chain(kind: type[Sum] | type[Product], operands: Iterable[ExprNode]) -> ExprNode:
-    """A ``Sum`` or ``Product`` of ``operands``, or the one operand itself."""
+    """A ``Sum`` or ``Product`` of ``operands``, the one operand itself,
+    or ``0`` when there is none."""
     operands = tuple(operands)
-    return operands[0] if len(operands) == 1 else kind(operands)
+    if len(operands) > 1:
+        return kind(operands)
+    return operands[0] if operands else Name("0")
 
 
 @dataclass(frozen=True)
@@ -331,12 +336,12 @@ class _Parser:
 
     def primary(self) -> ExprNode:
         tok = self.tokens[self.pos]
-        if tok.kind is TokenKind.IDENT:
+        if tok.kind is TokenKind.IDENT or tok.kind is TokenKind.ZERO:
             self.pos += 1
             node: ExprNode = Name(tok.text, tok.line, tok.column)
         else:
             if tok.kind not in (TokenKind.LPAREN, TokenKind.LBRACKET):
-                self.fail(TokenKind.IDENT, TokenKind.LPAREN, TokenKind.LBRACKET)
+                self.fail(TokenKind.IDENT, TokenKind.ZERO, TokenKind.LPAREN, TokenKind.LBRACKET)
             if self.depth == MAX_NESTING:
                 raise ParseError(
                     f"'{tok.text}' nested more than {MAX_NESTING} deep",

@@ -1,12 +1,15 @@
 """Privileges over employments, and their forms over arrangements.
 
-A privilege is a finite set of atoms, each an employment with a set of
-conditions read conjunctively (none means always granted). Mergence
-pairs the atoms of each function: employments merge, condition sets
-combine per the mode. INTERSECTION follows the definition literally,
-which can weaken mixed condition sets so far that a privilege fails to
-comply with itself; UNION keeps both sides' requirements. Composition
-is atom-set union.
+A privilege is a finite set of atoms, each an employment over a
+non-empty entity set with a set of conditions read conjunctively (none
+means always granted). Mergence pairs the atoms of each function,
+intersects their entity sets and drops the pairs that come out empty;
+condition sets combine per the mode. INTERSECTION follows the
+definition literally, which can weaken mixed condition sets so far that
+a privilege fails to comply with itself; UNION keeps both sides'
+requirements. Composition is atom-set union. The empty privilege,
+``Privilege()`` or PAL's ``0``, is the one privilege that grants
+nothing: it absorbs mergence and is the identity of composition.
 
 An arrangement is an ordered, pairwise merge-disjoint employment basis,
 indexed by function and entity when built (filling the index is the
@@ -30,13 +33,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .algebra import (
-    Employment,
-    Entity,
-    EntitySet,
-    FunctionSymbol,
-    merge_employment,
-)
+from .algebra import Employment, Entity, EntitySet, FunctionSymbol
 from .errors import SourceError
 from .facts import (
     Condition,
@@ -91,14 +88,15 @@ class ConditionMergeMode(Enum):
 
 @dataclass(frozen=True)
 class PrivilegeAtom:
-    """An employment guarded by a conjunction of conditions."""
+    """An employment over a non-empty entity set, guarded by a conjunction
+    of conditions."""
 
     employment: Employment
     conditions: frozenset[Condition] = frozenset()
 
     def __post_init__(self):
-        if self.employment.is_empty:
-            raise ValueError("privilege atoms require a non-empty employment")
+        if self.employment.entities.is_empty:
+            raise ValueError("privilege atoms require a non-empty entity set")
 
     def granted(self, fact: Fact) -> bool:
         """All conditions hold at the fact; vacuously true when unconditioned."""
@@ -137,16 +135,15 @@ class Privilege:
         return sorted(self.atoms, key=PrivilegeAtom.sort_key)
 
     def restricted(self, scope: EntitySet) -> Privilege:
-        """Intersect every atom's entity set with ``scope``."""
+        """Intersect every atom's entity set with ``scope``; drained atoms go."""
         out = []
         for atom in self.atoms:
-            assert atom.employment.function is not None
-            assert atom.employment.entities is not None
-            emp = Employment.atom(
-                atom.employment.function, atom.employment.entities.intersect(scope)
-            )
-            if not emp.is_empty:
-                out.append(PrivilegeAtom(emp, atom.conditions))
+            emp = atom.employment
+            entities = emp.entities.intersect(scope)
+            if entities is emp.entities:
+                out.append(atom)
+            elif not entities.is_empty:
+                out.append(PrivilegeAtom(Employment(emp.function, entities), atom.conditions))
         return Privilege(frozenset(out))
 
     def with_condition(self, condition: Condition) -> Privilege:
@@ -162,9 +159,9 @@ class Privilege:
         """Canonical expression text, atoms in sorted order.
 
         Condition-free and guard-conditioned privileges re-read as PAL
-        expressions. Other condition kinds have no PAL syntax and render
-        with a display-only "?" suffix; the empty privilege renders as
-        "0".
+        expressions, the empty privilege as PAL's ``0``. Other condition
+        kinds have no PAL syntax and render with a display-only "?"
+        suffix.
         """
         if not self.atoms:
             return "0"
@@ -185,7 +182,6 @@ class Privilege:
 
 def _atom_terms(atom: PrivilegeAtom) -> list[str]:
     emp = atom.employment
-    assert emp.function is not None and emp.entities is not None
     guards = sorted(c.id for c in atom.conditions if isinstance(c, HighOrderCondition))
     name = emp.function.name
     if emp.function == GUARD_FUNCTION and guards:
@@ -220,18 +216,26 @@ def merge(
 ) -> Privilege:
     """Atom mergence; condition sets combine per ``mode``.
 
-    Atoms of different functions merge to the empty employment, so each
-    atom of ``u`` is paired only with the atoms of ``v`` over its own
-    function."""
+    Only atoms of one function can share a grant, so each atom of ``u``
+    is paired with the atoms of ``v`` over its function. A pair keeps
+    the intersection of its entity sets, or is dropped when that is empty."""
     by_function: dict[FunctionSymbol, list[PrivilegeAtom]] = {}
     for b in v.atoms:
         by_function.setdefault(b.employment.function, []).append(b)
     out = set()
     for a in u.atoms:
-        for b in by_function.get(a.employment.function, ()):
-            emp = merge_employment(a.employment, b.employment)
-            if emp.is_empty:
+        ea = a.employment
+        for b in by_function.get(ea.function, ()):
+            eb = b.employment
+            es = ea.entities.intersect(eb.entities)
+            if es is ea.entities:
+                emp = ea
+            elif es is eb.entities:
+                emp = eb
+            elif es.is_empty:
                 continue
+            else:
+                emp = Employment(ea.function, es)
             if mode is ConditionMergeMode.INTERSECTION:
                 conditions = a.conditions & b.conditions
             else:
@@ -281,7 +285,7 @@ class Arrangement:
     def __post_init__(self):
         index: dict[FunctionSymbol, _FunctionElements] = {}
         for j, n in enumerate(self.basis):
-            if n.is_empty or n.entities.is_empty:
+            if n.entities.is_empty:
                 raise ArrangementError("arrangement elements must be non-empty")
             slot = index.setdefault(n.function, _FunctionElements())
             members = n.entities.members
@@ -310,7 +314,7 @@ class Arrangement:
     def overlapping(self, employment: Employment) -> set[int]:
         """Basis indices of the elements that ``employment`` overlaps."""
         slot = self._index.get(employment.function)
-        if slot is None:  # also the empty employment, whose function is None
+        if slot is None:
             return set()
         members = employment.entities.members
         if members is None:

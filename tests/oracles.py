@@ -14,13 +14,13 @@ from privcalc import (
     ConditionMergeMode,
     Employment,
     Entity,
+    EntitySet,
     Fact,
     FactFamily,
     Privilege,
     PrivilegeAtom,
     RbacModel,
     Statement,
-    merge_employment,
 )
 from privcalc.pal import LexError, Token, TokenKind
 
@@ -31,14 +31,22 @@ def employment_grants(
     emp: Employment, entity_universe: Iterable[Entity]
 ) -> frozenset[Grant]:
     """(function, entity) pairs an employment denotes over a universe."""
-    if emp.is_empty:
-        return frozenset()
-    assert emp.function is not None and emp.entities is not None
-    if emp.entities.is_universal:
-        entities = list(entity_universe)
-    else:
-        entities = list(emp.entities.members or ())
+    members = emp.entities.members
+    entities = list(entity_universe) if members is None else list(members)
     return frozenset((emp.function.name, e.name) for e in entities)
+
+
+def employment_meet(m: Employment, n: Employment) -> Employment | None:
+    """The employment of the grants ``m`` and ``n`` share, or None when
+    they share none: the same function over the common members, where
+    ``members is None`` is the universal set."""
+    if m.function != n.function:
+        return None
+    a, b = m.entities.members, n.entities.members
+    common = b if a is None else a if b is None else a & b
+    if common is not None and not common:
+        return None
+    return Employment(m.function, EntitySet(common))
 
 
 def set_grants(atoms, entity_universe) -> frozenset[Grant]:
@@ -62,14 +70,14 @@ def privilege_grants(
 
 def pairwise_merge(u: Privilege, v: Privilege, mode: ConditionMergeMode) -> Privilege:
     """Mergence by its definition: every atom of ``u`` against every atom
-    of ``v``, keeping the pairs whose employments merge to a non-empty
-    employment, with the condition sets intersected or joined per
-    ``mode``."""
+    of ``v``, keeping the pairs whose employments share a grant, over
+    that shared employment, with the condition sets intersected or joined
+    per ``mode``."""
     atoms = set()
     for a in u.atoms:
         for b in v.atoms:
-            emp = merge_employment(a.employment, b.employment)
-            if emp.is_empty:
+            emp = employment_meet(a.employment, b.employment)
+            if emp is None:
                 continue
             if mode is ConditionMergeMode.INTERSECTION:
                 atoms.add(PrivilegeAtom(emp, a.conditions & b.conditions))
@@ -82,23 +90,23 @@ def pairwise_normal_form(
     p: Privilege, basis: Sequence[Employment]
 ) -> list[list[frozenset[Condition]]]:
     """Per basis element, the condition sets of the atoms whose
-    employment merges with it to a non-empty employment: the dense
-    definition of the normal form, every element against every atom,
-    before constant folding."""
+    employment shares a grant with it: the dense definition of the
+    normal form, every element against every atom, before constant
+    folding."""
     return [
-        [a.conditions for a in p.atoms if not merge_employment(a.employment, m).is_empty]
+        [a.conditions for a in p.atoms if employment_meet(a.employment, m) is not None]
         for m in basis
     ]
 
 
 def pairwise_disjoint(basis: Sequence[Employment]) -> bool:
     """Every element denotes some grant, and no two elements are equal
-    or merge to a non-empty employment."""
+    or share a grant."""
     for i, m in enumerate(basis):
-        if m.is_empty or m.entities.is_empty:
+        if m.entities.members is not None and not m.entities.members:
             return False
         for n in basis[i + 1 :]:
-            if m == n or not merge_employment(m, n).is_empty:
+            if m == n or employment_meet(m, n) is not None:
                 return False
     return True
 
@@ -198,12 +206,17 @@ _PAL_SPELLINGS = {
 }
 
 
+def _is_word_char(ch: str) -> bool:
+    return ch.isascii() and (ch.isalnum() or ch == "_")
+
+
 def reference_tokens(source: str, filename: str | None = None) -> list[Token]:
     """PAL's tokens by a scan one character at a time: blanks (space,
     tab, carriage return), newlines and ``#`` comments separate tokens;
     a word is an ASCII letter then ASCII letters, digits and
-    underscores; a string runs between two '"' on one line. Any other
-    character raises ``LexError`` at its own line and column."""
+    underscores; ``0`` is a token when no such character follows it; a
+    string runs between two '"' on one line. Any other character raises
+    ``LexError`` at its own line and column."""
     tokens: list[Token] = []
     i, line, column = 0, 1, 1
     while i < len(source):
@@ -221,12 +234,12 @@ def reference_tokens(source: str, filename: str | None = None) -> list[Token]:
             continue
         end = i + 1
         if ch.isascii() and ch.isalpha():
-            while end < len(source) and source[end].isascii() and (
-                source[end].isalnum() or source[end] == "_"
-            ):
+            while end < len(source) and _is_word_char(source[end]):
                 end += 1
             word = source[i:end]
             tokens.append(Token(_PAL_SPELLINGS.get(word, TokenKind.IDENT), word, line, column))
+        elif ch == "0" and not (end < len(source) and _is_word_char(source[end])):
+            tokens.append(Token(TokenKind.ZERO, ch, line, column))
         elif ch == '"':
             while end < len(source) and source[end] not in '"\n':
                 end += 1

@@ -1,7 +1,7 @@
 """Employment algebra: unit examples plus exhaustive law checks against
 the extensional grant oracle. Sets of employments are unconditioned
 privileges, so their laws are checked on ``merge``, ``compose`` and
-``Privilege.restricted``."""
+``Privilege.restricted``, with the empty privilege as the zero."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from hypothesis import given, strategies as st
 
 from privcalc import (
     Category,
-    EMPTY_EMPLOYMENT,
     Employment,
     Entity,
     EntitySet,
@@ -22,10 +21,9 @@ from privcalc import (
     UNIVERSAL,
     compose,
     merge,
-    merge_employment,
 )
 
-from oracles import employment_grants, set_grants
+from oracles import set_grants
 
 READ = FunctionSymbol("read")
 LIST_ = FunctionSymbol("list")
@@ -83,72 +81,7 @@ def test_category_grows_and_snapshots():
     assert cat.entity_set().label == "TechDoc"
 
 
-# --- merge_employment ----------------------------------------------------
-
-
-def test_merge_same_function_intersects_entities():
-    got = merge_employment(emp(READ, EntitySet.finite([DOC1])), emp(READ, TECHDOC))
-    assert got == emp(READ, EntitySet.finite([DOC1]))
-
-
-def test_merge_function_mismatch_is_empty():
-    assert merge_employment(emp(READ, TECHDOC), emp(WRITE, TECHDOC)).is_empty
-
-
-def test_merge_disjoint_entities_is_empty():
-    a = emp(READ, EntitySet.finite([DOC1]))
-    b = emp(READ, EntitySet.finite([DOC2]))
-    assert merge_employment(a, b) == EMPTY_EMPLOYMENT
-
-
-def test_merge_universal_identity():
-    a = emp(READ, TECHDOC)
-    assert merge_employment(a, emp(READ, UNIVERSAL)) == a
-    assert merge_employment(emp(READ, UNIVERSAL), a) == a
-    # the label survives through the universal identity
-    assert merge_employment(a, emp(READ, UNIVERSAL)).entities.label == "TechDoc"
-
-
-def test_merge_empty_absorbs():
-    a = emp(READ, TECHDOC)
-    assert merge_employment(a, EMPTY_EMPLOYMENT).is_empty
-    assert merge_employment(EMPTY_EMPLOYMENT, a).is_empty
-    assert merge_employment(EMPTY_EMPLOYMENT, EMPTY_EMPLOYMENT).is_empty
-
-
-def _small_universe() -> list[Employment]:
-    fns = [READ, WRITE]
-    sets = [
-        EntitySet.finite([DOC1]),
-        EntitySet.finite([DOC2]),
-        EntitySet.finite([DOC1, DOC2]),
-        UNIVERSAL,
-    ]
-    atoms = [emp(f, s) for f in fns for s in sets]
-    atoms.append(EMPTY_EMPLOYMENT)
-    return atoms
-
-
-def test_merge_employment_commutative_and_associative_exhaustive():
-    atoms = _small_universe()
-    for a, b in itertools.product(atoms, repeat=2):
-        assert merge_employment(a, b) == merge_employment(b, a)
-    for a, b, c in itertools.product(atoms, repeat=3):
-        left = merge_employment(merge_employment(a, b), c)
-        right = merge_employment(a, merge_employment(b, c))
-        assert left == right
-
-
-def test_merge_employment_matches_grant_oracle_exhaustive():
-    atoms = _small_universe()
-    universe = [DOC1, DOC2]
-    for a, b in itertools.product(atoms, repeat=2):
-        got = employment_grants(merge_employment(a, b), universe)
-        expected = employment_grants(a, universe) & employment_grants(b, universe)
-        assert got == expected
-
-
-# --- unconditioned privileges ----------------------------------------------
+# --- mergence of single atoms ---------------------------------------------
 
 
 def priv(*employments: Employment) -> Privilege:
@@ -159,15 +92,83 @@ def grants(p: Privilege, universe) -> frozenset:
     return set_grants((atom.employment for atom in p.atoms), universe)
 
 
-def no_empty_employment(p: Privilege) -> bool:
-    return all(not atom.employment.is_empty for atom in p.atoms)
+def test_merge_same_function_intersects_entities():
+    got = merge(priv(emp(READ, EntitySet.finite([DOC1]))), priv(emp(READ, TECHDOC)))
+    assert got == priv(emp(READ, EntitySet.finite([DOC1])))
+
+
+def test_merge_function_mismatch_is_empty():
+    assert merge(priv(emp(READ, TECHDOC)), priv(emp(WRITE, TECHDOC))) == Privilege()
+
+
+def test_merge_disjoint_entities_is_empty():
+    a = priv(emp(READ, EntitySet.finite([DOC1])))
+    b = priv(emp(READ, EntitySet.finite([DOC2])))
+    assert merge(a, b) == Privilege()
+
+
+def test_merge_universal_identity():
+    a = priv(emp(READ, TECHDOC))
+    universal = priv(emp(READ, UNIVERSAL))
+    assert merge(a, universal) == a
+    assert merge(universal, a) == a
+    # the label survives through the universal identity, on either side
+    for merged in (merge(a, universal), merge(universal, a)):
+        (atom,) = merged.atoms
+        assert atom.employment.entities.label == "TechDoc"
+
+
+def test_merge_empty_absorbs():
+    a = priv(emp(READ, TECHDOC))
+    assert merge(a, Privilege()) == Privilege()
+    assert merge(Privilege(), a) == Privilege()
+    assert merge(Privilege(), Privilege()) == Privilege()
+
+
+_EMPLOYMENTS = [
+    emp(f, s)
+    for f in (READ, WRITE)
+    for s in (
+        EntitySet.finite([DOC1]),
+        EntitySet.finite([DOC2]),
+        EntitySet.finite([DOC1, DOC2]),
+        UNIVERSAL,
+    )
+]
+
+
+def _small_universe() -> list[Privilege]:
+    """Every single-atom privilege over the employments above, and the zero."""
+    return [priv(e) for e in _EMPLOYMENTS] + [Privilege()]
+
+
+def test_single_atom_merge_commutative_and_associative_exhaustive():
+    atoms = _small_universe()
+    for a, b in itertools.product(atoms, repeat=2):
+        assert merge(a, b) == merge(b, a)
+        assert len(merge(a, b).atoms) <= 1
+    for a, b, c in itertools.product(atoms, repeat=3):
+        assert merge(merge(a, b), c) == merge(a, merge(b, c))
+
+
+def test_single_atom_merge_matches_grant_oracle_exhaustive():
+    atoms = _small_universe()
+    universe = [DOC1, DOC2]
+    for a, b in itertools.product(atoms, repeat=2):
+        assert grants(merge(a, b), universe) == grants(a, universe) & grants(b, universe)
+
+
+# --- unconditioned privileges ----------------------------------------------
+
+
+def no_drained_atom(p: Privilege) -> bool:
+    return all(not atom.employment.entities.is_empty for atom in p.atoms)
 
 
 def _sets_universe() -> list[Privilege]:
-    atoms = [a for a in _small_universe() if not a.is_empty]
     sets = [Privilege.empty()]
-    sets += [priv(a) for a in atoms]
-    sets += [priv(*pair) for pair in itertools.combinations(atoms, 2)]
+    sets += [priv(a) for a in _EMPLOYMENTS]
+    sets += [priv(*pair) for pair in itertools.combinations(_EMPLOYMENTS, 2)]
     return sets
 
 
@@ -222,10 +223,10 @@ def test_merge_result_never_contains_empty():
     sets = _sets_universe()
     scopes = [EntitySet.finite([DOC1]), EntitySet.finite([DOC2]), UNIVERSAL]
     for a, b in itertools.product(sets, repeat=2):
-        assert no_empty_employment(merge(a, b))
-        assert no_empty_employment(compose(a, b))
+        assert no_drained_atom(merge(a, b))
+        assert no_drained_atom(compose(a, b))
     for a, scope in itertools.product(sets, scopes):
-        assert no_empty_employment(a.restricted(scope))
+        assert no_drained_atom(a.restricted(scope))
 
 
 # --- restriction -------------------------------------------------------------
@@ -248,7 +249,7 @@ _entity_sets = st.one_of(
     st.frozensets(_entities, min_size=0, max_size=3).map(EntitySet.finite),
 )
 _atoms = st.builds(lambda n, es: emp(FunctionSymbol(n), es), _names, _entity_sets).filter(
-    lambda a: not a.is_empty
+    lambda a: not a.entities.is_empty
 )
 _atom_sets = st.frozensets(_atoms, max_size=4).map(lambda atoms: priv(*atoms))
 
@@ -269,12 +270,23 @@ def test_random_set_ops_match_grant_oracle(a, b):
     )
 
 
+@given(_atom_sets, _atom_sets, _entity_sets)
+def test_only_the_empty_privilege_grants_nothing(a, b, scope):
+    universe = [DOC1, DOC2, Entity("doc3")]
+    merged = merge(a, b)
+    for p in (a, merged, compose(a, b), a.restricted(scope), merged.restricted(scope)):
+        assert p.is_empty == (not grants(p, universe))
+        assert p.is_empty == (p == Privilege())
+
+
 def test_atom_normalization():
-    assert Employment.atom(READ, EntitySet.finite([])) is EMPTY_EMPLOYMENT
-    assert Employment.atom(READ, TECHDOC) == emp(READ, TECHDOC)
+    # A drained entity set grants nothing, and only the empty privilege may.
+    with pytest.raises(ValueError, match="non-empty entity set"):
+        PrivilegeAtom(Employment(READ, EntitySet.finite([])))
+    assert PrivilegeAtom(emp(READ, TECHDOC)).employment == emp(READ, TECHDOC)
 
 
 def test_render():
     assert emp(READ, UNIVERSAL).render() == "read/*"
     assert emp(READ, TECHDOC).render() == "read/TechDoc"
-    assert EMPTY_EMPLOYMENT.render() == "0"
+    assert Privilege().text() == "0"

@@ -400,6 +400,18 @@ def test_bare_guard_prints_in_bracket_form(tmp_path, capsys):
     )
 
 
+def test_guard_over_an_empty_operand_re_reads(tmp_path, capsys):
+    # The empty privilege prints as PAL's 0, so the printed guard is an
+    # expression again and evaluates to the value that printed it.
+    path = tmp_path / "z.pal"
+    path.write_text('namespace "z" {\n  x := [read <: read * write]\n}\n')
+    arr = ("--arrangement", "read + guard")
+    for expr in ("x", "[read <: 0]"):
+        assert run(capsys, "eval", str(path), *arr, "--expr", expr) == (0, "[read <: 0]\n", "")
+    code, out, _ = run(capsys, "eq", str(path), *arr, "--left", "x", "--right", "[read <: 0]")
+    assert (code, out) == (0, "equal\n")
+
+
 def test_one_process_answers_like_fresh_processes(workspace, capsys):
     # The argument parser is built once per process: no option, default
     # or handler may carry over from one call of main to the next.

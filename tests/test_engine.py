@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import re
-
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -242,6 +240,20 @@ def test_empty_arrangement_element_is_an_error_at_its_position():
     assert str(exc.value) == "1:9: arrangement element 'read/Nowhere' is empty"
     with pytest.raises(ArrangementError, match=r"'read \* write' is empty"):
         arrangement_from_text("list +\n read * write", Environment())
+    with pytest.raises(ArrangementError) as exc:
+        arrangement_from_text("list + 0", Environment())
+    assert str(exc.value) == "1:8: arrangement element '0' is empty"
+
+
+def test_zero_is_the_empty_privilege():
+    env = build_environment(
+        'namespace "z" {\n  x := 0\n  y := read * 0 + 0/C + [read <: 0] * 0\n  z := read + 0\n}\n',
+        arrangement="read",
+    )
+    assert env.privileges["x"] == env.privileges["y"] == Privilege()
+    assert env.privileges["z"] == eval_text("read", env)
+    assert "0" not in env.functions and "0" not in env.categories
+    assert Privilege().text() == "0" and eval_text("0", env) == Privilege()
 
 
 def test_arrangement_rejects_the_programs_privileges():
@@ -501,7 +513,7 @@ def _pal_text(guard_depth: int, conditions: bool = True):
     """PAL expression text: names, '+', '*', '/', named conditions (unless
     ``conditions`` is false) and, below ``guard_depth`` levels, both
     guard forms, alone or attached."""
-    leaf = st.sampled_from(["read", "write"])
+    leaf = st.sampled_from(["read", "write", "0"])
     guard = None
     if guard_depth:
         inner = _pal_text(guard_depth - 1, conditions)
@@ -581,14 +593,13 @@ def test_pal_values_have_value_identity_and_obey_the_laws(e1, e2, e3):
 @given(_pal_text(3, conditions=False))
 @example("[read <: read] + (read) * (read)")
 @example("(([read <: write]) * ([write ~ read]))/C")
+@example("[read <: (read) * (write)]")
+@example("[(read)/d1 ~ 0] * (write)")
 def test_guarded_values_re_read_as_themselves(text):
-    # The empty privilege prints as "0", which PAL cannot spell, so a
-    # value with an empty part is left out.
     for mode in (ConditionMergeMode.INTERSECTION, UNION):
         env = _law_env((text,), mode)
         printed = env.privileges["e1"].text()
-        if not re.search(r"\b0\b", printed):
-            assert eval_text(printed, env) == env.privileges["e1"], (text, printed)
+        assert eval_text(printed, env) == env.privileges["e1"], (text, printed)
 
 
 def test_guard_is_the_bare_guards_function_and_cannot_be_rebound():
@@ -786,6 +797,23 @@ def test_rbac_import_loads_as_pal_or_is_rejected(text):
     load_program(parse_text(format_program(import_rbac(model))))
 
 
+def test_rbac_import_writes_an_empty_role_or_user_as_zero():
+    model = RbacModel(
+        operations=frozenset({"read"}),
+        categories=frozenset({"C"}),
+        roles={"idle": frozenset(), "lazy": frozenset(), "reader": frozenset({("read", "C")})},
+        hierarchy=frozenset({("lazy", "idle")}),
+        users={"nobody": frozenset(), "ann": frozenset({"lazy", "reader"})},
+    )
+    text = format_program(import_rbac(model))
+    assert "  idle := 0\n" in text and "  nobody := 0\n" in text
+    assert "  lazy := idle\n" in text and "  ann := lazy + reader\n" in text
+    env = load_program(parse_text(text))
+    empty = [env.privileges[name] for name in ("idle", "lazy", "nobody")]
+    assert empty == [Privilege()] * 3
+    assert env.privileges["ann"] == env.privileges["reader"]
+
+
 def test_rbac_cycle_reported_with_path():
     text = (
         "op a\ncat C\n"
@@ -911,7 +939,7 @@ def test_run_scenario_query_errors_carry_no_file_name():
         EXAMPLE_PAL, filename="x.pal", queries=[EvalQuery("session_2 +"), EvalQuery("doc1")]
     )
     assert report.errors == [
-        "EvalQuery: 1:12: expected '(' or '[' or identifier, found end of input",
+        "EvalQuery: 1:12: expected '(' or '0' or '[' or identifier, found end of input",
         "EvalQuery: 1:1: 'doc1' is an entity and has no privilege value",
     ]
     report = run_scenario(EXAMPLE_PAL + "}", filename="x.pal")

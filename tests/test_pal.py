@@ -103,7 +103,7 @@ def test_identifiers_allow_digits_and_underscores():
 _LEX_PIECES = st.sampled_from(
     ["a", "b_1", "Zz9", "namespace", "let", "is", "isis", ":=", "<:", "+", "*",
      "/", "(", ")", "{", "}", "[", "]", "~", '"s t"', " ", "\t", "\r", "\n",
-     "# c", ":", "<", '"', "9", "_", "$", "-", "\u00e9", "\u0663", "\x0b"]
+     "# c", ":", "<", '"', "9", "_", "$", "-", "\u00e9", "\u0663", "\x0b", "0", "00"]
 )
 
 
@@ -163,15 +163,35 @@ def test_is_identifier_is_the_lexers_name_rule():
     for name in ["a", "Read", "session_1", "x9_", "isis", "lets", "Namespace"]:
         assert is_identifier(name)
         assert [t.kind for t in tokenize(name)] == [TokenKind.IDENT, TokenKind.EOF]
-    for name in ["", "9lives", "_a", "a-b", "a b", "is", "let", "namespace", "caf\u00e9"]:
+    for name in ["", "9lives", "_a", "a-b", "a b", "is", "let", "namespace", "caf\u00e9", "0"]:
         assert not is_identifier(name)
+
+
+def test_zero_is_a_token_that_no_statement_can_bind():
+    kinds = [t.kind for t in tokenize("0 +0*(0)# c\n[a0 <: 0]")]
+    assert kinds == [
+        TokenKind.ZERO, TokenKind.PLUS, TokenKind.ZERO, TokenKind.STAR, TokenKind.LPAREN,
+        TokenKind.ZERO, TokenKind.RPAREN, TokenKind.LBRACKET, TokenKind.IDENT,
+        TokenKind.COMPLIES, TokenKind.ZERO, TokenKind.RBRACKET, TokenKind.EOF,
+    ]
+    for text in ["0abc", "00", "0_", "01"]:
+        with pytest.raises(LexError) as exc:
+            tokenize("x + " + text)
+        assert (exc.value.message, exc.value.column) == ("unexpected character '0'", 5)
+    assert parse_expression("0") == Name("0")
+    assert parse_expression("[read <: 0]/C") == Slash(
+        Guard(GuardOp.COMPLIANCE, Name("read"), Name("0")), (Name("C"),)
+    )
+    for body in ["0 := read", "let 0 is C", "let d is 0", "x := read/0"]:
+        with pytest.raises(ParseError):
+            parse_text(f'namespace "n" {{\n  {body}\n}}')
 
 
 # PAL's spellings, blanks, comments, newlines and stray characters.
 _DIFF_PIECES = st.sampled_from(
     ["a", "b_1", "Zz9", "namespace", "let", "is", "x", ":=", "<:", "+", "*", "/",
      "(", ")", "{", "}", "[", "]", "~", '"s t"', '""', " ", "  ", "\t", "\r", "\n",
-     "\n\n", "#", "# c", "#:=", ":", "<", '"', "$", "9", "\u00e9", "\x0b"]
+     "\n\n", "#", "# c", "#:=", ":", "<", '"', "$", "9", "\u00e9", "\x0b", "0", "0a"]
 )
 
 
@@ -268,6 +288,11 @@ def test_chain_of_one_operand_is_the_operand():
     assert chain(Product, iter([a, b])) == Product((a, b))
 
 
+def test_chain_of_no_operands_is_zero():
+    assert chain(Sum, []) == Name("0")
+    assert format_expr(chain(Sum, iter(()))) == "0"
+
+
 def test_parens_override():
     got = parse_expression("(a + b)/C")
     assert got == Slash(Sum((a, b)), (Name("C"),))
@@ -302,7 +327,7 @@ def test_nodes_keep_the_positions_of_names_and_brackets():
 def test_expression_errors_carry_expectations():
     with pytest.raises(ParseError) as exc:
         parse_expression("a + ")
-    assert exc.value.expected == {"identifier", "'('", "'['"}
+    assert exc.value.expected == {"identifier", "'0'", "'('", "'['"}
     with pytest.raises(ParseError) as exc:
         parse_expression("a/(b)")
     assert "identifier" in exc.value.expected
@@ -424,6 +449,7 @@ def test_fixture_round_trips():
 
 
 _names = st.sampled_from(["a", "b", "c", "read", "s_1"])
+_operands = st.sampled_from(["a", "b", "c", "read", "s_1", "0"])
 _scopes = st.sampled_from(["C", "D", "TechDoc"])
 
 
@@ -431,12 +457,12 @@ def _exprs(depth: int):
     # Chains of 2-4 operands, which may themselves be chains of the same
     # operator (parenthesised), and "/" nodes inside "/" nodes.
     if depth <= 0:
-        return st.builds(Name, _names)
+        return st.builds(Name, _operands)
     sub = _exprs(depth - 1)
     operands = st.lists(sub, min_size=2, max_size=4).map(tuple)
     scopes = st.lists(st.builds(Name, _scopes), min_size=1, max_size=3).map(tuple)
     return st.one_of(
-        st.builds(Name, _names),
+        st.builds(Name, _operands),
         st.builds(Sum, operands),
         st.builds(Product, operands),
         st.builds(Slash, sub, scopes),

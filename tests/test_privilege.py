@@ -31,16 +31,19 @@ from privcalc import (
     congruence_condition,
     congruent,
     merge,
-    merge_employment,
     normal_form,
     pulse,
     structural_eq,
     trace,
 )
 
-import privcalc.privilege as privilege_module
-
-from oracles import pairwise_disjoint, pairwise_merge, pairwise_normal_form, privilege_grants
+from oracles import (
+    employment_meet,
+    pairwise_disjoint,
+    pairwise_merge,
+    pairwise_normal_form,
+    privilege_grants,
+)
 from fixtures import power_family
 
 READ = FunctionSymbol("read")
@@ -95,7 +98,7 @@ C2 = WitnessCondition("c2", frozenset({Statement("s2")}))
 
 def test_atom_rejects_empty_employment():
     with pytest.raises(ValueError):
-        PrivilegeAtom(Employment.atom(READ, EntitySet.finite([])))
+        PrivilegeAtom(Employment(READ, EntitySet.finite([])))
 
 
 def test_atom_granted():
@@ -278,7 +281,7 @@ def test_with_condition_attaches_everywhere():
 
 def test_arrangement_rejects_empty_element():
     with pytest.raises(ArrangementError):
-        Arrangement((Employment(None, None),))
+        Arrangement((Employment(READ, EntitySet.finite([])),))
 
 
 def test_arrangement_rejects_duplicates():
@@ -498,6 +501,9 @@ def test_compliance_matches_grant_containment_union_mode(u, v):
 _IDX_FUNCTIONS = [READ, WRITE, LIST_]
 _IDX_ENTITIES = [Entity(n) for n in ("a", "b", "c", "d")]
 _A, _B = _IDX_ENTITIES[:2]
+# In no basis element's finite set: a finite atom over it overlaps no
+# finite element, as an atom over REMOVE overlaps no element at all.
+_OUTSIDE = Entity("z")
 _READ_A = Employment(READ, EntitySet.finite([_A]))
 _READ_B = Employment(READ, EntitySet.finite([_B]))
 
@@ -509,6 +515,11 @@ def _entity_sets(draw):
         return UNIVERSAL
     members = draw(st.frozensets(st.sampled_from(_IDX_ENTITIES)))
     return EntitySet.finite(members, "X" if kind == "labelled" else None)
+
+
+def _atom_entity_sets():
+    """Entity sets an atom may hold: a drained set becomes {z}."""
+    return _entity_sets().map(lambda es: EntitySet.finite([_OUTSIDE]) if es.is_empty else es)
 
 
 @st.composite
@@ -546,17 +557,17 @@ def _any_bases(draw):
 
 @st.composite
 def _index_privileges(draw):
-    # REMOVE is in no basis; an empty finite set overlaps nothing
+    # REMOVE is in no basis, and {z} is in no finite element
     fns = st.sampled_from(_IDX_FUNCTIONS + [REMOVE])
     conds = st.frozensets(st.sampled_from([C1, C2, ALWAYS, NEVER]), max_size=2)
-    atom = st.builds(PrivilegeAtom, st.builds(Employment, fns, _entity_sets()), conds)
+    atom = st.builds(PrivilegeAtom, st.builds(Employment, fns, _atom_entity_sets()), conds)
     atoms = draw(st.lists(atom, max_size=5))
     return Privilege(frozenset(atoms))
 
 
 def _names_a_clash(message: str, basis) -> bool:
     if message == "arrangement elements must be non-empty":
-        return any(m.is_empty or m.entities.is_empty for m in basis)
+        return any(m.entities.is_empty for m in basis)
     pairs = list(itertools.combinations(basis, 2))
     if message.startswith("duplicate arrangement element "):
         named = message.removeprefix("duplicate arrangement element ")
@@ -564,7 +575,7 @@ def _names_a_clash(message: str, basis) -> bool:
     return any(
         message == f"arrangement elements overlap: {m.render()} and {n.render()}"
         and m != n
-        and not merge_employment(m, n).is_empty
+        and employment_meet(m, n) is not None
         for m, n in pairs
     )
 
@@ -605,7 +616,9 @@ def test_arrangement_overlap_names_earliest_clash():
 @given(_disjoint_bases(), _index_privileges())
 @example(
     (Employment(READ, UNIVERSAL), Employment(WRITE, EntitySet.finite([_A]))),
-    unconditioned(Employment(READ, EntitySet.finite([])), Employment(WRITE, UNIVERSAL)),
+    unconditioned(
+        Employment(WRITE, EntitySet.finite([_OUTSIDE])), Employment(WRITE, UNIVERSAL)
+    ),
 )
 def test_normal_form_matches_pairwise_definition(basis, p):
     want = tuple(Coefficient.from_conjunctions(c) for c in pairwise_normal_form(p, basis))
@@ -647,7 +660,7 @@ def _mixed_privileges(draw):
     """Atoms over several functions, with plain and guard conditions."""
     fns = st.sampled_from(_IDX_FUNCTIONS + [REMOVE])
     conds = st.frozensets(st.sampled_from([C1, C2, ALWAYS, NEVER, _G1, _G2]), max_size=3)
-    atom = st.builds(PrivilegeAtom, st.builds(Employment, fns, _entity_sets()), conds)
+    atom = st.builds(PrivilegeAtom, st.builds(Employment, fns, _atom_entity_sets()), conds)
     return Privilege(frozenset(draw(st.lists(atom, max_size=6))))
 
 
@@ -681,13 +694,15 @@ def test_pulse_trace_and_eq_match_every_coefficient(basis, p, q):
 
 
 def test_merge_pairs_atoms_only_within_a_function(monkeypatch):
+    # Each pairing intersects the two entity sets once.
     calls = []
+    intersect = EntitySet.intersect
 
     def counting(a, b):
         calls.append((a, b))
-        return merge_employment(a, b)
+        return intersect(a, b)
 
-    monkeypatch.setattr(privilege_module, "merge_employment", counting)
+    monkeypatch.setattr(EntitySet, "intersect", counting)
     entities = [Entity(f"e{i}") for i in range(20)]
     reads = unconditioned(*(Employment(READ, EntitySet.finite([e])) for e in entities))
     writes = unconditioned(*(Employment(WRITE, EntitySet.finite([e])) for e in entities))
