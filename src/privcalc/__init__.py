@@ -11,7 +11,6 @@ from types import ModuleType as _ModuleType
 __version__ = "0.1.0"
 
 from .algebra import (
-    Category,
     Employment,
     Entity,
     EntitySet,
@@ -22,13 +21,11 @@ from .errors import PrivCalcError, SourceError
 from .facts import (
     ALWAYS,
     Condition,
-    ConditionReport,
     DeclarationError,
     EvaluationError,
     Fact,
     FactFamily,
     FalseCondition,
-    FamilyReport,
     NEVER,
     Statement,
     TableCondition,
@@ -85,14 +82,12 @@ from .engine import (
     RbacImportError,
     RbacModel,
     ResolutionError,
-    ScenarioReport,
     TraceQuery,
     arrangement_from_text,
     eval_text,
     import_rbac,
     load_program,
     load_rbac,
-    run_scenario,
 )
 
 # Importing the names above also binds the submodules here; they are

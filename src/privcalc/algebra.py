@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 __all__ = [
-    "Category",
     "Employment",
     "Entity",
     "EntitySet",
@@ -71,9 +70,6 @@ class EntitySet:
     def is_empty(self) -> bool:
         return self.members is not None and not self.members
 
-    def __contains__(self, entity: Entity) -> bool:
-        return self.members is None or entity in self.members
-
     def intersect(self, other: EntitySet) -> EntitySet:
         # Universal is the identity. When the result equals one operand,
         # return that operand so its label survives.
@@ -102,25 +98,6 @@ class EntitySet:
 
 
 UNIVERSAL = EntitySet(None)
-
-
-class Category:
-    """A named entity collection whose membership only ever grows."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self._members: set[Entity] = set()
-
-    def add(self, entity: Entity) -> None:
-        self._members.add(entity)
-
-    def entity_set(self) -> EntitySet:
-        """Immutable snapshot of the current membership."""
-        return EntitySet(frozenset(self._members), label=self.name)
-
-    def __repr__(self) -> str:
-        names = ", ".join(sorted(e.name for e in self._members))
-        return f"Category({self.name}: {{{names}}})"
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import engine, pal
-from .errors import PrivCalcError
+from .errors import PrivCalcError, SourceError
 from .facts import load_facts
 from .privilege import ConditionMergeMode
 
@@ -58,17 +58,16 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="arrangement expression, or @FILE to read it from a file",
     )
-    # Every query command but eval projects onto an arrangement.
-    common.set_defaults(handler=_cmd_query, needs_arrangement=True)
+    common.set_defaults(handler=_cmd_query)
 
     p = sub.add_parser("check", parents=[common], help="parse and resolve a program")
     p.add_argument("file")
-    p.set_defaults(handler=_cmd_check, needs_arrangement=False)
+    p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("eval", parents=[common], help="evaluate an expression")
     p.add_argument("file")
     p.add_argument("--expr", required=True)
-    p.set_defaults(query=lambda a: engine.EvalQuery(a.expr), needs_arrangement=False)
+    p.set_defaults(query=lambda a: engine.EvalQuery(a.expr))
 
     p = sub.add_parser("nf", parents=[common], help="normal form over an arrangement")
     p.add_argument("file")
@@ -108,7 +107,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    """The file's text with newlines translated, as text mode reads it.
+    Bytes that are not UTF-8 are an error at the first of them."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        raise SourceError(
+            f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})",
+            line=data.count(b"\n", 0, exc.start) + 1,
+            column=len(data[line_start : exc.start].decode("utf-8")) + 1,
+            filename=path,
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _context(args: argparse.Namespace) -> dict:
@@ -117,8 +129,6 @@ def _context(args: argparse.Namespace) -> dict:
     if args.facts:
         family, conditions = load_facts(_read(args.facts), filename=args.facts)
     text = args.arrangement or None
-    if text is None and args.needs_arrangement:
-        raise PrivCalcError("this command needs --arrangement")
     if text is not None and text.startswith("@"):
         text = _read(text[1:])
     return dict(

@@ -19,7 +19,7 @@ to conditions (loaded from a facts file) work the same way:
 
 Also here: the role-model importer (``load_rbac`` / ``import_rbac``),
 and the environment set-up and query dispatch (``build_environment`` /
-``answer``) that ``run_scenario`` and the command line share.
+``answer``) that the command line uses.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 from . import pal
-from .algebra import Category, Employment, Entity, EntitySet, FunctionSymbol, UNIVERSAL
+from .algebra import Employment, Entity, EntitySet, FunctionSymbol, UNIVERSAL
 from .errors import PrivCalcError, SourceError
 from .facts import Condition, FactFamily, close_family
 from .privilege import (
@@ -61,7 +61,6 @@ __all__ = [
     "RbacImportError",
     "RbacModel",
     "ResolutionError",
-    "ScenarioReport",
     "TraceQuery",
     "answer",
     "arrangement_from_text",
@@ -72,7 +71,6 @@ __all__ = [
     "load_arrangement",
     "load_program",
     "load_rbac",
-    "run_scenario",
 ]
 
 
@@ -103,7 +101,8 @@ class Environment:
         # can bind its name to anything else.
         self.functions: dict[str, FunctionSymbol] = {"guard": GUARD_FUNCTION}
         self.entities: dict[str, Entity] = {}
-        self.categories: dict[str, Category] = {}
+        # A category's membership only ever grows; ``/`` takes a snapshot.
+        self.categories: dict[str, set[Entity]] = {}
         self.privileges: dict[str, Privilege] = {}
         self.family = family if family is not None else close_family((), ())
         self.conditions: dict[str, Condition] = dict(conditions or {})
@@ -190,7 +189,7 @@ def _load_let(stmt: pal.LetIs, env: Environment, filename: str | None) -> None:
 
 def _add_member(stmt: pal.LetIs, env: Environment) -> None:
     entity = env.entities.setdefault(stmt.entity, Entity(stmt.entity))
-    env.categories.setdefault(stmt.category, Category(stmt.category)).add(entity)
+    env.categories.setdefault(stmt.category, set()).add(entity)
 
 
 def _load_define(stmt: pal.Define, env: Environment, filename: str | None) -> None:
@@ -302,7 +301,7 @@ def _resolve_scope(
 ) -> EntitySet:
     name = scope.id
     if name in env.categories:
-        return env.categories[name].entity_set()
+        return EntitySet.finite(env.categories[name], label=name)
     if name in env.entities:
         return EntitySet.finite([env.entities[name]])
     kinds = env.kinds_of(name)
@@ -315,7 +314,7 @@ def _resolve_scope(
         )
     # Unknown scope: start an empty category, to be populated by later
     # let declarations (or left empty, restricting everything away).
-    return env.categories.setdefault(name, Category(name)).entity_set()
+    return EntitySet.finite(env.categories.setdefault(name, set()), label=name)
 
 
 def _guard_condition(
@@ -620,7 +619,7 @@ def import_rbac(model: RbacModel) -> pal.Program:
     return pal.Program((pal.Namespace("rbac", tuple(statements)),))
 
 
-# --- scenario runner ----------------------------------------------------
+# --- queries -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -668,16 +667,6 @@ class QueryResult:
     query: Query
     text: str
     value: object
-
-
-@dataclass
-class ScenarioReport:
-    results: list[QueryResult] = field(default_factory=list)
-    errors: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
 
 
 def build_environment(
@@ -728,36 +717,12 @@ def build_environment(
     return load_program(source, env, namespace=namespace, filename=filename)
 
 
-def run_scenario(
-    source: str | pal.Program,
-    family: FactFamily | None = None,
-    conditions: dict[str, Condition] | None = None,
-    arrangement: str | None = None,
-    queries: Sequence[Query] = (),
-    merge_mode: ConditionMergeMode = ConditionMergeMode.INTERSECTION,
-    namespace: str | None = None,
-    filename: str | None = None,
-) -> ScenarioReport:
-    """Build the environment and answer queries; failures are collected."""
-    report = ScenarioReport()
-    try:
-        env = build_environment(
-            source, family, conditions, arrangement, merge_mode, namespace, filename
-        )
-    except PrivCalcError as exc:
-        report.errors.append(str(exc))
-        return report
-    for query in queries:
-        try:
-            report.results.append(answer(query, env))
-        except PrivCalcError as exc:
-            report.errors.append(f"{type(query).__name__}: {exc}")
-    return report
-
-
 def _need_arrangement(env: Environment) -> Arrangement:
     if env.arrangement is None:
-        raise ResolutionError("this query needs an arrangement")
+        raise ResolutionError(
+            "this query needs an arrangement "
+            "(set Environment.arrangement, or pass --arrangement)"
+        )
     return env.arrangement
 
 

@@ -22,7 +22,7 @@ conditions of the privilege layer, are exempt from the axiom check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
@@ -32,13 +32,11 @@ from .pal import is_identifier
 __all__ = [
     "ALWAYS",
     "Condition",
-    "ConditionReport",
     "DeclarationError",
     "EvaluationError",
     "Fact",
     "FactFamily",
     "FalseCondition",
-    "FamilyReport",
     "MAX_FAMILY",
     "NEVER",
     "Statement",
@@ -131,19 +129,16 @@ class FactFamily:
             )
         )
 
-    @property
-    def sets(self) -> frozenset[frozenset[Statement]]:
-        return frozenset(self._by_set)
-
     def fact(self, fact_id: str) -> Fact:
         try:
             return self._by_id[fact_id]
         except KeyError:
-            known = ", ".join(sorted(self._by_id))
-            raise EvaluationError(f"unknown fact '{fact_id}' (known: {known})") from None
-
-    def __contains__(self, fact: Fact) -> bool:
-        return fact.statements in self._by_set
+            # A family can hold thousands of ids; name the first few.
+            known = sorted(self._by_id)
+            listed = ", ".join(known[:10])
+            if len(known) > 10:
+                listed += f" … and {len(known) - 10} more"
+            raise EvaluationError(f"unknown fact '{fact_id}' (known: {listed})") from None
 
     def __iter__(self) -> Iterator[Fact]:
         return iter(self.facts)
@@ -219,38 +214,28 @@ def close_family(
     return FactFamily(universe_set, facts)
 
 
-@dataclass
-class FamilyReport:
-    """Closure violations found in a family; empty means valid."""
-
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def verify_family(family: FactFamily) -> FamilyReport:
-    """Report every missing closure element: the empty fact, the
-    universe, and each pairwise union or intersection not in the family."""
-    report = FamilyReport()
-    sets = family.sets
+def verify_family(family: FactFamily) -> list[str]:
+    """Every missing closure element: the empty fact, the universe, and
+    each pairwise union or intersection not in the family. An empty
+    list means the family is closed."""
+    violations = []
+    items = [f.statements for f in family.facts]
+    sets = set(items)
     if frozenset() not in sets:
-        report.violations.append("empty fact missing")
+        violations.append("empty fact missing")
     if family.universe not in sets:
-        report.violations.append("universe fact missing")
-    items = sorted(sets, key=lambda s: (len(s), synthesized_id(s)))
+        violations.append("universe fact missing")
     for i, a in enumerate(items):
         for b in items[i + 1 :]:
             if (a | b) not in sets:
-                report.violations.append(
+                violations.append(
                     f"union of '{synthesized_id(a)}' and '{synthesized_id(b)}' missing"
                 )
             if (a & b) not in sets:
-                report.violations.append(
+                violations.append(
                     f"intersection of '{synthesized_id(a)}' and '{synthesized_id(b)}' missing"
                 )
-    return report
+    return violations
 
 
 class Condition:
@@ -317,20 +302,9 @@ def table_condition(
     return TableCondition(cond_id, true_sets, frozenset(assignment))
 
 
-@dataclass
-class ConditionReport:
-    """Axiom violations for one condition; empty means the axiom holds."""
-
-    condition: str
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def verify_condition_axiom(condition: Condition, family: FactFamily) -> ConditionReport:
-    """Check r(x1 | x2) = r(x1) or r(x2) over every disjoint pair.
+def verify_condition_axiom(condition: Condition, family: FactFamily) -> list[str]:
+    """Check r(x1 | x2) = r(x1) or r(x2) over every disjoint pair; the
+    violations found, none when the axiom holds.
 
     Guards are outside the axiom's scope and are rejected. The axiom
     does not force monotonicity on families that lack relative
@@ -342,7 +316,7 @@ def verify_condition_axiom(condition: Condition, family: FactFamily) -> Conditio
         raise UnsupportedConditionError(
             "high-order conditions are exempt from the disjoint-union axiom"
         )
-    report = ConditionReport(condition.id)
+    violations = []
     facts = family.facts
     index = {f.statements: f for f in facts}
     for i, x1 in enumerate(facts):
@@ -351,17 +325,17 @@ def verify_condition_axiom(condition: Condition, family: FactFamily) -> Conditio
                 continue
             union = index.get(x1.statements | x2.statements)
             if union is None:
-                report.violations.append(
+                violations.append(
                     f"family misses the union of '{x1.id}' and '{x2.id}'"
                 )
                 continue
             left = condition.evaluate(union)
             right = condition.evaluate(x1) or condition.evaluate(x2)
             if left != right:
-                report.violations.append(
+                violations.append(
                     f"r({union.id}) = {int(left)} but r({x1.id}) or r({x2.id}) = {int(right)}"
                 )
-    return report
+    return violations
 
 
 def evidences(condition: Condition, family: FactFamily) -> frozenset[Fact]:

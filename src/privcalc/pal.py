@@ -24,9 +24,9 @@ operands, read left to right: ``Sum`` and ``Product`` hold two or more,
 so ``(a * b) * c`` is a product inside a product. The bracket form
 denotes a guard: ``<:`` for compliance, ``~`` for congruence.
 
-``format_node(parse(tokenize(text)))`` is the canonical spelling of
-``text``; formatting then parsing returns an equal tree (node equality
-ignores source positions).
+``format_program(parse_text(text))`` is the canonical spelling of
+``text``, and ``format_expr`` that of an expression; formatting then
+parsing returns an equal tree (node equality ignores source positions).
 """
 
 from __future__ import annotations
@@ -58,10 +58,8 @@ __all__ = [
     "TokenKind",
     "chain",
     "format_expr",
-    "format_node",
     "format_program",
     "is_identifier",
-    "parse",
     "parse_expression",
     "parse_text",
     "tokenize",
@@ -372,12 +370,8 @@ class _Parser:
         return Slash(node, tuple(scopes)) if scopes else node
 
 
-def parse(tokens: list[Token], filename: str | None = None) -> Program:
-    return _Parser(tokens, filename).program()
-
-
 def parse_text(source: str, filename: str | None = None) -> Program:
-    return parse(tokenize(source, filename), filename)
+    return _Parser(tokenize(source, filename), filename).program()
 
 
 def parse_expression(source: str, filename: str | None = None) -> ExprNode:
@@ -428,10 +422,3 @@ def format_program(program: Program) -> str:
     if not blocks:
         return ""
     return "\n\n".join(blocks) + "\n"
-
-
-def format_node(node: Program | ExprNode) -> str:
-    """Canonical text for a program or expression node."""
-    if isinstance(node, Program):
-        return format_program(node)
-    return format_expr(node)

@@ -114,18 +114,10 @@ class Privilege:
     atoms: frozenset[PrivilegeAtom] = frozenset()
 
     @staticmethod
-    def empty() -> Privilege:
-        return Privilege()
-
-    @staticmethod
     def single(
         employment: Employment, conditions: Iterable[Condition] = ()
     ) -> Privilege:
         return Privilege(frozenset({PrivilegeAtom(employment, frozenset(conditions))}))
-
-    @staticmethod
-    def of(*atoms: PrivilegeAtom) -> Privilege:
-        return Privilege(frozenset(atoms))
 
     @property
     def is_empty(self) -> bool:
@@ -169,12 +161,6 @@ class Privilege:
         for atom in self.sorted_atoms():
             terms.extend(_atom_terms(atom))
         return " + ".join(terms)
-
-    def __add__(self, other: Privilege) -> Privilege:
-        return compose(self, other)
-
-    def __mul__(self, other: Privilege) -> Privilege:
-        return merge(self, other)
 
     def __repr__(self) -> str:
         return f"priv:{self.text()}"
@@ -428,7 +414,6 @@ def normal_form(p: Privilege, arrangement: Arrangement) -> NormalForm:
 
 @dataclass(frozen=True)
 class PulsedForm:
-    arrangement: Arrangement
     bits: tuple[bool, ...]
 
     def render(self) -> str:
@@ -441,7 +426,7 @@ def pulse(p: Privilege, arrangement: Arrangement, fact: Fact) -> PulsedForm:
     bits = [False] * len(arrangement)
     for i, coefficient in _overlapped(p, arrangement).items():
         bits[i] = coefficient.evaluate(fact)
-    return PulsedForm(arrangement, tuple(bits))
+    return PulsedForm(tuple(bits))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ import random
 import time
 
 from privcalc import (
-    Category,
     ConditionMergeMode,
     Employment,
     Entity,
@@ -74,12 +73,12 @@ def test_criterion_1_session_derivations():
     def atom(fn: str) -> PrivilegeAtom:
         return PrivilegeAtom(Employment(FunctionSymbol(fn), doc1))
 
-    session_1 = env.privileges["bob"] * env.privileges["officepc"]
+    session_1 = merge(env.privileges["bob"], env.privileges["officepc"])
     assert session_1.atoms == frozenset({atom("read"), atom("list"), atom("write")})
     assert session_1 == env.privileges["session_1"]
     assert session_1.text() == "list/TechDoc + read/TechDoc + write/TechDoc"
 
-    session_2 = env.privileges["bob"] * env.privileges["phone"]
+    session_2 = merge(env.privileges["bob"], env.privileges["phone"])
     assert session_2.atoms == frozenset({atom("read"), atom("list")})
     # the phone session lacks the write employment
     assert atom("write") not in session_2.atoms
@@ -107,9 +106,9 @@ def _law_base() -> list[Privilege]:
         for e in _LAW_ENTS
         for c in _LAW_CONDS
     ]
-    privs = [Privilege.empty()]
-    privs += [Privilege.of(a) for a in atoms]
-    privs += [Privilege.of(a, b) for a, b in itertools.combinations(atoms, 2)]
+    privs = [Privilege()]
+    privs += [Privilege(frozenset({a})) for a in atoms]
+    privs += [Privilege(frozenset(pair)) for pair in itertools.combinations(atoms, 2)]
     return privs
 
 
@@ -249,7 +248,7 @@ def test_criterion_3_condition_axiom_and_monotonicity():
             for witnesses in _witness_sets(n):
                 cond = WitnessCondition("w", witnesses)
                 checked += 1
-                if not verify_condition_axiom(cond, family).ok:
+                if verify_condition_axiom(cond, family):
                     axiom_violations += 1
                 for small, big in pairs:
                     if cond.evaluate(small) and not cond.evaluate(big):
@@ -432,9 +431,7 @@ def _seeded_env(categories) -> Environment:
     for cat in sorted(categories):
         entity = Entity(f"obj_{cat}")
         env.entities[entity.name] = entity
-        category = Category(cat)
-        category.add(entity)
-        env.categories[cat] = category
+        env.categories[cat] = {entity}
     return env
 
 
@@ -446,9 +443,7 @@ def test_criterion_7_rbac_round_trip():
     env = Environment()
     entity = Entity("doc1")
     env.entities["doc1"] = entity
-    category = Category("TechDoc")
-    category.add(entity)
-    env.categories["TechDoc"] = category
+    env.categories["TechDoc"] = {entity}
     load_program(import_rbac(model), env)
     hand = example_env()
     for name in ("reader", "manager", "bob", "may"):

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from privcalc import (
-    Category,
     Employment,
     Entity,
     EntitySet,
@@ -22,6 +21,7 @@ from privcalc import (
     compose,
     merge,
 )
+from privcalc.engine import build_environment
 
 from oracles import set_grants
 
@@ -72,20 +72,22 @@ def test_entity_and_function_symbol_spaces_are_disjoint():
 
 
 def test_category_grows_and_snapshots():
-    cat = Category("TechDoc")
-    cat.add(DOC1)
-    snap = cat.entity_set()
-    cat.add(DOC2)
-    assert snap.members == frozenset({DOC1})
-    assert cat.entity_set().members == frozenset({DOC1, DOC2})
-    assert cat.entity_set().label == "TechDoc"
+    # A category is the environment's growing set of entities; a "/"
+    # takes a labelled snapshot of it.
+    env = build_environment(
+        'namespace "n" { let doc1 is TechDoc  p := read/TechDoc  let doc2 is TechDoc }'
+    )
+    (atom,) = env.privileges["p"].atoms
+    assert atom.employment.entities == EntitySet.finite([DOC1])
+    assert atom.employment.entities.label == "TechDoc"
+    assert env.categories["TechDoc"] == {DOC1, DOC2}
 
 
 # --- mergence of single atoms ---------------------------------------------
 
 
 def priv(*employments: Employment) -> Privilege:
-    return Privilege.of(*(PrivilegeAtom(e) for e in employments))
+    return Privilege(frozenset(PrivilegeAtom(e) for e in employments))
 
 
 def grants(p: Privilege, universe) -> frozenset:
@@ -166,7 +168,7 @@ def no_drained_atom(p: Privilege) -> bool:
 
 
 def _sets_universe() -> list[Privilege]:
-    sets = [Privilege.empty()]
+    sets = [Privilege()]
     sets += [priv(a) for a in _EMPLOYMENTS]
     sets += [priv(*pair) for pair in itertools.combinations(_EMPLOYMENTS, 2)]
     return sets
@@ -185,13 +187,13 @@ def test_merge_sets_session_example():
 
 def test_merge_sets_with_empty_set():
     a = priv(emp(READ, TECHDOC))
-    assert merge(a, Privilege.empty()) == Privilege.empty()
+    assert merge(a, Privilege()) == Privilege()
 
 
 def test_compose_sets_identity_and_union():
     a = priv(emp(READ, TECHDOC))
     b = priv(emp(WRITE, TECHDOC))
-    assert compose(a, Privilege.empty()) == a
+    assert compose(a, Privilege()) == a
     assert compose(a, b) == priv(emp(READ, TECHDOC), emp(WRITE, TECHDOC))
     assert compose(a, a) == a
 
@@ -235,7 +237,7 @@ def test_merge_result_never_contains_empty():
 def test_restrict_examples():
     atoms = priv(emp(READ, EntitySet.finite([DOC1])))
     other = EntitySet.finite([DOC2], label="Other")
-    assert atoms.restricted(other) == Privilege.empty()
+    assert atoms.restricted(other) == Privilege()
     assert atoms.restricted(UNIVERSAL) == atoms
     both = priv(emp(READ, UNIVERSAL), emp(WRITE, EntitySet.finite([DOC2])))
     got = both.restricted(EntitySet.finite([DOC1]))

@@ -19,8 +19,8 @@ from privcalc import (
     TraceQuery,
     load_facts,
     main,
-    run_scenario,
 )
+from privcalc.engine import answer, build_environment
 from privcalc.facts import MAX_FAMILY
 from privcalc.pal import MAX_NESTING
 
@@ -134,7 +134,7 @@ def test_nf_requires_arrangement(workspace, capsys):
         capsys, "nf", str(workspace / "example.pal"), "--expr", "session_1"
     )
     assert code == 2
-    assert "needs --arrangement" in err
+    assert "needs an arrangement (set Environment.arrangement, or pass --arrangement)" in err
 
 
 def test_nf_golden(workspace, capsys):
@@ -214,6 +214,31 @@ def test_pulse_unknown_fact_exit_2(workspace, capsys):
     )
     assert code == 2
     assert "unknown fact 'nope'" in err
+
+
+@pytest.mark.parametrize(
+    "command, data, message",
+    [
+        # the column counts characters, so "é" is one
+        ("check BAD", b'namespace "n" {\r\n  x := \xc3\xa9\xff\r\n}\r\n',
+         "2:9: byte 0xff is not UTF-8 (invalid start byte)"),
+        ("check EXAMPLE --facts BAD", b"statement s1\n\xff\n",
+         "2:1: byte 0xff is not UTF-8 (invalid start byte)"),
+        ("nf EXAMPLE --expr bob --arrangement @BAD", b"read +\xe9",
+         "1:7: byte 0xe9 is not UTF-8 (unexpected end of data)"),
+        ("import-rbac BAD", b"op read\nop w\xe9x\n",
+         "2:5: byte 0xe9 is not UTF-8 (invalid continuation byte)"),
+    ],
+    ids=["program", "facts", "arrangement", "rbac"],
+)
+def test_non_utf8_input_is_an_error_at_its_first_bad_byte(
+    workspace, capsys, command, data, message
+):
+    bad = workspace / "bad.bin"
+    bad.write_bytes(data)
+    command = command.replace("BAD", str(bad)).replace("EXAMPLE", str(workspace / "example.pal"))
+    code, out, err = run(capsys, *command.split())
+    assert (code, out, err) == (2, "", f"error: {bad}:{message}\n")
 
 
 def test_trace_csv(workspace, capsys):
@@ -604,18 +629,16 @@ def test_cli_matches_library(sample, with_facts, capsys):
         fact, seq = "roaming", ("empty", "roaming", "office")
     a, b = DIFFERENTIAL_PAIRS[sample]
     verdicts = set()
+    env = build_environment(
+        path.read_text(),
+        family,
+        conditions,
+        arrangement=arrangement.read_text(),
+        filename=str(path),
+    )
     for p, q in [(a, b), (b, a), (a, a)]:
         for argv, query in _query_commands(p, q, fact, seq):
-            report = run_scenario(
-                path.read_text(),
-                family,
-                conditions,
-                arrangement=arrangement.read_text(),
-                queries=[query],
-                filename=str(path),
-            )
-            assert report.ok, report.errors
-            (result,) = report.results
+            result = answer(query, env)
             code, out, err = run(capsys, argv[0], str(path), *argv[1:], *options)
             # the trace CSV already ends in a newline
             end = "" if isinstance(query, TraceQuery) else "\n"

@@ -1,4 +1,4 @@
-"""Program loading, name resolution, guards, role-model import, scenarios."""
+"""Program loading, name resolution, guards, role-model import, queries."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from privcalc import (
     EvalQuery,
     FunctionSymbol,
     NormalFormQuery,
+    PrivCalcError,
     Privilege,
     PulseQuery,
     RbacImportError,
@@ -25,6 +26,7 @@ from privcalc import (
     WitnessCondition,
     arrangement_from_text,
     atomic_arrangement,
+    compose,
     eval_text,
     format_program,
     import_rbac,
@@ -32,10 +34,9 @@ from privcalc import (
     load_program,
     load_rbac,
     parse_text,
-    run_scenario,
     structural_eq,
 )
-from privcalc.engine import build_environment, load_arrangement
+from privcalc.engine import answer, build_environment, load_arrangement
 import privcalc.pal as pal
 
 from oracles import rbac_role_grants
@@ -67,9 +68,7 @@ def test_session_snapshots():
 def test_let_populates_category_and_entity():
     env = example_env()
     assert "doc1" in env.entities
-    assert env.categories["TechDoc"].entity_set().members == frozenset(
-        {env.entities["doc1"]}
-    )
+    assert env.categories["TechDoc"] == {env.entities["doc1"]}
 
 
 def test_definitions_snapshot_category_membership():
@@ -605,7 +604,7 @@ def test_guarded_values_re_read_as_themselves(text):
 def test_guard_is_the_bare_guards_function_and_cannot_be_rebound():
     source = 'namespace "g" {\n  x := [read <: read]\n  y := guard\n}\n'
     env = build_environment(source, arrangement="read")
-    value = env.privileges["x"] + env.privileges["y"]
+    value = compose(env.privileges["x"], env.privileges["y"])
     assert value.text() == "guard + [read <: read]"
     assert eval_text(value.text(), env) == value
     assert env.privileges["x"] == eval_text("guard * [read <: read]", env)
@@ -896,25 +895,21 @@ def test_import_rbac_round_trip_matches_transitive_closure():
         assert got == set(want), name
 
 
-# --- scenarios ---------------------------------------------------------------------
+# --- queries -------------------------------------------------------------------
 
 
-def test_run_scenario_answers_each_query_kind():
-    report = run_scenario(
-        EXAMPLE_PAL,
-        arrangement=SESSION_ARRANGEMENT,
-        queries=[
-            EvalQuery("session_1"),
-            NormalFormQuery("session_2"),
-            EquivalenceQuery("session_1", "bob"),
-            PulseQuery("session_2", "empty"),
-            TraceQuery("session_1", ("empty", "empty")),
-            ComplianceQuery("session_1", "read/doc1", "empty"),
-            ComplianceQuery("session_2", "write/doc1", "empty"),
-        ],
-    )
-    assert report.ok, report.errors
-    texts = [r.text for r in report.results]
+def test_answer_answers_each_query_kind():
+    env = build_environment(EXAMPLE_PAL, arrangement=SESSION_ARRANGEMENT)
+    queries = [
+        EvalQuery("session_1"),
+        NormalFormQuery("session_2"),
+        EquivalenceQuery("session_1", "bob"),
+        PulseQuery("session_2", "empty"),
+        TraceQuery("session_1", ("empty", "empty")),
+        ComplianceQuery("session_1", "read/doc1", "empty"),
+        ComplianceQuery("session_2", "write/doc1", "empty"),
+    ]
+    texts = [answer(query, env).text for query in queries]
     assert texts[0] == "list/TechDoc + read/TechDoc + write/TechDoc"
     assert texts[1] == "read/*: true\nlist/*: true\nwrite/*: false\nremove/*: false"
     assert texts[2] == "equal"
@@ -924,38 +919,41 @@ def test_run_scenario_answers_each_query_kind():
     assert texts[6] == "non-compliant"
 
 
-def test_run_scenario_collects_query_errors():
-    report = run_scenario(
-        EXAMPLE_PAL,
-        queries=[EvalQuery("doc1"), EvalQuery("session_2")],
-    )
-    assert not report.ok
-    assert len(report.errors) == 1 and "doc1" in report.errors[0]
-    assert len(report.results) == 1
+def test_answer_raises_on_a_bad_query_and_answers_the_next():
+    env = build_environment(EXAMPLE_PAL)
+    with pytest.raises(ResolutionError, match="doc1"):
+        answer(EvalQuery("doc1"), env)
+    assert answer(EvalQuery("session_2"), env).text == "list/TechDoc + read/TechDoc"
 
 
-def test_run_scenario_query_errors_carry_no_file_name():
-    report = run_scenario(
-        EXAMPLE_PAL, filename="x.pal", queries=[EvalQuery("session_2 +"), EvalQuery("doc1")]
-    )
-    assert report.errors == [
-        "EvalQuery: 1:12: expected '(' or '0' or '[' or identifier, found end of input",
-        "EvalQuery: 1:1: 'doc1' is an entity and has no privilege value",
+def test_answer_errors_carry_no_file_name():
+    env = build_environment(EXAMPLE_PAL, filename="x.pal")
+    with pytest.raises(PrivCalcError) as parse_error:
+        answer(EvalQuery("session_2 +"), env)
+    with pytest.raises(PrivCalcError) as kind_error:
+        answer(EvalQuery("doc1"), env)
+    assert [str(parse_error.value), str(kind_error.value)] == [
+        "1:12: expected '(' or '0' or '[' or identifier, found end of input",
+        "1:1: 'doc1' is an entity and has no privilege value",
     ]
-    report = run_scenario(EXAMPLE_PAL + "}", filename="x.pal")
-    assert report.errors[0].startswith("x.pal:16:1: ")
+    with pytest.raises(PrivCalcError) as load_error:
+        build_environment(EXAMPLE_PAL + "}", filename="x.pal")
+    assert str(load_error.value).startswith("x.pal:16:1: ")
 
 
-def test_run_scenario_reports_load_failures():
-    report = run_scenario('namespace "n" { p := doc1/ }')
-    assert not report.ok
-    assert report.results == []
+def test_build_environment_raises_on_a_load_failure():
+    with pytest.raises(PrivCalcError):
+        build_environment('namespace "n" { p := doc1/ }')
 
 
-def test_run_scenario_queries_needing_arrangement_fail_without():
-    report = run_scenario(EXAMPLE_PAL, queries=[NormalFormQuery("bob")])
-    assert not report.ok
-    assert "needs an arrangement" in report.errors[0]
+def test_answer_needs_an_arrangement_for_projecting_queries():
+    env = build_environment(EXAMPLE_PAL)
+    with pytest.raises(ResolutionError) as exc:
+        answer(NormalFormQuery("bob"), env)
+    assert str(exc.value) == (
+        "this query needs an arrangement "
+        "(set Environment.arrangement, or pass --arrangement)"
+    )
 
 
 def test_structural_eq_distinguishes_conditions_union_mode():

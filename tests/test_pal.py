@@ -28,7 +28,6 @@ from privcalc.pal import (
     TokenKind,
     chain,
     format_expr,
-    format_node,
     format_program,
     is_identifier,
     parse_expression,
@@ -436,11 +435,6 @@ def test_format_program_golden():
         "}\n"
     )
     assert format_program(Program(())) == ""
-
-
-def test_format_node_dispatches():
-    assert format_node(Name("a")) == "a"
-    assert format_node(Program(())) == ""
 
 
 def test_fixture_round_trips():

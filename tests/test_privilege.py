@@ -109,8 +109,8 @@ def test_atom_granted():
 
 
 def test_empty_privilege():
-    assert Privilege.empty().is_empty
-    assert Privilege.empty().text() == "0"
+    assert Privilege().is_empty
+    assert Privilege().text() == "0"
 
 
 # --- canonical text -----------------------------------------------------------
@@ -206,12 +206,7 @@ def test_compose_is_atom_union():
     q = priv((READ, TECHDOC, [C1]))
     both = compose(p, q)
     assert len(both.atoms) == 2
-    assert p + q == both
-
-
-def test_operators_delegate():
-    assert (BOB * OFFICEPC).text() == merge(BOB, OFFICEPC).text()
-    assert (BOB + PHONE).atoms == compose(BOB, PHONE).atoms
+    assert both.atoms == p.atoms | q.atoms
 
 
 @st.composite
@@ -270,10 +265,10 @@ def test_restricted_narrows_entities():
 
 
 def test_with_condition_attaches_everywhere():
-    guard = congruence_condition(BOB, Privilege.empty(), SESSIONS)  # false everywhere
+    guard = congruence_condition(BOB, Privilege(), SESSIONS)  # false everywhere
     p = BOB.with_condition(guard)
     assert all(guard in a.conditions for a in p.atoms)
-    assert Privilege.empty().with_condition(guard).is_empty
+    assert Privilege().with_condition(guard).is_empty
 
 
 # --- arrangements ----------------------------------------------------------------
@@ -441,8 +436,8 @@ def test_compliance_session_example():
 
 
 def test_empty_privilege_complies_with_anything_granted_nowhere():
-    nothing = Privilege.empty()
-    assert compliant(nothing, Privilege.empty(), SESSIONS, T_EMPTY)
+    nothing = Privilege()
+    assert compliant(nothing, Privilege(), SESSIONS, T_EMPTY)
     assert not compliant(nothing, BOB, SESSIONS, T_EMPTY)
 
 
@@ -676,7 +671,7 @@ def test_merge_matches_pairwise_definition(u, v, mode):
     (Employment(READ, UNIVERSAL), Employment(WRITE, EntitySet.finite([_A]))),
     # every conjunction on read/* folds to false
     priv((READ, UNIVERSAL, [NEVER]), (READ, EntitySet.finite([_B]), [C1, NEVER])),
-    Privilege.empty(),
+    Privilege(),
 )
 def test_pulse_trace_and_eq_match_every_coefficient(basis, p, q):
     arr = Arrangement(basis)

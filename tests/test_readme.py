@@ -1,9 +1,12 @@
-"""The README's ``console`` examples: each ``$ pal …`` line, run from the
-repository root through ``python -m privcalc.cli``, prints exactly the
-lines shown under it."""
+"""The README's examples. Each ``$ pal …`` line of a ``console`` block,
+run from the repository root through ``python -m privcalc.cli``, prints
+exactly the lines shown under it. The ``python`` blocks run in order in
+one namespace, and each expression statement that ends in ``# <value>``
+has that repr."""
 
 from __future__ import annotations
 
+import ast
 import re
 import shlex
 import subprocess
@@ -59,3 +62,21 @@ def test_readme_console_example(command, expected):
         env=CHILD_ENV,
     )
     assert proc.stdout == expected, proc.stderr
+
+
+def test_readme_python_tour():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    namespace: dict = {}
+    checked = 0
+    for block in blocks:
+        lines = block.splitlines()
+        for stmt in ast.parse(block).body:
+            comment = lines[stmt.end_lineno - 1][stmt.end_col_offset :].strip()
+            if isinstance(stmt, ast.Expr) and comment.startswith("#"):
+                value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+                assert repr(value) == comment[1:].strip(), ast.unparse(stmt)
+                checked += 1
+            else:
+                exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    assert checked >= 5
