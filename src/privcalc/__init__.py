@@ -96,15 +96,4 @@ __all__ = [
     name
     for name, value in globals().items()
     if not name.startswith("_") and not isinstance(value, _ModuleType)
-] + ["main"]
-
-
-def __getattr__(name: str):
-    # ``main`` is resolved on first use: importing ``.cli`` here would put
-    # it in sys.modules before ``python -m privcalc.cli`` runs it as
-    # ``__main__``, and runpy warns about that.
-    if name == "main":
-        from .cli import main
-
-        return main
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+]

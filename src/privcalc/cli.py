@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import engine, pal
-from .errors import PrivCalcError, SourceError
+from .errors import PrivCalcError, SourceError, in_file
 from .facts import load_facts
 from .privilege import ConditionMergeMode
 
@@ -123,15 +123,19 @@ def _read(path: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _context(args: argparse.Namespace) -> dict:
-    """Keyword arguments for ``engine.build_environment`` from the options."""
-    family = conditions = None
+def _context(args: argparse.Namespace) -> tuple[str | None, dict]:
+    """The arrangement's file, if it is read from one, and keyword
+    arguments for ``engine.build_environment`` from the options. The
+    program's faults name the program, so an error that leaves
+    ``build_environment`` naming no file is the arrangement's."""
+    family = conditions = path = None
     if args.facts:
         family, conditions = load_facts(_read(args.facts), filename=args.facts)
     text = args.arrangement or None
     if text is not None and text.startswith("@"):
-        text = _read(text[1:])
-    return dict(
+        path = text[1:]
+        text = _read(path)
+    return path, dict(
         family=family,
         conditions=conditions,
         arrangement=text,
@@ -152,21 +156,23 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if args.namespace
         else [ns.name for ns in program.namespaces] or [None]
     )
-    context = _context(args)
-    envs = [
-        engine.build_environment(program, namespace=name, filename=args.file, **context)
-        for name in names
-    ]
+    path, context = _context(args)
+    with in_file(path):
+        envs = [
+            engine.build_environment(program, namespace=name, filename=args.file, **context)
+            for name in names
+        ]
     _warn(args.file, envs)
     print("ok")
     return 0
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    context = _context(args)
-    env = engine.build_environment(
-        _read(args.file), namespace=args.namespace, filename=args.file, **context
-    )
+    path, context = _context(args)
+    with in_file(path):
+        env = engine.build_environment(
+            _read(args.file), namespace=args.namespace, filename=args.file, **context
+        )
     _warn(args.file, [env])
     result = engine.answer(args.query(args), env)
     print(result.text, end="" if isinstance(result.query, engine.TraceQuery) else "\n")

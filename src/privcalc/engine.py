@@ -29,7 +29,7 @@ from typing import Sequence, Union
 
 from . import pal
 from .algebra import Employment, Entity, EntitySet, FunctionSymbol, UNIVERSAL
-from .errors import PrivCalcError, SourceError
+from .errors import PrivCalcError, SourceError, in_file
 from .facts import Condition, FactFamily, close_family
 from .privilege import (
     GUARD_FUNCTION,
@@ -53,7 +53,6 @@ __all__ = [
     "Environment",
     "EquivalenceQuery",
     "EvalQuery",
-    "GUARD_FUNCTION",
     "NormalFormQuery",
     "PulseQuery",
     "Query",
@@ -123,23 +122,18 @@ class Environment:
         return kinds
 
 
-def _pick_namespace(
-    program: pal.Program, namespace: str | None, filename: str | None
-) -> pal.Namespace:
+def _pick_namespace(program: pal.Program, namespace: str | None) -> pal.Namespace:
     if not program.namespaces:
-        raise ResolutionError("program has no namespaces", filename=filename)
+        raise ResolutionError("program has no namespaces")
     if namespace is None:
         if len(program.namespaces) > 1:
             names = ", ".join(f'"{ns.name}"' for ns in program.namespaces)
-            raise ResolutionError(
-                f"program defines several namespaces ({names}); pick one",
-                filename=filename,
-            )
+            raise ResolutionError(f"program defines several namespaces ({names}); pick one")
         return program.namespaces[0]
     for ns in program.namespaces:
         if ns.name == namespace:
             return ns
-    raise ResolutionError(f'no namespace "{namespace}" in program', filename=filename)
+    raise ResolutionError(f'no namespace "{namespace}" in program')
 
 
 def load_program(
@@ -152,38 +146,32 @@ def load_program(
 
     ``namespace`` selects among several; a single-namespace program
     needs no selector. Namespaces are isolated scopes: nothing defined
-    in one is visible from another.
+    in one is visible from another. Errors name ``filename``.
     """
-    block = _pick_namespace(program, namespace, filename)
-    if env is None:
-        env = Environment()
-    for stmt in block.statements:
-        if isinstance(stmt, pal.LetIs):
-            _load_let(stmt, env, filename)
-        else:
-            _load_define(stmt, env, filename)
+    with in_file(filename):
+        block = _pick_namespace(program, namespace)
+        if env is None:
+            env = Environment()
+        for stmt in block.statements:
+            if isinstance(stmt, pal.LetIs):
+                _load_let(stmt, env)
+            else:
+                _load_define(stmt, env)
     return env
 
 
-def _clash(
-    name: str, kinds: set[str], wanted: str, stmt, filename: str | None
-) -> ResolutionError:
-    kind = sorted(kinds)[0]
-    return ResolutionError(
-        f"'{name}' is already a {kind}, cannot use it as {wanted}",
-        line=getattr(stmt, "line", None),
-        column=getattr(stmt, "column", None),
-        filename=filename,
-    )
+def _clash(name: str, kinds: set[str], wanted: str, stmt) -> ResolutionError:
+    message = f"'{name}' is already a {sorted(kinds)[0]}, cannot use it as {wanted}"
+    return ResolutionError(message, stmt.line, stmt.column)
 
 
-def _load_let(stmt: pal.LetIs, env: Environment, filename: str | None) -> None:
+def _load_let(stmt: pal.LetIs, env: Environment) -> None:
     bad = {"function", "category"} & set(env.kinds_of(stmt.entity))
     if bad:
-        raise _clash(stmt.entity, bad, "an entity", stmt, filename)
+        raise _clash(stmt.entity, bad, "an entity", stmt)
     bad = {"function", "entity", "privilege"} & set(env.kinds_of(stmt.category))
     if bad:
-        raise _clash(stmt.category, bad, "a category", stmt, filename)
+        raise _clash(stmt.category, bad, "a category", stmt)
     _add_member(stmt, env)
 
 
@@ -192,11 +180,11 @@ def _add_member(stmt: pal.LetIs, env: Environment) -> None:
     env.categories.setdefault(stmt.category, set()).add(entity)
 
 
-def _load_define(stmt: pal.Define, env: Environment, filename: str | None) -> None:
-    value = eval_expr(stmt.body, env, filename)
+def _load_define(stmt: pal.Define, env: Environment) -> None:
+    value = eval_expr(stmt.body, env)
     bad = {"function", "category"} & set(env.kinds_of(stmt.name))
     if bad:
-        raise _clash(stmt.name, bad, "a privilege", stmt, filename)
+        raise _clash(stmt.name, bad, "a privilege", stmt)
     if stmt.name in env.privileges:
         env.warnings.append(
             f"line {stmt.line}: redefinition of '{stmt.name}' (latest wins)"
@@ -204,36 +192,35 @@ def _load_define(stmt: pal.Define, env: Environment, filename: str | None) -> No
     env.privileges[stmt.name] = value
 
 
-def eval_expr(
-    node: pal.ExprNode, env: Environment, filename: str | None = None
-) -> Privilege:
+def eval_expr(node: pal.ExprNode, env: Environment) -> Privilege:
     """Evaluate an expression to a privilege value (a snapshot)."""
     if isinstance(node, pal.Name):
-        return _eval_name(node, env, filename)
+        return _eval_name(node, env)
     if isinstance(node, pal.Sum):
-        value = eval_expr(node.operands[0], env, filename)
+        value = eval_expr(node.operands[0], env)
         for operand in node.operands[1:]:
-            value = compose(value, eval_expr(operand, env, filename))
+            value = compose(value, eval_expr(operand, env))
         return value
     if isinstance(node, pal.Product):
-        return _eval_product(node.operands, env, filename)
+        return _eval_product(node.operands, env)
     if isinstance(node, pal.Slash):
-        value = eval_expr(node.operand, env, filename)
+        value = eval_expr(node.operand, env)
         for scope in node.scopes:
-            value = value.restricted(_resolve_scope(scope, env, filename))
+            value = value.restricted(_resolve_scope(scope, env))
         return value
     if isinstance(node, pal.Guard):
-        condition = _guard_condition(node, env, filename)
+        condition = _guard_condition(node, env)
         return Privilege.single(Employment(GUARD_FUNCTION, UNIVERSAL), [condition])
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def eval_text(source: str, env: Environment, filename: str | None = None) -> Privilege:
-    """Parse and evaluate one expression against an environment."""
-    return eval_expr(pal.parse_expression(source, filename), env, filename)
+def eval_text(source: str, env: Environment) -> Privilege:
+    """Parse and evaluate one expression against an environment. The
+    text is no file, so its errors name none."""
+    return eval_expr(pal.parse_expression(source), env)
 
 
-def _eval_name(node: pal.Name, env: Environment, filename: str | None) -> Privilege:
+def _eval_name(node: pal.Name, env: Environment) -> Privilege:
     if node.id in env.privileges:
         return env.privileges[node.id]
     if node.id == "0":
@@ -241,19 +228,11 @@ def _eval_name(node: pal.Name, env: Environment, filename: str | None) -> Privil
     kinds = env.kinds_of(node.id)
     if "entity" in kinds or "category" in kinds:
         article = "an entity" if "entity" in kinds else "a category"
-        raise ResolutionError(
-            f"'{node.id}' is {article} and has no privilege value",
-            line=node.line,
-            column=node.column,
-            filename=filename,
-        )
+        message = f"'{node.id}' is {article} and has no privilege value"
+        raise ResolutionError(message, node.line, node.column)
     if node.id in env.conditions:
-        raise ResolutionError(
-            f"'{node.id}' is a condition; attach it with '*'",
-            line=node.line,
-            column=node.column,
-            filename=filename,
-        )
+        message = f"'{node.id}' is a condition; attach it with '*'"
+        raise ResolutionError(message, node.line, node.column)
     fn = env.functions.setdefault(node.id, FunctionSymbol(node.id))
     return Privilege.single(Employment(fn, UNIVERSAL))
 
@@ -269,17 +248,13 @@ def _is_condition(node: pal.ExprNode, env: Environment) -> bool:
     return isinstance(node, pal.Guard) or _named_condition(node, env) is not None
 
 
-def _operand_condition(
-    node: pal.ExprNode, env: Environment, filename: str | None
-) -> Condition:
+def _operand_condition(node: pal.ExprNode, env: Environment) -> Condition:
     if isinstance(node, pal.Guard):
-        return _guard_condition(node, env, filename)
+        return _guard_condition(node, env)
     return _named_condition(node, env)
 
 
-def _eval_product(
-    factors: tuple[pal.ExprNode, ...], env: Environment, filename: str | None
-) -> Privilege:
+def _eval_product(factors: tuple[pal.ExprNode, ...], env: Environment) -> Privilege:
     # Left to right. A guard or condition operand hands its condition to
     # the other side's atoms instead of merging as a separate atom; a
     # leading one goes to the second factor, after that factor is
@@ -287,18 +262,16 @@ def _eval_product(
     first, second, *rest = factors
     if _is_condition(first, env) and not _is_condition(second, env):
         first, second = second, first
-    value = eval_expr(first, env, filename)
+    value = eval_expr(first, env)
     for factor in (second, *rest):
         if _is_condition(factor, env):
-            value = value.with_condition(_operand_condition(factor, env, filename))
+            value = value.with_condition(_operand_condition(factor, env))
         else:
-            value = merge(value, eval_expr(factor, env, filename), env.merge_mode)
+            value = merge(value, eval_expr(factor, env), env.merge_mode)
     return value
 
 
-def _resolve_scope(
-    scope: pal.Name, env: Environment, filename: str | None
-) -> EntitySet:
+def _resolve_scope(scope: pal.Name, env: Environment) -> EntitySet:
     name = scope.id
     if name in env.categories:
         return EntitySet.finite(env.categories[name], label=name)
@@ -306,60 +279,58 @@ def _resolve_scope(
         return EntitySet.finite([env.entities[name]])
     kinds = env.kinds_of(name)
     if kinds:
-        raise ResolutionError(
-            f"'{name}' is a {kinds[0]}; '/' needs a category or an entity",
-            line=scope.line,
-            column=scope.column,
-            filename=filename,
-        )
+        message = f"'{name}' is a {kinds[0]}; '/' needs a category or an entity"
+        raise ResolutionError(message, scope.line, scope.column)
     # Unknown scope: start an empty category, to be populated by later
     # let declarations (or left empty, restricting everything away).
     return EntitySet.finite(env.categories.setdefault(name, set()), label=name)
 
 
-def _guard_condition(
-    node: pal.Guard, env: Environment, filename: str | None
-) -> Condition:
+def _guard_condition(node: pal.Guard, env: Environment) -> Condition:
     if env.arrangement is None:
-        raise ResolutionError(
+        message = (
             "guard expressions need an arrangement in scope "
-            "(set one before loading, or pass --arrangement)",
-            line=node.line,
-            column=node.column,
-            filename=filename,
+            "(set one before loading, or pass --arrangement)"
         )
-    left = eval_expr(node.left, env, filename)
-    right = eval_expr(node.right, env, filename)
+        raise ResolutionError(message, node.line, node.column)
+    left = eval_expr(node.left, env)
+    right = eval_expr(node.right, env)
     if node.op is pal.GuardOp.COMPLIANCE:
         return compliance_condition(left, right, env.arrangement, env.merge_mode)
     return congruence_condition(left, right, env.arrangement)
 
 
-def load_arrangement(
-    exprs: Sequence[pal.ExprNode], env: Environment, filename: str | None = None
-) -> Arrangement:
+def load_arrangement(exprs: Sequence[pal.ExprNode], env: Environment) -> Arrangement:
     """Evaluate basis expressions and flatten their atoms, in order.
 
     Atoms must be unconditioned and the collected basis pairwise
     merge-disjoint; within one expression the atoms are taken in
     canonical order. An expression that evaluates to nothing is an
-    error at its first name.
+    error at its first name, and so is one that brings in an atom
+    overlapping an earlier one.
     """
     basis: list[Employment] = []
+    firsts: list[pal.Name | pal.Guard] = []  # where each basis element came from
     for node in exprs:
-        value = eval_expr(node, env, filename)
+        value = eval_expr(node, env)
         first = node  # the element's first name or guard, for its position
         while isinstance(first, (pal.Sum, pal.Product, pal.Slash)):
             first = first.operand if isinstance(first, pal.Slash) else first.operands[0]
         if value.is_empty:
             message = f"arrangement element '{pal.format_expr(node)}' is empty"
-            raise ArrangementError(message, first.line, first.column, filename)
+            raise ArrangementError(message, first.line, first.column)
         for atom in value.sorted_atoms():
             if atom.conditions:
                 message = f"arrangement element {atom.employment.render()} carries conditions"
-                raise ArrangementError(message, first.line, first.column, filename)
+                raise ArrangementError(message, first.line, first.column)
             basis.append(atom.employment)
-    return Arrangement(tuple(basis))
+            firsts.append(first)
+    try:
+        return Arrangement(tuple(basis))
+    except ArrangementError as exc:  # a clash, placed at its later element
+        first = firsts[exc.index]
+        exc.line, exc.column = first.line, first.column
+        raise
 
 
 def _sum_terms(node: pal.ExprNode) -> list[pal.ExprNode]:
@@ -391,16 +362,14 @@ def _names(node: pal.ExprNode) -> list[pal.Name]:
     return names
 
 
-def arrangement_from_text(
-    text: str, env: Environment, filename: str | None = None
-) -> Arrangement:
-    """Parse "m1 + m2 + ..." and load it as an arrangement.
+def arrangement_from_text(text: str, env: Environment) -> Arrangement:
+    """Parse "m1 + m2 + ..." and load it as an arrangement. The text is
+    no file, so its errors name none.
 
     The text is evaluated in ``env`` itself, so its new names bind there;
     ``build_environment`` gives the arrangement a scope of its own.
     """
-    expr = pal.parse_expression(text, filename)
-    return load_arrangement(_sum_terms(expr), env, filename)
+    return load_arrangement(_sum_terms(pal.parse_expression(text)), env)
 
 
 # --- role-model import -------------------------------------------------
@@ -411,9 +380,10 @@ class RbacModel:
     """Operations, categories, roles with permissions, a role hierarchy
     (senior inherits junior), and user-role assignments.
 
-    ``load_rbac`` also records the file and the line of each declaration,
-    keyed ``(kind, name)`` or ``("inherits", senior, junior)``, so that
-    ``validate`` can place its errors; a model built by hand has none.
+    ``load_rbac`` also records the line of each declaration, keyed
+    ``(kind, name)`` or ``("inherits", senior, junior)``, so that
+    ``validate`` can place its errors (``load_rbac`` names the file); a
+    model built by hand has none.
     """
 
     operations: frozenset[str] = frozenset()
@@ -422,7 +392,6 @@ class RbacModel:
     hierarchy: frozenset[tuple[str, str]] = frozenset()
     users: dict[str, frozenset[str]] = field(default_factory=dict)
     lines: dict[tuple[str, ...], int] = field(default_factory=dict, repr=False, compare=False)
-    filename: str | None = field(default=None, repr=False, compare=False)
     # senior -> its direct juniors, sorted; built once from ``hierarchy``
     _juniors: dict[str, list[str]] = field(init=False, repr=False, compare=False)
 
@@ -431,22 +400,20 @@ class RbacModel:
         for senior, junior in sorted(self.hierarchy):
             self._juniors.setdefault(senior, []).append(junior)
 
-    def _error(self, message: str, line: int | None) -> RbacImportError:
-        return RbacImportError(message, line=line, filename=self.filename)
-
-    def validate(self) -> None:
+    def validate(self) -> list[str]:
+        """Check the model; return its roles juniors first."""
         for role, perms in self.roles.items():
             line = self.lines.get(("role", role))
             for op, cat in perms:
                 if op not in self.operations:
-                    raise self._error(f"role '{role}' uses undeclared operation '{op}'", line)
+                    raise RbacImportError(f"role '{role}' uses undeclared operation '{op}'", line)
                 if cat not in self.categories:
-                    raise self._error(f"role '{role}' uses undeclared category '{cat}'", line)
+                    raise RbacImportError(f"role '{role}' uses undeclared category '{cat}'", line)
         for senior, junior in sorted(self.hierarchy):
             for role in (senior, junior):
                 if role not in self.roles:
                     line = self.lines.get(("inherits", senior, junior))
-                    raise self._error(f"hierarchy references unknown role '{role}'", line)
+                    raise RbacImportError(f"hierarchy references unknown role '{role}'", line)
         # Each name becomes one PAL binding, so it may have one kind only.
         kinds: dict[str, str] = {}
         declared = zip(
@@ -459,13 +426,13 @@ class RbacModel:
                 if first != kind:
                     message = f"'{name}' is declared both as {first} and {kind}"
                     lines = [self.lines.get((k, name)) for k in (first, kind)]
-                    raise self._error(message, max(filter(None, lines), default=None))
+                    raise RbacImportError(message, max(filter(None, lines), default=None))
         for user, roles in self.users.items():
             for role in roles:
                 if role not in self.roles:
                     message = f"user '{user}' references unknown role '{role}'"
-                    raise self._error(message, self.lines.get(("user", user)))
-        self._juniors_first()
+                    raise RbacImportError(message, self.lines.get(("user", user)))
+        return self._juniors_first()
 
     def _juniors_first(self) -> list[str]:
         """Every role after all of its juniors: depth first, roots and
@@ -487,7 +454,7 @@ class RbacModel:
                     order.append(role)
                 elif nxt in on_path:
                     cycle = path[path.index(nxt) :] + [nxt]
-                    raise self._error(
+                    raise RbacImportError(
                         "role hierarchy contains a cycle: " + " -> ".join(cycle),
                         self.lines.get(("inherits", path[-1], nxt)),
                     )
@@ -521,75 +488,75 @@ def load_rbac(text: str, filename: str | None = None) -> RbacModel:
     lines: dict[tuple[str, ...], int] = {}
 
     def err(line_no: int, message: str) -> RbacImportError:
-        return RbacImportError(message, line=line_no, filename=filename)
+        return RbacImportError(message, line_no)
 
     def ident(line_no: int, name: str, kind: str) -> str:
         if not pal.is_identifier(name):
             raise err(line_no, f"invalid {kind} name '{name}'")
         return name
 
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if head in ("op", "cat"):
-            if not rest or " " in rest:
-                raise err(line_no, f"expected: {head} <id>")
-            (operations if head == "op" else categories).add(ident(line_no, rest, head))
-            lines.setdefault((head, rest), line_no)
-        elif head == "role":
-            name, eq, perms = rest.partition("=")
-            name = name.strip()
-            if not eq or not name:
-                raise err(line_no, "expected: role <id> = <op>/<cat>, ...")
-            ident(line_no, name, "role")
-            if name in roles:
-                raise err(line_no, f"duplicate role '{name}'")
-            pairs = set()
-            for chunk in perms.split(","):
-                chunk = chunk.strip()
-                if not chunk:
-                    raise err(line_no, f"role '{name}' has an empty permission")
-                op, slash, cat = chunk.partition("/")
-                if not slash or not op.strip() or not cat.strip():
-                    raise err(line_no, f"bad permission '{chunk}' (want op/cat)")
-                pairs.add((op.strip(), cat.strip()))
-            roles[name] = frozenset(pairs)
-            lines[("role", name)] = line_no
-        elif head == "inherits":
-            parts = rest.split()
-            if len(parts) != 2:
-                raise err(line_no, "expected: inherits <senior> <junior>")
-            hierarchy.add((parts[0], parts[1]))
-            lines.setdefault(("inherits", *parts), line_no)
-        elif head == "user":
-            name, eq, role_list = rest.partition("=")
-            name = name.strip()
-            if not eq or not name:
-                raise err(line_no, "expected: user <id> = <role>, ...")
-            ident(line_no, name, "user")
-            if name in users:
-                raise err(line_no, f"duplicate user '{name}'")
-            names = [r.strip() for r in role_list.split(",")]
-            if not all(names):
-                raise err(line_no, f"user '{name}' has an empty role reference")
-            users[name] = frozenset(names)
-            lines[("user", name)] = line_no
-        else:
-            raise err(line_no, f"unknown declaration '{head}'")
+    with in_file(filename):
+        for line_no, raw in enumerate(text.splitlines(), 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            head, _, rest = line.partition(" ")
+            rest = rest.strip()
+            if head in ("op", "cat"):
+                if not rest or " " in rest:
+                    raise err(line_no, f"expected: {head} <id>")
+                (operations if head == "op" else categories).add(ident(line_no, rest, head))
+                lines.setdefault((head, rest), line_no)
+            elif head == "role":
+                name, eq, perms = rest.partition("=")
+                name = name.strip()
+                if not eq or not name:
+                    raise err(line_no, "expected: role <id> = <op>/<cat>, ...")
+                ident(line_no, name, "role")
+                if name in roles:
+                    raise err(line_no, f"duplicate role '{name}'")
+                pairs = set()
+                for chunk in perms.split(","):
+                    chunk = chunk.strip()
+                    if not chunk:
+                        raise err(line_no, f"role '{name}' has an empty permission")
+                    op, slash, cat = chunk.partition("/")
+                    if not slash or not op.strip() or not cat.strip():
+                        raise err(line_no, f"bad permission '{chunk}' (want op/cat)")
+                    pairs.add((op.strip(), cat.strip()))
+                roles[name] = frozenset(pairs)
+                lines[("role", name)] = line_no
+            elif head == "inherits":
+                parts = rest.split()
+                if len(parts) != 2:
+                    raise err(line_no, "expected: inherits <senior> <junior>")
+                hierarchy.add((parts[0], parts[1]))
+                lines.setdefault(("inherits", *parts), line_no)
+            elif head == "user":
+                name, eq, role_list = rest.partition("=")
+                name = name.strip()
+                if not eq or not name:
+                    raise err(line_no, "expected: user <id> = <role>, ...")
+                ident(line_no, name, "user")
+                if name in users:
+                    raise err(line_no, f"duplicate user '{name}'")
+                names = [r.strip() for r in role_list.split(",")]
+                if not all(names):
+                    raise err(line_no, f"user '{name}' has an empty role reference")
+                users[name] = frozenset(names)
+                lines[("user", name)] = line_no
+            else:
+                raise err(line_no, f"unknown declaration '{head}'")
 
-    model = RbacModel(
-        frozenset(operations),
-        frozenset(categories),
-        roles,
-        frozenset(hierarchy),
-        users,
-        lines,
-        filename,
-    )
-    model.validate()
+        model = RbacModel(
+            frozenset(operations),
+            frozenset(categories),
+            roles,
+            frozenset(hierarchy),
+            users,
+            lines,
+        )
+        model.validate()
     return model
 
 
@@ -600,11 +567,10 @@ def import_rbac(model: RbacModel) -> pal.Program:
     op/cat terms, all sorted; users compose their roles' names. A role
     with neither, or a user without roles, is defined as ``0``.
     """
-    model.validate()
     statements: list[pal.StatementNode] = []
     # Juniors first, so every referenced role name is already bound when
     # the emitted program loads front to back.
-    for role in model._juniors_first():
+    for role in model.validate():
         terms: list[pal.ExprNode] = [
             pal.Name(junior) for junior in model._juniors.get(role, ())
         ]
@@ -684,7 +650,8 @@ def build_environment(
     parses, in a scope of the conditions and the namespace's final
     ``let`` membership: its names never bind in the program, and a
     fault of the program is reported before its own. ``filename``
-    labels the program.
+    names the program in its errors; the arrangement's errors name no
+    file.
     """
     if arrangement is not None:
         elements = _sum_terms(pal.parse_expression(arrangement))
@@ -695,7 +662,7 @@ def build_environment(
         try:
             scope = Environment(family, conditions, merge_mode=merge_mode)
             defined = set()
-            for stmt in _pick_namespace(source, namespace, filename).statements:
+            for stmt in _pick_namespace(source, namespace).statements:
                 if isinstance(stmt, pal.LetIs):
                     _add_member(stmt, scope)
                 else:

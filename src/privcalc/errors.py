@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterator
+
 
 class PrivCalcError(Exception):
     """Base class for every error this package raises on purpose."""
@@ -34,3 +37,16 @@ class SourceError(PrivCalcError):
         if not prefix:
             return self.message
         return f"{prefix} {self.message}"
+
+
+@contextmanager
+def in_file(filename: str | None) -> Iterator[None]:
+    """Name ``filename`` in every ``SourceError`` raised inside the block
+    that names no file yet. A reader wraps its work in this, so raise
+    sites give only a position; an inner reader's own name wins."""
+    try:
+        yield
+    except SourceError as exc:
+        if exc.filename is None:
+            exc.filename = filename
+        raise

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple, Union
 
-from .errors import SourceError
+from .errors import SourceError, in_file
 
 __all__ = [
     "Define",
@@ -79,9 +79,8 @@ class ParseError(SourceError):
         expected: frozenset[str] = frozenset(),
         line: int | None = None,
         column: int | None = None,
-        filename: str | None = None,
     ):
-        super().__init__(message, line, column, filename)
+        super().__init__(message, line, column)
         self.expected = frozenset(expected)
 
 
@@ -251,10 +250,9 @@ class _Parser:
     """Reads ``tokens[pos]`` directly. Every token list ends in the EOF
     token, which is never consumed, so ``pos`` always indexes a token."""
 
-    def __init__(self, tokens: list[Token], filename: str | None = None):
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
-        self.filename = filename
         self.depth = 0  # "(" and "[" open around the current token
 
     def expect(self, *kinds: TokenKind) -> Token:
@@ -273,7 +271,6 @@ class _Parser:
             expected=frozenset(names),
             line=tok.line,
             column=tok.column,
-            filename=self.filename,
         )
 
     # program := namespace*
@@ -288,7 +285,6 @@ class _Parser:
                     expected=frozenset(),
                     line=tok.line,
                     column=tok.column,
-                    filename=self.filename,
                 )
             seen.add(ns.name)
             namespaces.append(ns)
@@ -345,7 +341,6 @@ class _Parser:
                     f"'{tok.text}' nested more than {MAX_NESTING} deep",
                     line=tok.line,
                     column=tok.column,
-                    filename=self.filename,
                 )
             self.pos += 1
             self.depth += 1
@@ -371,15 +366,19 @@ class _Parser:
 
 
 def parse_text(source: str, filename: str | None = None) -> Program:
-    return _Parser(tokenize(source, filename), filename).program()
+    """Parse a whole program; its errors name ``filename``."""
+    with in_file(filename):
+        return _Parser(tokenize(source)).program()
 
 
 def parse_expression(source: str, filename: str | None = None) -> ExprNode:
-    """Parse a bare expression (the whole text must be one expr)."""
-    parser = _Parser(tokenize(source, filename), filename)
-    node = parser.expr()
-    if parser.tokens[parser.pos].kind is not TokenKind.EOF:
-        parser.fail(TokenKind.EOF)
+    """Parse a bare expression (the whole text must be one expr); its
+    errors name ``filename``."""
+    with in_file(filename):
+        parser = _Parser(tokenize(source))
+        node = parser.expr()
+        if parser.tokens[parser.pos].kind is not TokenKind.EOF:
+            parser.fail(TokenKind.EOF)
     return node
 
 

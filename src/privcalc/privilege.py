@@ -76,7 +76,10 @@ GUARD_FUNCTION = FunctionSymbol("guard")
 
 class ArrangementError(SourceError):
     """The employment basis is not pairwise merge-disjoint, or an
-    element of it is empty or conditioned."""
+    element of it is empty or conditioned. For a clash, ``index`` is the
+    basis index of the later of the two elements."""
+
+    index: int | None = None
 
 
 class ConditionMergeMode(Enum):
@@ -97,10 +100,6 @@ class PrivilegeAtom:
     def __post_init__(self):
         if self.employment.entities.is_empty:
             raise ValueError("privilege atoms require a non-empty entity set")
-
-    def granted(self, fact: Fact) -> bool:
-        """All conditions hold at the fact; vacuously true when unconditioned."""
-        return all(c.evaluate(fact) for c in self.conditions)
 
     def sort_key(self) -> tuple:
         return (
@@ -283,13 +282,13 @@ class Arrangement:
                     clashes.append(slot.universal)
             if clashes:
                 m = self.basis[min(clashes)]
-                if m == n:
-                    raise ArrangementError(
-                        f"duplicate arrangement element {m.render()}"
-                    )
-                raise ArrangementError(
-                    f"arrangement elements overlap: {m.render()} and {n.render()}"
+                error = ArrangementError(
+                    f"duplicate arrangement element {m.render()}"
+                    if m == n
+                    else f"arrangement elements overlap: {m.render()} and {n.render()}"
                 )
+                error.index = j
+                raise error
             if members is None:
                 slot.universal = j
             else:
@@ -323,22 +322,6 @@ class Coefficient:
 
     disjuncts: tuple[frozenset[Condition], ...] = ()
 
-    @staticmethod
-    def false() -> Coefficient:
-        return Coefficient(())
-
-    @staticmethod
-    def true() -> Coefficient:
-        return Coefficient((frozenset(),))
-
-    @property
-    def is_false(self) -> bool:
-        return not self.disjuncts
-
-    @property
-    def is_true(self) -> bool:
-        return any(not d for d in self.disjuncts)
-
     def evaluate(self, fact: Fact) -> bool:
         return any(all(c.evaluate(fact) for c in d) for d in self.disjuncts)
 
@@ -362,7 +345,7 @@ class Coefficient:
                 continue
             kept = frozenset(c for c in conj if not isinstance(c, TrueCondition))
             if not kept:
-                return Coefficient.true()
+                return Coefficient((frozenset(),))
             folded.add(kept)
         ordered = sorted(
             folded, key=lambda d: (len(d), tuple(sorted(c.id for c in d)))
@@ -406,7 +389,7 @@ def normal_form(p: Privilege, arrangement: Arrangement) -> NormalForm:
     """Project ``p`` onto the basis: per element, the disjunction of the
     condition conjunctions of the atoms whose employment overlaps it;
     constant false where no atom does."""
-    coefficients = [Coefficient.false()] * len(arrangement)
+    coefficients = [Coefficient()] * len(arrangement)
     for i, coefficient in _overlapped(p, arrangement).items():
         coefficients[i] = coefficient
     return NormalForm(arrangement, tuple(coefficients))
@@ -438,9 +421,6 @@ class TraceMatrix:
     sequence: tuple[Fact, ...]
     cells: tuple[tuple[bool, ...], ...]
 
-    def column(self, j: int) -> tuple[bool, ...]:
-        return tuple(row[j] for row in self.cells)
-
     def to_csv(self) -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
@@ -468,7 +448,7 @@ def _overlapped_pairs(
     """The coefficient pairs of the elements ``u`` or ``v`` overlaps, in
     basis order. Elsewhere both are false, so they agree at every fact."""
     cu, cv = _overlapped(u, arrangement), _overlapped(v, arrangement)
-    false = Coefficient.false()
+    false = Coefficient()
     return [(cu.get(i, false), cv.get(i, false)) for i in sorted(cu.keys() | cv.keys())]
 
 

@@ -14,6 +14,7 @@ import random
 import time
 
 from privcalc import (
+    Arrangement,
     ConditionMergeMode,
     Employment,
     Entity,
@@ -337,14 +338,14 @@ def test_criterion_5_compliance_scenario():
     assert compliance_condition(session_2, write_doc1, m).evaluate(fact) is False
 
     # readguard grants read: its captured compliance condition holds
-    (read_atom,) = env.privileges["readguard"].atoms
-    assert read_atom.granted(fact) is True
+    assert pulse(env.privileges["readguard"], m, fact).render() == "1 0 0 0"
 
     # the interaction guard grants both components: session_3 may write
     # to doc1, and the doc1 interaction complies with writable
     atoms = env.privileges["interactionguard"].sorted_atoms()
     assert [a.employment.render() for a in atoms] == ["writable/*", "write/*"]
-    assert all(a.granted(fact) for a in atoms)
+    both = Arrangement(tuple(a.employment for a in atoms))
+    assert pulse(env.privileges["interactionguard"], both, fact).bits == (True, True)
     _report(5, "compliance scenario", started)
 
 
@@ -400,8 +401,8 @@ def test_criterion_6_gauging_trace():
     assert matrix.cells == expected
     assert matrix.cells == ((False, True), (True, True))
 
-    for j, fact in enumerate(sequence):
-        assert matrix.column(j) == pulse(env.privileges["g"], env.arrangement, fact).bits
+    columns = list(zip(*matrix.cells))
+    assert columns == [pulse(env.privileges["g"], env.arrangement, t).bits for t in sequence]
     assert matrix.to_csv() == (
         "employment,s3,s1\nop1/*,0,1\nop2/*,1,1\n"
     )

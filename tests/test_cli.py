@@ -18,8 +18,8 @@ from privcalc import (
     PulseQuery,
     TraceQuery,
     load_facts,
-    main,
 )
+from privcalc.cli import main
 from privcalc.engine import answer, build_environment
 from privcalc.facts import MAX_FAMILY
 from privcalc.pal import MAX_NESTING
@@ -541,6 +541,47 @@ def test_arrangement_resolves_in_the_programs_scope(workspace, capsys):
         "",
         "error: 1:1: 'reader' is a privilege of the program\n",
     )
+
+
+_PROGRAM_FAULT = 'namespace "n" {\n  x := read\n  let read is C\n}\n'
+
+
+@pytest.mark.parametrize("command", [["check"], ["nf", "--expr", "bob"]])
+@pytest.mark.parametrize(
+    "program, arrangement, error",
+    [
+        (
+            EXAMPLE_PAL,
+            "read + (\n",
+            "ARR:2:1: expected '(' or '0' or '[' or identifier, found end of input",
+        ),
+        (EXAMPLE_PAL, "read + reader\n", "ARR:1:8: 'reader' is a privilege of the program"),
+        (
+            EXAMPLE_PAL,
+            "write + read/Nowhere\n",
+            "ARR:1:9: arrangement element 'read/Nowhere' is empty",
+        ),
+        (
+            EXAMPLE_PAL,
+            "read +\n  read/TechDoc\n",
+            "ARR:2:3: arrangement elements overlap: read/* and read/TechDoc",
+        ),
+        # the program's own fault is named by the program's file
+        (
+            _PROGRAM_FAULT,
+            "write + read/Nowhere\n",
+            "PAL:3:3: 'read' is already a function, cannot use it as an entity",
+        ),
+    ],
+    ids=["syntax", "privilege", "empty", "overlap", "program-fault"],
+)
+def test_arrangement_file_names_itself(tmp_path, capsys, command, program, arrangement, error):
+    pal_path, arr_path = tmp_path / "p.pal", tmp_path / "bad.arr"
+    pal_path.write_text(program)
+    arr_path.write_text(arrangement)
+    argv = [command[0], str(pal_path), *command[1:], "--arrangement", f"@{arr_path}"]
+    error = error.replace("ARR", str(arr_path)).replace("PAL", str(pal_path))
+    assert run(capsys, *argv) == (2, "", f"error: {error}\n")
 
 
 def test_import_rbac_rejects_names_pal_cannot_bind(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from privcalc import (
+    Arrangement,
     ArrangementError,
     ComplianceQuery,
     ConditionMergeMode,
@@ -34,6 +35,7 @@ from privcalc import (
     load_program,
     load_rbac,
     parse_text,
+    pulse,
     structural_eq,
 )
 from privcalc.engine import answer, build_environment, load_arrangement
@@ -318,6 +320,26 @@ namespace "s" {
     assert env.privileges == build_environment(source).privileges
 
 
+@pytest.mark.parametrize(
+    "arrangement, error",
+    [
+        ("read + read/TechDoc", "1:8: arrangement elements overlap: read/* and read/TechDoc"),
+        ("read + read", "1:8: duplicate arrangement element read/*"),
+        (
+            "read + (list +\n  read/TechDoc)",
+            "2:3: arrangement elements overlap: read/* and read/TechDoc",
+        ),
+    ],
+)
+def test_clashing_arrangement_elements_are_placed_at_the_later_one(arrangement, error):
+    with pytest.raises(ArrangementError) as exc:
+        build_environment(EXAMPLE_PAL, arrangement=arrangement, filename="x.pal")
+    assert str(exc.value) == error
+    with pytest.raises(ArrangementError) as exc:
+        arrangement_from_text(arrangement, example_env())
+    assert str(exc.value) == error
+
+
 def test_broken_arrangement_is_reported_before_the_program():
     with pytest.raises(pal.ParseError) as exc:
         build_environment(
@@ -352,10 +374,12 @@ def test_guard_attaches_condition_to_other_operand():
 def test_guard_conditions_evaluate():
     env = guards_env()
     fact = env.family.fact("empty")
-    granted = {
-        name: all(a.granted(fact) for a in env.privileges[name].atoms)
-        for name in ("readguard", "writeguard", "writableguard")
-    }
+    granted = {}
+    for name in ("readguard", "writeguard", "writableguard"):
+        # each atom pulses over its own element where its conditions hold
+        p = env.privileges[name]
+        own = Arrangement(tuple(a.employment for a in p.atoms))
+        granted[name] = all(pulse(p, own, fact).bits)
     assert granted == {"readguard": True, "writeguard": True, "writableguard": True}
 
 
@@ -844,6 +868,16 @@ def test_rbac_deep_hierarchy_imports_juniors_first():
     assert str(exc.value) == f"{len(lines) + 1}: role hierarchy contains a cycle: {path} -> r0000"
 
 
+def test_rbac_import_walks_the_hierarchy_once(monkeypatch):
+    walks = []
+    walk = RbacModel._juniors_first
+    monkeypatch.setattr(RbacModel, "_juniors_first", lambda m: walks.append(m) or walk(m))
+    model = load_rbac(RBAC_TEXT)
+    assert len(walks) == 1
+    import_rbac(model)
+    assert len(walks) == 2
+
+
 def test_rbac_long_chain_loads_and_imports():
     # The hierarchy is indexed once per model, so a long chain loads and
     # imports in linear time.
@@ -893,6 +927,111 @@ def test_import_rbac_round_trip_matches_transitive_closure():
                 cat = entity.name.removeprefix("item_")
                 got.add((atom.employment.function.name, cat))
         assert got == set(want), name
+
+
+# --- file names ----------------------------------------------------------------
+
+
+def _load(text: str, namespace: str | None = None) -> Environment:
+    # parsed without a name, so that only load_program can give one
+    env = Environment(conditions={"logged": WitnessCondition("logged", frozenset())})
+    return load_program(parse_text(text), env, namespace=namespace, filename="p.pal")
+
+
+def _parse(text: str) -> pal.Program:
+    return parse_text(text, filename="p.pal")
+
+
+def _rbac(text: str) -> RbacModel:
+    return load_rbac(text, filename="p.rbac")
+
+
+def _in(body: str) -> str:
+    return 'namespace "n" {\n' + body + "\n}\n"
+
+
+_TWO = 'namespace "a" {\n}\nnamespace "b" {\n}\n'
+_GUARD_ERROR = (
+    "guard expressions need an arrangement in scope (set one before loading, or pass --arrangement)"
+)
+
+
+@pytest.mark.parametrize(
+    "read, text, error",
+    [
+        (_load, "", "p.pal: program has no namespaces"),
+        (_load, _TWO, 'p.pal: program defines several namespaces ("a", "b"); pick one'),
+        (lambda t: _load(t, "c"), _TWO, 'p.pal: no namespace "c" in program'),
+        (
+            _load,
+            _in("  x := read\n  let read is C"),
+            "p.pal:3:3: 'read' is already a function, cannot use it as an entity",
+        ),
+        (
+            _load,
+            _in("  x := read\n  let d is x"),
+            "p.pal:3:3: 'x' is already a privilege, cannot use it as a category",
+        ),
+        (
+            _load,
+            _in("  let d is C\n  C := read"),
+            "p.pal:3:3: 'C' is already a category, cannot use it as a privilege",
+        ),
+        (
+            _load,
+            _in("  let d is C\n  x := read + d"),
+            "p.pal:3:15: 'd' is an entity and has no privilege value",
+        ),
+        (
+            _load,
+            _in("  let d is C\n  x := C"),
+            "p.pal:3:8: 'C' is a category and has no privilege value",
+        ),
+        (_load, _in("  x := logged"), "p.pal:2:8: 'logged' is a condition; attach it with '*'"),
+        (
+            _load,
+            _in("  x := read\n  y := write/read"),
+            "p.pal:3:14: 'read' is a function; '/' needs a category or an entity",
+        ),
+        (_load, _in("  x := read * [a <: b]"), f"p.pal:2:15: {_GUARD_ERROR}"),
+        (_parse, _in("  x := +"), "p.pal:2:8: expected '(' or '0' or '[' or identifier, found '+'"),
+        (_parse, _TWO.replace('"b"', '"a"'), 'p.pal:3:1: duplicate namespace "a"'),
+        (_parse, _in("  x := " + "(" * 101), "p.pal:2:108: '(' nested more than 100 deep"),
+        (_parse, _in("  x := $"), "p.pal:2:8: unexpected character '$'"),
+        (_rbac, "op a\nrole r = a\n", "p.rbac:2: bad permission 'a' (want op/cat)"),
+        (_rbac, "op a\ncat C\nuser u = r\n", "p.rbac:3: user 'u' references unknown role 'r'"),
+        (
+            _rbac,
+            "op a\ncat C\nrole r = a/C\ninherits r r\n",
+            "p.rbac:4: role hierarchy contains a cycle: r -> r",
+        ),
+        # text that is no file names none
+        (
+            lambda t: eval_text(t, example_env()),
+            "read +",
+            "1:7: expected '(' or '0' or '[' or identifier, found end of input",
+        ),
+        (
+            lambda t: eval_text(t, example_env()),
+            "TechDoc",
+            "1:1: 'TechDoc' is a category and has no privilege value",
+        ),
+        (
+            lambda t: arrangement_from_text(t, example_env()),
+            "read/Nowhere",
+            "1:1: arrangement element 'read/Nowhere' is empty",
+        ),
+        (
+            lambda t: answer(EvalQuery(t), build_environment(EXAMPLE_PAL, filename="x.pal")),
+            "doc1",
+            "1:1: 'doc1' is an entity and has no privilege value",
+        ),
+    ],
+)
+def test_each_raise_site_is_named_by_its_reader(read, text, error):
+    with pytest.raises(PrivCalcError) as exc:
+        read(text)
+    assert str(exc.value) == error
 
 
 # --- queries -------------------------------------------------------------------
