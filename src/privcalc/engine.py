@@ -25,7 +25,7 @@ and the environment set-up and query dispatch (``build_environment`` /
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Container, Sequence, Union
 
 from . import pal
 from .algebra import Employment, Entity, EntitySet, FunctionSymbol, UNIVERSAL
@@ -406,14 +406,14 @@ class RbacModel:
             line = self.lines.get(("role", role))
             for op, cat in perms:
                 if op not in self.operations:
-                    raise RbacImportError(f"role '{role}' uses undeclared operation '{op}'", line)
+                    raise RbacImportError(f"role '{role}' uses undeclared operation {op!r}", line)
                 if cat not in self.categories:
-                    raise RbacImportError(f"role '{role}' uses undeclared category '{cat}'", line)
+                    raise RbacImportError(f"role '{role}' uses undeclared category {cat!r}", line)
         for senior, junior in sorted(self.hierarchy):
             for role in (senior, junior):
                 if role not in self.roles:
                     line = self.lines.get(("inherits", senior, junior))
-                    raise RbacImportError(f"hierarchy references unknown role '{role}'", line)
+                    raise RbacImportError(f"hierarchy references unknown role {role!r}", line)
         # Each name becomes one PAL binding, so it may have one kind only.
         kinds: dict[str, str] = {}
         declared = zip(
@@ -430,7 +430,7 @@ class RbacModel:
         for user, roles in self.users.items():
             for role in roles:
                 if role not in self.roles:
-                    message = f"user '{user}' references unknown role '{role}'"
+                    message = f"user '{user}' references unknown role {role!r}"
                     raise RbacImportError(message, self.lines.get(("user", user)))
         return self._juniors_first()
 
@@ -468,7 +468,8 @@ class RbacModel:
 def load_rbac(text: str, filename: str | None = None) -> RbacModel:
     """Parse a role-model file.
 
-    One declaration per line, ``#`` comments:
+    One declaration per line, read by ``pal.declarations`` as a facts
+    file is:
 
         op <id>
         cat <id>
@@ -487,66 +488,57 @@ def load_rbac(text: str, filename: str | None = None) -> RbacModel:
     users: dict[str, frozenset[str]] = {}
     lines: dict[tuple[str, ...], int] = {}
 
-    def err(line_no: int, message: str) -> RbacImportError:
-        return RbacImportError(message, line_no)
-
-    def ident(line_no: int, name: str, kind: str) -> str:
+    def ident(line_no: int, name: str, kind: str, taken: Container[str] = ()) -> str:
         if not pal.is_identifier(name):
-            raise err(line_no, f"invalid {kind} name '{name}'")
+            raise RbacImportError(f"invalid {kind} name {name!r}", line_no)
+        if name in taken:
+            raise RbacImportError(f"duplicate {kind} '{name}'", line_no)
         return name
 
     with in_file(filename):
-        for line_no, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            head, _, rest = line.partition(" ")
-            rest = rest.strip()
+        for line_no, head, rest in pal.declarations(text):
             if head in ("op", "cat"):
-                if not rest or " " in rest:
-                    raise err(line_no, f"expected: {head} <id>")
+                if len(pal.words(rest)) != 1:
+                    raise RbacImportError(f"expected: {head} <id>", line_no)
                 (operations if head == "op" else categories).add(ident(line_no, rest, head))
                 lines.setdefault((head, rest), line_no)
             elif head == "role":
                 name, eq, perms = rest.partition("=")
-                name = name.strip()
+                name = name.strip(pal.BLANKS)
                 if not eq or not name:
-                    raise err(line_no, "expected: role <id> = <op>/<cat>, ...")
-                ident(line_no, name, "role")
-                if name in roles:
-                    raise err(line_no, f"duplicate role '{name}'")
+                    raise RbacImportError("expected: role <id> = <op>/<cat>, ...", line_no)
+                ident(line_no, name, "role", roles)
                 pairs = set()
                 for chunk in perms.split(","):
-                    chunk = chunk.strip()
+                    chunk = chunk.strip(pal.BLANKS)
                     if not chunk:
-                        raise err(line_no, f"role '{name}' has an empty permission")
+                        raise RbacImportError(f"role '{name}' has an empty permission", line_no)
                     op, slash, cat = chunk.partition("/")
-                    if not slash or not op.strip() or not cat.strip():
-                        raise err(line_no, f"bad permission '{chunk}' (want op/cat)")
-                    pairs.add((op.strip(), cat.strip()))
+                    op, cat = op.strip(pal.BLANKS), cat.strip(pal.BLANKS)
+                    if not slash or not op or not cat:
+                        raise RbacImportError(f"bad permission {chunk!r} (want op/cat)", line_no)
+                    pairs.add((op, cat))
                 roles[name] = frozenset(pairs)
                 lines[("role", name)] = line_no
             elif head == "inherits":
-                parts = rest.split()
+                parts = pal.words(rest)
                 if len(parts) != 2:
-                    raise err(line_no, "expected: inherits <senior> <junior>")
+                    raise RbacImportError("expected: inherits <senior> <junior>", line_no)
                 hierarchy.add((parts[0], parts[1]))
                 lines.setdefault(("inherits", *parts), line_no)
             elif head == "user":
                 name, eq, role_list = rest.partition("=")
-                name = name.strip()
+                name = name.strip(pal.BLANKS)
                 if not eq or not name:
-                    raise err(line_no, "expected: user <id> = <role>, ...")
-                ident(line_no, name, "user")
-                if name in users:
-                    raise err(line_no, f"duplicate user '{name}'")
-                names = [r.strip() for r in role_list.split(",")]
+                    raise RbacImportError("expected: user <id> = <role>, ...", line_no)
+                ident(line_no, name, "user", users)
+                names = [r.strip(pal.BLANKS) for r in role_list.split(",")]
                 if not all(names):
-                    raise err(line_no, f"user '{name}' has an empty role reference")
+                    raise RbacImportError(f"user '{name}' has an empty role reference", line_no)
                 users[name] = frozenset(names)
                 lines[("user", name)] = line_no
             else:
-                raise err(line_no, f"unknown declaration '{head}'")
+                raise RbacImportError(f"unknown declaration {head!r}", line_no)
 
         model = RbacModel(
             frozenset(operations),

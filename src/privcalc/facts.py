@@ -24,10 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Container, Iterable, Iterator, Mapping
 
-from .errors import PrivCalcError, SourceError
-from .pal import is_identifier
+from .errors import PrivCalcError, SourceError, in_file
+from .pal import declarations, is_identifier, words
 
 __all__ = [
     "ALWAYS",
@@ -356,7 +356,9 @@ def load_facts(
 ) -> tuple[FactFamily, dict[str, Condition]]:
     """Parse a facts file into a closed family and a condition registry.
 
-    One declaration per line, ``#`` starts a comment:
+    One declaration per line, read by ``pal.declarations`` (lines end
+    at a line feed, ``#`` starts a comment, words are separated by PAL's
+    blanks):
 
         statement <id>
         fact <id> = [<stmt-id> ...]
@@ -376,67 +378,59 @@ def load_facts(
     last_fact_line: int | None = None
     conditions: dict[str, Condition] = {}
 
-    def err(line_no: int | None, message: str) -> DeclarationError:
-        return DeclarationError(message, line=line_no, filename=filename)
-
-    def ident(line_no: int, token: str, role: str) -> str:
+    def ident(line_no: int, token: str, role: str, taken: Container[str]) -> str:
         if not is_identifier(token):
-            raise err(line_no, f"invalid {role} name '{token}'")
+            raise DeclarationError(f"invalid {role} name {token!r}", line_no)
+        if token in taken:
+            raise DeclarationError(f"duplicate {role} '{token}'", line_no)
         return token
 
     def resolve(line_no: int, owner: str, tokens: list[str]) -> frozenset[Statement]:
         out = set()
         for token in tokens:
             if token not in statements:
-                raise err(line_no, f"'{owner}' references unknown statement '{token}'")
+                message = f"'{owner}' references unknown statement {token!r}"
+                raise DeclarationError(message, line_no)
             out.add(statements[token])
         return frozenset(out)
 
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        head = tokens[0]
-        if head == "statement":
-            if len(tokens) != 2:
-                raise err(line_no, "expected: statement <id>")
-            name = ident(line_no, tokens[1], "statement")
-            if name in statements:
-                raise err(line_no, f"duplicate statement '{name}'")
-            statements[name] = Statement(name)
-        elif head == "fact":
-            if len(tokens) < 3 or tokens[2] != "=":
-                raise err(line_no, "expected: fact <id> = [<stmt-id> ...]")
-            name = ident(line_no, tokens[1], "fact")
-            if name in generators:
-                raise err(line_no, f"duplicate fact '{name}'")
-            generators[name] = Fact(name, resolve(line_no, name, tokens[3:]))
-            last_fact_line = line_no
-        elif head == "condition":
-            if len(tokens) < 4 or tokens[2] != "=":
-                raise err(line_no, "expected: condition <id> = any|true|false ...")
-            name = ident(line_no, tokens[1], "condition")
-            if name in conditions:
-                raise err(line_no, f"duplicate condition '{name}'")
-            kind = tokens[3]
-            if kind == "any":
-                if len(tokens) < 5:
-                    raise err(line_no, f"condition '{name}' lists no witness statements")
-                conditions[name] = WitnessCondition(
-                    name, resolve(line_no, name, tokens[4:])
-                )
-            elif kind == "true" and len(tokens) == 4:
-                conditions[name] = TrueCondition(name)
-            elif kind == "false" and len(tokens) == 4:
-                conditions[name] = FalseCondition(name)
+    with in_file(filename):
+        for line_no, head, rest in declarations(text):
+            tokens = [head, *words(rest)]
+            if head == "statement":
+                if len(tokens) != 2:
+                    raise DeclarationError("expected: statement <id>", line_no)
+                name = ident(line_no, tokens[1], "statement", statements)
+                statements[name] = Statement(name)
+            elif head == "fact":
+                if len(tokens) < 3 or tokens[2] != "=":
+                    raise DeclarationError("expected: fact <id> = [<stmt-id> ...]", line_no)
+                name = ident(line_no, tokens[1], "fact", generators)
+                generators[name] = Fact(name, resolve(line_no, name, tokens[3:]))
+                last_fact_line = line_no
+            elif head == "condition":
+                if len(tokens) < 4 or tokens[2] != "=":
+                    message = "expected: condition <id> = any|true|false ..."
+                    raise DeclarationError(message, line_no)
+                name = ident(line_no, tokens[1], "condition", conditions)
+                kind = tokens[3]
+                if kind == "any":
+                    if len(tokens) < 5:
+                        message = f"condition '{name}' lists no witness statements"
+                        raise DeclarationError(message, line_no)
+                    conditions[name] = WitnessCondition(name, resolve(line_no, name, tokens[4:]))
+                elif kind == "true" and len(tokens) == 4:
+                    conditions[name] = TrueCondition(name)
+                elif kind == "false" and len(tokens) == 4:
+                    conditions[name] = FalseCondition(name)
+                else:
+                    message = f"unknown condition form {' '.join(tokens[3:])!r}"
+                    raise DeclarationError(message, line_no)
             else:
-                raise err(line_no, f"unknown condition form '{' '.join(tokens[3:])}'")
-        else:
-            raise err(line_no, f"unknown declaration '{head}'")
+                raise DeclarationError(f"unknown declaration {head!r}", line_no)
 
-    try:
-        family = close_family(statements.values(), generators.values())
-    except DeclarationError as exc:  # the family outgrew MAX_FAMILY
-        raise err(last_fact_line, exc.message) from None
+        try:
+            family = close_family(statements.values(), generators.values())
+        except DeclarationError as exc:  # the family outgrew MAX_FAMILY
+            raise DeclarationError(exc.message, last_fact_line) from None
     return family, conditions

@@ -16,13 +16,15 @@ Identifiers are an ASCII letter followed by ASCII letters, digits or
 underscores, keywords excepted (``is_identifier``). ``0`` is the empty
 privilege; it cannot be bound, and a word character right after it is a
 lexer error, as any other digit is. ``#`` starts a comment running to
-end of line; blanks (space, tab, carriage return) and newlines are
-otherwise insignificant. ``/`` binds tighter than ``*``, which binds
-tighter than ``+``. Each run of one operator is one node holding its
-operands, read left to right: ``Sum`` and ``Product`` hold two or more,
-``Slash`` one operand and its scopes. Parentheses are kept as nesting,
-so ``(a * b) * c`` is a product inside a product. The bracket form
-denotes a guard: ``<:`` for compliance, ``~`` for congruence.
+end of line; blanks (space, tab, carriage return) and newlines (line
+feeds only) are otherwise insignificant. Facts and RBAC files are split
+into lines and words by the same rule (``declarations``). ``/`` binds
+tighter than ``*``, which binds tighter than ``+``. Each run of one
+operator is one node holding its operands, read left to right: ``Sum``
+and ``Product`` hold two or more, ``Slash`` one operand and its scopes.
+Parentheses are kept as nesting, so ``(a * b) * c`` is a product inside
+a product. The bracket form denotes a guard: ``<:`` for compliance,
+``~`` for congruence.
 
 ``format_program(parse_text(text))`` is the canonical spelling of
 ``text``, and ``format_expr`` that of an expression; formatting then
@@ -34,11 +36,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .errors import SourceError, in_file
 
 __all__ = [
+    "BLANKS",
     "Define",
     "ExprNode",
     "Guard",
@@ -57,12 +60,14 @@ __all__ = [
     "Token",
     "TokenKind",
     "chain",
+    "declarations",
     "format_expr",
     "format_program",
     "is_identifier",
     "parse_expression",
     "parse_text",
     "tokenize",
+    "words",
 ]
 
 
@@ -72,16 +77,6 @@ class LexError(SourceError):
 
 class ParseError(SourceError):
     """The token stream does not match the grammar."""
-
-    def __init__(
-        self,
-        message: str,
-        expected: frozenset[str] = frozenset(),
-        line: int | None = None,
-        column: int | None = None,
-    ):
-        super().__init__(message, line, column)
-        self.expected = frozenset(expected)
 
 
 class TokenKind(Enum):
@@ -115,6 +110,10 @@ class Token(NamedTuple):
 
 # Keywords and punctuation by spelling, read off the kinds' quoted names.
 _SPELLINGS = {kind.value[1:-1]: kind for kind in TokenKind if kind.value[0] == "'"}
+# The characters that separate words in PAL, facts and RBAC files. Only
+# "\n" ends a line: other Unicode breaks and spaces are characters.
+BLANKS = " \t\r"
+_NON_BLANKS = re.compile(f"[^{BLANKS}]+")
 # ASCII only, unlike \w. Each match takes the blanks, newlines and
 # comments before a token (group 1, possessive, so a long run is never
 # backtracked into) and then one of: a word or operator (2), a string's
@@ -122,7 +121,7 @@ _SPELLINGS = {kind.value[1:-1]: kind for kind in TokenKind if kind.value[0] == "
 # the input (none). A "0" is a token only when no word character follows.
 _WORD = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _TOKEN = re.compile(
-    r"((?:[ \t\r\n]+|#[^\n]*)*+)"
+    rf"((?:[{BLANKS}\n]+|#[^\n]*)*+)"
     rf"(?:({_WORD.pattern}|0(?![A-Za-z0-9_])|:=|<:|[+*/(){{}}\[\]~])|\"([^\"\n]*)\"|(\")|(.)|\Z)"
 )
 
@@ -134,9 +133,25 @@ def is_identifier(text: str) -> bool:
     return _WORD.fullmatch(text) is not None and text not in _SPELLINGS and text != "guard"
 
 
-def tokenize(source: str, filename: str | None = None) -> list[Token]:
-    """Scan the whole text; positions are 1-based line and column, and
-    a ``LexError`` names ``filename``."""
+def words(text: str) -> list[str]:
+    """The runs of non-blanks in ``text``, in order."""
+    return _NON_BLANKS.findall(text)
+
+
+def declarations(text: str) -> Iterator[tuple[int, str, str]]:
+    """The lines of a facts or RBAC file that hold a declaration, as
+    (line number, first word, the rest with blanks trimmed). A line ends
+    at a line feed, and ``#`` starts a comment running to its end, as in
+    PAL."""
+    for line_no, line in enumerate(text.split("\n"), 1):
+        line = line.partition("#")[0].strip(BLANKS)
+        if line:
+            head = _NON_BLANKS.match(line)[0]
+            yield line_no, head, line[len(head) :].lstrip(BLANKS)
+
+
+def tokenize(source: str) -> list[Token]:
+    """Scan the whole text; positions are 1-based line and column."""
     tokens: list[Token] = []
     line, line_start = 1, 0
     for match in _TOKEN.finditer(source):
@@ -152,9 +167,9 @@ def tokenize(source: str, filename: str | None = None) -> list[Token]:
         elif group == 3:
             tokens.append(Token(TokenKind.STRING, match[3], line, column))
         elif group == 4:
-            raise LexError("unterminated string", line, column, filename)
+            raise LexError("unterminated string", line, column)
         elif group == 5:
-            raise LexError(f"unexpected character {match[5]!r}", line, column, filename)
+            raise LexError(f"unexpected character {match[5]!r}", line, column)
         else:
             tokens.append(Token(TokenKind.EOF, "", line, column))
             return tokens
@@ -266,12 +281,7 @@ class _Parser:
         tok = self.tokens[self.pos]
         names = sorted(k.value for k in kinds)
         found = tok.kind.value if tok.kind is TokenKind.EOF else f"'{tok.text}'"
-        raise ParseError(
-            f"expected {' or '.join(names)}, found {found}",
-            expected=frozenset(names),
-            line=tok.line,
-            column=tok.column,
-        )
+        raise ParseError(f"expected {' or '.join(names)}, found {found}", tok.line, tok.column)
 
     # program := namespace*
     def program(self) -> Program:
@@ -280,12 +290,7 @@ class _Parser:
         while (tok := self.tokens[self.pos]).kind is not TokenKind.EOF:
             ns = self.namespace()
             if ns.name in seen:
-                raise ParseError(
-                    f"duplicate namespace \"{ns.name}\"",
-                    expected=frozenset(),
-                    line=tok.line,
-                    column=tok.column,
-                )
+                raise ParseError(f'duplicate namespace "{ns.name}"', tok.line, tok.column)
             seen.add(ns.name)
             namespaces.append(ns)
         return Program(tuple(namespaces))
@@ -337,11 +342,8 @@ class _Parser:
             if tok.kind not in (TokenKind.LPAREN, TokenKind.LBRACKET):
                 self.fail(TokenKind.IDENT, TokenKind.ZERO, TokenKind.LPAREN, TokenKind.LBRACKET)
             if self.depth == MAX_NESTING:
-                raise ParseError(
-                    f"'{tok.text}' nested more than {MAX_NESTING} deep",
-                    line=tok.line,
-                    column=tok.column,
-                )
+                message = f"'{tok.text}' nested more than {MAX_NESTING} deep"
+                raise ParseError(message, tok.line, tok.column)
             self.pos += 1
             self.depth += 1
             node = self.expr()
@@ -371,14 +373,13 @@ def parse_text(source: str, filename: str | None = None) -> Program:
         return _Parser(tokenize(source)).program()
 
 
-def parse_expression(source: str, filename: str | None = None) -> ExprNode:
-    """Parse a bare expression (the whole text must be one expr); its
-    errors name ``filename``."""
-    with in_file(filename):
-        parser = _Parser(tokenize(source))
-        node = parser.expr()
-        if parser.tokens[parser.pos].kind is not TokenKind.EOF:
-            parser.fail(TokenKind.EOF)
+def parse_expression(source: str) -> ExprNode:
+    """Parse a bare expression: the whole text must be one expr. The
+    text is no file, so its errors give only a position."""
+    parser = _Parser(tokenize(source))
+    node = parser.expr()
+    if parser.tokens[parser.pos].kind is not TokenKind.EOF:
+        parser.fail(TokenKind.EOF)
     return node
 
 

@@ -309,9 +309,6 @@ class Arrangement:
             hit.add(slot.universal)
         return hit
 
-    def labels(self) -> list[str]:
-        return [m.render() for m in self.basis]
-
     def __len__(self) -> int:
         return len(self.basis)
 
@@ -357,16 +354,6 @@ class Coefficient:
 class NormalForm:
     arrangement: Arrangement
     coefficients: tuple[Coefficient, ...]
-
-    def to_privilege(self) -> Privilege:
-        """One atom per basis element and disjunct; structurally equal to
-        any privilege this form was projected from, over the same
-        arrangement."""
-        atoms = []
-        for emp, coeff in zip(self.arrangement.basis, self.coefficients):
-            for conj in coeff.disjuncts:
-                atoms.append(PrivilegeAtom(emp, conj))
-        return Privilege(frozenset(atoms))
 
     def render(self) -> str:
         return "\n".join(

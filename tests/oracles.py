@@ -210,7 +210,7 @@ def _is_word_char(ch: str) -> bool:
     return ch.isascii() and (ch.isalnum() or ch == "_")
 
 
-def reference_tokens(source: str, filename: str | None = None) -> list[Token]:
+def reference_tokens(source: str) -> list[Token]:
     """PAL's tokens by a scan one character at a time: blanks (space,
     tab, carriage return), newlines and ``#`` comments separate tokens;
     a word is an ASCII letter then ASCII letters, digits and
@@ -244,7 +244,7 @@ def reference_tokens(source: str, filename: str | None = None) -> list[Token]:
             while end < len(source) and source[end] not in '"\n':
                 end += 1
             if end == len(source) or source[end] == "\n":
-                raise LexError("unterminated string", line, column, filename)
+                raise LexError("unterminated string", line, column)
             end += 1
             tokens.append(Token(TokenKind.STRING, source[i + 1 : end - 1], line, column))
         elif source[i : i + 2] in (":=", "<:"):
@@ -253,7 +253,7 @@ def reference_tokens(source: str, filename: str | None = None) -> list[Token]:
         elif ch in _PAL_SPELLINGS:
             tokens.append(Token(_PAL_SPELLINGS[ch], ch, line, column))
         else:
-            raise LexError(f"unexpected character {ch!r}", line, column, filename)
+            raise LexError(f"unexpected character {ch!r}", line, column)
         i, column = end, column + end - i
     tokens.append(Token(TokenKind.EOF, "", line, column))
     return tokens

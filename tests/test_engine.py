@@ -197,10 +197,10 @@ def test_namespace_selection():
 def test_arrangement_from_text_preserves_order():
     env = Environment()
     arr = arrangement_from_text("write + read", env)
-    assert arr.labels() == ["write/*", "read/*"]
+    assert [m.render() for m in arr.basis] == ["write/*", "read/*"]
     # a parenthesised sum is flattened in place, not sorted as one term
     arr = arrangement_from_text("write + (remove + list) + read", Environment())
-    assert arr.labels() == ["write/*", "remove/*", "list/*", "read/*"]
+    assert [m.render() for m in arr.basis] == ["write/*", "remove/*", "list/*", "read/*"]
 
 
 def test_arrangement_rejects_overlapping_terms():
@@ -222,14 +222,14 @@ def test_arrangement_rejects_conditioned_atoms():
 def test_load_arrangement_flattens_compound_terms():
     env = example_env()
     arr = load_arrangement([pal.parse_expression("reader + write")], env)
-    assert arr.labels() == ["list/TechDoc", "read/TechDoc", "write/*"]
+    assert [m.render() for m in arr.basis] == ["list/TechDoc", "read/TechDoc", "write/*"]
 
 
 def test_arrangement_resolves_in_the_programs_scope():
     env = build_environment(EXAMPLE_PAL, arrangement="read/TechDoc + write")
-    assert env.arrangement.labels() == ["read/TechDoc", "write/*"]
+    assert [m.render() for m in env.arrangement.basis] == ["read/TechDoc", "write/*"]
     env = build_environment(EXAMPLE_PAL, arrangement="read/doc1 + audit")
-    assert env.arrangement.labels() == ["read/{doc1}", "audit/*"]
+    assert [m.render() for m in env.arrangement.basis] == ["read/{doc1}", "audit/*"]
     # the arrangement's names never bind in the program
     assert "audit" not in env.functions
     assert env.privileges == build_environment(EXAMPLE_PAL).privileges
@@ -266,7 +266,7 @@ def test_arrangement_rejects_the_programs_privileges():
     # a name that is also an entity is in the arrangement's scope
     source = 'namespace "n" {\n  let x is C\n  x := read\n}\n'
     env = build_environment(source, arrangement="read/x")
-    assert env.arrangement.labels() == ["read/{x}"]
+    assert [m.render() for m in env.arrangement.basis] == ["read/{x}"]
 
 
 @pytest.mark.parametrize(
@@ -946,6 +946,10 @@ def _rbac(text: str) -> RbacModel:
     return load_rbac(text, filename="p.rbac")
 
 
+def _facts(text: str):
+    return load_facts(text, filename="p.facts")
+
+
 def _in(body: str) -> str:
     return 'namespace "n" {\n' + body + "\n}\n"
 
@@ -998,6 +1002,36 @@ _GUARD_ERROR = (
         (_parse, _TWO.replace('"b"', '"a"'), 'p.pal:3:1: duplicate namespace "a"'),
         (_parse, _in("  x := " + "(" * 101), "p.pal:2:108: '(' nested more than 100 deep"),
         (_parse, _in("  x := $"), "p.pal:2:8: unexpected character '$'"),
+        (_facts, "statement\n", "p.facts:1: expected: statement <id>"),
+        (_facts, "statement s\nstatement is\n", "p.facts:2: invalid statement name 'is'"),
+        (_facts, "statement s\n\nstatement s\n", "p.facts:3: duplicate statement 's'"),
+        (_facts, "statement s\nfact f s\n", "p.facts:2: expected: fact <id> = [<stmt-id> ...]"),
+        (
+            _facts,
+            "statement s\nfact f = s zz\n",
+            "p.facts:2: 'f' references unknown statement 'zz'",
+        ),
+        (
+            _facts,
+            "statement s\ncondition c any s\n",
+            "p.facts:2: expected: condition <id> = any|true|false ...",
+        ),
+        (
+            _facts,
+            "statement s\ncondition c = any\n",
+            "p.facts:2: condition 'c' lists no witness statements",
+        ),
+        (
+            _facts,
+            "statement s\ncondition c = true s\n",
+            "p.facts:2: unknown condition form 'true s'",
+        ),
+        (_facts, "# facts\nstatemnt s\n", "p.facts:2: unknown declaration 'statemnt'"),
+        (
+            _facts,
+            "".join(f"statement s{i}\nfact f{i} = s{i}\n" for i in range(15)) + "# end\n",
+            "p.facts:30: 15 facts close to more than 16384 facts",
+        ),
         (_rbac, "op a\nrole r = a\n", "p.rbac:2: bad permission 'a' (want op/cat)"),
         (_rbac, "op a\ncat C\nuser u = r\n", "p.rbac:3: user 'u' references unknown role 'r'"),
         (
@@ -1032,6 +1066,62 @@ def test_each_raise_site_is_named_by_its_reader(read, text, error):
     with pytest.raises(PrivCalcError) as exc:
         read(text)
     assert str(exc.value) == error
+
+
+# --- one line rule -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "read, text, error",
+    [
+        # only "\n" ends a line: a form feed or U+2028 is a character of its line
+        (_facts, "statement a\fstatement b\nfact f = zz\n", "p.facts:1: expected: statement <id>"),
+        (
+            _facts,
+            "statement a\nfact f = a\u2028b\n",
+            "p.facts:2: 'f' references unknown statement 'a\\u2028b'",
+        ),
+        (_rbac, "op read\u2028cat C\nrole r = read/D\n", "p.rbac:1: expected: op <id>"),
+        (
+            _rbac,
+            "op a\ncat C\nrole r = a/C\nuser u = r\fx\n",
+            "p.rbac:4: user 'u' references unknown role 'r\\x0cx'",
+        ),
+        # a no-break space is no blank, in PAL or in any other file
+        (_parse, _in("  x := a\u00a0b"), "p.pal:2:9: unexpected character '\\xa0'"),
+        (
+            _facts,
+            "statement a\nfact f = a\u00a0a\n",
+            "p.facts:2: 'f' references unknown statement 'a\\xa0a'",
+        ),
+        (_rbac, "op a\ncat\u00a0C\n", "p.rbac:2: unknown declaration 'cat\\xa0C'"),
+    ],
+    ids=["facts-ff", "facts-u2028", "rbac-u2028", "rbac-ff", "pal-nbsp", "facts-nbsp",
+         "rbac-nbsp"],
+)
+def test_every_file_splits_lines_and_words_as_pal_does(read, text, error):
+    with pytest.raises(PrivCalcError) as exc:
+        read(text)
+    assert str(exc.value) == error
+
+
+_SPACED_RBAC = (
+    "op read\nop write\ncat C\nrole reader = read/C\nrole editor = write/C, read/C\n"
+    "inherits editor reader\nuser bob = reader, editor\n"
+)
+
+
+def test_rbac_words_may_be_separated_by_any_pal_blank():
+    spaced = import_rbac(load_rbac(_SPACED_RBAC))
+    assert import_rbac(load_rbac(_SPACED_RBAC.replace(" ", "\t"))) == spaced
+    assert import_rbac(load_rbac(_SPACED_RBAC.replace("\n", "\r\n"))) == spaced
+
+
+def test_crlf_facts_text_reads_as_lf_text():
+    text = "statement a\nstatement b\nfact f = a b\ncondition c = any a\ncondition t = true\n"
+    family, conditions = load_facts(text)
+    crlf_family, crlf_conditions = load_facts(text.replace("\n", "\r\n"))
+    assert crlf_family.facts == family.facts and crlf_conditions == conditions
 
 
 # --- queries -------------------------------------------------------------------

@@ -301,7 +301,7 @@ def test_arrangement_allows_disjoint_same_function():
 
 def test_atomic_arrangement_sorted_pairs():
     arr = atomic_arrangement([WRITE, READ], [Entity("b"), Entity("a")])
-    assert arr.labels() == ["read/{a}", "read/{b}", "write/{a}", "write/{b}"]
+    assert [m.render() for m in arr.basis] == ["read/{a}", "read/{b}", "write/{a}", "write/{b}"]
 
 
 # --- coefficients ------------------------------------------------------------------
@@ -357,7 +357,13 @@ def test_normal_form_collects_disjunctions():
 def test_normal_form_to_privilege_round_trip():
     p = priv((READ, UNIVERSAL, [C1]), (WRITE, TECHDOC, []))
     nf = normal_form(p, SESSIONS)
-    assert structural_eq(p, nf.to_privilege(), SESSIONS, FAM)
+    # one atom per basis element and disjunct of its coefficient
+    rebuilt = Privilege(frozenset(
+        PrivilegeAtom(emp, conj)
+        for emp, coeff in zip(SESSIONS.basis, nf.coefficients)
+        for conj in coeff.disjuncts
+    ))
+    assert structural_eq(p, rebuilt, SESSIONS, FAM)
 
 
 def test_pulse_session_example():
