@@ -107,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
-    """The file's text with newlines translated, as text mode reads it.
+    """The file's text as it is: readers end lines at line feeds only.
     Bytes that are not UTF-8 are an error at the first of them."""
     data = Path(path).read_bytes()
     try:
@@ -120,7 +120,7 @@ def _read(path: str) -> str:
             column=len(data[line_start : exc.start].decode("utf-8")) + 1,
             filename=path,
         ) from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _context(args: argparse.Namespace) -> tuple[str | None, dict]:

@@ -25,7 +25,7 @@ and the environment set-up and query dispatch (``build_environment`` /
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Container, Sequence, Union
+from typing import Container, Iterator, Sequence, Union
 
 from . import pal
 from .algebra import Employment, Entity, EntitySet, FunctionSymbol, UNIVERSAL
@@ -189,6 +189,14 @@ def _load_define(stmt: pal.Define, env: Environment) -> None:
         env.warnings.append(
             f"line {stmt.line}: redefinition of '{stmt.name}' (latest wins)"
         )
+    if not all(env.categories.values()):  # only a scope makes a category empty
+        scopes = [s for n in _walk(stmt.body) if isinstance(n, pal.Slash) for s in n.scopes]
+        for line, name in dict.fromkeys((s.line, s.id) for s in scopes):  # once a line
+            if not env.categories.get(name, True):
+                env.warnings.append(
+                    f"line {line}: category '{name}' is empty here, "
+                    f"so '/{name}' restricts everything away"
+                )
     env.privileges[stmt.name] = value
 
 
@@ -281,8 +289,9 @@ def _resolve_scope(scope: pal.Name, env: Environment) -> EntitySet:
     if kinds:
         message = f"'{name}' is a {kinds[0]}; '/' needs a category or an entity"
         raise ResolutionError(message, scope.line, scope.column)
-    # Unknown scope: start an empty category, to be populated by later
-    # let declarations (or left empty, restricting everything away).
+    # Unknown scope: a new, empty category. A later let adds members to
+    # the category but not to this snapshot, which restricts everything
+    # away; loading warns of it.
     return EntitySet.finite(env.categories.setdefault(name, set()), label=name)
 
 
@@ -346,20 +355,18 @@ def _sum_terms(node: pal.ExprNode) -> list[pal.ExprNode]:
     return terms
 
 
-def _names(node: pal.ExprNode) -> list[pal.Name]:
-    """Every ``Name`` in an expression, scopes and guard operands included."""
-    names: list[pal.Name] = []
+def _walk(node: pal.ExprNode) -> Iterator[pal.ExprNode]:
+    """Every node of an expression, scopes included, in source order."""
     pending = [node]
     while pending:
         node = pending.pop()
-        if isinstance(node, pal.Name):
-            names.append(node)
-        elif isinstance(node, pal.Slash):
-            names += node.scopes
-            pending.append(node.operand)
-        else:
-            pending += (node.left, node.right) if isinstance(node, pal.Guard) else node.operands
-    return names
+        yield node
+        if isinstance(node, pal.Slash):
+            pending += reversed((node.operand, *node.scopes))
+        elif isinstance(node, pal.Guard):
+            pending += (node.right, node.left)
+        elif not isinstance(node, pal.Name):
+            pending += reversed(node.operands)
 
 
 def arrangement_from_text(text: str, env: Environment) -> Arrangement:
@@ -661,7 +668,7 @@ def build_environment(
                     defined.add(stmt.name)
             # Here a privilege's name would be a function that overlaps
             # no atom of the program, and every guard would pass.
-            names = [name for element in elements for name in _names(element)]
+            names = [n for e in elements for n in _walk(e) if isinstance(n, pal.Name)]
             clashes = [n for n in names if n.id in defined and not scope.kinds_of(n.id)]
             if clashes:
                 first = min(clashes, key=lambda n: (n.line, n.column))

@@ -16,8 +16,9 @@ indexed by function and entity when built (filling the index is the
 disjointness check). A privilege's normal form over it gives each
 element the disjunction of the condition conjunctions of the atoms that
 overlap it; at a fact that is the pulsed form, a bit vector, and along
-a fact sequence a trace matrix. Queries evaluate only overlapped
-elements; the rest are false.
+a fact sequence a trace matrix. A privilege value is projected once per
+arrangement, while it lives, into its distinct coefficients with ``int``
+masks of the elements they cover; queries evaluate each once per fact.
 
 Congruence at a fact is pulsed-form equality, and p complies with q
 when p*q is congruent to q. A guard (``HighOrderCondition``) packages
@@ -27,11 +28,12 @@ either test as a value; equal guards are hash-consed into one object.
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import Employment, Entity, EntitySet, FunctionSymbol
 from .errors import SourceError
@@ -258,14 +260,15 @@ class Arrangement:
     different functions never overlap, and two elements of one function
     overlap exactly when both are universal, one is universal, or they
     share an entity, so filling the index checks disjointness in
-    O(sum of |E|) over the elements f/E. The index takes no part in
-    equality or hashing.
+    O(sum of |E|) over the elements f/E. The index and the projections
+    (weakly keyed by privilege value) take no part in equality or hashing.
     """
 
     basis: tuple[Employment, ...]
     _index: dict[FunctionSymbol, _FunctionElements] = field(
         init=False, repr=False, compare=False
     )
+    _projections: weakref.WeakKeyDictionary = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index: dict[FunctionSymbol, _FunctionElements] = {}
@@ -295,6 +298,7 @@ class Arrangement:
                 slot.by_entity.update(dict.fromkeys(members, j))
             slot.indices.append(j)
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_projections", weakref.WeakKeyDictionary())
 
     def overlapping(self, employment: Employment) -> set[int]:
         """Basis indices of the elements that ``employment`` overlaps."""
@@ -362,14 +366,40 @@ class NormalForm:
         )
 
 
-def _overlapped(p: Privilege, arrangement: Arrangement) -> dict[int, Coefficient]:
-    """The coefficients of the elements some atom of ``p`` overlaps, by
-    basis index; every other element's coefficient is constant false."""
-    buckets: dict[int, list[frozenset[Condition]]] = {}
-    for atom in p.atoms:
-        for i in arrangement.overlapping(atom.employment):
-            buckets.setdefault(i, []).append(atom.conditions)
-    return {i: Coefficient.from_conjunctions(conjs) for i, conjs in buckets.items()}
+def _low(mask: int) -> int:
+    """The lowest basis index in a non-empty mask."""
+    return (mask & -mask).bit_length() - 1
+
+
+def _indices(mask: int) -> Iterator[int]:
+    """The basis indices in a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _overlapped(
+    p: Privilege, arrangement: Arrangement
+) -> tuple[tuple[Coefficient, int], ...]:
+    """The distinct coefficients other than false of the elements some
+    atom of ``p`` overlaps, each with the mask of the elements it covers,
+    by lowest element; every other element's coefficient is constant
+    false. Computed once per arrangement while ``p``'s value is alive."""
+    classes = arrangement._projections.get(p)
+    if classes is None:
+        buckets: dict[int, list[frozenset[Condition]]] = {}
+        for atom in p.atoms:
+            for i in arrangement.overlapping(atom.employment):
+                buckets.setdefault(i, []).append(atom.conditions)
+        masks: dict[Coefficient, int] = {}
+        for i, conjs in buckets.items():
+            coefficient = Coefficient.from_conjunctions(conjs)
+            masks[coefficient] = masks.get(coefficient, 0) | 1 << i
+        masks.pop(Coefficient(), None)
+        classes = tuple(sorted(masks.items(), key=lambda item: _low(item[1])))
+        arrangement._projections[p] = classes
+    return classes
 
 
 def normal_form(p: Privilege, arrangement: Arrangement) -> NormalForm:
@@ -377,8 +407,9 @@ def normal_form(p: Privilege, arrangement: Arrangement) -> NormalForm:
     condition conjunctions of the atoms whose employment overlaps it;
     constant false where no atom does."""
     coefficients = [Coefficient()] * len(arrangement)
-    for i, coefficient in _overlapped(p, arrangement).items():
-        coefficients[i] = coefficient
+    for coefficient, mask in _overlapped(p, arrangement):
+        for i in _indices(mask):
+            coefficients[i] = coefficient
     return NormalForm(arrangement, tuple(coefficients))
 
 
@@ -391,12 +422,15 @@ class PulsedForm:
 
 
 def pulse(p: Privilege, arrangement: Arrangement, fact: Fact) -> PulsedForm:
-    """Normal-form coefficients evaluated at one fact; only the elements
-    ``p`` overlaps are evaluated, the rest are false."""
-    bits = [False] * len(arrangement)
-    for i, coefficient in _overlapped(p, arrangement).items():
-        bits[i] = coefficient.evaluate(fact)
-    return PulsedForm(tuple(bits))
+    """Normal-form coefficients evaluated at one fact: each distinct
+    coefficient once; elements ``p`` does not overlap are false."""
+    held = 0
+    for coefficient, mask in _overlapped(p, arrangement):
+        if coefficient.evaluate(fact):
+            held |= mask
+    # held's binary digits, padded to the basis and read lowest first
+    digits = reversed(bin(held | 1 << len(arrangement))[3:])
+    return PulsedForm(tuple(map("1".__eq__, digits)))
 
 
 @dataclass(frozen=True)
@@ -420,23 +454,41 @@ class TraceMatrix:
 def trace(
     p: Privilege, arrangement: Arrangement, sequence: Sequence[Fact]
 ) -> TraceMatrix:
-    """Pulses along the sequence; as in ``pulse``, only the elements ``p``
-    overlaps are evaluated."""
+    """Pulses along the sequence; as in ``pulse``, each distinct
+    coefficient is evaluated once per fact."""
     sequence = tuple(sequence)
     cells = [(False,) * len(sequence)] * len(arrangement)
-    for i, coefficient in _overlapped(p, arrangement).items():
-        cells[i] = tuple(coefficient.evaluate(t) for t in sequence)
+    for coefficient, mask in _overlapped(p, arrangement):
+        row = tuple(coefficient.evaluate(t) for t in sequence)
+        for i in _indices(mask):
+            cells[i] = row
     return TraceMatrix(arrangement, sequence, tuple(cells))
 
 
 def _overlapped_pairs(
     u: Privilege, v: Privilege, arrangement: Arrangement
 ) -> list[tuple[Coefficient, Coefficient]]:
-    """The coefficient pairs of the elements ``u`` or ``v`` overlaps, in
-    basis order. Elsewhere both are false, so they agree at every fact."""
+    """The distinct coefficient pairs where ``u`` or ``v`` is not false,
+    by each pair's lowest element; elsewhere both agree at every fact. The
+    first pair to disagree at a fact, or to raise, holds the first element
+    that does. Each pair costs O(log k) mask operations over k classes."""
     cu, cv = _overlapped(u, arrangement), _overlapped(v, arrangement)
-    false = Coefficient()
-    return [(cu.get(i, false), cv.get(i, false)) for i in sorted(cu.keys() | cv.keys())]
+    span_u, span_v = (sum(m for _, m in side) for side in (cu, cv))  # masks are disjoint
+    # Each side is a heap of (lowest unpaired element, mask, coefficient),
+    # false where only the other side is not, so both heaps hold the same
+    # elements and both tops hold the least of them. Sorted is a heap.
+    hu, hv = (
+        sorted((_low(m), m, c) for c, m in side + ((Coefficient(), outside),) if m)
+        for side, outside in ((cu, span_v & ~span_u), (cv, span_u & ~span_v))
+    )
+    pairs: list[tuple[Coefficient, Coefficient]] = []
+    while hu:
+        (_, mu, a), (_, mv, b) = heapq.heappop(hu), heapq.heappop(hv)
+        for heap, rest, c in ((hu, mu & ~mv, a), (hv, mv & ~mu, b)):
+            if rest:
+                heapq.heappush(heap, (_low(rest), rest, c))
+        pairs.append((a, b))
+    return pairs
 
 
 def _rows_agree(rows: list[tuple[Coefficient, Coefficient]], fact: Fact) -> bool:
@@ -478,7 +530,7 @@ class HighOrderCondition(Condition):
 
     Operator, operands, arrangement and mode give equality and hashing;
     the arrangement stays out of the hash, which would walk the whole
-    basis, and congruence stores mode ``None``. The projected rows and
+    basis, and congruence stores mode ``None``. The coefficient pairs and
     the label are derived once, here, and take no part in equality."""
 
     op: str

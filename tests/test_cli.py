@@ -12,6 +12,7 @@ import pytest
 
 from privcalc import (
     ComplianceQuery,
+    PrivCalcError,
     EquivalenceQuery,
     EvalQuery,
     NormalFormQuery,
@@ -97,6 +98,20 @@ def test_eval_reports_warnings_and_answers(workspace, capsys):
     code, out, err = run(capsys, "eval", str(path), "--expr", "p")
     assert (code, out) == (0, "write\n")
     assert err == f"{path}: warning: line 2: redefinition of 'p' (latest wins)\n"
+
+
+def test_empty_category_scope_warns_on_every_command(workspace, capsys):
+    path = workspace / "later.pal"
+    path.write_text('namespace "n" {\n  x := read/Later\n  let d is Later\n  y := read/Later\n}\n')
+    warning = (
+        f"{path}: warning: line 2: category 'Later' is empty here, "
+        "so '/Later' restricts everything away\n"
+    )
+    assert run(capsys, "check", str(path)) == (0, "ok\n", warning)
+    assert run(capsys, "eval", str(path), "--expr", "x") == (0, "0\n", warning)
+    assert run(capsys, "eval", str(path), "--expr", "y") == (0, "read/Later\n", warning)
+    # members at the scope: no word on stderr
+    assert run(capsys, "check", str(workspace / "example.pal")) == (0, "ok\n", "")
 
 
 def test_eval_session(workspace, capsys):
@@ -239,6 +254,34 @@ def test_non_utf8_input_is_an_error_at_its_first_bad_byte(
     command = command.replace("BAD", str(bad)).replace("EXAMPLE", str(workspace / "example.pal"))
     code, out, err = run(capsys, *command.split())
     assert (code, out, err) == (2, "", f"error: {bad}:{message}\n")
+
+
+def test_carriage_returns_read_as_the_library_reads_them(workspace, capsys):
+    # A lone carriage return ends no line, through pal as through
+    # load_facts; in CRLF text the line feed ends the line.
+    text = "statement a\rstatement b\rfact f = a b\r"
+    path = workspace / "cr.facts"
+    path.write_bytes(text.encode())
+    with pytest.raises(PrivCalcError) as info:
+        load_facts(text, filename=str(path))
+    assert str(info.value) == f"{path}:1: expected: statement <id>"
+    example = str(workspace / "example.pal")
+    assert run(capsys, "check", example, "--facts", str(path)) == (
+        2, "", f"error: {info.value}\n"
+    )
+    # CRLF text reads as its LF copy: the same value, the same error
+    bad = 'namespace "n" {\n  x := read +\n}\n'
+    lf, crlf = workspace / "lf.pal", workspace / "crlf.pal"
+    codes = []
+    for program, expr in ((EXAMPLE_PAL, "session_1"), (bad, "x")):
+        lf.write_bytes(program.encode())
+        crlf.write_bytes(program.replace("\n", "\r\n").encode())
+        code, out, err = run(capsys, "eval", str(lf), "--expr", expr)
+        assert run(capsys, "eval", str(crlf), "--expr", expr) == (
+            code, out, err.replace(str(lf), str(crlf))
+        )
+        codes.append(code)
+    assert codes == [0, 2]
 
 
 def test_trace_csv(workspace, capsys):

@@ -105,6 +105,34 @@ namespace "n" {
     assert any("redefinition of 'first'" in w for w in env.warnings)
 
 
+def test_a_scope_over_an_empty_category_warns_at_the_scope():
+    # Snapshots: a later let grows the category, never an earlier value.
+    # Two scopes over one empty category on one line warn once.
+    source = """\
+namespace "n" {
+  x := read/Later + write/Later
+  let d is Later
+  y := read/Later + write/Other
+  z := (read + write)/Later/d
+}
+"""
+    env = example_env(source=source)
+    assert env.privileges["x"].is_empty
+    assert env.privileges["z"].text() == "read/Later + write/Later"
+    assert env.warnings == [
+        "line 2: category 'Later' is empty here, so '/Later' restricts everything away",
+        "line 4: category 'Other' is empty here, so '/Other' restricts everything away",
+    ]
+
+
+def test_scopes_over_members_and_entities_do_not_warn():
+    env = example_env(source=EXAMPLE_PAL)
+    assert env.warnings == []
+    # a query is no load: its scopes add no warning
+    assert eval_text("read/Nowhere", env).is_empty
+    assert env.warnings == []
+
+
 # --- name resolution -----------------------------------------------------------
 
 

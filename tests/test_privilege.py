@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import privcalc.privilege as privilege_module
 from privcalc import (
     ALWAYS,
     NEVER,
@@ -674,7 +677,7 @@ def test_merge_matches_pairwise_definition(u, v, mode):
     assert merge(u, v, mode) == pairwise_merge(u, v, mode)
 
 
-@given(_disjoint_bases(), _index_privileges(), _index_privileges())
+@given(_disjoint_bases(), _mixed_privileges(), _mixed_privileges())
 @example(
     (Employment(READ, UNIVERSAL), Employment(WRITE, EntitySet.finite([_A]))),
     # every conjunction on read/* folds to false
@@ -682,18 +685,30 @@ def test_merge_matches_pairwise_definition(u, v, mode):
     Privilege(),
 )
 def test_pulse_trace_and_eq_match_every_coefficient(basis, p, q):
+    # Every query against the per-element definition: each element's
+    # coefficient, from the normal form, evaluated at each fact.
     arr = Arrangement(basis)
     facts = list(FAM)
-    cp = normal_form(p, arr).coefficients
-    cq = normal_form(q, arr).coefficients
+
+    def coefficients(x):
+        want = tuple(Coefficient.from_conjunctions(c) for c in pairwise_normal_form(x, basis))
+        assert normal_form(x, arr).coefficients == want
+        return want
+
+    def agree(a, b, fact):
+        return all(x.evaluate(fact) == y.evaluate(fact) for x, y in zip(a, b))
+
+    cp, cq = coefficients(p), coefficients(q)
+    merged = {mode: coefficients(merge(p, q, mode)) for mode in (INTER, UNION)}
     for fact in facts:
         assert pulse(p, arr, fact).bits == tuple(c.evaluate(fact) for c in cp)
+        assert congruent(p, q, arr, fact) == agree(cp, cq, fact)
+        for mode, cm in merged.items():
+            assert compliant(p, q, arr, fact, mode) == agree(cm, cq, fact)
     assert trace(p, arr, facts).cells == tuple(
         tuple(c.evaluate(t) for t in facts) for c in cp
     )
-    assert structural_eq(p, q, arr, FAM) == all(
-        a.evaluate(t) == b.evaluate(t) for a, b in zip(cp, cq) for t in facts
-    )
+    assert structural_eq(p, q, arr, FAM) == all(agree(cp, cq, t) for t in facts)
 
 
 def test_merge_pairs_atoms_only_within_a_function(monkeypatch):
@@ -716,8 +731,42 @@ def test_merge_pairs_atoms_only_within_a_function(monkeypatch):
 
 
 def test_pulse_and_trace_evaluate_only_overlapped_elements(monkeypatch):
+    # Each distinct coefficient of the overlapped elements is evaluated
+    # once per fact, and no other element's coefficient is evaluated.
     entities = [Entity(f"e{i:03d}") for i in range(100)]
     arr = atomic_arrangement([READ, WRITE, LIST_, REMOVE], entities)
+    evaluated = []
+    evaluate = Coefficient.evaluate
+
+    def counting(self, fact):
+        evaluated.append((self, fact))
+        return evaluate(self, fact)
+
+    monkeypatch.setattr(Coefficient, "evaluate", counting)
+    p = priv(
+        (READ, EntitySet.finite(entities[:2]), [C1]),
+        (WRITE, EntitySet.finite(entities[:3]), [C2]),
+    )
+    on_read, on_write = (Coefficient.from_conjunctions([{c}]) for c in (C1, C2))
+    assert pulse(p, arr, T_S1).bits.count(True) == 2
+    assert sorted(evaluated, key=repr) == sorted(
+        [(on_read, T_S1), (on_write, T_S1)], key=repr
+    )
+    evaluated.clear()
+    cells = trace(p, arr, [T_EMPTY, T_S1]).cells
+    assert sum(row.count(True) for row in cells) == 2
+    assert sorted(evaluated, key=repr) == sorted(
+        [(c, t) for c in (on_read, on_write) for t in (T_EMPTY, T_S1)], key=repr
+    )
+
+
+def test_the_pair_walk_stops_at_the_first_element_that_disagrees(monkeypatch):
+    # Pairs go by lowest element, so a verdict evaluates no more than a
+    # walk of the elements in basis order would.
+    arr = atomic_arrangement([READ, WRITE], _IDX_ENTITIES)
+    a_to_c = EntitySet.finite(_IDX_ENTITIES[:3])
+    p = priv((READ, EntitySet.finite([_A]), [C1]), (WRITE, a_to_c, [C2]))
+    q = priv((READ, EntitySet.finite([_A]), [C2]), (WRITE, a_to_c, [C2]))
     evaluated = []
     evaluate = Coefficient.evaluate
 
@@ -726,9 +775,77 @@ def test_pulse_and_trace_evaluate_only_overlapped_elements(monkeypatch):
         return evaluate(self, fact)
 
     monkeypatch.setattr(Coefficient, "evaluate", counting)
-    p = priv((READ, EntitySet.finite(entities[:2]), [C1]))
-    assert pulse(p, arr, T_S1).bits.count(True) == 2
-    assert len(evaluated) == 2
-    cells = trace(p, arr, [T_EMPTY, T_S1]).cells
-    assert sum(row.count(True) for row in cells) == 2
-    assert len(evaluated) == 2 + 2 * 2
+    assert not congruent(p, q, arr, T_S1)
+    assert evaluated == [Coefficient.from_conjunctions([{c}]) for c in (C1, C2)]
+
+
+def test_pairs_are_the_distinct_element_pairs_by_first_element():
+    # Many classes on both sides, shared unevenly: the pairs are the
+    # elements' (p, q) coefficient pairs in basis order, first occurrence
+    # kept, without the elements false on both sides.
+    entities = [Entity(f"e{i:02d}") for i in range(30)]
+    arr = atomic_arrangement([READ, WRITE], entities)
+    conds = [WitnessCondition(f"w{i}", frozenset({Statement(f"s{i % 3}")})) for i in range(7)]
+    elements = list(enumerate(itertools.product([READ, WRITE], entities)))
+    p = priv(*((f, EntitySet.finite([e]), [conds[i % 7]]) for i, (f, e) in elements if i % 5))
+    q = priv(*((f, EntitySet.finite([e]), [conds[i % 4]]) for i, (f, e) in elements if i % 3))
+    false = Coefficient()
+    cp, cq = (normal_form(x, arr).coefficients for x in (p, q))
+    want = list(dict.fromkeys(pair for pair in zip(cp, cq) if pair != (false, false)))
+    assert privilege_module._overlapped_pairs(p, q, arr) == want
+    assert len(want) == 35  # 24 pairs of two classes, 11 of a class and false
+
+
+def test_a_live_value_is_projected_once(monkeypatch):
+    # Every query reads one projection per live value: a second round of
+    # queries projects nothing, and compliant's own p*q finds the
+    # projection of an equal live value.
+    arr = atomic_arrangement([READ, WRITE, LIST_], _IDX_ENTITIES)
+    p = priv((READ, UNIVERSAL, [C1]), (WRITE, EntitySet.finite([_A, _B]), [C2]))
+    q = priv((READ, EntitySet.finite([_A]), []), (LIST_, UNIVERSAL, [C1]))
+    pq = merge(p, q)
+    projected = []
+    overlapping = Arrangement.overlapping
+
+    def counting(self, employment):
+        projected.append(employment)
+        return overlapping(self, employment)
+
+    monkeypatch.setattr(Arrangement, "overlapping", counting)
+    queries = [
+        lambda: normal_form(pq, arr),
+        lambda: pulse(p, arr, T_S1),
+        lambda: trace(p, arr, [T_EMPTY, T_S1]),
+        lambda: structural_eq(p, q, arr, FAM),
+        lambda: congruent(p, q, arr, T_S1),
+        lambda: compliant(p, q, arr, T_S1),
+    ]
+    for query in queries:
+        query()
+    assert len(projected) == len(pq.atoms) + len(p.atoms) + len(q.atoms)
+    projected.clear()
+    for query in queries:
+        query()
+    assert projected == []
+
+
+def test_projections_pin_neither_values_nor_guards():
+    gc.collect()
+    guards = len(privilege_module._guards)
+    arr = atomic_arrangement([READ, WRITE], _IDX_ENTITIES)
+    p = priv((READ, UNIVERSAL, [C1]))
+    guard = compliance_condition(p, priv((WRITE, UNIVERSAL, [])), arr, UNION)
+    g = p.with_condition(guard)
+    normal_form(g, arr)
+    pulse(g, arr, T_S1)
+    trace(g, arr, [T_EMPTY, T_S1])
+    structural_eq(g, p, arr, FAM)
+    for mode in (INTER, UNION):
+        compliant(p, g, arr, T_S1, mode)
+    assert len(privilege_module._guards) == guards + 1
+    refs = [weakref.ref(x) for x in (p, guard, g)]
+    del p, guard, g
+    gc.collect()
+    assert [r() for r in refs] == [None] * 3
+    assert len(privilege_module._guards) == guards
+    assert len(arr._projections) == 0
