@@ -19,26 +19,19 @@ from .algebra import (
 )
 from .errors import PrivCalcError, SourceError
 from .facts import (
-    ALWAYS,
     Condition,
     DeclarationError,
     EvaluationError,
     Fact,
     FactFamily,
     FalseCondition,
-    NEVER,
     Statement,
-    TableCondition,
     TrueCondition,
-    UnsupportedConditionError,
     WitnessCondition,
     close_family,
     evidences,
     load_facts,
     minimum_evidences,
-    table_condition,
-    verify_condition_axiom,
-    verify_family,
 )
 from .privilege import (
     Arrangement,

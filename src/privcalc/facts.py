@@ -14,23 +14,22 @@ disjoint-union axiom
     r(x1 | x2) = r(x1) or r(x2)    whenever x1 and x2 are disjoint.
 
 Witness conditions (true on any fact containing at least one witness
-statement) satisfy the axiom by construction. Table conditions carry an
-explicit truth assignment and should be checked with
-``verify_condition_axiom`` when loaded. Guards, the high-order
-conditions of the privilege layer, are exempt from the axiom check.
+statement) and the constants ``true`` and ``false`` satisfy the axiom
+by construction. These and the privilege layer's guards are the only
+conditions a facts file or a PAL program can state, and each is
+defined at every fact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Container, Iterable, Iterator, Mapping
+from typing import Container, Iterable, Iterator
 
 from .errors import PrivCalcError, SourceError, in_file
 from .pal import declarations, is_identifier, words
 
 __all__ = [
-    "ALWAYS",
     "Condition",
     "DeclarationError",
     "EvaluationError",
@@ -38,20 +37,14 @@ __all__ = [
     "FactFamily",
     "FalseCondition",
     "MAX_FAMILY",
-    "NEVER",
     "Statement",
-    "TableCondition",
     "TrueCondition",
-    "UnsupportedConditionError",
     "WitnessCondition",
     "close_family",
     "evidences",
     "load_facts",
     "minimum_evidences",
     "synthesized_id",
-    "table_condition",
-    "verify_condition_axiom",
-    "verify_family",
 ]
 
 
@@ -66,11 +59,7 @@ class DeclarationError(SourceError):
 
 
 class EvaluationError(PrivCalcError):
-    """A condition or lookup was asked about a fact outside its domain."""
-
-
-class UnsupportedConditionError(PrivCalcError):
-    """The operation does not apply to this condition kind."""
+    """A fact id names no fact of the family."""
 
 
 @dataclass(frozen=True)
@@ -107,7 +96,7 @@ class FactFamily:
 
     Facts are identified by their statement set; a second fact declared
     over the same set becomes an id alias of the first. The constructor
-    does not check closure, ``verify_family`` does.
+    does not check closure; ``close_family`` builds closed families.
     """
 
     def __init__(self, universe: Iterable[Statement], facts: Iterable[Fact]):
@@ -214,30 +203,6 @@ def close_family(
     return FactFamily(universe_set, facts)
 
 
-def verify_family(family: FactFamily) -> list[str]:
-    """Every missing closure element: the empty fact, the universe, and
-    each pairwise union or intersection not in the family. An empty
-    list means the family is closed."""
-    violations = []
-    items = [f.statements for f in family.facts]
-    sets = set(items)
-    if frozenset() not in sets:
-        violations.append("empty fact missing")
-    if family.universe not in sets:
-        violations.append("universe fact missing")
-    for i, a in enumerate(items):
-        for b in items[i + 1 :]:
-            if (a | b) not in sets:
-                violations.append(
-                    f"union of '{synthesized_id(a)}' and '{synthesized_id(b)}' missing"
-                )
-            if (a & b) not in sets:
-                violations.append(
-                    f"intersection of '{synthesized_id(a)}' and '{synthesized_id(b)}' missing"
-                )
-    return violations
-
-
 class Condition:
     """Boolean function on facts. Subclasses implement ``evaluate``."""
 
@@ -249,7 +214,7 @@ class Condition:
 
 @dataclass(frozen=True)
 class TrueCondition(Condition):
-    id: str = "true"
+    id: str
 
     def evaluate(self, fact: Fact) -> bool:
         return True
@@ -257,7 +222,7 @@ class TrueCondition(Condition):
 
 @dataclass(frozen=True)
 class FalseCondition(Condition):
-    id: str = "false"
+    id: str
 
     def evaluate(self, fact: Fact) -> bool:
         return False
@@ -272,70 +237,6 @@ class WitnessCondition(Condition):
 
     def evaluate(self, fact: Fact) -> bool:
         return bool(self.witnesses & fact.statements)
-
-
-@dataclass(frozen=True)
-class TableCondition(Condition):
-    """Explicit truth assignment over a fixed domain of statement sets."""
-
-    id: str
-    true_sets: frozenset[frozenset[Statement]]
-    domain: frozenset[frozenset[Statement]]
-
-    def evaluate(self, fact: Fact) -> bool:
-        if fact.statements not in self.domain:
-            raise EvaluationError(
-                f"condition '{self.id}' has no entry for fact '{fact.id}'"
-            )
-        return fact.statements in self.true_sets
-
-
-ALWAYS = TrueCondition()
-NEVER = FalseCondition()
-
-
-def table_condition(
-    cond_id: str, assignment: Mapping[frozenset[Statement], bool]
-) -> TableCondition:
-    """Build a table condition from an explicit fact-set assignment."""
-    true_sets = frozenset(s for s, v in assignment.items() if v)
-    return TableCondition(cond_id, true_sets, frozenset(assignment))
-
-
-def verify_condition_axiom(condition: Condition, family: FactFamily) -> list[str]:
-    """Check r(x1 | x2) = r(x1) or r(x2) over every disjoint pair; the
-    violations found, none when the axiom holds.
-
-    Guards are outside the axiom's scope and are rejected. The axiom
-    does not force monotonicity on families that lack relative
-    complements; witness conditions are monotone regardless, arbitrary
-    tables need not be.
-    """
-    from .privilege import HighOrderCondition  # privilege imports this module
-    if isinstance(condition, HighOrderCondition):
-        raise UnsupportedConditionError(
-            "high-order conditions are exempt from the disjoint-union axiom"
-        )
-    violations = []
-    facts = family.facts
-    index = {f.statements: f for f in facts}
-    for i, x1 in enumerate(facts):
-        for x2 in facts[i:]:
-            if x1.statements & x2.statements:
-                continue
-            union = index.get(x1.statements | x2.statements)
-            if union is None:
-                violations.append(
-                    f"family misses the union of '{x1.id}' and '{x2.id}'"
-                )
-                continue
-            left = condition.evaluate(union)
-            right = condition.evaluate(x1) or condition.evaluate(x2)
-            if left != right:
-                violations.append(
-                    f"r({union.id}) = {int(left)} but r({x1.id}) or r({x2.id}) = {int(right)}"
-                )
-    return violations
 
 
 def evidences(condition: Condition, family: FactFamily) -> frozenset[Fact]:

@@ -33,6 +33,7 @@ import io
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import Employment, Entity, EntitySet, FunctionSymbol
@@ -530,8 +531,10 @@ class HighOrderCondition(Condition):
 
     Operator, operands, arrangement and mode give equality and hashing;
     the arrangement stays out of the hash, which would walk the whole
-    basis, and congruence stores mode ``None``. The coefficient pairs and
-    the label are derived once, here, and take no part in equality."""
+    basis, and congruence stores mode ``None``. The label is derived
+    here, the coefficient pairs at the first evaluation, so a guard that
+    hash-consing discards merges and projects nothing; neither takes
+    part in equality."""
 
     op: str
     left: Privilege
@@ -539,16 +542,18 @@ class HighOrderCondition(Condition):
     arrangement: Arrangement = field(hash=False, repr=False)
     mode: ConditionMergeMode | None
     id: str = field(init=False, compare=False)
-    _rows: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.op == "~":
             object.__setattr__(self, "mode", None)
         elif self.op != "<:":
             raise ValueError(f"unknown guard operator {self.op!r}")
-        u = merge(self.left, self.right, self.mode) if self.op == "<:" else self.left
-        object.__setattr__(self, "_rows", _overlapped_pairs(u, self.right, self.arrangement))
         object.__setattr__(self, "id", f"[{self.left.text()} {self.op} {self.right.text()}]")
+
+    @cached_property
+    def _rows(self) -> list[tuple[Coefficient, Coefficient]]:
+        u = merge(self.left, self.right, self.mode) if self.op == "<:" else self.left
+        return _overlapped_pairs(u, self.right, self.arrangement)
 
     def evaluate(self, fact: Fact) -> bool:
         return _rows_agree(self._rows, fact)

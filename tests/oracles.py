@@ -156,6 +156,21 @@ def all_closed_mask_families(n: int) -> list[frozenset[int]]:
     return out
 
 
+def axiom_violations(condition: Condition, family: FactFamily) -> list[tuple[Fact, Fact]]:
+    """The disjoint pairs of facts of a closed family at which the
+    disjoint-union axiom r(x1 | x2) = r(x1) or r(x2) fails."""
+    facts = family.facts
+    by_set = {f.statements: f for f in facts}
+    return [
+        (x1, x2)
+        for i, x1 in enumerate(facts)
+        for x2 in facts[i:]
+        if not x1.statements & x2.statements
+        and condition.evaluate(by_set[x1.statements | x2.statements])
+        != (condition.evaluate(x1) or condition.evaluate(x2))
+    ]
+
+
 def evidence_sets(condition: Condition, family: FactFamily) -> frozenset[frozenset[Statement]]:
     return frozenset(f.statements for f in family if condition.evaluate(f))
 

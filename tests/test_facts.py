@@ -4,37 +4,40 @@ from __future__ import annotations
 
 import itertools
 import time
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, strategies as st
 
 from privcalc import (
-    ALWAYS,
-    NEVER,
     UNIVERSAL,
     Arrangement,
+    Condition,
     DeclarationError,
     Employment,
     EvaluationError,
     Fact,
     FactFamily,
+    FalseCondition,
     FunctionSymbol,
     Privilege,
     Statement,
-    UnsupportedConditionError,
+    TrueCondition,
     WitnessCondition,
     close_family,
     congruence_condition,
     evidences,
     load_facts,
     minimum_evidences,
-    table_condition,
-    verify_condition_axiom,
-    verify_family,
 )
 import privcalc.facts as facts
 
-from oracles import closure_masks, minimal_evidence_sets
+from oracles import (
+    axiom_violations,
+    closure_masks,
+    is_closed_mask_family,
+    minimal_evidence_sets,
+)
 from fixtures import power_family
 
 S1, S2, S3 = Statement("s1"), Statement("s2"), Statement("s3")
@@ -46,6 +49,29 @@ def _read_unless(statement: Statement):
     """The guard [read ? w ~ 0]: true exactly on facts without ``statement``."""
     witnessed = Privilege.single(READ, [WitnessCondition("w", frozenset({statement}))])
     return congruence_condition(witnessed, Privilege(), Arrangement((READ,)))
+
+
+@dataclass(frozen=True)
+class _Table(Condition):
+    """True on exactly the facts whose statement sets are listed."""
+
+    id: str
+    true_sets: frozenset[frozenset[Statement]]
+
+    def evaluate(self, fact: Fact) -> bool:
+        return fact.statements in self.true_sets
+
+
+def _masks(fam: FactFamily) -> frozenset[int]:
+    """The family's statement sets as bitmasks, statements in id order."""
+    order = sorted(fam.universe, key=lambda s: s.id)
+    return frozenset(
+        sum(1 << i for i, s in enumerate(order) if s in f.statements) for f in fam.facts
+    )
+
+
+def _is_closed(fam: FactFamily) -> bool:
+    return is_closed_mask_family(_masks(fam), len(fam.universe))
 
 
 # --- families --------------------------------------------------------------
@@ -128,18 +154,19 @@ def test_verify_family_flags_missing_union():
             Fact("all", frozenset({S1, S2, S3})),
         ],
     )
-    violations = verify_family(fam)
-    assert violations
-    assert any("union" in v for v in violations)
+    assert not _is_closed(fam)
+    # {s1, s2}, the union of a and b, is all that is missing
+    assert _is_closed(FactFamily(fam.universe, [*fam, Fact("ab", frozenset({S1, S2}))]))
 
 
 def test_verify_family_flags_missing_bounds():
     fam = FactFamily({S1}, [Fact("a", frozenset({S1}))])
-    assert "empty fact missing" in verify_family(fam)
+    assert not _is_closed(fam)
+    assert _is_closed(FactFamily({S1}, [*fam, Fact("empty", frozenset())]))
 
 
 def test_verify_family_accepts_closed():
-    assert verify_family(power_family("s1", "s2", "s3")) == []
+    assert _is_closed(power_family("s1", "s2", "s3"))
 
 
 @given(st.data())
@@ -150,11 +177,7 @@ def test_closure_matches_bitmask_oracle(data):
     stmts = [Statement(f"s{i}") for i in range(n)]
     gens = [Fact(f"f{i}", frozenset(stmts[j] for j in s)) for i, s in enumerate(seeds)]
     fam = close_family(stmts, gens)
-
-    def mask(s):
-        return sum(1 << i for i, stmt in enumerate(stmts) if stmt in s)
-
-    got = {mask(f.statements) for f in fam}
+    got = _masks(fam)
     assert got == closure_masks({sum(1 << j for j in s) for s in seeds}, n)
     assert len(fam.facts) == len(got)
 
@@ -189,7 +212,7 @@ def test_closure_stops_past_the_bound(monkeypatch, generators):
     monkeypatch.setattr(facts, "MAX_FAMILY", 16)
     fam = close_family(*generators(4))
     assert len(fam) == 16
-    assert verify_family(fam) == []
+    assert _is_closed(fam)
 
 
 def test_closure_intersections_stop_at_the_bound():
@@ -215,7 +238,7 @@ def test_max_family_closes_fourteen_singletons():
 )
 def test_closure_always_verifies(seeds):
     fam = close_family([S1, S2, S3], [Fact(f"f{i}", s) for i, s in enumerate(seeds)])
-    assert verify_family(fam) == []
+    assert _is_closed(fam)
 
 
 # --- conditions -------------------------------------------------------------
@@ -224,8 +247,8 @@ def test_closure_always_verifies(seeds):
 def test_constants():
     fam = power_family("s1")
     for fact in fam:
-        assert ALWAYS.evaluate(fact) is True
-        assert NEVER.evaluate(fact) is False
+        assert TrueCondition("open").evaluate(fact) is True
+        assert FalseCondition("sealed").evaluate(fact) is False
 
 
 def test_witness_condition():
@@ -235,16 +258,6 @@ def test_witness_condition():
     assert cond.evaluate(fam.fact("s1+s2")) is True
     assert cond.evaluate(fam.fact("s2")) is False
     assert cond.evaluate(fam.fact("empty")) is False
-
-
-def test_table_condition_domain_checked():
-    fam = power_family("s1")
-    cond = table_condition("t", {frozenset({S1}): True, frozenset(): False})
-    assert cond.evaluate(fam.fact("s1")) is True
-    assert cond.evaluate(fam.fact("empty")) is False
-    other = power_family("s1", "s2")
-    with pytest.raises(EvaluationError):
-        cond.evaluate(other.fact("s1+s2"))
 
 
 def test_high_order_condition_evaluates_predicate():
@@ -257,59 +270,23 @@ def test_high_order_condition_evaluates_predicate():
 def test_axiom_holds_for_witness_conditions():
     fam = power_family("s1", "s2", "s3")
     cond = WitnessCondition("w", frozenset({S1, S3}))
-    assert verify_condition_axiom(cond, fam) == []
+    assert axiom_violations(cond, fam) == []
 
 
 def test_axiom_violation_reported():
     fam = power_family("s1", "s2")
     # true on the parts, false on the union: breaks disjoint-union splitting
-    cond = table_condition(
-        "bad",
-        {
-            frozenset(): False,
-            frozenset({S1}): True,
-            frozenset({S2}): True,
-            frozenset({S1, S2}): False,
-        },
-    )
-    violations = verify_condition_axiom(cond, fam)
-    assert violations
-    assert any("s1+s2" in v for v in violations)
-
-
-def test_axiom_check_reports_missing_unions():
-    fam = FactFamily(
-        {S1, S2},
-        [
-            Fact("empty", frozenset()),
-            Fact("a", frozenset({S1})),
-            Fact("b", frozenset({S2})),
-        ],
-    )
-    violations = verify_condition_axiom(ALWAYS, fam)
-    assert any("misses the union" in v for v in violations)
-
-
-def test_axiom_rejects_high_order():
-    fam = power_family("s1")
-    with pytest.raises(UnsupportedConditionError):
-        verify_condition_axiom(_read_unless(S1), fam)
+    cond = _Table("bad", frozenset({frozenset({S1}), frozenset({S2})}))
+    assert axiom_violations(cond, fam) == [(fam.fact("s1"), fam.fact("s2"))]
 
 
 def test_table_condition_can_pass_axiom_yet_not_be_monotone():
     # family without relative complements: {empty, {s1}, {s1, s2}}
     fam = close_family([S1, S2], [Fact("a", frozenset({S1}))])
-    cond = table_condition(
-        "quirk",
-        {
-            frozenset(): False,
-            frozenset({S1}): True,
-            frozenset({S1, S2}): False,
-        },
-    )
+    cond = _Table("quirk", frozenset({frozenset({S1})}))
     # no two disjoint nonempty members exist, so the splitting axiom
     # is satisfied vacuously
-    assert verify_condition_axiom(cond, fam) == []
+    assert axiom_violations(cond, fam) == []
     # yet the condition flips from true to false on a superset fact
     assert cond.evaluate(fam.fact("a")) is True
     assert cond.evaluate(fam.fact("s1+s2")) is False
@@ -336,22 +313,15 @@ def test_evidences_and_minimum_evidences_witness():
 
 def test_minimum_evidences_can_be_incomparable():
     fam = power_family("s1", "s2")
-    cond = table_condition(
-        "either",
-        {
-            frozenset(): False,
-            frozenset({S1}): True,
-            frozenset({S2}): True,
-            frozenset({S1, S2}): True,
-        },
-    )
+    cond = WitnessCondition("either", frozenset({S1, S2}))
     assert {f.id for f in minimum_evidences(cond, fam)} == {"s1", "s2"}
 
 
 def test_no_evidences_for_never():
     fam = power_family("s1")
-    assert evidences(NEVER, fam) == frozenset()
-    assert minimum_evidences(NEVER, fam) == frozenset()
+    sealed = FalseCondition("sealed")
+    assert evidences(sealed, fam) == frozenset()
+    assert minimum_evidences(sealed, fam) == frozenset()
 
 
 @given(st.frozensets(st.sampled_from(["s1", "s2", "s3"]), max_size=3))
@@ -383,12 +353,47 @@ condition sealed = false
 def test_load_facts_round_trip():
     fam, conds = load_facts(FACTS_TEXT)
     assert {f.id for f in fam} >= {"empty", "phone_session", "pc_session"}
-    assert verify_family(fam) == []
+    assert _is_closed(fam)
     assert set(conds) == {"logged", "open", "sealed"}
     assert conds["logged"].evaluate(fam.fact("pc_session")) is True
     assert conds["logged"].evaluate(fam.fact("phone_session")) is False
     assert conds["open"].evaluate(fam.fact("empty")) is True
     assert conds["sealed"].evaluate(fam.fact("pc_session")) is False
+
+
+@st.composite
+def _facts_texts(draw):
+    """Facts files over 1-4 statements: up to four facts and one to four
+    conditions of every form the loader reads."""
+    names = [f"s{i}" for i in range(draw(st.integers(1, 4)))]
+
+    def members(min_size: int):
+        return st.lists(st.sampled_from(names), min_size=min_size, max_size=len(names), unique=True)
+
+    forms = st.one_of(
+        st.just("true"),
+        st.just("false"),
+        members(1).map(lambda m: "any " + " ".join(m)),
+    )
+    declared = draw(st.lists(members(0), max_size=4))
+    conditions = draw(st.lists(forms, min_size=1, max_size=4))
+    lines = [f"statement {s}" for s in names]
+    lines += [f"fact f{i} = {' '.join(m)}" for i, m in enumerate(declared)]
+    lines += [f"condition c{i} = {form}" for i, form in enumerate(conditions)]
+    return "\n".join(lines) + "\n"
+
+
+@given(_facts_texts())
+def test_every_loaded_condition_is_lawful(text):
+    # The laws criterion 3 checks for witness conditions, for every
+    # condition a facts file can state, over the family it closes to.
+    fam, conds = load_facts(text)
+    assert _is_closed(fam)
+    for cond in conds.values():
+        assert axiom_violations(cond, fam) == []
+        for a, b in itertools.product(fam, repeat=2):
+            if a.statements <= b.statements and cond.evaluate(a):
+                assert cond.evaluate(b)
 
 
 def test_load_facts_reports_line_numbers():

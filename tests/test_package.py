@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import re
 import subprocess
@@ -16,7 +17,12 @@ import privcalc.pal as pal
 
 from fixtures import CHILD_ENV
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+SOURCES = sorted((ROOT / "src" / "privcalc").glob("*.py"))
+
+# README's Layout order: a module imports only modules listed before it.
+LAYERS = ("errors", "algebra", "pal", "facts", "privilege", "engine", "cli")
 
 PAL_INTERNALS = {
     "Define",
@@ -84,3 +90,46 @@ def test_import_does_not_load_the_cli():
         env=CHILD_ENV,
     )
     assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+def _package_imports(node: ast.Import | ast.ImportFrom) -> list[str]:
+    """The privcalc modules an import statement names."""
+    if isinstance(node, ast.Import):
+        dotted = [alias.name for alias in node.names]
+    else:
+        base = node.module or ""
+        if node.level:
+            base = f"privcalc.{base}" if base else "privcalc"
+        dotted = [f"{base}.{a.name}" for a in node.names] if base == "privcalc" else [base]
+    return [d.split(".")[1] for d in dotted if d.startswith("privcalc.")]
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_every_import_is_at_module_level():
+    nested = []
+    for path in SOURCES:
+        tree = _parse(path)
+        top = {id(node) for node in tree.body}
+        nested += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+        ]
+    assert nested == []
+
+
+def test_modules_import_only_lower_layers():
+    assert {path.stem for path in SOURCES} == set(LAYERS) | {"__init__"}
+    upward = [
+        f"{path.name}:{node.lineno} imports {name}"
+        for path in SOURCES
+        if path.stem in LAYERS
+        for node in ast.walk(_parse(path))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in _package_imports(node)
+        if LAYERS.index(name) >= LAYERS.index(path.stem)
+    ]
+    assert upward == []

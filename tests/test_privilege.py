@@ -11,8 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import privcalc.privilege as privilege_module
 from privcalc import (
-    ALWAYS,
-    NEVER,
     Arrangement,
     ArrangementError,
     Coefficient,
@@ -20,11 +18,13 @@ from privcalc import (
     Employment,
     Entity,
     EntitySet,
+    FalseCondition,
     FunctionSymbol,
     HighOrderCondition,
     Privilege,
     PrivilegeAtom,
     Statement,
+    TrueCondition,
     UNIVERSAL,
     WitnessCondition,
     atomic_arrangement,
@@ -94,6 +94,9 @@ T_EMPTY = FAM.fact("empty")
 T_S1 = FAM.fact("s1")
 C1 = WitnessCondition("c1", frozenset({Statement("s1")}))
 C2 = WitnessCondition("c2", frozenset({Statement("s2")}))
+# Constants named as a facts file names them ("condition open = true").
+OPEN = TrueCondition("open")
+SEALED = FalseCondition("sealed")
 
 
 # --- atoms and construction ---------------------------------------------------
@@ -320,12 +323,12 @@ def test_coefficient_constants():
 
 def test_coefficient_folding():
     got = Coefficient.from_conjunctions(
-        [frozenset({C1, ALWAYS}), frozenset({C2, NEVER})]
+        [frozenset({C1, OPEN}), frozenset({C2, SEALED})]
     )
     assert got == Coefficient((frozenset({C1}),))
-    assert Coefficient.from_conjunctions([frozenset({ALWAYS})]) == Coefficient((frozenset(),))
+    assert Coefficient.from_conjunctions([frozenset({OPEN})]) == Coefficient((frozenset(),))
     assert Coefficient.from_conjunctions([]) == Coefficient()
-    assert Coefficient.from_conjunctions([frozenset({NEVER})]) == Coefficient()
+    assert Coefficient.from_conjunctions([frozenset({SEALED})]) == Coefficient()
 
 
 def test_coefficient_render_sorted():
@@ -489,6 +492,28 @@ def test_guards_compare_by_value():
         HighOrderCondition("<=", u, v, arr, None)
 
 
+def test_an_equal_guard_merges_its_operands_once(monkeypatch):
+    # Hash-consing keeps the first guard, and a guard merges its operands
+    # at its first evaluation, so the discarded equal guard merges nothing.
+    merges = []
+    real_merge = privilege_module.merge
+
+    def counting(*args):
+        merges.append(args)
+        return real_merge(*args)
+
+    monkeypatch.setattr(privilege_module, "merge", counting)
+    arr = Arrangement((Employment(REMOVE, UNIVERSAL), Employment(WRITE, TECHDOC)))
+    u = priv((REMOVE, TECHDOC, [C2]), (WRITE, TECHDOC, [C1]))
+    v = unconditioned(Employment(REMOVE, UNIVERSAL))
+    guards = [compliance_condition(u, v, arr, UNION) for _ in range(2)]
+    for guard in guards:
+        for fact in FAM:
+            guard.evaluate(fact)
+    assert guards[0] is guards[1]
+    assert len(merges) == 1
+
+
 @given(_privileges(), _privileges())
 def test_compliance_matches_grant_containment_union_mode(u, v):
     # under UNION-mode mergence, compliance at a fact over an atomic basis
@@ -565,7 +590,7 @@ def _any_bases(draw):
 def _index_privileges(draw):
     # REMOVE is in no basis, and {z} is in no finite element
     fns = st.sampled_from(_IDX_FUNCTIONS + [REMOVE])
-    conds = st.frozensets(st.sampled_from([C1, C2, ALWAYS, NEVER]), max_size=2)
+    conds = st.frozensets(st.sampled_from([C1, C2, OPEN, SEALED]), max_size=2)
     atom = st.builds(PrivilegeAtom, st.builds(Employment, fns, _atom_entity_sets()), conds)
     atoms = draw(st.lists(atom, max_size=5))
     return Privilege(frozenset(atoms))
@@ -665,7 +690,7 @@ _G2 = congruence_condition(BOB, OFFICEPC, SESSIONS)
 def _mixed_privileges(draw):
     """Atoms over several functions, with plain and guard conditions."""
     fns = st.sampled_from(_IDX_FUNCTIONS + [REMOVE])
-    conds = st.frozensets(st.sampled_from([C1, C2, ALWAYS, NEVER, _G1, _G2]), max_size=3)
+    conds = st.frozensets(st.sampled_from([C1, C2, OPEN, SEALED, _G1, _G2]), max_size=3)
     atom = st.builds(PrivilegeAtom, st.builds(Employment, fns, _atom_entity_sets()), conds)
     return Privilege(frozenset(draw(st.lists(atom, max_size=6))))
 
@@ -681,7 +706,7 @@ def test_merge_matches_pairwise_definition(u, v, mode):
 @example(
     (Employment(READ, UNIVERSAL), Employment(WRITE, EntitySet.finite([_A]))),
     # every conjunction on read/* folds to false
-    priv((READ, UNIVERSAL, [NEVER]), (READ, EntitySet.finite([_B]), [C1, NEVER])),
+    priv((READ, UNIVERSAL, [SEALED]), (READ, EntitySet.finite([_B]), [C1, SEALED])),
     Privilege(),
 )
 def test_pulse_trace_and_eq_match_every_coefficient(basis, p, q):
