@@ -175,7 +175,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         )
     _warn(args.file, [env])
     result = engine.answer(args.query(args), env)
-    print(result.text, end="" if isinstance(result.query, engine.TraceQuery) else "\n")
+    print(result.text)
     return 1 if result.value is False else 0
 
 

@@ -6,6 +6,7 @@ privilege binding at once (an object may be restricted over with ``/``
 and also be defined as a privilege). Bare names in expressions become
 function symbols on first use; ``let`` introduces entities and
 categories; ``:=`` binds privileges, and rebinding wins with a warning.
+``:=`` cannot bind a condition's name, which printed values use.
 Evaluated privileges are snapshots: later rebindings or category growth
 never change them.
 
@@ -183,6 +184,8 @@ def _add_member(stmt: pal.LetIs, env: Environment) -> None:
 def _load_define(stmt: pal.Define, env: Environment) -> None:
     value = eval_expr(stmt.body, env)
     bad = {"function", "category"} & set(env.kinds_of(stmt.name))
+    if stmt.name in env.conditions:
+        bad.add("condition")
     if bad:
         raise _clash(stmt.name, bad, "a privilege", stmt)
     if stmt.name in env.privileges:
@@ -246,10 +249,7 @@ def _eval_name(node: pal.Name, env: Environment) -> Privilege:
 
 
 def _named_condition(node: pal.ExprNode, env: Environment) -> Condition | None:
-    # A privilege binding shadows a same-named condition.
-    if isinstance(node, pal.Name) and node.id not in env.privileges:
-        return env.conditions.get(node.id)
-    return None
+    return env.conditions.get(node.id) if isinstance(node, pal.Name) else None
 
 
 def _is_condition(node: pal.ExprNode, env: Environment) -> bool:
@@ -629,7 +629,6 @@ Query = Union[
 
 @dataclass
 class QueryResult:
-    query: Query
     text: str
     value: object
 
@@ -694,13 +693,14 @@ def _need_arrangement(env: Environment) -> Arrangement:
 
 def answer(query: Query, env: Environment) -> QueryResult:
     """Answer one query. Its expressions are text of their own, not part
-    of a file, so errors in them carry no file name."""
+    of a file, so errors in them carry no file name. The answer's text
+    is what the command line prints, less the final line feed."""
     if isinstance(query, EvalQuery):
         value = eval_text(query.expr, env)
-        return QueryResult(query, value.text(), value)
+        return QueryResult(value.text(), value)
     if isinstance(query, NormalFormQuery):
         nf = normal_form(eval_text(query.expr, env), _need_arrangement(env))
-        return QueryResult(query, nf.render(), nf)
+        return QueryResult(nf.render(), nf)
     if isinstance(query, EquivalenceQuery):
         eq = structural_eq(
             eval_text(query.left, env),
@@ -708,21 +708,21 @@ def answer(query: Query, env: Environment) -> QueryResult:
             _need_arrangement(env),
             env.family,
         )
-        return QueryResult(query, "equal" if eq else "different", eq)
+        return QueryResult("equal" if eq else "different", eq)
     if isinstance(query, PulseQuery):
         form = pulse(
             eval_text(query.expr, env),
             _need_arrangement(env),
             env.family.fact(query.fact),
         )
-        return QueryResult(query, form.render(), form)
+        return QueryResult(form.render(), form)
     if isinstance(query, TraceQuery):
         matrix = trace(
             eval_text(query.expr, env),
             _need_arrangement(env),
             [env.family.fact(fid) for fid in query.facts],
         )
-        return QueryResult(query, matrix.to_csv(), matrix)
+        return QueryResult(matrix.to_csv().removesuffix("\n"), matrix)
     if isinstance(query, ComplianceQuery):
         verdict = compliant(
             eval_text(query.holder, env),
@@ -731,5 +731,5 @@ def answer(query: Query, env: Environment) -> QueryResult:
             env.family.fact(query.fact),
             env.merge_mode,
         )
-        return QueryResult(query, "compliant" if verdict else "non-compliant", verdict)
+        return QueryResult("compliant" if verdict else "non-compliant", verdict)
     raise TypeError(f"unknown query type: {query!r}")

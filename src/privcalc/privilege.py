@@ -150,13 +150,9 @@ class Privilege:
         )
 
     def text(self) -> str:
-        """Canonical expression text, atoms in sorted order.
-
-        Condition-free and guard-conditioned privileges re-read as PAL
-        expressions, the empty privilege as PAL's ``0``. Other condition
-        kinds have no PAL syntax and render with a display-only "?"
-        suffix.
-        """
+        """Canonical PAL text, atoms in sorted order, each followed by its
+        conditions as ``* <id>`` factors sorted by id; a bare guard's atom
+        is spelled by its first guard, the empty privilege as ``0``."""
         if not self.atoms:
             return "0"
         terms: list[str] = []
@@ -170,10 +166,13 @@ class Privilege:
 
 def _atom_terms(atom: PrivilegeAtom) -> list[str]:
     emp = atom.employment
-    guards = sorted(c.id for c in atom.conditions if isinstance(c, HighOrderCondition))
+    ids = sorted(c.id for c in atom.conditions)
     name = emp.function.name
-    if emp.function == GUARD_FUNCTION and guards:
-        name, guards = guards[0], guards[1:]
+    if emp.function == GUARD_FUNCTION:
+        guards = [c.id for c in atom.conditions if isinstance(c, HighOrderCondition)]
+        if guards:
+            name = min(guards)
+            ids.remove(name)
     es = emp.entities
     if es.is_universal:
         cores = [name]
@@ -182,19 +181,10 @@ def _atom_terms(atom: PrivilegeAtom) -> list[str]:
     else:
         assert es.members is not None
         cores = [f"{name}/{e.name}" for e in sorted(es.members, key=lambda e: e.name)]
-    plain = sorted(
-        c.id
-        for c in atom.conditions
-        if not isinstance(c, (HighOrderCondition, TrueCondition))
-    )
-    suffix = "".join(f" * {g}" for g in guards)
-    if plain:
-        suffix += " ? " + " & ".join(plain)
-    if not suffix:
-        return cores
-    if len(cores) == 1:
-        return [cores[0] + suffix]
-    return ["(" + " + ".join(cores) + ")" + suffix]
+    suffix = "".join(f" * {i}" for i in ids)
+    if suffix and len(cores) > 1:
+        return ["(" + " + ".join(cores) + ")" + suffix]
+    return [core + suffix for core in cores]
 
 
 def merge(

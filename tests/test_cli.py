@@ -724,9 +724,7 @@ def test_cli_matches_library(sample, with_facts, capsys):
         for argv, query in _query_commands(p, q, fact, seq):
             result = answer(query, env)
             code, out, err = run(capsys, argv[0], str(path), *argv[1:], *options)
-            # the trace CSV already ends in a newline
-            end = "" if isinstance(query, TraceQuery) else "\n"
-            assert (out, err) == (result.text + end, ""), argv
+            assert (out, err) == (result.text + "\n", ""), argv
             assert code == (1 if result.value is False else 0), argv
             verdicts.add((argv[0], code))
     assert {("eq", 0), ("eq", 1), ("comply", 0), ("comply", 1)} <= verdicts

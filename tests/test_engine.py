@@ -461,7 +461,7 @@ def test_condition_name_attaches_in_products():
     (atom,) = p.atoms
     assert atom.employment.render() == "read/*"
     assert {c.id for c in atom.conditions} == {"logged"}
-    assert p.text() == "read ? logged"
+    assert p.text() == "read * logged"
     assert eval_text("logged * read", env) == p
 
 
@@ -472,9 +472,12 @@ def test_condition_name_alone_is_an_error():
 
 
 def test_privilege_binding_shadows_condition():
+    # Printed values name their conditions, so no privilege may take the name.
     env = _condition_env()
-    env.privileges["logged"] = eval_text("write", env)
-    assert eval_text("read * logged", env).text() == "0"
+    program = parse_text('namespace "n" {\n  x := read * logged\n  logged := write\n}')
+    with pytest.raises(ResolutionError) as exc:
+        load_program(program, env)
+    assert str(exc.value) == "3:3: 'logged' is already a condition, cannot use it as a privilege"
 
 
 _FACTORS = ["read", "read/TechDoc", "write", "(read + list)", "logged", "[read <: write]"]
@@ -544,9 +547,9 @@ def test_long_product_hands_a_condition_along_the_chain():
     chain = " * ".join(factors)
     env = _product_env(ConditionMergeMode.INTERSECTION)
     assert eval_text(chain, env).text() == "read"  # later factors intersect it away
-    assert eval_text(f"{chain} * logged", env).text() == "read ? logged"
+    assert eval_text(f"{chain} * logged", env).text() == "read * logged"
     env.merge_mode = UNION
-    assert eval_text(chain, env).text() == "read ? logged"
+    assert eval_text(chain, env).text() == "read * logged"
 
 
 # --- laws over every value PAL can produce ------------------------------------
@@ -559,15 +562,18 @@ fact a = s1
 fact b = s2
 condition c1 = any s1
 condition c2 = any s2
+condition ok = true
+condition no = false
 """
-def _pal_text(guard_depth: int, conditions: bool = True):
-    """PAL expression text: names, '+', '*', '/', named conditions (unless
-    ``conditions`` is false) and, below ``guard_depth`` levels, both
-    guard forms, alone or attached."""
+
+
+def _pal_text(guard_depth: int):
+    """PAL expression text: names, '+', '*', '/', named conditions and,
+    below ``guard_depth`` levels, both guard forms, alone or attached."""
     leaf = st.sampled_from(["read", "write", "0"])
     guard = None
     if guard_depth:
-        inner = _pal_text(guard_depth - 1, conditions)
+        inner = _pal_text(guard_depth - 1)
         guard = st.builds(
             lambda left, op, right: f"[{left} {op} {right}]",
             inner, st.sampled_from(["<:", "~"]), inner,
@@ -579,9 +585,10 @@ def _pal_text(guard_depth: int, conditions: bool = True):
             st.builds(lambda a, b: f"({a}) + ({b})", sub, sub),
             st.builds(lambda a, b: f"({a}) * ({b})", sub, sub),
             st.builds(lambda a, s: f"({a})/{s}", sub, st.sampled_from(["d1", "d2", "C", "D"])),
+            st.builds(
+                lambda a, c: f"({a}) * {c}", sub, st.sampled_from(["c1", "c2", "ok", "no"])
+            ),
         ]
-        if conditions:
-            options.append(st.builds(lambda a, c: f"({a}) * {c}", sub, st.sampled_from(["c1", "c2"])))
         if guard is not None:
             options.append(st.builds(lambda a, g: f"({a}) * {g}", sub, guard))
         return st.one_of(options)
@@ -641,11 +648,12 @@ def test_pal_values_have_value_identity_and_obey_the_laws(e1, e2, e3):
 
 
 @settings(max_examples=80, deadline=None)
-@given(_pal_text(3, conditions=False))
+@given(_LAW_EXPR)
 @example("[read <: read] + (read) * (read)")
 @example("(([read <: write]) * ([write ~ read]))/C")
 @example("[read <: (read) * (write)]")
 @example("[(read)/d1 ~ 0] * (write)")
+@example("[(read) * c1 <: read] * c2")
 def test_guarded_values_re_read_as_themselves(text):
     for mode in (ConditionMergeMode.INTERSECTION, UNION):
         env = _law_env((text,), mode)

@@ -46,7 +46,7 @@ READ = Employment(FunctionSymbol("read"), UNIVERSAL)
 
 
 def _read_unless(statement: Statement):
-    """The guard [read ? w ~ 0]: true exactly on facts without ``statement``."""
+    """The guard [read * w ~ 0]: true exactly on facts without ``statement``."""
     witnessed = Privilege.single(READ, [WitnessCondition("w", frozenset({statement}))])
     return congruence_condition(witnessed, Privilege(), Arrangement((READ,)))
 

@@ -161,7 +161,7 @@ def test_text_guard_on_split_atom_parenthesizes():
 
 def test_text_plain_condition_marker():
     p = priv((READ, UNIVERSAL, [C1]))
-    assert p.text() == "read ? c1"
+    assert p.text() == "read * c1"
 
 
 def test_text_sorted_and_deterministic():
@@ -468,7 +468,7 @@ def test_congruence_condition():
     u = priv((READ, UNIVERSAL, [C1]))
     v = unconditioned(Employment(READ, UNIVERSAL))
     cond = congruence_condition(u, v, Arrangement((Employment(READ, UNIVERSAL),)))
-    assert cond.id == "[read ? c1 ~ read]"
+    assert cond.id == "[read * c1 ~ read]"
     assert cond.evaluate(T_S1) is True
     assert cond.evaluate(T_EMPTY) is False
 
