@@ -1,17 +1,19 @@
 """Ground algebra of function symbols, entities and employments.
 
-An employment pairs a function symbol with an entity set and is written
-f/E. Sets of employments, with mergence, composition and restriction,
-are privileges (``privilege.py``). Mergence keeps the function only
-when both sides employ it and intersects the entity sets; a pair whose
-intersection comes out empty grants nothing and is dropped, so the
-calculus has one zero, the empty privilege.
+A function symbol or an entity is its name: ``FunctionSymbol("read")``
+is the string ``"read"``, and the two types tell the kinds apart only
+to a type checker. An employment pairs a function symbol with an entity
+set and is written f/E. Sets of employments, with mergence, composition
+and restriction, are privileges (``privilege.py``). Mergence keeps the
+function only when both sides employ it and intersects the entity sets;
+a pair whose intersection comes out empty grants nothing and is
+dropped, so the calculus has one zero, the empty privilege.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NewType
 
 __all__ = [
     "Employment",
@@ -22,28 +24,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FunctionSymbol:
-    """A named operation (read, write, ...)."""
-
-    name: str
-
-    def __repr__(self) -> str:
-        return f"fn:{self.name}"
-
-
-@dataclass(frozen=True)
-class Entity:
-    """A named object an operation can act on.
-
-    Entities and function symbols live in disjoint symbol spaces; an
-    Entity never compares equal to a FunctionSymbol of the same spelling.
-    """
-
-    name: str
-
-    def __repr__(self) -> str:
-        return f"ent:{self.name}"
+# A named operation (read, write, ...).
+FunctionSymbol = NewType("FunctionSymbol", str)
+# A named object an operation can act on.
+Entity = NewType("Entity", str)
 
 
 @dataclass(frozen=True)
@@ -89,12 +73,12 @@ class EntitySet:
             return "*"
         if self.label is not None:
             return self.label
-        return "{" + " ".join(sorted(e.name for e in self.members)) + "}"
+        return "{" + " ".join(sorted(self.members)) + "}"
 
     def sort_key(self) -> tuple[str, ...]:
         if self.members is None:
             return ()
-        return tuple(sorted(e.name for e in self.members))
+        return tuple(sorted(self.members))
 
 
 UNIVERSAL = EntitySet(None)
@@ -108,10 +92,10 @@ class Employment:
     entities: EntitySet
 
     def render(self) -> str:
-        return f"{self.function.name}/{self.entities.render()}"
+        return f"{self.function}/{self.entities.render()}"
 
     def sort_key(self) -> tuple:
-        return (self.function.name, self.entities.sort_key())
+        return (self.function, self.entities.sort_key())
 
     def __repr__(self) -> str:
         return f"emp:{self.render()}"

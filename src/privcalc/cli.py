@@ -51,12 +51,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--namespace", default=None, help="namespace to load from the program"
     )
     common.add_argument(
-        "--facts", default=None, help="facts file declaring statements and facts"
+        "--facts", type=_given, help="facts file declaring statements and facts"
     )
     common.add_argument(
-        "--arrangement",
-        default=None,
-        help="arrangement expression, or @FILE to read it from a file",
+        "--arrangement", type=_given, help="arrangement expression, or @FILE to read it from a file"
     )
     common.set_defaults(handler=_cmd_query)
 
@@ -106,6 +104,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _given(value: str) -> str:
+    """A ``--facts`` or ``--arrangement`` value, or the FILE of ``@FILE``: never empty."""
+    if not value.removeprefix("@"):
+        raise argparse.ArgumentTypeError(f"{value!r} names no file" if value else "empty value")
+    return value
+
+
 def _read(path: str) -> str:
     """The file's text as it is: readers end lines at line feeds only.
     Bytes that are not UTF-8 are an error at the first of them."""
@@ -131,7 +136,7 @@ def _context(args: argparse.Namespace) -> tuple[str | None, dict]:
     family = conditions = path = None
     if args.facts:
         family, conditions = load_facts(_read(args.facts), filename=args.facts)
-    text = args.arrangement or None
+    text = args.arrangement
     if text is not None and text.startswith("@"):
         path = text[1:]
         text = _read(path)

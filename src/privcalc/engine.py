@@ -99,8 +99,8 @@ class Environment:
     ):
         # Bare guards' function, there from the start, so that no program
         # can bind its name to anything else.
-        self.functions: dict[str, FunctionSymbol] = {"guard": GUARD_FUNCTION}
-        self.entities: dict[str, Entity] = {}
+        self.functions: set[str] = {GUARD_FUNCTION}
+        self.entities: set[str] = set()
         # A category's membership only ever grows; ``/`` takes a snapshot.
         self.categories: dict[str, set[Entity]] = {}
         self.privileges: dict[str, Privilege] = {}
@@ -177,8 +177,8 @@ def _load_let(stmt: pal.LetIs, env: Environment) -> None:
 
 
 def _add_member(stmt: pal.LetIs, env: Environment) -> None:
-    entity = env.entities.setdefault(stmt.entity, Entity(stmt.entity))
-    env.categories.setdefault(stmt.category, set()).add(entity)
+    env.entities.add(stmt.entity)
+    env.categories.setdefault(stmt.category, set()).add(Entity(stmt.entity))
 
 
 def _load_define(stmt: pal.Define, env: Environment) -> None:
@@ -244,8 +244,8 @@ def _eval_name(node: pal.Name, env: Environment) -> Privilege:
     if node.id in env.conditions:
         message = f"'{node.id}' is a condition; attach it with '*'"
         raise ResolutionError(message, node.line, node.column)
-    fn = env.functions.setdefault(node.id, FunctionSymbol(node.id))
-    return Privilege.single(Employment(fn, UNIVERSAL))
+    env.functions.add(node.id)
+    return Privilege.single(Employment(FunctionSymbol(node.id), UNIVERSAL))
 
 
 def _named_condition(node: pal.ExprNode, env: Environment) -> Condition | None:
@@ -284,7 +284,7 @@ def _resolve_scope(scope: pal.Name, env: Environment) -> EntitySet:
     if name in env.categories:
         return EntitySet.finite(env.categories[name], label=name)
     if name in env.entities:
-        return EntitySet.finite([env.entities[name]])
+        return EntitySet.finite([Entity(name)])
     kinds = env.kinds_of(name)
     if kinds:
         message = f"'{name}' is a {kinds[0]}; '/' needs a category or an entity"
@@ -304,7 +304,7 @@ def _guard_condition(node: pal.Guard, env: Environment) -> Condition:
         raise ResolutionError(message, node.line, node.column)
     left = eval_expr(node.left, env)
     right = eval_expr(node.right, env)
-    if node.op is pal.GuardOp.COMPLIANCE:
+    if node.op == "<:":
         return compliance_condition(left, right, env.arrangement, env.merge_mode)
     return congruence_condition(left, right, env.arrangement)
 

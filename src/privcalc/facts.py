@@ -1,12 +1,12 @@
 """Fact families and conditions on facts.
 
-A fact is a subset of a statement universe. A family of facts contains
-the empty fact and the whole universe and is closed under union and
-intersection; for a finite family, pairwise closure is equivalent to
-closure under arbitrary sub-collections. ``close_family`` builds the
-smallest such family in two passes, the intersections of the generators
-and then their unions, and refuses a family of more than ``MAX_FAMILY``
-facts.
+A fact is a named subset of a statement universe, and a statement is
+its name. A family of facts contains the empty fact and the whole
+universe and is closed under union and intersection; for a finite
+family, pairwise closure is equivalent to closure under arbitrary
+sub-collections. ``close_family`` builds the smallest such family in
+two passes, the intersections of the generators and then their unions,
+and refuses a family of more than ``MAX_FAMILY`` facts.
 
 Conditions are boolean functions on facts constrained by the
 disjoint-union axiom
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Container, Iterable, Iterator
+from typing import Container, Iterable, Iterator, NewType
 
 from .errors import PrivCalcError, SourceError, in_file
 from .pal import declarations, is_identifier, words
@@ -62,14 +62,8 @@ class EvaluationError(PrivCalcError):
     """A fact id names no fact of the family."""
 
 
-@dataclass(frozen=True)
-class Statement:
-    """An opaque token a fact can contain."""
-
-    id: str
-
-    def __repr__(self) -> str:
-        return f"stmt:{self.id}"
+# An opaque token a fact can contain.
+Statement = NewType("Statement", str)
 
 
 @dataclass(frozen=True)
@@ -80,7 +74,7 @@ class Fact:
     statements: frozenset[Statement]
 
     def __repr__(self) -> str:
-        inner = ",".join(sorted(s.id for s in self.statements))
+        inner = ",".join(sorted(self.statements))
         return f"fact:{self.id}{{{inner}}}"
 
 
@@ -88,7 +82,7 @@ def synthesized_id(statements: frozenset[Statement]) -> str:
     """Deterministic id for a closure-synthesized fact."""
     if not statements:
         return "empty"
-    return "+".join(sorted(s.id for s in statements))
+    return "+".join(sorted(statements))
 
 
 class FactFamily:
@@ -161,9 +155,8 @@ def close_family(
     for fact in gens:
         unknown = fact.statements - universe_set
         if unknown:
-            name = sorted(s.id for s in unknown)[0]
             raise DeclarationError(
-                f"fact '{fact.id}' references unknown statement '{name}'"
+                f"fact '{fact.id}' references unknown statement '{min(unknown)}'"
             )
     declared = {f.statements for f in gens}
 
@@ -274,7 +267,7 @@ def load_facts(
     by their derived ids afterwards. A family of more than
     ``MAX_FAMILY`` facts is an error at the last ``fact`` line.
     """
-    statements: dict[str, Statement] = {}
+    statements: set[Statement] = set()
     generators: dict[str, Fact] = {}
     last_fact_line: int | None = None
     conditions: dict[str, Condition] = {}
@@ -287,13 +280,11 @@ def load_facts(
         return token
 
     def resolve(line_no: int, owner: str, tokens: list[str]) -> frozenset[Statement]:
-        out = set()
         for token in tokens:
             if token not in statements:
                 message = f"'{owner}' references unknown statement {token!r}"
                 raise DeclarationError(message, line_no)
-            out.add(statements[token])
-        return frozenset(out)
+        return frozenset(map(Statement, tokens))
 
     with in_file(filename):
         for line_no, head, rest in declarations(text):
@@ -302,7 +293,7 @@ def load_facts(
                 if len(tokens) != 2:
                     raise DeclarationError("expected: statement <id>", line_no)
                 name = ident(line_no, tokens[1], "statement", statements)
-                statements[name] = Statement(name)
+                statements.add(Statement(name))
             elif head == "fact":
                 if len(tokens) < 3 or tokens[2] != "=":
                     raise DeclarationError("expected: fact <id> = [<stmt-id> ...]", line_no)
@@ -331,7 +322,7 @@ def load_facts(
                 raise DeclarationError(f"unknown declaration {head!r}", line_no)
 
         try:
-            family = close_family(statements.values(), generators.values())
+            family = close_family(statements, generators.values())
         except DeclarationError as exc:  # the family outgrew MAX_FAMILY
             raise DeclarationError(exc.message, last_fact_line) from None
     return family, conditions

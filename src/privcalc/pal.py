@@ -45,7 +45,6 @@ __all__ = [
     "Define",
     "ExprNode",
     "Guard",
-    "GuardOp",
     "LetIs",
     "LexError",
     "MAX_NESTING",
@@ -175,11 +174,6 @@ def tokenize(source: str) -> list[Token]:
             return tokens
 
 
-class GuardOp(Enum):
-    COMPLIANCE = "<:"
-    CONGRUENCE = "~"
-
-
 @dataclass(frozen=True)
 class Name:
     id: str
@@ -205,7 +199,7 @@ class Slash:
 
 @dataclass(frozen=True)
 class Guard:
-    op: GuardOp
+    op: str  # "<:" or "~"
     left: ExprNode
     right: ExprNode
     line: int = field(default=0, compare=False)  # of the "["
@@ -350,12 +344,7 @@ class _Parser:
             if tok.kind is TokenKind.LPAREN:
                 self.expect(TokenKind.RPAREN)
             else:
-                op_tok = self.expect(TokenKind.COMPLIES, TokenKind.TILDE)
-                op = (
-                    GuardOp.COMPLIANCE
-                    if op_tok.kind is TokenKind.COMPLIES
-                    else GuardOp.CONGRUENCE
-                )
+                op = self.expect(TokenKind.COMPLIES, TokenKind.TILDE).text
                 node = Guard(op, node, self.expr(), tok.line, tok.column)
                 self.expect(TokenKind.RBRACKET)
             self.depth -= 1
@@ -399,7 +388,7 @@ def _expr_text(node: ExprNode, context: int) -> str:
         return node.id
     if isinstance(node, Guard):
         left, right = _expr_text(node.left, 0), _expr_text(node.right, 0)
-        return f"[{left} {node.op.value} {right}]"
+        return f"[{left} {node.op} {right}]"
     prec = _PRECEDENCE[type(node)]
     if isinstance(node, Slash):
         text = "/".join([_expr_text(node.operand, prec), *(s.id for s in node.scopes)])

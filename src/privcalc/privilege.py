@@ -167,7 +167,7 @@ class Privilege:
 def _atom_terms(atom: PrivilegeAtom) -> list[str]:
     emp = atom.employment
     ids = sorted(c.id for c in atom.conditions)
-    name = emp.function.name
+    name = emp.function
     if emp.function == GUARD_FUNCTION:
         guards = [c.id for c in atom.conditions if isinstance(c, HighOrderCondition)]
         if guards:
@@ -180,7 +180,7 @@ def _atom_terms(atom: PrivilegeAtom) -> list[str]:
         cores = [f"{name}/{es.label}"]
     else:
         assert es.members is not None
-        cores = [f"{name}/{e.name}" for e in sorted(es.members, key=lambda e: e.name)]
+        cores = [f"{name}/{e}" for e in sorted(es.members)]
     suffix = "".join(f" * {i}" for i in ids)
     if suffix and len(cores) > 1:
         return ["(" + " + ".join(cores) + ")" + suffix]
@@ -461,8 +461,9 @@ def _overlapped_pairs(
 ) -> list[tuple[Coefficient, Coefficient]]:
     """The distinct coefficient pairs where ``u`` or ``v`` is not false,
     by each pair's lowest element; elsewhere both agree at every fact. The
-    first pair to disagree at a fact, or to raise, holds the first element
-    that does. Each pair costs O(log k) mask operations over k classes."""
+    first pair to disagree at a fact holds the first element that does; a
+    walk stops there, so a failing outer guard never evaluates the guards
+    nested in it. Each pair costs O(log k) mask operations over k classes."""
     cu, cv = _overlapped(u, arrangement), _overlapped(v, arrangement)
     span_u, span_v = (sum(m for _, m in side) for side in (cu, cv))  # masks are disjoint
     # Each side is a heap of (lowest unpaired element, mask, coefficient),
@@ -582,7 +583,7 @@ def atomic_arrangement(
     over the given universe."""
     basis = [
         Employment(f, EntitySet.finite([e]))
-        for f in sorted(set(functions), key=lambda f: f.name)
-        for e in sorted(set(entities), key=lambda e: e.name)
+        for f in sorted(set(functions))
+        for e in sorted(set(entities))
     ]
     return Arrangement(tuple(basis))

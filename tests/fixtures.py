@@ -95,4 +95,4 @@ def power_family(*ids: str) -> FactFamily:
     """The full power set over the given statement ids (closure of the
     singletons)."""
     statements = [Statement(i) for i in ids]
-    return close_family(statements, [Fact(s.id, frozenset({s})) for s in statements])
+    return close_family(statements, [Fact(s, frozenset({s})) for s in statements])

@@ -33,7 +33,7 @@ def employment_grants(
     """(function, entity) pairs an employment denotes over a universe."""
     members = emp.entities.members
     entities = list(entity_universe) if members is None else list(members)
-    return frozenset((emp.function.name, e.name) for e in entities)
+    return frozenset((emp.function, e) for e in entities)
 
 
 def employment_meet(m: Employment, n: Employment) -> Employment | None:

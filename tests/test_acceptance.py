@@ -390,7 +390,7 @@ def test_criterion_6_gauging_trace():
     expected = tuple(
         tuple(
             any(
-                op == emp.function.name and witnesses & fact.statements
+                op == emp.function and witnesses & fact.statements
                 for op, witnesses in GAUGE_USERS.values()
             )
             for fact in sequence
@@ -430,7 +430,7 @@ def _seeded_env(categories) -> Environment:
     env = Environment()
     for cat in sorted(categories):
         entity = Entity(f"obj_{cat}")
-        env.entities[entity.name] = entity
+        env.entities.add(entity)
         env.categories[cat] = {entity}
     return env
 
@@ -442,7 +442,7 @@ def test_criterion_7_rbac_round_trip():
     model = load_rbac(STAFF_RBAC)
     env = Environment()
     entity = Entity("doc1")
-    env.entities["doc1"] = entity
+    env.entities.add(entity)
     env.categories["TechDoc"] = {entity}
     load_program(import_rbac(model), env)
     hand = example_env()
@@ -480,7 +480,7 @@ def test_criterion_7_rbac_round_trip():
             got = set()
             for atom in env.privileges[name].atoms:
                 for e in atom.employment.entities.members:
-                    got.add((atom.employment.function.name, e.name.removeprefix("obj_")))
+                    got.add((atom.employment.function, e.removeprefix("obj_")))
             assert got == set(want), (trial, name)
     _report(7, "rbac round-trip", started)
 
@@ -502,7 +502,7 @@ def _random_expr(rnd: random.Random, depth: int) -> pal.ExprNode:
         scopes = [pal.Name(rnd.choice(["C", "D", "Docs"])) for _ in range(rnd.randint(1, 3))]
         return pal.Slash(_random_expr(rnd, depth - 1), tuple(scopes))
     return pal.Guard(
-        rnd.choice(list(pal.GuardOp)),
+        rnd.choice(["<:", "~"]),
         _random_expr(rnd, depth - 1),
         _random_expr(rnd, depth - 1),
     )

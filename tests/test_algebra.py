@@ -21,7 +21,7 @@ from privcalc import (
     compose,
     merge,
 )
-from privcalc.engine import build_environment
+from privcalc.engine import ResolutionError, build_environment
 
 from oracles import set_grants
 
@@ -68,7 +68,15 @@ def test_entity_set_render():
 
 
 def test_entity_and_function_symbol_spaces_are_disjoint():
-    assert Entity("read") != FunctionSymbol("read")
+    # A symbol is its name, so PAL keeps the two kinds apart: a name
+    # used as one cannot be used as the other, in either order.
+    for body, message in [
+        ("x := read  let read is C", "'read' is already a function, cannot use it as an entity"),
+        ("let read is C  x := read", "'read' is an entity and has no privilege value"),
+    ]:
+        with pytest.raises(ResolutionError) as exc:
+            build_environment(f'namespace "n" {{ {body} }}')
+        assert exc.value.message == message
 
 
 def test_category_grows_and_snapshots():

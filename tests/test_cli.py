@@ -144,6 +144,25 @@ def test_usage_error_exit_2(workspace, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["eval", "--expr", "session_1", "--facts", ""], "--facts: empty value"),
+        (["nf", "--expr", "session_1", "--arrangement", ""], "--arrangement: empty value"),
+        (["check", "--arrangement", ""], "--arrangement: empty value"),
+        (["check", "--arrangement", "@"], "--arrangement: '@' names no file"),
+    ],
+    ids=["facts", "nf-arrangement", "check-arrangement", "arrangement-file"],
+)
+def test_empty_file_option_is_a_usage_error(workspace, capsys, argv, error):
+    command, *options = argv
+    code, out, err = run(capsys, command, str(workspace / "example.pal"), *options)
+    assert (code, out) == (2, "")
+    assert [line for line in err.splitlines() if "error" in line] == [
+        f"pal {command}: error: argument {error}"
+    ]
+
+
 def test_nf_requires_arrangement(workspace, capsys):
     code, _, err = run(
         capsys, "nf", str(workspace / "example.pal"), "--expr", "session_1"

@@ -70,7 +70,7 @@ def test_session_snapshots():
 def test_let_populates_category_and_entity():
     env = example_env()
     assert "doc1" in env.entities
-    assert env.categories["TechDoc"] == {env.entities["doc1"]}
+    assert env.categories["TechDoc"] == {"doc1"}
 
 
 def test_definitions_snapshot_category_membership():
@@ -85,10 +85,8 @@ namespace "n" {
     env = example_env(source=source)
     (atom_before,) = env.privileges["before"].atoms
     (atom_after,) = env.privileges["after"].atoms
-    assert atom_before.employment.entities.members == frozenset({env.entities["d1"]})
-    assert atom_after.employment.entities.members == frozenset(
-        {env.entities["d1"], env.entities["d2"]}
-    )
+    assert atom_before.employment.entities.members == frozenset({"d1"})
+    assert atom_after.employment.entities.members == frozenset({"d1", "d2"})
 
 
 def test_definitions_snapshot_privilege_values():
@@ -341,7 +339,7 @@ namespace "s" {
 }
 """
     env = build_environment(source, arrangement="read/C")
-    members = lambda emp: {e.name for e in emp.entities.members}  # noqa: E731
+    members = lambda emp: set(emp.entities.members)  # noqa: E731
     assert members(env.arrangement.basis[0]) == {"doc1", "doc2"}
     # a let after a definition still leaves that definition unchanged
     assert [members(a.employment) for a in env.privileges["early"].atoms] == [{"doc1"}]
@@ -432,7 +430,7 @@ def test_bare_guard_is_a_reserved_function_atom():
     env = example_env(arrangement=SESSION_ARRANGEMENT)
     p = eval_text("[session_1 <: read/doc1]", env)
     (atom,) = p.atoms
-    assert atom.employment.function.name == "guard"
+    assert atom.employment.function == "guard"
     assert len(atom.conditions) == 1
 
 
@@ -960,8 +958,8 @@ def test_import_rbac_round_trip_matches_transitive_closure():
         got = set()
         for atom in env.privileges[name].atoms:
             for entity in atom.employment.entities.members:
-                cat = entity.name.removeprefix("item_")
-                got.add((atom.employment.function.name, cat))
+                cat = entity.removeprefix("item_")
+                got.add((atom.employment.function, cat))
         assert got == set(want), name
 
 

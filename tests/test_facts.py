@@ -64,7 +64,7 @@ class _Table(Condition):
 
 def _masks(fam: FactFamily) -> frozenset[int]:
     """The family's statement sets as bitmasks, statements in id order."""
-    order = sorted(fam.universe, key=lambda s: s.id)
+    order = sorted(fam.universe)
     return frozenset(
         sum(1 << i for i, s in enumerate(order) if s in f.statements) for f in fam.facts
     )

@@ -28,7 +28,6 @@ PAL_INTERNALS = {
     "Define",
     "ExprNode",
     "Guard",
-    "GuardOp",
     "LetIs",
     "Name",
     "Namespace",

@@ -415,7 +415,7 @@ def test_normal_form_matches_grant_oracle_on_atomic_basis(p):
         grants = privilege_grants(p, universe, fact)
         for emp, bit in zip(arr.basis, bits):
             (entity,) = emp.entities.members
-            assert bit == ((emp.function.name, entity.name) in grants)
+            assert bit == ((emp.function, entity) in grants)
 
 
 # --- congruence and compliance ---------------------------------------------------
