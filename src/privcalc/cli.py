@@ -56,11 +56,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--arrangement", type=_given, help="arrangement expression, or @FILE to read it from a file"
     )
-    common.set_defaults(handler=_cmd_query)
+    common.set_defaults(handler=_cmd_program, query=None)
 
     p = sub.add_parser("check", parents=[common], help="parse and resolve a program")
     p.add_argument("file")
-    p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("eval", parents=[common], help="evaluate an expression")
     p.add_argument("file")
@@ -154,13 +153,13 @@ def _warn(filename: str, envs: list[engine.Environment]) -> None:
             print(f"{filename}: warning: {warning}", file=sys.stderr)
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_program(args: argparse.Namespace) -> int:
+    """Load the program and answer the query, or print ``ok`` for
+    ``check``, which loads every namespace unless one is named."""
     program = pal.parse_text(_read(args.file), filename=args.file)
-    names = (
-        [args.namespace]
-        if args.namespace
-        else [ns.name for ns in program.namespaces] or [None]
-    )
+    names = [args.namespace]
+    if args.query is None and args.namespace is None:
+        names = [ns.name for ns in program.namespaces] or [None]
     path, context = _context(args)
     with in_file(path):
         envs = [
@@ -168,18 +167,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
             for name in names
         ]
     _warn(args.file, envs)
-    print("ok")
-    return 0
-
-
-def _cmd_query(args: argparse.Namespace) -> int:
-    path, context = _context(args)
-    with in_file(path):
-        env = engine.build_environment(
-            _read(args.file), namespace=args.namespace, filename=args.file, **context
-        )
-    _warn(args.file, [env])
-    result = engine.answer(args.query(args), env)
+    if args.query is None:
+        print("ok")
+        return 0
+    result = engine.answer(args.query(args), envs[0])
     print(result.text)
     return 1 if result.value is False else 0
 

@@ -1,14 +1,14 @@
 """Name resolution and evaluation of PAL programs.
 
-Names are bound by kind: function, entity, category or privilege. Kind
-is fixed by first use, except that one name may carry an entity and a
-privilege binding at once (an object may be restricted over with ``/``
-and also be defined as a privilege). Bare names in expressions become
-function symbols on first use; ``let`` introduces entities and
-categories; ``:=`` binds privileges, and rebinding wins with a warning.
-``:=`` cannot bind a condition's name, which printed values use.
-Evaluated privileges are snapshots: later rebindings or category growth
-never change them.
+Names are bound by kind: function, entity, category, privilege or
+condition. Kind is fixed by first use, except that one name may carry an
+entity and a privilege binding at once (an object may be restricted over
+with ``/`` and also be defined as a privilege). Bare names in
+expressions become function symbols on first use; ``let`` introduces
+entities and categories; ``:=`` binds privileges, and rebinding wins
+with a warning. Conditions (from a facts file) are bound before the
+program, so no statement binds their names. Evaluated privileges are
+snapshots: later rebindings or category growth never change them.
 
 Guards need an arrangement to project onto, so expressions containing
 ``[p <: q]`` or ``[u ~ v]`` require ``Environment.arrangement`` to be
@@ -120,6 +120,8 @@ class Environment:
             kinds.append("category")
         if name in self.privileges:
             kinds.append("privilege")
+        if name in self.conditions:
+            kinds.append("condition")
         return kinds
 
 
@@ -167,10 +169,10 @@ def _clash(name: str, kinds: set[str], wanted: str, stmt) -> ResolutionError:
 
 
 def _load_let(stmt: pal.LetIs, env: Environment) -> None:
-    bad = {"function", "category"} & set(env.kinds_of(stmt.entity))
+    bad = {"function", "category", "condition"} & set(env.kinds_of(stmt.entity))
     if bad:
         raise _clash(stmt.entity, bad, "an entity", stmt)
-    bad = {"function", "entity", "privilege"} & set(env.kinds_of(stmt.category))
+    bad = {"function", "entity", "privilege", "condition"} & set(env.kinds_of(stmt.category))
     if bad:
         raise _clash(stmt.category, bad, "a category", stmt)
     _add_member(stmt, env)
@@ -183,9 +185,7 @@ def _add_member(stmt: pal.LetIs, env: Environment) -> None:
 
 def _load_define(stmt: pal.Define, env: Environment) -> None:
     value = eval_expr(stmt.body, env)
-    bad = {"function", "category"} & set(env.kinds_of(stmt.name))
-    if stmt.name in env.conditions:
-        bad.add("condition")
+    bad = {"function", "category", "condition"} & set(env.kinds_of(stmt.name))
     if bad:
         raise _clash(stmt.name, bad, "a privilege", stmt)
     if stmt.name in env.privileges:
@@ -208,10 +208,7 @@ def eval_expr(node: pal.ExprNode, env: Environment) -> Privilege:
     if isinstance(node, pal.Name):
         return _eval_name(node, env)
     if isinstance(node, pal.Sum):
-        value = eval_expr(node.operands[0], env)
-        for operand in node.operands[1:]:
-            value = compose(value, eval_expr(operand, env))
-        return value
+        return compose(*[eval_expr(operand, env) for operand in node.operands])
     if isinstance(node, pal.Product):
         return _eval_product(node.operands, env)
     if isinstance(node, pal.Slash):
@@ -241,7 +238,7 @@ def _eval_name(node: pal.Name, env: Environment) -> Privilege:
         article = "an entity" if "entity" in kinds else "a category"
         message = f"'{node.id}' is {article} and has no privilege value"
         raise ResolutionError(message, node.line, node.column)
-    if node.id in env.conditions:
+    if "condition" in kinds:
         message = f"'{node.id}' is a condition; attach it with '*'"
         raise ResolutionError(message, node.line, node.column)
     env.functions.add(node.id)
@@ -322,9 +319,8 @@ def load_arrangement(exprs: Sequence[pal.ExprNode], env: Environment) -> Arrange
     firsts: list[pal.Name | pal.Guard] = []  # where each basis element came from
     for node in exprs:
         value = eval_expr(node, env)
-        first = node  # the element's first name or guard, for its position
-        while isinstance(first, (pal.Sum, pal.Product, pal.Slash)):
-            first = first.operand if isinstance(first, pal.Slash) else first.operands[0]
+        # the element's first name or guard, for its position
+        first = next(n for n in _walk(node) if isinstance(n, (pal.Name, pal.Guard)))
         if value.is_empty:
             message = f"arrangement element '{pal.format_expr(node)}' is empty"
             raise ArrangementError(message, first.line, first.column)
@@ -646,10 +642,10 @@ def build_environment(
 
     The arrangement is parsed first, then evaluated after the program
     parses, in a scope of the conditions and the namespace's final
-    ``let`` membership: its names never bind in the program, and a
-    fault of the program is reported before its own. ``filename``
-    names the program in its errors; the arrangement's errors name no
-    file.
+    ``let`` membership over the empty basis: its names never bind in the
+    program, a guard in it is a condition it carries, and a fault of the
+    program is reported before its own. ``filename`` names the program
+    in its errors; the arrangement's errors name no file.
     """
     if arrangement is not None:
         elements = _sum_terms(pal.parse_expression(arrangement))
@@ -658,7 +654,7 @@ def build_environment(
     env = Environment(family=family, conditions=conditions, merge_mode=merge_mode)
     if arrangement is not None:
         try:
-            scope = Environment(family, conditions, merge_mode=merge_mode)
+            scope = Environment(family, conditions, Arrangement(()), merge_mode)
             defined = set()
             for stmt in _pick_namespace(source, namespace).statements:
                 if isinstance(stmt, pal.LetIs):

@@ -222,9 +222,9 @@ def merge(
     return Privilege(frozenset(out))
 
 
-def compose(u: Privilege, v: Privilege) -> Privilege:
-    """Atom-set union."""
-    return Privilege(u.atoms | v.atoms)
+def compose(*privileges: Privilege) -> Privilege:
+    """Atom-set union of any number of privileges; of none, ``0``."""
+    return Privilege(frozenset().union(*(p.atoms for p in privileges)))
 
 
 class _FunctionElements:
@@ -393,15 +393,23 @@ def _overlapped(
     return classes
 
 
+def _spread(p: Privilege, arrangement: Arrangement, read, false) -> tuple:
+    """Per basis element, ``read`` of its normal-form coefficient: each
+    distinct coefficient is read once, and elements ``p`` does not
+    overlap take ``false``."""
+    values = [false] * len(arrangement)
+    for coefficient, mask in _overlapped(p, arrangement):
+        value = read(coefficient)
+        for i in _indices(mask):
+            values[i] = value
+    return tuple(values)
+
+
 def normal_form(p: Privilege, arrangement: Arrangement) -> NormalForm:
     """Project ``p`` onto the basis: per element, the disjunction of the
     condition conjunctions of the atoms whose employment overlaps it;
     constant false where no atom does."""
-    coefficients = [Coefficient()] * len(arrangement)
-    for coefficient, mask in _overlapped(p, arrangement):
-        for i in _indices(mask):
-            coefficients[i] = coefficient
-    return NormalForm(arrangement, tuple(coefficients))
+    return NormalForm(arrangement, _spread(p, arrangement, lambda c: c, Coefficient()))
 
 
 @dataclass(frozen=True)
@@ -413,15 +421,8 @@ class PulsedForm:
 
 
 def pulse(p: Privilege, arrangement: Arrangement, fact: Fact) -> PulsedForm:
-    """Normal-form coefficients evaluated at one fact: each distinct
-    coefficient once; elements ``p`` does not overlap are false."""
-    held = 0
-    for coefficient, mask in _overlapped(p, arrangement):
-        if coefficient.evaluate(fact):
-            held |= mask
-    # held's binary digits, padded to the basis and read lowest first
-    digits = reversed(bin(held | 1 << len(arrangement))[3:])
-    return PulsedForm(tuple(map("1".__eq__, digits)))
+    """Normal-form coefficients evaluated at one fact."""
+    return PulsedForm(_spread(p, arrangement, lambda c: c.evaluate(fact), False))
 
 
 @dataclass(frozen=True)
@@ -445,15 +446,13 @@ class TraceMatrix:
 def trace(
     p: Privilege, arrangement: Arrangement, sequence: Sequence[Fact]
 ) -> TraceMatrix:
-    """Pulses along the sequence; as in ``pulse``, each distinct
-    coefficient is evaluated once per fact."""
+    """Pulses along the sequence: each row is its coefficient evaluated
+    at every fact."""
     sequence = tuple(sequence)
-    cells = [(False,) * len(sequence)] * len(arrangement)
-    for coefficient, mask in _overlapped(p, arrangement):
-        row = tuple(coefficient.evaluate(t) for t in sequence)
-        for i in _indices(mask):
-            cells[i] = row
-    return TraceMatrix(arrangement, sequence, tuple(cells))
+    cells = _spread(
+        p, arrangement, lambda c: tuple(map(c.evaluate, sequence)), (False,) * len(sequence)
+    )
+    return TraceMatrix(arrangement, sequence, cells)
 
 
 def _overlapped_pairs(

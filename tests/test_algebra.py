@@ -220,12 +220,15 @@ def test_set_ops_match_grant_oracle_exhaustive():
 
 def test_set_ops_laws_exhaustive():
     sets = _sets_universe()
+    assert compose() == Privilege()
+    for a in sets:
+        assert compose(a) == a
     for a, b in itertools.product(sets, repeat=2):
         assert merge(a, b) == merge(b, a)
         assert compose(a, b) == compose(b, a)
     for a, b, c in itertools.product(sets, repeat=3):
         assert merge(merge(a, b), c) == merge(a, merge(b, c))
-        assert compose(compose(a, b), c) == compose(a, compose(b, c))
+        assert compose(compose(a, b), c) == compose(a, compose(b, c)) == compose(a, b, c)
         assert merge(a, compose(b, c)) == compose(merge(a, b), merge(a, c))
 
 

@@ -634,8 +634,19 @@ _PROGRAM_FAULT = 'namespace "n" {\n  x := read\n  let read is C\n}\n'
             "write + read/Nowhere\n",
             "PAL:3:3: 'read' is already a function, cannot use it as an entity",
         ),
+        # a guard in the arrangement is a condition, not a missing basis
+        (
+            EXAMPLE_PAL,
+            "[read <: read]\n",
+            "ARR:1:1: arrangement element guard/* carries conditions",
+        ),
+        (
+            EXAMPLE_PAL,
+            "read * [read <: write]\n",
+            "ARR:1:1: arrangement element read/* carries conditions",
+        ),
     ],
-    ids=["syntax", "privilege", "empty", "overlap", "program-fault"],
+    ids=["syntax", "privilege", "empty", "overlap", "program-fault", "guard", "guarded"],
 )
 def test_arrangement_file_names_itself(tmp_path, capsys, command, program, arrangement, error):
     pal_path, arr_path = tmp_path / "p.pal", tmp_path / "bad.arr"
@@ -644,6 +655,39 @@ def test_arrangement_file_names_itself(tmp_path, capsys, command, program, arran
     argv = [command[0], str(pal_path), *command[1:], "--arrangement", f"@{arr_path}"]
     error = error.replace("ARR", str(arr_path)).replace("PAL", str(pal_path))
     assert run(capsys, *argv) == (2, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["check"],
+        ["eval", "--expr", "x"],
+        ["nf", "--expr", "x"],
+        ["eq", "--left", "x", "--right", "x"],
+        ["pulse", "--expr", "x"],
+        ["trace", "--expr", "x", "--seq", "empty"],
+        ["comply", "--p", "x", "--q", "x"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_every_program_command_reads_its_inputs_in_one_order(tmp_path, capsys, command):
+    # The program file first, then --facts, then --arrangement.
+    bad, good, facts = tmp_path / "bad.pal", tmp_path / "good.pal", tmp_path / "bad.facts"
+    bad.write_text('namespace "n" {\n  x := (read\n}\n')
+    good.write_text(EXAMPLE_PAL)
+    facts.write_text("statement s\nfact\n")
+    name, *options = command
+    for other in (
+        ["--facts", str(facts)],
+        ["--arrangement", "read +"],
+        ["--arrangement", f"@{tmp_path / 'missing.arr'}"],
+    ):
+        assert run(capsys, name, str(bad), *options, *other) == (
+            2, "", f"error: {bad}:3:1: expected ')', found '}}'\n"
+        )
+    assert run(capsys, name, str(good), *options, "--namespace", "") == (
+        2, "", f'error: {good}: no namespace "" in program\n'
+    )
 
 
 def test_import_rbac_rejects_names_pal_cannot_bind(tmp_path, capsys):

@@ -469,6 +469,30 @@ def test_condition_name_alone_is_an_error():
         eval_text("logged + read", env)
 
 
+_NOT_A_SCOPE = "'ca' is a condition; '/' needs a category or an entity"
+
+
+@pytest.mark.parametrize(
+    "body, arrangement, expr, error",
+    [
+        ("let d is ca", None, "0", "2:1: 'ca' is already a condition, cannot use it as a category"),
+        ("let ca is C", None, "0", "2:1: 'ca' is already a condition, cannot use it as an entity"),
+        ("x := read/ca", None, "0", f"2:11: {_NOT_A_SCOPE}"),
+        ("", None, "read/ca", f"1:6: {_NOT_A_SCOPE}"),
+        ("", "read/ca", "0", f"1:6: {_NOT_A_SCOPE}"),
+    ],
+    ids=["let-category", "let-entity", "program-scope", "query-scope", "arrangement-scope"],
+)
+def test_condition_name_is_neither_entity_nor_category(body, arrangement, expr, error):
+    # A scope over a condition would also print one name as both a
+    # scope and a factor.
+    family, conditions = load_facts("statement a\ncondition ca = any a\n")
+    with pytest.raises(ResolutionError) as exc:
+        env = build_environment(f'namespace "n" {{\n{body}\n}}', family, conditions, arrangement)
+        answer(EvalQuery(expr), env)
+    assert str(exc.value) == error
+
+
 def test_privilege_binding_shadows_condition():
     # Printed values name their conditions, so no privilege may take the name.
     env = _condition_env()
