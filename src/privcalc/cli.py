@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import engine, pal
-from .errors import PrivCalcError, SourceError, in_file
+from .errors import PrivCalcError, SourceError, in_file, line_column, line_starts
 from .facts import load_facts
 from .privilege import ConditionMergeMode
 
@@ -117,13 +117,10 @@ def _read(path: str) -> str:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line_start = data.rfind(b"\n", 0, exc.start) + 1
-        raise SourceError(
-            f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})",
-            line=data.count(b"\n", 0, exc.start) + 1,
-            column=len(data[line_start : exc.start].decode("utf-8")) + 1,
-            filename=path,
-        ) from None
+        valid = data[: exc.start].decode("utf-8")
+        line, column = line_column(line_starts(valid), len(valid))
+        message = f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        raise SourceError(message, line, column, path) from None
     return text
 
 

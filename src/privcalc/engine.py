@@ -30,7 +30,7 @@ from typing import Container, Iterator, Sequence, Union
 
 from . import pal
 from .algebra import Employment, Entity, EntitySet, FunctionSymbol, UNIVERSAL
-from .errors import PrivCalcError, SourceError, in_file
+from .errors import PrivCalcError, SourceError, in_file, in_text, line_column
 from .facts import Condition, FactFamily, close_family
 from .privilege import (
     GUARD_FUNCTION,
@@ -149,9 +149,10 @@ def load_program(
 
     ``namespace`` selects among several; a single-namespace program
     needs no selector. Namespaces are isolated scopes: nothing defined
-    in one is visible from another. Errors name ``filename``.
+    in one is visible from another. Errors name ``filename`` and are
+    placed in the program's source, as are warnings.
     """
-    with in_file(filename):
+    with in_text(program.source, filename):
         block = _pick_namespace(program, namespace)
         if env is None:
             env = Environment()
@@ -159,13 +160,13 @@ def load_program(
             if isinstance(stmt, pal.LetIs):
                 _load_let(stmt, env)
             else:
-                _load_define(stmt, env)
+                _load_define(stmt, env, program)
     return env
 
 
 def _clash(name: str, kinds: set[str], wanted: str, stmt) -> ResolutionError:
     message = f"'{name}' is already a {sorted(kinds)[0]}, cannot use it as {wanted}"
-    return ResolutionError(message, stmt.line, stmt.column)
+    return ResolutionError(message, at=stmt.at)
 
 
 def _load_let(stmt: pal.LetIs, env: Environment) -> None:
@@ -183,21 +184,25 @@ def _add_member(stmt: pal.LetIs, env: Environment) -> None:
     env.categories.setdefault(stmt.category, set()).add(Entity(stmt.entity))
 
 
-def _load_define(stmt: pal.Define, env: Environment) -> None:
+def _load_define(stmt: pal.Define, env: Environment, program: pal.Program) -> None:
     value = eval_expr(stmt.body, env)
     bad = {"function", "category", "condition"} & set(env.kinds_of(stmt.name))
     if bad:
         raise _clash(stmt.name, bad, "a privilege", stmt)
+
+    def line(at: int) -> int:
+        return line_column(program.line_starts, at)[0]
+
     if stmt.name in env.privileges:
         env.warnings.append(
-            f"line {stmt.line}: redefinition of '{stmt.name}' (latest wins)"
+            f"line {line(stmt.at)}: redefinition of '{stmt.name}' (latest wins)"
         )
     if not all(env.categories.values()):  # only a scope makes a category empty
         scopes = [s for n in _walk(stmt.body) if isinstance(n, pal.Slash) for s in n.scopes]
-        for line, name in dict.fromkeys((s.line, s.id) for s in scopes):  # once a line
+        for line_no, name in dict.fromkeys((line(s.at), s.id) for s in scopes):  # once a line
             if not env.categories.get(name, True):
                 env.warnings.append(
-                    f"line {line}: category '{name}' is empty here, "
+                    f"line {line_no}: category '{name}' is empty here, "
                     f"so '/{name}' restricts everything away"
                 )
     env.privileges[stmt.name] = value
@@ -225,7 +230,8 @@ def eval_expr(node: pal.ExprNode, env: Environment) -> Privilege:
 def eval_text(source: str, env: Environment) -> Privilege:
     """Parse and evaluate one expression against an environment. The
     text is no file, so its errors name none."""
-    return eval_expr(pal.parse_expression(source), env)
+    with in_text(source):
+        return eval_expr(pal.parse_expression(source), env)
 
 
 def _eval_name(node: pal.Name, env: Environment) -> Privilege:
@@ -237,10 +243,10 @@ def _eval_name(node: pal.Name, env: Environment) -> Privilege:
     if "entity" in kinds or "category" in kinds:
         article = "an entity" if "entity" in kinds else "a category"
         message = f"'{node.id}' is {article} and has no privilege value"
-        raise ResolutionError(message, node.line, node.column)
+        raise ResolutionError(message, at=node.at)
     if "condition" in kinds:
         message = f"'{node.id}' is a condition; attach it with '*'"
-        raise ResolutionError(message, node.line, node.column)
+        raise ResolutionError(message, at=node.at)
     env.functions.add(node.id)
     return Privilege.single(Employment(FunctionSymbol(node.id), UNIVERSAL))
 
@@ -285,7 +291,7 @@ def _resolve_scope(scope: pal.Name, env: Environment) -> EntitySet:
     kinds = env.kinds_of(name)
     if kinds:
         message = f"'{name}' is a {kinds[0]}; '/' needs a category or an entity"
-        raise ResolutionError(message, scope.line, scope.column)
+        raise ResolutionError(message, at=scope.at)
     # Unknown scope: a new, empty category. A later let adds members to
     # the category but not to this snapshot, which restricts everything
     # away; loading warns of it.
@@ -298,12 +304,20 @@ def _guard_condition(node: pal.Guard, env: Environment) -> Condition:
             "guard expressions need an arrangement in scope "
             "(set one before loading, or pass --arrangement)"
         )
-        raise ResolutionError(message, node.line, node.column)
+        raise ResolutionError(message, at=node.at)
     left = eval_expr(node.left, env)
     right = eval_expr(node.right, env)
     if node.op == "<:":
-        return compliance_condition(left, right, env.arrangement, env.merge_mode)
-    return congruence_condition(left, right, env.arrangement)
+        condition = compliance_condition(left, right, env.arrangement, env.merge_mode)
+    else:
+        condition = congruence_condition(left, right, env.arrangement)
+    # Brackets nest at most MAX_NESTING deep in one expression, but a
+    # name can hold a guard, so nesting through names is bounded here:
+    # evaluating a guard recurses once per level.
+    if condition.depth > pal.MAX_NESTING:
+        message = f"'[' nested more than {pal.MAX_NESTING} deep through names"
+        raise ResolutionError(message, at=node.at)
+    return condition
 
 
 def load_arrangement(exprs: Sequence[pal.ExprNode], env: Environment) -> Arrangement:
@@ -323,18 +337,17 @@ def load_arrangement(exprs: Sequence[pal.ExprNode], env: Environment) -> Arrange
         first = next(n for n in _walk(node) if isinstance(n, (pal.Name, pal.Guard)))
         if value.is_empty:
             message = f"arrangement element '{pal.format_expr(node)}' is empty"
-            raise ArrangementError(message, first.line, first.column)
+            raise ArrangementError(message, at=first.at)
         for atom in value.sorted_atoms():
             if atom.conditions:
                 message = f"arrangement element {atom.employment.render()} carries conditions"
-                raise ArrangementError(message, first.line, first.column)
+                raise ArrangementError(message, at=first.at)
             basis.append(atom.employment)
             firsts.append(first)
     try:
         return Arrangement(tuple(basis))
     except ArrangementError as exc:  # a clash, placed at its later element
-        first = firsts[exc.index]
-        exc.line, exc.column = first.line, first.column
+        exc.at = firsts[exc.index].at
         raise
 
 
@@ -372,7 +385,8 @@ def arrangement_from_text(text: str, env: Environment) -> Arrangement:
     The text is evaluated in ``env`` itself, so its new names bind there;
     ``build_environment`` gives the arrangement a scope of its own.
     """
-    return load_arrangement(_sum_terms(pal.parse_expression(text)), env)
+    with in_text(text):
+        return load_arrangement(_sum_terms(pal.parse_expression(text)), env)
 
 
 # --- role-model import -------------------------------------------------
@@ -653,28 +667,29 @@ def build_environment(
         source = pal.parse_text(source, filename)
     env = Environment(family=family, conditions=conditions, merge_mode=merge_mode)
     if arrangement is not None:
-        try:
-            scope = Environment(family, conditions, Arrangement(()), merge_mode)
-            defined = set()
-            for stmt in _pick_namespace(source, namespace).statements:
-                if isinstance(stmt, pal.LetIs):
-                    _add_member(stmt, scope)
-                else:
-                    defined.add(stmt.name)
-            # Here a privilege's name would be a function that overlaps
-            # no atom of the program, and every guard would pass.
-            names = [n for e in elements for n in _walk(e) if isinstance(n, pal.Name)]
-            clashes = [n for n in names if n.id in defined and not scope.kinds_of(n.id)]
-            if clashes:
-                first = min(clashes, key=lambda n: (n.line, n.column))
-                message = f"'{first.id}' is a privilege of the program"
-                raise ArrangementError(message, first.line, first.column)
-            env.arrangement = load_arrangement(elements, scope)
-        except PrivCalcError:
-            # The program's own fault, found over an empty basis, first.
-            probe = Environment(family, conditions, Arrangement(()), merge_mode)
-            load_program(source, probe, namespace=namespace, filename=filename)
-            raise
+        with in_text(arrangement):
+            try:
+                scope = Environment(family, conditions, Arrangement(()), merge_mode)
+                defined = set()
+                for stmt in _pick_namespace(source, namespace).statements:
+                    if isinstance(stmt, pal.LetIs):
+                        _add_member(stmt, scope)
+                    else:
+                        defined.add(stmt.name)
+                # Here a privilege's name would be a function that overlaps
+                # no atom of the program, and every guard would pass.
+                names = [n for e in elements for n in _walk(e) if isinstance(n, pal.Name)]
+                clashes = [n for n in names if n.id in defined and not scope.kinds_of(n.id)]
+                if clashes:
+                    first = min(clashes, key=lambda n: n.at)
+                    message = f"'{first.id}' is a privilege of the program"
+                    raise ArrangementError(message, at=first.at)
+                env.arrangement = load_arrangement(elements, scope)
+            except PrivCalcError:
+                # The program's own fault, found over an empty basis, first.
+                probe = Environment(family, conditions, Arrangement(()), merge_mode)
+                load_program(source, probe, namespace=namespace, filename=filename)
+                raise
     return load_program(source, env, namespace=namespace, filename=filename)
 
 

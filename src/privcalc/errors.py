@@ -1,9 +1,12 @@
-"""Exception types shared across the toolchain."""
+"""Exception types shared across the toolchain, and the placing of an
+error's offset in its text as a line and a column."""
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Iterator, Sequence
 
 
 class PrivCalcError(Exception):
@@ -11,7 +14,12 @@ class PrivCalcError(Exception):
 
 
 class SourceError(PrivCalcError):
-    """An error tied to a position in an input text."""
+    """An error tied to a position in an input text.
+
+    A raise site in a PAL text gives ``at``, the character offset of the
+    token at fault; the reader that owns the text turns it into 1-based
+    ``line`` and ``column`` (``in_text``) before the error leaves it.
+    Facts and RBAC readers give the line alone."""
 
     def __init__(
         self,
@@ -19,12 +27,14 @@ class SourceError(PrivCalcError):
         line: int | None = None,
         column: int | None = None,
         filename: str | None = None,
+        at: int | None = None,
     ):
         super().__init__(message)
         self.message = message
         self.line = line
         self.column = column
         self.filename = filename
+        self.at = at
 
     def __str__(self) -> str:
         prefix = ""
@@ -47,6 +57,38 @@ def in_file(filename: str | None) -> Iterator[None]:
     try:
         yield
     except SourceError as exc:
+        if exc.filename is None:
+            exc.filename = filename
+        raise
+
+
+_LINE_FEED = re.compile("\n")
+
+
+def line_starts(text: str) -> list[int]:
+    """The offset of the first character of each line of ``text``. Only
+    a line feed ends a line, in PAL as in facts and RBAC files."""
+    return [0, *(m.end() for m in _LINE_FEED.finditer(text))]
+
+
+def line_column(starts: Sequence[int], at: int) -> tuple[int, int]:
+    """The 1-based line and column of offset ``at``, from its text's
+    ``line_starts``."""
+    line = bisect_right(starts, at)
+    return line, at - starts[line - 1] + 1
+
+
+@contextmanager
+def in_text(text: str, filename: str | None = None) -> Iterator[None]:
+    """``in_file``, and place in ``text`` every ``SourceError`` raised
+    inside the block that has an offset and no line yet. An error's line
+    is counted only here, as it leaves the reader of its text, so a text
+    read without fault has no lines counted."""
+    try:
+        yield
+    except SourceError as exc:
+        if exc.line is None and exc.at is not None:
+            exc.line, exc.column = line_column(line_starts(text), exc.at)
         if exc.filename is None:
             exc.filename = filename
         raise

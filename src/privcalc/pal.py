@@ -29,6 +29,11 @@ a product. The bracket form denotes a guard: ``<:`` for compliance,
 ``format_program(parse_text(text))`` is the canonical spelling of
 ``text``, and ``format_expr`` that of an expression; formatting then
 parsing returns an equal tree (node equality ignores source positions).
+
+A token or node holds its source position as one character offset,
+``at``. The reader of a text counts the line and column of an offset
+only for an error that leaves it (``errors.in_text``), and the engine
+only for a warning.
 """
 
 from __future__ import annotations
@@ -36,9 +41,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Union
 
-from .errors import SourceError, in_file
+from .errors import SourceError, in_text, line_starts
 
 __all__ = [
     "BLANKS",
@@ -103,9 +109,15 @@ class TokenKind(Enum):
 class Token(NamedTuple):
     kind: TokenKind
     text: str
-    line: int
-    column: int
+    at: int  # offset of the first character in the source text
 
+
+# The kinds the lexer and parser test token by token, bound to plain
+# names: reading a member off an Enum class is a slow lookup (CPython 3.11).
+_IDENT, _ZERO, _LET, _IS, _ASSIGN, _PLUS, _STAR, _SLASH, _LPAREN, _LBRACKET, _RBRACE = (
+    TokenKind[name]
+    for name in "IDENT ZERO LET IS ASSIGN PLUS STAR SLASH LPAREN LBRACKET RBRACE".split()
+)
 
 # Keywords and punctuation by spelling, read off the kinds' quoted names.
 _SPELLINGS = {kind.value[1:-1]: kind for kind in TokenKind if kind.value[0] == "'"}
@@ -150,35 +162,33 @@ def declarations(text: str) -> Iterator[tuple[int, str, str]]:
 
 
 def tokenize(source: str) -> list[Token]:
-    """Scan the whole text; positions are 1-based line and column."""
+    """Scan the whole text. A token's ``at`` is the offset of its first
+    character, a string's opening '"'; the end-of-input token's is the
+    text's length. A ``LexError`` is placed at the character at fault."""
     tokens: list[Token] = []
-    line, line_start = 1, 0
-    for match in _TOKEN.finditer(source):
-        skipped, start = match.span(1)
-        newlines = source.count("\n", skipped, start)
-        if newlines:
-            line += newlines
-            line_start = source.rfind("\n", skipped, start) + 1
-        column, group = start - line_start + 1, match.lastindex
-        if group == 2:
-            text = match[2]
-            tokens.append(Token(_SPELLINGS.get(text, TokenKind.IDENT), text, line, column))
-        elif group == 3:
-            tokens.append(Token(TokenKind.STRING, match[3], line, column))
-        elif group == 4:
-            raise LexError("unterminated string", line, column)
-        elif group == 5:
-            raise LexError(f"unexpected character {match[5]!r}", line, column)
-        else:
-            tokens.append(Token(TokenKind.EOF, "", line, column))
-            return tokens
+    append, kind_of, new = tokens.append, _SPELLINGS.get, tuple.__new__
+    with in_text(source):
+        for match in _TOKEN.finditer(source):
+            group = match.lastindex
+            if group == 2:
+                text = match[2]
+                # Token's own constructor, less a Python-level call per token
+                append(new(Token, (kind_of(text, _IDENT), text, match.end(1))))
+            elif group == 3:
+                append(Token(TokenKind.STRING, match[3], match.end(1)))
+            elif group == 4:
+                raise LexError("unterminated string", at=match.end(1))
+            elif group == 5:
+                raise LexError(f"unexpected character {match[5]!r}", at=match.end(1))
+            else:
+                append(Token(TokenKind.EOF, "", match.end(1)))
+                return tokens
 
 
 @dataclass(frozen=True)
 class Name:
     id: str
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
+    at: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -202,8 +212,7 @@ class Guard:
     op: str  # "<:" or "~"
     left: ExprNode
     right: ExprNode
-    line: int = field(default=0, compare=False)  # of the "["
-    column: int = field(default=0, compare=False)
+    at: int = field(default=0, compare=False)  # of the "["
 
 
 ExprNode = Union[Name, Sum, Product, Slash, Guard]
@@ -222,16 +231,14 @@ def chain(kind: type[Sum] | type[Product], operands: Iterable[ExprNode]) -> Expr
 class LetIs:
     entity: str
     category: str
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
+    at: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
 class Define:
     name: str
     body: ExprNode
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
+    at: int = field(default=0, compare=False)
 
 
 StatementNode = Union[LetIs, Define]
@@ -245,7 +252,16 @@ class Namespace:
 
 @dataclass(frozen=True)
 class Program:
+    """Its namespaces, and the text they were read from, which the
+    nodes' offsets index. A program built by hand has the empty text."""
+
     namespaces: tuple[Namespace, ...] = ()
+    source: str = field(default="", compare=False, repr=False)
+
+    @cached_property
+    def line_starts(self) -> list[int]:
+        """``errors.line_starts`` of the source, found on first use."""
+        return line_starts(self.source)
 
 
 # Deepest nesting of "(" and "[" the parser accepts. Each level costs
@@ -275,42 +291,42 @@ class _Parser:
         tok = self.tokens[self.pos]
         names = sorted(k.value for k in kinds)
         found = tok.kind.value if tok.kind is TokenKind.EOF else f"'{tok.text}'"
-        raise ParseError(f"expected {' or '.join(names)}, found {found}", tok.line, tok.column)
+        raise ParseError(f"expected {' or '.join(names)}, found {found}", at=tok.at)
 
     # program := namespace*
-    def program(self) -> Program:
+    def namespaces(self) -> tuple[Namespace, ...]:
         namespaces: list[Namespace] = []
         seen: set[str] = set()
         while (tok := self.tokens[self.pos]).kind is not TokenKind.EOF:
             ns = self.namespace()
             if ns.name in seen:
-                raise ParseError(f'duplicate namespace "{ns.name}"', tok.line, tok.column)
+                raise ParseError(f'duplicate namespace "{ns.name}"', at=tok.at)
             seen.add(ns.name)
             namespaces.append(ns)
-        return Program(tuple(namespaces))
+        return tuple(namespaces)
 
     def namespace(self) -> Namespace:
         self.expect(TokenKind.NAMESPACE)
         name = self.expect(TokenKind.STRING).text
         self.expect(TokenKind.LBRACE)
         statements: list[StatementNode] = []
-        while self.tokens[self.pos].kind is not TokenKind.RBRACE:
+        while self.tokens[self.pos].kind is not _RBRACE:
             statements.append(self.statement())
-        self.expect(TokenKind.RBRACE)
+        self.expect(_RBRACE)
         return Namespace(name, tuple(statements))
 
     def statement(self) -> StatementNode:
         tok = self.tokens[self.pos]
-        if tok.kind is TokenKind.LET:
+        if tok.kind is _LET:
             self.pos += 1
-            entity = self.expect(TokenKind.IDENT).text
-            self.expect(TokenKind.IS)
-            category = self.expect(TokenKind.IDENT).text
-            return LetIs(entity, category, tok.line, tok.column)
-        if tok.kind is TokenKind.IDENT:
+            entity = self.expect(_IDENT).text
+            self.expect(_IS)
+            category = self.expect(_IDENT).text
+            return LetIs(entity, category, tok.at)
+        if tok.kind is _IDENT:
             self.pos += 1
-            self.expect(TokenKind.ASSIGN)
-            return Define(tok.text, self.expr(), tok.line, tok.column)
+            self.expect(_ASSIGN)
+            return Define(tok.text, self.expr(), tok.at)
         self.fail(TokenKind.LET, TokenKind.IDENT, TokenKind.RBRACE)
         raise AssertionError("unreachable")
 
@@ -319,56 +335,59 @@ class _Parser:
         tokens, terms = self.tokens, []
         while True:
             factors = [self.primary()]
-            while tokens[self.pos].kind is TokenKind.STAR:
+            while tokens[self.pos].kind is _STAR:
                 self.pos += 1
                 factors.append(self.primary())
-            terms.append(chain(Product, factors))
-            if tokens[self.pos].kind is not TokenKind.PLUS:
-                return chain(Sum, terms)
+            terms.append(Product(tuple(factors)) if len(factors) > 1 else factors[0])
+            if tokens[self.pos].kind is not _PLUS:
+                return Sum(tuple(terms)) if len(terms) > 1 else terms[0]
             self.pos += 1
 
     def primary(self) -> ExprNode:
-        tok = self.tokens[self.pos]
-        if tok.kind is TokenKind.IDENT or tok.kind is TokenKind.ZERO:
+        tokens = self.tokens
+        kind, text, at = tokens[self.pos]
+        if kind is _IDENT or kind is _ZERO:
             self.pos += 1
-            node: ExprNode = Name(tok.text, tok.line, tok.column)
+            node: ExprNode = Name(text, at)
         else:
-            if tok.kind not in (TokenKind.LPAREN, TokenKind.LBRACKET):
+            if kind is not _LPAREN and kind is not _LBRACKET:
                 self.fail(TokenKind.IDENT, TokenKind.ZERO, TokenKind.LPAREN, TokenKind.LBRACKET)
             if self.depth == MAX_NESTING:
-                message = f"'{tok.text}' nested more than {MAX_NESTING} deep"
-                raise ParseError(message, tok.line, tok.column)
+                raise ParseError(f"'{text}' nested more than {MAX_NESTING} deep", at=at)
             self.pos += 1
             self.depth += 1
             node = self.expr()
-            if tok.kind is TokenKind.LPAREN:
+            if kind is _LPAREN:
                 self.expect(TokenKind.RPAREN)
             else:
                 op = self.expect(TokenKind.COMPLIES, TokenKind.TILDE).text
-                node = Guard(op, node, self.expr(), tok.line, tok.column)
+                node = Guard(op, node, self.expr(), at)
                 self.expect(TokenKind.RBRACKET)
             self.depth -= 1
+        if tokens[self.pos].kind is not _SLASH:
+            return node
         scopes: list[Name] = []
-        while self.tokens[self.pos].kind is TokenKind.SLASH:
+        while tokens[self.pos].kind is _SLASH:
             self.pos += 1
-            scope = self.expect(TokenKind.IDENT)
-            scopes.append(Name(scope.text, scope.line, scope.column))
-        return Slash(node, tuple(scopes)) if scopes else node
+            scope = self.expect(_IDENT)
+            scopes.append(Name(scope.text, scope.at))
+        return Slash(node, tuple(scopes))
 
 
 def parse_text(source: str, filename: str | None = None) -> Program:
     """Parse a whole program; its errors name ``filename``."""
-    with in_file(filename):
-        return _Parser(tokenize(source)).program()
+    with in_text(source, filename):
+        return Program(_Parser(tokenize(source)).namespaces(), source)
 
 
 def parse_expression(source: str) -> ExprNode:
     """Parse a bare expression: the whole text must be one expr. The
     text is no file, so its errors give only a position."""
-    parser = _Parser(tokenize(source))
-    node = parser.expr()
-    if parser.tokens[parser.pos].kind is not TokenKind.EOF:
-        parser.fail(TokenKind.EOF)
+    with in_text(source):
+        parser = _Parser(tokenize(source))
+        node = parser.expr()
+        if parser.tokens[parser.pos].kind is not TokenKind.EOF:
+            parser.fail(TokenKind.EOF)
     return node
 
 

@@ -224,7 +224,7 @@ def merge(
 
 def compose(*privileges: Privilege) -> Privilege:
     """Atom-set union of any number of privileges; of none, ``0``."""
-    return Privilege(frozenset().union(*(p.atoms for p in privileges)))
+    return Privilege(frozenset().union(*[p.atoms for p in privileges]))
 
 
 class _FunctionElements:
@@ -521,10 +521,12 @@ class HighOrderCondition(Condition):
 
     Operator, operands, arrangement and mode give equality and hashing;
     the arrangement stays out of the hash, which would walk the whole
-    basis, and congruence stores mode ``None``. The label is derived
-    here, the coefficient pairs at the first evaluation, so a guard that
-    hash-consing discards merges and projects nothing; neither takes
-    part in equality."""
+    basis, and congruence stores mode ``None``. The label and the depth
+    are derived here, the coefficient pairs at the first evaluation, so
+    a guard that hash-consing discards merges and projects nothing; none
+    takes part in equality. The depth is one more than the deepest guard
+    among the conditions of the operands' atoms, read off those guards,
+    which exist already."""
 
     op: str
     left: Privilege
@@ -532,6 +534,7 @@ class HighOrderCondition(Condition):
     arrangement: Arrangement = field(hash=False, repr=False)
     mode: ConditionMergeMode | None
     id: str = field(init=False, compare=False)
+    depth: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.op == "~":
@@ -539,6 +542,14 @@ class HighOrderCondition(Condition):
         elif self.op != "<:":
             raise ValueError(f"unknown guard operator {self.op!r}")
         object.__setattr__(self, "id", f"[{self.left.text()} {self.op} {self.right.text()}]")
+        inner = [
+            c.depth
+            for p in (self.left, self.right)
+            for atom in p.atoms
+            for c in atom.conditions
+            if isinstance(c, HighOrderCondition)
+        ]
+        object.__setattr__(self, "depth", 1 + max(inner, default=0))
 
     @cached_property
     def _rows(self) -> list[tuple[Coefficient, Coefficient]]:

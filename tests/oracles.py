@@ -225,15 +225,21 @@ def _is_word_char(ch: str) -> bool:
     return ch.isascii() and (ch.isalnum() or ch == "_")
 
 
-def reference_tokens(source: str) -> list[Token]:
-    """PAL's tokens by a scan one character at a time: blanks (space,
-    tab, carriage return), newlines and ``#`` comments separate tokens;
-    a word is an ASCII letter then ASCII letters, digits and
-    underscores; ``0`` is a token when no such character follows it; a
-    string runs between two '"' on one line. Any other character raises
-    ``LexError`` at its own line and column."""
-    tokens: list[Token] = []
+def reference_tokens(source: str) -> list[tuple[Token, tuple[int, int]]]:
+    """PAL's tokens by a scan one character at a time, each with the
+    line and column the scan counted for it: blanks (space, tab,
+    carriage return), newlines and ``#`` comments separate tokens; a
+    word is an ASCII letter then ASCII letters, digits and underscores;
+    ``0`` is a token when no such character follows it; a string runs
+    between two '"' on one line. A token's offset is that of its first
+    character. Any other character raises ``LexError`` at its own
+    offset, line and column."""
+    tokens: list[tuple[Token, tuple[int, int]]] = []
     i, line, column = 0, 1, 1
+
+    def emit(kind: TokenKind, text: str) -> None:
+        tokens.append((Token(kind, text, i), (line, column)))
+
     while i < len(source):
         ch = source[i]
         if ch == "\n":
@@ -252,23 +258,23 @@ def reference_tokens(source: str) -> list[Token]:
             while end < len(source) and _is_word_char(source[end]):
                 end += 1
             word = source[i:end]
-            tokens.append(Token(_PAL_SPELLINGS.get(word, TokenKind.IDENT), word, line, column))
+            emit(_PAL_SPELLINGS.get(word, TokenKind.IDENT), word)
         elif ch == "0" and not (end < len(source) and _is_word_char(source[end])):
-            tokens.append(Token(TokenKind.ZERO, ch, line, column))
+            emit(TokenKind.ZERO, ch)
         elif ch == '"':
             while end < len(source) and source[end] not in '"\n':
                 end += 1
             if end == len(source) or source[end] == "\n":
-                raise LexError("unterminated string", line, column)
+                raise LexError("unterminated string", line, column, at=i)
             end += 1
-            tokens.append(Token(TokenKind.STRING, source[i + 1 : end - 1], line, column))
+            emit(TokenKind.STRING, source[i + 1 : end - 1])
         elif source[i : i + 2] in (":=", "<:"):
             end = i + 2
-            tokens.append(Token(_PAL_SPELLINGS[source[i:end]], source[i:end], line, column))
+            emit(_PAL_SPELLINGS[source[i:end]], source[i:end])
         elif ch in _PAL_SPELLINGS:
-            tokens.append(Token(_PAL_SPELLINGS[ch], ch, line, column))
+            emit(_PAL_SPELLINGS[ch], ch)
         else:
-            raise LexError(f"unexpected character {ch!r}", line, column)
+            raise LexError(f"unexpected character {ch!r}", line, column, at=i)
         i, column = end, column + end - i
-    tokens.append(Token(TokenKind.EOF, "", line, column))
+    emit(TokenKind.EOF, "")
     return tokens

@@ -901,3 +901,54 @@ def test_oversized_fact_family_exits_2_within_a_second(workspace, capsys):
     assert time.perf_counter() - started < 1.0
     assert (code, out) == (2, "")
     assert err == f"error: {path}:48: 24 facts close to more than {MAX_FAMILY} facts\n"
+
+
+def _guard_chain(op: str, levels: int) -> str:
+    """``g0 := read``, then ``g{i} := read * [g{i-1} <op> read]``: each
+    guard nests the one before it through a name."""
+    lines = ["  g0 := read"]
+    lines += [f"  g{i} := read * [g{i - 1} {op} read]" for i in range(1, levels + 1)]
+    return 'namespace "c" {\n' + "\n".join(lines) + "\n}\n"
+
+
+_PROGRAM_COMMANDS = [
+    ["check"],
+    ["eval", "--expr", "g1"],
+    ["nf", "--expr", "g1"],
+    ["eq", "--left", "g1", "--right", "read"],
+    ["pulse", "--expr", "g1"],
+    ["trace", "--expr", "g1", "--seq", "empty"],
+    ["comply", "--p", "g1", "--q", "read"],
+]
+
+
+@pytest.mark.parametrize("mode", ["intersection", "union"])
+@pytest.mark.parametrize("op", ["<:", "~"])
+def test_guards_nested_through_names_are_bounded(tmp_path, capsys, op, mode):
+    # Brackets cannot nest a guard deeper than MAX_NESTING, but names
+    # can; the guard one level past the bound is refused at its '['.
+    path = tmp_path / "chain.pal"
+    path.write_text(_guard_chain(op, 150))
+    options = ["--arrangement", "read + write", "--merge-conditions", mode]
+    line, column = MAX_NESTING + 3, len(f"  g{MAX_NESTING + 1} := read * ") + 1
+    message = f"'[' nested more than {MAX_NESTING} deep through names"
+    error = f"error: {path}:{line}:{column}: {message}\n"
+    for command, *query in _PROGRAM_COMMANDS:
+        assert run(capsys, command, str(path), *query, *options) == (2, "", error), command
+
+
+@pytest.mark.parametrize("op", ["<:", "~"])
+def test_guards_nested_through_names_to_the_bound_answer(tmp_path, capsys, op):
+    path = tmp_path / "chain.pal"
+    path.write_text(_guard_chain(op, MAX_NESTING))
+    options = ["--arrangement", "read + write", "--merge-conditions", "union"]
+    last = f"g{MAX_NESTING}"
+    assert run(capsys, "pulse", str(path), "--expr", last, *options) == (0, "1 0\n", "")
+    assert run(capsys, "eq", str(path), "--left", last, "--right", last, *options) == (
+        0, "equal\n", ""
+    )
+    # one more level in a query's own text is placed in that text
+    deeper = f"read * [{last} {op} read]"
+    assert run(capsys, "eval", str(path), "--expr", deeper, *options) == (
+        2, "", f"error: 1:8: '[' nested more than {MAX_NESTING} deep through names\n"
+    )

@@ -10,6 +10,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from privcalc.errors import line_column, line_starts
 from privcalc.pal import (
     Define,
     Guard,
@@ -38,6 +39,10 @@ from fixtures import CHILD_ENV, EXAMPLE_PAL
 from oracles import reference_tokens
 
 
+def _place(source: str, at: int) -> tuple[int, int]:
+    return line_column(line_starts(source), at)
+
+
 # --- lexer -----------------------------------------------------------------
 
 
@@ -56,10 +61,11 @@ def test_tokenize_kinds_and_positions():
         TokenKind.RBRACE,
         TokenKind.EOF,
     ]
+    source = 'namespace "x" {\n  a := b/C\n}'
     a = toks[3]
-    assert (a.line, a.column) == (2, 3)
+    assert a.at == 18 and _place(source, a.at) == (2, 3)
     close = toks[8]
-    assert (close.line, close.column) == (3, 1)
+    assert close.at == 27 and _place(source, close.at) == (3, 1)
 
 
 def test_tokenize_comments_and_operators():
@@ -81,7 +87,7 @@ def test_tokenize_keywords_vs_identifiers():
 def test_lex_error_positions():
     with pytest.raises(LexError) as exc:
         tokenize("ab\n  a : b")
-    assert (exc.value.line, exc.value.column) == (2, 5)
+    assert (exc.value.at, exc.value.line, exc.value.column) == (7, 2, 5)
     with pytest.raises(LexError):
         tokenize("a < b")
     with pytest.raises(LexError, match="unterminated string"):
@@ -118,7 +124,8 @@ def test_token_positions_index_their_own_text(source):
     except LexError as exc:
         assert exc.filename is None
         assert str(exc).startswith(f"{exc.line}:{exc.column}: ")
-        bad = source[_offset(source, exc.line, exc.column)]
+        assert _offset(source, exc.line, exc.column) == exc.at
+        bad = source[exc.at]
         if exc.message == "unterminated string":
             assert bad == '"'
         else:
@@ -126,20 +133,22 @@ def test_token_positions_index_their_own_text(source):
         return
     end = 0
     for tok in tokens:
-        start = _offset(source, tok.line, tok.column)
+        start = tok.at
+        assert _offset(source, *_place(source, start)) == start
         # only blanks and comments lie between tokens
         assert re.fullmatch(r"(?:[ \t\r\n]|#[^\n]*)*", source[end:start])
         spelled = f'"{tok.text}"' if tok.kind is TokenKind.STRING else tok.text
         assert source.startswith(spelled, start)
         end = start + len(spelled)
     assert tokens[-1].kind is TokenKind.EOF
-    assert _offset(source, tokens[-1].line, tokens[-1].column) == len(source)
+    assert tokens[-1].at == len(source)
 
 
 def test_end_of_input_after_a_trailing_comment():
     # The end-of-input token sits past the comment, where the input ends.
-    eof = tokenize("a\n  x := a + # trailing")[-1]
-    assert (eof.kind, eof.line, eof.column) == (TokenKind.EOF, 2, 22)
+    source = "a\n  x := a + # trailing"
+    eof = tokenize(source)[-1]
+    assert (eof.kind, eof.at, _place(source, eof.at)) == (TokenKind.EOF, 23, (2, 22))
     with pytest.raises(ParseError) as exc:
         parse_text('namespace "n" {\n  x := a + # trailing', "t.pal")
     assert str(exc.value).startswith("t.pal:2:22: expected ")
@@ -178,7 +187,9 @@ def test_zero_is_a_token_that_no_statement_can_bind():
     for text in ["0abc", "00", "0_", "01"]:
         with pytest.raises(LexError) as exc:
             tokenize("x + " + text)
-        assert (exc.value.message, exc.value.column) == ("unexpected character '0'", 5)
+        assert (exc.value.message, exc.value.at, exc.value.column) == (
+            "unexpected character '0'", 4, 5
+        )
     assert parse_expression("0") == Name("0")
     assert parse_expression("[read <: 0]/C") == Slash(
         Guard("<:", Name("read"), Name("0")), (Name("C"),)
@@ -204,18 +215,20 @@ def test_tokenize_agrees_with_the_reference_lexer(source):
     except LexError as exc:
         with pytest.raises(LexError) as got:
             tokenize(source)
-        assert (str(got.value), got.value.line, got.value.column) == (
-            str(exc), exc.line, exc.column
+        assert (str(got.value), got.value.at, got.value.line, got.value.column) == (
+            str(exc), exc.at, exc.line, exc.column
         )
         return
-    assert tokenize(source) == expected
+    tokens = tokenize(source)
+    assert tokens == [tok for tok, _ in expected]
+    assert [_place(source, tok.at) for tok in tokens] == [place for _, place in expected]
 
 
 def test_tokens_are_named_tuples():
     (tok, eof) = tokenize("read")
-    assert tok == Token(TokenKind.IDENT, "read", 1, 1) == (TokenKind.IDENT, "read", 1, 1)
-    assert (tok.kind, tok.text, tok.line, tok.column) == tuple(tok)
-    assert eof == (TokenKind.EOF, "", 1, 5)
+    assert tok == Token(TokenKind.IDENT, "read", 0) == (TokenKind.IDENT, "read", 0)
+    assert (tok.kind, tok.text, tok.at) == tuple(tok)
+    assert eof == (TokenKind.EOF, "", 4)
 
 
 MEGABYTE = 1 << 20
@@ -236,9 +249,11 @@ def test_megabyte_of_blanks_and_comments_lexes_in_linear_time(source, line, colu
     start = time.perf_counter()
     try:
         (eof,) = tokenize(source)
-        found = (eof.line, eof.column, None)
+        found = (*_place(source, eof.at), None)
+        assert eof.at == len(source)
     except LexError as exc:
         found = (exc.line, exc.column, exc.message)
+        assert exc.at == len(source) - 1
     assert time.perf_counter() - start < 2.0
     assert found == (line, column, message)
 
@@ -313,16 +328,17 @@ def test_guard_composes_like_primary():
 
 def test_ast_equality_ignores_positions():
     assert parse_expression("a +\n  b") == parse_expression("a + b")
-    assert parse_expression("x/Y") == Slash(Name("x", 9, 9), (Name("Y", 1, 1),))
-    assert parse_expression(" [a ~ b]") == Guard("~", a, b, 7, 7)
+    assert parse_expression("x/Y") == Slash(Name("x", 9), (Name("Y", 1),))
+    assert parse_expression(" [a ~ b]") == Guard("~", a, b, 7)
 
 
 def test_nodes_keep_the_positions_of_names_and_brackets():
-    got = parse_expression("x +\n  [a ~ b]/C")
-    assert (got.operands[0].line, got.operands[0].column) == (1, 1)
+    source = "x +\n  [a ~ b]/C"
+    got = parse_expression(source)
+    assert got.operands[0].at == 0 and _place(source, got.operands[0].at) == (1, 1)
     slash = got.operands[1]
-    assert (slash.operand.line, slash.operand.column) == (2, 3)
-    assert (slash.scopes[0].line, slash.scopes[0].column) == (2, 11)
+    assert slash.operand.at == 6 and _place(source, slash.operand.at) == (2, 3)
+    assert slash.scopes[0].at == 14 and _place(source, slash.scopes[0].at) == (2, 11)
 
 
 def test_expression_errors_carry_expectations():
@@ -343,7 +359,7 @@ def test_expression_errors_carry_expectations():
 def test_error_position_is_the_offending_token():
     with pytest.raises(ParseError) as exc:
         parse_expression("a +\n+ b")
-    assert (exc.value.line, exc.value.column) == (2, 1)
+    assert (exc.value.at, exc.value.line, exc.value.column) == (4, 2, 1)
 
 
 # --- program parsing ------------------------------------------------------------
@@ -385,7 +401,7 @@ def test_nesting_is_bounded_at_the_opening_token():
     assert isinstance(parse_expression(mixed), Guard)
     with pytest.raises(ParseError, match=r"'\(' nested more than") as exc:
         parse_expression("(" + deepest + ")")
-    assert (exc.value.line, exc.value.column) == (1, MAX_NESTING + 1)
+    assert (exc.value.at, exc.value.line, exc.value.column) == (MAX_NESTING, 1, MAX_NESTING + 1)
     guards = "[" * MAX_NESTING + "a" + " ~ b]" * MAX_NESTING
     with pytest.raises(ParseError, match=r"'\[' nested more than") as exc:
         parse_text(f'namespace "n" {{\n  x := [{guards} ~ a]\n}}', filename="d.pal")
@@ -493,3 +509,47 @@ def _programs(draw):
 @given(_programs())
 def test_random_program_round_trip(prog):
     assert parse_text(format_program(prog)) == prog
+
+
+# Layout between tokens, and what may be spliced into a program's text:
+# characters no token starts with, a stray quote, and tokens out of place.
+_LAYOUT = st.lists(
+    st.sampled_from([" ", "  ", "\t", "\r", "\n", "\n\n", "# c\n", "#:= x\n"]),
+    min_size=1,
+    max_size=3,
+).map("".join)
+_FAULTS = st.sampled_from(["$", "é", '"', "9", ":", "<", "+", ")", "]", "{", "namespace", ":="])
+
+
+@st.composite
+def _pal_sources(draw):
+    """A program's canonical text with each blank replaced by layout and,
+    in about half the draws, one fault spliced in."""
+    pieces = format_program(draw(_programs())).split(" ")
+    source = "".join(piece + draw(_LAYOUT) for piece in pieces)
+    if draw(st.booleans()):
+        cut = draw(st.integers(0, len(source)))
+        source = source[:cut] + draw(_FAULTS) + source[cut:]
+    return source
+
+
+@settings(max_examples=150)
+@given(_pal_sources())
+def test_offsets_place_tokens_and_errors_as_the_reference_lexer_counts(source):
+    try:
+        expected = reference_tokens(source)
+    except LexError as exc:
+        with pytest.raises(LexError) as got:
+            parse_text(source, "g.pal")
+        assert (got.value.at, got.value.line, got.value.column) == (exc.at, exc.line, exc.column)
+        assert str(got.value) == f"g.pal:{exc}"
+        return
+    places = dict((tok.at, place) for tok, place in expected)
+    assert [places[tok.at] for tok in tokenize(source)] == [place for _, place in expected]
+    assert [_place(source, tok.at) for tok, _ in expected] == [place for _, place in expected]
+    try:
+        parse_text(source, "g.pal")
+    except ParseError as exc:
+        # a parse fault sits at a token, where the reference lexer put it
+        assert (exc.line, exc.column) == places[exc.at]
+        assert str(exc).startswith(f"g.pal:{exc.line}:{exc.column}: ")

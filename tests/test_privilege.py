@@ -492,6 +492,23 @@ def test_guards_compare_by_value():
         HighOrderCondition("<=", u, v, arr, None)
 
 
+def test_guard_depth_is_one_more_than_its_operands_deepest_guard():
+    arr = Arrangement((Employment(READ, UNIVERSAL), Employment(WRITE, UNIVERSAL)))
+    read = unconditioned(Employment(READ, UNIVERSAL))
+    write = priv((WRITE, UNIVERSAL, [C1]))
+    first = compliance_condition(read, write, arr, UNION)
+    assert first.depth == 1
+    second = congruence_condition(read.with_condition(first), write, arr)
+    assert second.depth == 2
+    # the deepest operand counts, on either side, whatever else it holds
+    third = compliance_condition(
+        compose(read.with_condition(first), write), write.with_condition(second), arr, INTER
+    )
+    assert third.depth == 3
+    # depth takes no part in equality
+    assert HighOrderCondition("~", read.with_condition(first), write, arr, None) == second
+
+
 def test_an_equal_guard_merges_its_operands_once(monkeypatch):
     # Hash-consing keeps the first guard, and a guard merges its operands
     # at its first evaluation, so the discarded equal guard merges nothing.
