@@ -19,6 +19,9 @@ overlap it; at a fact that is the pulsed form, a bit vector, and along
 a fact sequence a trace matrix. A privilege value is projected once per
 arrangement, while it lives, into its distinct coefficients with ``int``
 masks of the elements they cover; queries evaluate each once per fact.
+The projection works on masks throughout: it ORs the masks of the atoms
+that share a condition set, and folds one coefficient per combination of
+condition sets over an element, not one per element.
 
 Congruence at a fact is pulsed-form equality, and p complies with q
 when p*q is congruent to q. A guard (``HighOrderCondition``) packages
@@ -200,6 +203,7 @@ def merge(
     by_function: dict[FunctionSymbol, list[PrivilegeAtom]] = {}
     for b in v.atoms:
         by_function.setdefault(b.employment.function, []).append(b)
+    intersection = mode is ConditionMergeMode.INTERSECTION
     out = set()
     for a in u.atoms:
         ea = a.employment
@@ -214,7 +218,7 @@ def merge(
                 continue
             else:
                 emp = Employment(ea.function, es)
-            if mode is ConditionMergeMode.INTERSECTION:
+            if intersection:
                 conditions = a.conditions & b.conditions
             else:
                 conditions = a.conditions | b.conditions
@@ -228,14 +232,15 @@ def compose(*privileges: Privilege) -> Privilege:
 
 
 class _FunctionElements:
-    """The basis elements of one function symbol, by basis index."""
+    """The basis elements of one function symbol: the basis index of its
+    universal element and of each entity's element, and the mask of all."""
 
-    __slots__ = ("universal", "by_entity", "indices")
+    __slots__ = ("universal", "by_entity", "mask")
 
     def __init__(self):
         self.universal: int | None = None
         self.by_entity: dict[Entity, int] = {}
-        self.indices: list[int] = []
+        self.mask = 0
 
 
 @dataclass(frozen=True)
@@ -246,13 +251,17 @@ class Arrangement:
     normal and pulsed forms and trace matrices.
 
     Construction indexes the basis by function symbol: per function,
-    the index of its universal element, if any, and the index of the
-    element holding each entity of its finite elements. Elements of
-    different functions never overlap, and two elements of one function
-    overlap exactly when both are universal, one is universal, or they
-    share an entity, so filling the index checks disjointness in
-    O(sum of |E|) over the elements f/E. The index and the projections
-    (weakly keyed by privilege value) take no part in equality or hashing.
+    the index of its universal element, if any, the index of the element
+    holding each entity of its finite elements, and the ``int`` mask of
+    all its elements (bit i for element i). Elements of different
+    functions never overlap, and two elements of one function overlap
+    exactly when both are universal, one is universal, or they share an
+    entity, so filling the index checks disjointness in O(sum of |E|)
+    over the elements f/E. ``overlapping`` answers with a mask: for a
+    universal employment, its function's stored mask; for a finite one,
+    the bits of its members' elements and of the universal element. The
+    index and the projections (weakly keyed by privilege value) take no
+    part in equality or hashing.
     """
 
     basis: tuple[Employment, ...]
@@ -263,13 +272,17 @@ class Arrangement:
 
     def __post_init__(self):
         index: dict[FunctionSymbol, _FunctionElements] = {}
+        # Each function's mask is filled once at the end: ORing in one bit
+        # per element would copy the growing mask every time.
+        elements: dict[FunctionSymbol, list[int]] = {}
         for j, n in enumerate(self.basis):
             if n.entities.is_empty:
                 raise ArrangementError("arrangement elements must be non-empty")
             slot = index.setdefault(n.function, _FunctionElements())
+            earlier = elements.setdefault(n.function, [])
             members = n.entities.members
             if members is None:
-                clashes = slot.indices
+                clashes = earlier[:1]
             else:
                 clashes = [slot.by_entity[e] for e in members if e in slot.by_entity]
                 if slot.universal is not None:
@@ -287,21 +300,32 @@ class Arrangement:
                 slot.universal = j
             else:
                 slot.by_entity.update(dict.fromkeys(members, j))
-            slot.indices.append(j)
+            earlier.append(j)
+        for function, slot in index.items():
+            bits = bytearray(len(self.basis) // 8 + 1)
+            for j in elements[function]:
+                bits[j >> 3] |= 1 << (j & 7)
+            slot.mask = int.from_bytes(bits, "little")
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_projections", weakref.WeakKeyDictionary())
 
-    def overlapping(self, employment: Employment) -> set[int]:
-        """Basis indices of the elements that ``employment`` overlaps."""
+    def overlapping(self, employment: Employment) -> int:
+        """The mask of the basis elements that ``employment`` overlaps: bit
+        i is set when it overlaps element i."""
         slot = self._index.get(employment.function)
         if slot is None:
-            return set()
+            return 0
         members = employment.entities.members
         if members is None:
-            return set(slot.indices)
-        hit = {slot.by_entity[e] for e in members if e in slot.by_entity}
+            return slot.mask
+        hit = 0
+        by_entity = slot.by_entity
+        for e in members:
+            j = by_entity.get(e)
+            if j is not None:
+                hit |= 1 << j
         if members and slot.universal is not None:
-            hit.add(slot.universal)
+            hit |= 1 << slot.universal
         return hit
 
     def __len__(self) -> int:
@@ -363,11 +387,13 @@ def _low(mask: int) -> int:
 
 
 def _indices(mask: int) -> Iterator[int]:
-    """The basis indices in a mask, lowest first."""
+    """The basis indices in a mask, highest first. Each costs a
+    ``bit_length``, which is constant time, and one XOR, where taking
+    the lowest bit would cost three operations as wide as the mask."""
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        i = mask.bit_length() - 1
+        yield i
+        mask ^= 1 << i
 
 
 def _overlapped(
@@ -376,17 +402,42 @@ def _overlapped(
     """The distinct coefficients other than false of the elements some
     atom of ``p`` overlaps, each with the mask of the elements it covers,
     by lowest element; every other element's coefficient is constant
-    false. Computed once per arrangement while ``p``'s value is alive."""
+    false. Computed once per arrangement while ``p``'s value is alive.
+
+    An element's coefficient depends only on the condition sets of the
+    atoms over it, so the atoms' masks are ORed per condition set, and
+    two mask operations per set find the elements that two or more sets
+    share. A set's own elements, covered by no other set, take one fold
+    as a whole mask. The shared elements are walked once to group them
+    by the combination of sets over them, and each combination takes
+    one fold. So no input folds more than once per overlapped element,
+    and an unconditioned privilege folds once."""
     classes = arrangement._projections.get(p)
     if classes is None:
-        buckets: dict[int, list[frozenset[Condition]]] = {}
+        by_conditions: dict[frozenset[Condition], int] = {}
         for atom in p.atoms:
-            for i in arrangement.overlapping(atom.employment):
-                buckets.setdefault(i, []).append(atom.conditions)
-        masks: dict[Coefficient, int] = {}
+            mask = arrangement.overlapping(atom.employment)
+            by_conditions[atom.conditions] = by_conditions.get(atom.conditions, 0) | mask
+        once = shared = 0
+        for mask in by_conditions.values():
+            shared |= once & mask
+            once |= mask
+        combinations: dict[tuple[frozenset[Condition], ...], int] = {}
+        buckets: dict[int, list[frozenset[Condition]]] = {}
+        for conditions, mask in by_conditions.items():
+            own = mask & ~shared
+            if own:
+                combinations[(conditions,)] = own
+            if mask & shared:
+                for i in _indices(mask & shared):
+                    buckets.setdefault(i, []).append(conditions)
         for i, conjs in buckets.items():
+            key = tuple(conjs)
+            combinations[key] = combinations.get(key, 0) | 1 << i
+        masks: dict[Coefficient, int] = {}
+        for conjs, mask in combinations.items():
             coefficient = Coefficient.from_conjunctions(conjs)
-            masks[coefficient] = masks.get(coefficient, 0) | 1 << i
+            masks[coefficient] = masks.get(coefficient, 0) | mask
         masks.pop(Coefficient(), None)
         classes = tuple(sorted(masks.items(), key=lambda item: _low(item[1])))
         arrangement._projections[p] = classes
@@ -395,8 +446,8 @@ def _overlapped(
 
 def _spread(p: Privilege, arrangement: Arrangement, read, false) -> tuple:
     """Per basis element, ``read`` of its normal-form coefficient: each
-    distinct coefficient is read once, and elements ``p`` does not
-    overlap take ``false``."""
+    distinct coefficient is read once and its value placed by one walk
+    of its mask, and elements ``p`` does not overlap take ``false``."""
     values = [false] * len(arrangement)
     for coefficient, mask in _overlapped(p, arrangement):
         value = read(coefficient)

@@ -661,6 +661,20 @@ def test_arrangement_overlap_names_earliest_clash():
         Arrangement(basis)
 
 
+@given(
+    _disjoint_bases(),
+    st.sampled_from(_IDX_FUNCTIONS + [REMOVE]),
+    st.one_of(_atom_entity_sets(), st.just(EntitySet.finite([]))),
+)
+@example((Employment(READ, UNIVERSAL),), READ, EntitySet.finite([]))
+@example((_READ_A, _READ_B), READ, UNIVERSAL)
+@example((_READ_A,), READ, EntitySet.finite([_OUTSIDE]))
+def test_overlapping_mask_sets_exactly_the_elements_an_employment_meets(basis, f, es):
+    employment = Employment(f, es)
+    want = sum(1 << i for i, n in enumerate(basis) if employment_meet(employment, n) is not None)
+    assert Arrangement(basis).overlapping(employment) == want
+
+
 @given(_disjoint_bases(), _index_privileges())
 @example(
     (Employment(READ, UNIVERSAL), Employment(WRITE, EntitySet.finite([_A]))),
@@ -819,6 +833,40 @@ def test_the_pair_walk_stops_at_the_first_element_that_disagrees(monkeypatch):
     monkeypatch.setattr(Coefficient, "evaluate", counting)
     assert not congruent(p, q, arr, T_S1)
     assert evaluated == [Coefficient.from_conjunctions([{c}]) for c in (C1, C2)]
+
+
+def test_a_projection_folds_once_per_combination_of_condition_sets(monkeypatch):
+    # An element's coefficient depends only on the condition sets over it,
+    # so the elements under one combination of sets share one fold.
+    entities = [Entity(f"e{i:03d}") for i in range(150)]
+    arr = atomic_arrangement([READ], entities)
+    w = [WitnessCondition(f"w{i}", frozenset({Statement("s1")})) for i in range(5)]
+    folds = []
+    fold = Coefficient.from_conjunctions
+
+    def counting(conjunctions):
+        folds.append(conjunctions)
+        return fold(conjunctions)
+
+    monkeypatch.setattr(Coefficient, "from_conjunctions", staticmethod(counting))
+
+    def folds_of(*atoms):
+        p = priv(*((READ, EntitySet.finite(entities[lo:hi]), cs) for lo, hi, cs in atoms))
+        folds.clear()
+        coefficients = normal_form(p, arr).coefficients
+        count = len(folds)
+        assert coefficients == tuple(map(fold, pairwise_normal_form(p, arr.basis)))
+        return count
+
+    folds.clear()
+    normal_form(priv((READ, UNIVERSAL, [C1])), arr)
+    assert len(folds) == 1  # for all 150 elements
+    assert folds_of((0, 30, []), (20, 50, [])) == 1
+    assert folds_of(*((10 * k, 10 * k + 10, [w[k]]) for k in range(5))) == 5
+    # each set's own part, and the 10 elements both share
+    assert folds_of((0, 30, [w[0]]), (20, 50, [w[1]])) == 3
+    # three own parts; e020-e029 under w0 and w1, e040-e049 under w1 and w2
+    assert folds_of((0, 30, [w[0]]), (20, 50, [w[1]]), (40, 70, [w[2]])) == 5
 
 
 def test_pairs_are_the_distinct_element_pairs_by_first_element():
