@@ -18,7 +18,9 @@ element the disjunction of the condition conjunctions of the atoms that
 overlap it; at a fact that is the pulsed form, a bit vector, and along
 a fact sequence a trace matrix. A privilege value is projected once per
 arrangement, while it lives, into its distinct coefficients with ``int``
-masks of the elements they cover; queries evaluate each once per fact.
+masks of the elements they cover. A query evaluates each coefficient, or
+each pair of them that differ, once per fact; an equal pair agrees at
+every fact and is never evaluated.
 The projection works on masks throughout: it ORs the masks of the atoms
 that share a condition set, and folds one coefficient per combination of
 condition sets over an element, not one per element.
@@ -509,11 +511,13 @@ def trace(
 def _overlapped_pairs(
     u: Privilege, v: Privilege, arrangement: Arrangement
 ) -> list[tuple[Coefficient, Coefficient]]:
-    """The distinct coefficient pairs where ``u`` or ``v`` is not false,
-    by each pair's lowest element; elsewhere both agree at every fact. The
-    first pair to disagree at a fact holds the first element that does; a
-    walk stops there, so a failing outer guard never evaluates the guards
-    nested in it. Each pair costs O(log k) mask operations over k classes."""
+    """The distinct coefficient pairs that differ, by each pair's lowest
+    element; at every other element the two coefficients are equal (both
+    false, say), so ``u`` and ``v`` agree there at every fact and only
+    these pairs are ever evaluated. The first pair to disagree at a fact
+    holds the first element that does; a walk stops there, so a failing
+    outer guard never evaluates the guards nested in it. Each pair costs
+    O(log k) mask operations over k classes."""
     cu, cv = _overlapped(u, arrangement), _overlapped(v, arrangement)
     span_u, span_v = (sum(m for _, m in side) for side in (cu, cv))  # masks are disjoint
     # Each side is a heap of (lowest unpaired element, mask, coefficient),
@@ -524,12 +528,17 @@ def _overlapped_pairs(
         for side, outside in ((cu, span_v & ~span_u), (cv, span_u & ~span_v))
     )
     pairs: list[tuple[Coefficient, Coefficient]] = []
+    steps = (span_u | span_v).bit_count()  # each step pairs off an element
     while hu:
+        if not steps:
+            raise AssertionError("the coefficient classes of one side overlap")
+        steps -= 1
         (_, mu, a), (_, mv, b) = heapq.heappop(hu), heapq.heappop(hv)
         for heap, rest, c in ((hu, mu & ~mv, a), (hv, mv & ~mu, b)):
             if rest:
                 heapq.heappush(heap, (_low(rest), rest, c))
-        pairs.append((a, b))
+        if a != b:
+            pairs.append((a, b))
     return pairs
 
 
@@ -542,9 +551,10 @@ def structural_eq(
     u: Privilege, v: Privilege, arrangement: Arrangement, family: FactFamily
 ) -> bool:
     """Extensional normal-form equality: congruent at every fact of the
-    family."""
+    family. Only the pairs that differ are evaluated, so when there are
+    none the answer is true without a walk of the family."""
     rows = _overlapped_pairs(u, v, arrangement)
-    return all(_rows_agree(rows, t) for t in family.facts)
+    return not rows or all(_rows_agree(rows, t) for t in family.facts)
 
 
 def congruent(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import itertools
 import weakref
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -687,6 +688,21 @@ def test_normal_form_matches_pairwise_definition(basis, p):
     assert normal_form(p, Arrangement(basis)).coefficients == want
 
 
+# Pairs that share coefficients: q is p plus one atom, or p respelled.
+_SHARED_BASIS = (
+    Employment(READ, EntitySet.finite([_A, _B])),
+    Employment(WRITE, EntitySet.finite([_A])),
+    Employment(WRITE, EntitySet.finite(_IDX_ENTITIES[1:3])),
+)
+_SHARED = priv((READ, EntitySet.finite([_A]), [C1]), (WRITE, UNIVERSAL, [C2]))
+_SHARED_PLUS = compose(_SHARED, priv((WRITE, EntitySet.finite([_B]), [C1])))
+_SHARED_RESPELLED = priv(
+    (READ, EntitySet.finite([_B]), [C1]),
+    (WRITE, EntitySet.finite([_A]), [C2]),
+    (WRITE, EntitySet.finite(_IDX_ENTITIES[2:]), [C2]),
+)
+
+
 @given(
     _disjoint_bases(),
     _index_privileges(),
@@ -694,6 +710,10 @@ def test_normal_form_matches_pairwise_definition(basis, p):
     _index_privileges(),
     st.sampled_from([INTER, UNION]),
 )
+@example(_SHARED_BASIS, _SHARED, _SHARED_PLUS, priv((READ, UNIVERSAL, [C2])), INTER)
+@example(_SHARED_BASIS, _SHARED, _SHARED_PLUS, priv((READ, UNIVERSAL, [C2])), UNION)
+@example(_SHARED_BASIS, _SHARED, _SHARED_RESPELLED, priv((WRITE, UNIVERSAL, [C1])), INTER)
+@example(_SHARED_BASIS, _SHARED, _SHARED_RESPELLED, priv((WRITE, UNIVERSAL, [C1])), UNION)
 def test_guard_conditions_agree_with_predicates(basis, p, q, r, mode):
     # Guards, congruent and compliant share one row comparison, so each
     # is checked against the dense definition: equal pulsed forms.
@@ -740,6 +760,8 @@ def test_merge_matches_pairwise_definition(u, v, mode):
     priv((READ, UNIVERSAL, [SEALED]), (READ, EntitySet.finite([_B]), [C1, SEALED])),
     Privilege(),
 )
+@example(_SHARED_BASIS, _SHARED.with_condition(_G1), _SHARED_PLUS.with_condition(_G1))
+@example(_SHARED_BASIS, _SHARED.with_condition(_G2), _SHARED_RESPELLED.with_condition(_G2))
 def test_pulse_trace_and_eq_match_every_coefficient(basis, p, q):
     # Every query against the per-element definition: each element's
     # coefficient, from the normal form, evaluated at each fact.
@@ -818,11 +840,13 @@ def test_pulse_and_trace_evaluate_only_overlapped_elements(monkeypatch):
 
 def test_the_pair_walk_stops_at_the_first_element_that_disagrees(monkeypatch):
     # Pairs go by lowest element, so a verdict evaluates no more than a
-    # walk of the elements in basis order would.
-    arr = atomic_arrangement([READ, WRITE], _IDX_ENTITIES)
+    # walk of the elements in basis order would; the leading list/{a}
+    # holds an equal pair, which is never evaluated.
+    arr = atomic_arrangement([LIST_, READ, WRITE], _IDX_ENTITIES)
     a_to_c = EntitySet.finite(_IDX_ENTITIES[:3])
-    p = priv((READ, EntitySet.finite([_A]), [C1]), (WRITE, a_to_c, [C2]))
-    q = priv((READ, EntitySet.finite([_A]), [C2]), (WRITE, a_to_c, [C2]))
+    lead = (LIST_, EntitySet.finite([_A]), [WitnessCondition("c0", frozenset({Statement("s2")}))])
+    p = priv(lead, (READ, EntitySet.finite([_A]), [C1]), (WRITE, a_to_c, [C2]))
+    q = priv(lead, (READ, EntitySet.finite([_A]), [C2]), (WRITE, a_to_c, [C2]))
     evaluated = []
     evaluate = Coefficient.evaluate
 
@@ -833,6 +857,71 @@ def test_the_pair_walk_stops_at_the_first_element_that_disagrees(monkeypatch):
     monkeypatch.setattr(Coefficient, "evaluate", counting)
     assert not congruent(p, q, arr, T_S1)
     assert evaluated == [Coefficient.from_conjunctions([{c}]) for c in (C1, C2)]
+
+
+def test_eq_of_equal_values_spelled_differently_evaluates_nothing(monkeypatch):
+    # A privilege and its twin, spelled one function and one entity per
+    # atom in reverse order: different values, equal coefficients
+    # everywhere, so eq over 1,024 facts evaluates no coefficient.
+    family = power_family(*(f"s{i}" for i in range(10)))
+    assert len(family.facts) == 1024
+    arr = atomic_arrangement([LIST_, READ, WRITE], _IDX_ENTITIES)
+    w = [WitnessCondition(f"w{i}", frozenset({Statement(f"s{i}")})) for i in range(3)]
+    terms = [((READ, WRITE), _IDX_ENTITIES[:2], w[0]), ((LIST_,), _IDX_ENTITIES[1:], w[1]),
+             ((READ,), _IDX_ENTITIES[2:], w[2])]
+    p = priv(*((f, EntitySet.finite(es), [c]) for fs, es, c in terms for f in fs))
+    twin = priv(*((f, EntitySet.finite([e]), [c]) for fs, es, c in terms[::-1]
+                  for f in fs[::-1] for e in es[::-1]))
+    assert p != twin
+    evaluated = []
+    evaluate = Coefficient.evaluate
+
+    def counting(self, fact):
+        evaluated.append(self)
+        return evaluate(self, fact)
+
+    monkeypatch.setattr(Coefficient, "evaluate", counting)
+    visited = []
+    watched = SimpleNamespace(facts=(visited.append(t) or t for t in family.facts))
+    assert structural_eq(p, twin, arr, watched)
+    assert evaluated == visited == []
+    # one more atom: the pair it changes is evaluated until it disagrees
+    assert not structural_eq(p, compose(twin, priv((WRITE, UNIVERSAL, [w[2]]))), arr, family)
+    assert evaluated
+
+
+def test_a_guard_over_equal_pairs_evaluates_no_nested_guard(monkeypatch):
+    # The operands differ as values, but every element's pair is equal,
+    # so neither guard form evaluates the guard nested in them.
+    u = priv((READ, UNIVERSAL, [_G1]), (WRITE, UNIVERSAL, [C1]))
+    v = priv((READ, TECHDOC, [_G1]), (WRITE, TECHDOC, [C1]), (WRITE, UNIVERSAL, [C1]))
+    assert u != v
+    evaluated = []
+    evaluate = HighOrderCondition.evaluate
+
+    def counting(self, fact):
+        evaluated.append(self)
+        return evaluate(self, fact)
+
+    monkeypatch.setattr(HighOrderCondition, "evaluate", counting)
+    outer = [congruence_condition(u, v, SESSIONS)]
+    outer += [compliance_condition(u, v, SESSIONS, mode) for mode in (INTER, UNION)]
+    for guard in outer:
+        for fact in FAM:
+            assert guard.evaluate(fact)
+    assert evaluated == [g for g in outer for _ in FAM]
+
+
+def test_the_pair_walk_fails_rather_than_hangs_on_overlapping_classes(monkeypatch):
+    # The walk relies on each side's classes being disjoint; two classes
+    # over one element would pair forever, so the walk is bounded by the
+    # number of overlapped elements and names the broken invariant.
+    arr = atomic_arrangement([READ], _IDX_ENTITIES)
+    c1, c2 = (Coefficient.from_conjunctions([{c}]) for c in (C1, C2))
+    broken = {"u": ((c1, 0b01), (c2, 0b11)), "v": ((c2, 0b10),)}  # both u classes hold e0
+    monkeypatch.setattr(privilege_module, "_overlapped", lambda p, arrangement: broken[p])
+    with pytest.raises(AssertionError, match="classes of one side overlap"):
+        privilege_module._overlapped_pairs("u", "v", arr)
 
 
 def test_a_projection_folds_once_per_combination_of_condition_sets(monkeypatch):
@@ -872,18 +961,20 @@ def test_a_projection_folds_once_per_combination_of_condition_sets(monkeypatch):
 def test_pairs_are_the_distinct_element_pairs_by_first_element():
     # Many classes on both sides, shared unevenly: the pairs are the
     # elements' (p, q) coefficient pairs in basis order, first occurrence
-    # kept, without the elements false on both sides.
+    # kept, without the pairs of two equal coefficients (false with false
+    # among them), which agree at every fact.
     entities = [Entity(f"e{i:02d}") for i in range(30)]
     arr = atomic_arrangement([READ, WRITE], entities)
     conds = [WitnessCondition(f"w{i}", frozenset({Statement(f"s{i % 3}")})) for i in range(7)]
     elements = list(enumerate(itertools.product([READ, WRITE], entities)))
     p = priv(*((f, EntitySet.finite([e]), [conds[i % 7]]) for i, (f, e) in elements if i % 5))
     q = priv(*((f, EntitySet.finite([e]), [conds[i % 4]]) for i, (f, e) in elements if i % 3))
-    false = Coefficient()
     cp, cq = (normal_form(x, arr).coefficients for x in (p, q))
-    want = list(dict.fromkeys(pair for pair in zip(cp, cq) if pair != (false, false)))
+    want = list(dict.fromkeys((a, b) for a, b in zip(cp, cq) if a != b))
     assert privilege_module._overlapped_pairs(p, q, arr) == want
-    assert len(want) == 35  # 24 pairs of two classes, 11 of a class and false
+    # 20 pairs of two different classes, 11 of a class and false; of the
+    # 36 distinct element pairs, 4 of one class twice and false twice go
+    assert len(want) == 31
 
 
 def test_a_live_value_is_projected_once(monkeypatch):
