@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import engine, pal
-from .errors import PrivCalcError, SourceError, in_file, line_column, line_starts
+from .errors import PrivCalcError, SourceError, in_text
 from .facts import load_facts
 from .privilege import ConditionMergeMode
 
@@ -86,8 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", parents=[common], help="trace matrix over a fact sequence (CSV)")
     p.add_argument("file")
     p.add_argument("--expr", required=True)
-    p.add_argument("--seq", required=True, help="comma-separated fact ids")
-    p.set_defaults(query=_trace_query)
+    p.add_argument("--seq", required=True, type=_fact_ids, help="comma-separated fact ids")
+    p.set_defaults(query=lambda a: engine.TraceQuery(a.expr, a.seq))
 
     p = sub.add_parser("comply", parents=[common], help="does p comply with q at a fact")
     p.add_argument("file")
@@ -110,6 +110,14 @@ def _given(value: str) -> str:
     return value
 
 
+def _fact_ids(value: str) -> tuple[str, ...]:
+    """A ``--seq`` value's fact ids, without empty chunks: never none."""
+    fact_ids = tuple(chunk.strip() for chunk in value.split(",") if chunk.strip())
+    if not fact_ids:
+        raise argparse.ArgumentTypeError("lists no fact ids")
+    return fact_ids
+
+
 def _read(path: str) -> str:
     """The file's text as it is: readers end lines at line feeds only.
     Bytes that are not UTF-8 are an error at the first of them."""
@@ -118,9 +126,9 @@ def _read(path: str) -> str:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         valid = data[: exc.start].decode("utf-8")
-        line, column = line_column(line_starts(valid), len(valid))
         message = f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
-        raise SourceError(message, line, column, path) from None
+        with in_text(valid, path):
+            raise SourceError(message, at=len(valid)) from None
     return text
 
 
@@ -158,7 +166,7 @@ def _cmd_program(args: argparse.Namespace) -> int:
     if args.query is None and args.namespace is None:
         names = [ns.name for ns in program.namespaces] or [None]
     path, context = _context(args)
-    with in_file(path):
+    with in_text(context["arrangement"] or "", path):
         envs = [
             engine.build_environment(program, namespace=name, filename=args.file, **context)
             for name in names
@@ -170,13 +178,6 @@ def _cmd_program(args: argparse.Namespace) -> int:
     result = engine.answer(args.query(args), envs[0])
     print(result.text)
     return 1 if result.value is False else 0
-
-
-def _trace_query(args: argparse.Namespace) -> engine.TraceQuery:
-    fact_ids = [chunk.strip() for chunk in args.seq.split(",") if chunk.strip()]
-    if not fact_ids:
-        raise PrivCalcError("--seq lists no fact ids")
-    return engine.TraceQuery(args.expr, tuple(fact_ids))
 
 
 def _cmd_import_rbac(args: argparse.Namespace) -> int:

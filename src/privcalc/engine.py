@@ -30,7 +30,7 @@ from typing import Container, Iterator, Sequence, Union
 
 from . import pal
 from .algebra import Employment, Entity, EntitySet, FunctionSymbol, UNIVERSAL
-from .errors import PrivCalcError, SourceError, in_file, in_text, line_column
+from .errors import PrivCalcError, SourceError, in_text, line_column
 from .facts import Condition, FactFamily, close_family
 from .privilege import (
     GUARD_FUNCTION,
@@ -165,7 +165,9 @@ def load_program(
 
 
 def _clash(name: str, kinds: set[str], wanted: str, stmt) -> ResolutionError:
-    message = f"'{name}' is already a {sorted(kinds)[0]}, cannot use it as {wanted}"
+    kind = sorted(kinds)[0]
+    article = "an" if kind == "entity" else "a"
+    message = f"'{name}' is already {article} {kind}, cannot use it as {wanted}"
     return ResolutionError(message, at=stmt.at)
 
 
@@ -174,8 +176,8 @@ def _load_let(stmt: pal.LetIs, env: Environment) -> None:
     if bad:
         raise _clash(stmt.entity, bad, "an entity", stmt)
     bad = {"function", "entity", "privilege", "condition"} & set(env.kinds_of(stmt.category))
-    if bad:
-        raise _clash(stmt.category, bad, "a category", stmt)
+    if bad or stmt.category == stmt.entity:  # `let x is x` would make x both
+        raise _clash(stmt.category, bad or {"entity"}, "a category", stmt)
     _add_member(stmt, env)
 
 
@@ -251,18 +253,8 @@ def _eval_name(node: pal.Name, env: Environment) -> Privilege:
     return Privilege.single(Employment(FunctionSymbol(node.id), UNIVERSAL))
 
 
-def _named_condition(node: pal.ExprNode, env: Environment) -> Condition | None:
-    return env.conditions.get(node.id) if isinstance(node, pal.Name) else None
-
-
 def _is_condition(node: pal.ExprNode, env: Environment) -> bool:
-    return isinstance(node, pal.Guard) or _named_condition(node, env) is not None
-
-
-def _operand_condition(node: pal.ExprNode, env: Environment) -> Condition:
-    if isinstance(node, pal.Guard):
-        return _guard_condition(node, env)
-    return _named_condition(node, env)
+    return isinstance(node, pal.Guard) or isinstance(node, pal.Name) and node.id in env.conditions
 
 
 def _eval_product(factors: tuple[pal.ExprNode, ...], env: Environment) -> Privilege:
@@ -275,8 +267,10 @@ def _eval_product(factors: tuple[pal.ExprNode, ...], env: Environment) -> Privil
         first, second = second, first
     value = eval_expr(first, env)
     for factor in (second, *rest):
-        if _is_condition(factor, env):
-            value = value.with_condition(_operand_condition(factor, env))
+        if isinstance(factor, pal.Guard):
+            value = value.with_condition(_guard_condition(factor, env))
+        elif _is_condition(factor, env):
+            value = value.with_condition(env.conditions[factor.id])
         else:
             value = merge(value, eval_expr(factor, env), env.merge_mode)
     return value
@@ -496,7 +490,8 @@ def load_rbac(text: str, filename: str | None = None) -> RbacModel:
 
     Every declared ``<id>`` is a PAL identifier (``pal.is_identifier``),
     and no name is declared as two of op, cat, role and user: each
-    becomes one PAL name.
+    becomes one PAL name. Errors give the line and, through
+    ``errors.in_text``, name ``filename``.
     """
     operations: set[str] = set()
     categories: set[str] = set()
@@ -512,7 +507,7 @@ def load_rbac(text: str, filename: str | None = None) -> RbacModel:
             raise RbacImportError(f"duplicate {kind} '{name}'", line_no)
         return name
 
-    with in_file(filename):
+    with in_text(text, filename):
         for line_no, head, rest in pal.declarations(text):
             if head in ("op", "cat"):
                 if len(pal.words(rest)) != 1:

@@ -1,5 +1,5 @@
-"""Exception types shared across the toolchain, and the placing of an
-error's offset in its text as a line and a column."""
+"""Exception types shared across the toolchain, and ``in_text``, the one
+wrapper through which every reader names and places its errors."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ class SourceError(PrivCalcError):
     A raise site in a PAL text gives ``at``, the character offset of the
     token at fault; the reader that owns the text turns it into 1-based
     ``line`` and ``column`` (``in_text``) before the error leaves it.
-    Facts and RBAC readers give the line alone."""
+    Facts and RBAC raise sites give the line alone."""
 
     def __init__(
         self,
@@ -49,19 +49,6 @@ class SourceError(PrivCalcError):
         return f"{prefix} {self.message}"
 
 
-@contextmanager
-def in_file(filename: str | None) -> Iterator[None]:
-    """Name ``filename`` in every ``SourceError`` raised inside the block
-    that names no file yet. A reader wraps its work in this, so raise
-    sites give only a position; an inner reader's own name wins."""
-    try:
-        yield
-    except SourceError as exc:
-        if exc.filename is None:
-            exc.filename = filename
-        raise
-
-
 _LINE_FEED = re.compile("\n")
 
 
@@ -80,10 +67,11 @@ def line_column(starts: Sequence[int], at: int) -> tuple[int, int]:
 
 @contextmanager
 def in_text(text: str, filename: str | None = None) -> Iterator[None]:
-    """``in_file``, and place in ``text`` every ``SourceError`` raised
-    inside the block that has an offset and no line yet. An error's line
-    is counted only here, as it leaves the reader of its text, so a text
-    read without fault has no lines counted."""
+    """Name ``filename`` in every ``SourceError`` raised in the block that
+    names no file yet, and place in ``text`` every one with an offset and
+    no line yet. Every reader wraps its work in this, so raise sites give
+    a position only; an inner reader's name and place win. Lines are
+    counted only here, so a text read without fault has none counted."""
     try:
         yield
     except SourceError as exc:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Container, Iterable, Iterator, NewType
 
-from .errors import PrivCalcError, SourceError, in_file
+from .errors import PrivCalcError, SourceError, in_text
 from .pal import declarations, is_identifier, words
 
 __all__ = [
@@ -265,7 +265,8 @@ def load_facts(
     them. The loader closes the declared facts into a family, so
     synthesized facts (unions, intersections, "empty") are addressable
     by their derived ids afterwards. A family of more than
-    ``MAX_FAMILY`` facts is an error at the last ``fact`` line.
+    ``MAX_FAMILY`` facts is an error at the last ``fact`` line. Errors
+    give the line and, through ``errors.in_text``, name ``filename``.
     """
     statements: set[Statement] = set()
     generators: dict[str, Fact] = {}
@@ -286,7 +287,7 @@ def load_facts(
                 raise DeclarationError(message, line_no)
         return frozenset(map(Statement, tokens))
 
-    with in_file(filename):
+    with in_text(text, filename):
         for line_no, head, rest in declarations(text):
             tokens = [head, *words(rest)]
             if head == "statement":

@@ -151,8 +151,9 @@ def test_usage_error_exit_2(workspace, capsys):
         (["nf", "--expr", "session_1", "--arrangement", ""], "--arrangement: empty value"),
         (["check", "--arrangement", ""], "--arrangement: empty value"),
         (["check", "--arrangement", "@"], "--arrangement: '@' names no file"),
+        (["trace", "--expr", "bob", "--seq", " , "], "--seq: lists no fact ids"),
     ],
-    ids=["facts", "nf-arrangement", "check-arrangement", "arrangement-file"],
+    ids=["facts", "nf-arrangement", "check-arrangement", "arrangement-file", "trace-seq"],
 )
 def test_empty_file_option_is_a_usage_error(workspace, capsys, argv, error):
     command, *options = argv
@@ -161,6 +162,20 @@ def test_empty_file_option_is_a_usage_error(workspace, capsys, argv, error):
     assert [line for line in err.splitlines() if "error" in line] == [
         f"pal {command}: error: argument {error}"
     ]
+
+
+def test_an_unexpected_exception_is_an_internal_error_not_a_verdict(
+    workspace, capsys, monkeypatch
+):
+    def boom(query, env):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("privcalc.engine.answer", boom)
+    assert run(capsys, "eval", str(workspace / "example.pal"), "--expr", "session_1") == (
+        2,
+        "",
+        "error: internal error: RuntimeError: boom\n",
+    )
 
 
 def test_nf_requires_arrangement(workspace, capsys):

@@ -167,6 +167,24 @@ def test_let_cannot_reuse_function_or_privilege_names():
         example_env(source='namespace "n" { p := read\nlet d is p }')
 
 
+@pytest.mark.parametrize(
+    "body, error",
+    [
+        ("let x is x", "p.pal:2:1: 'x' is already an entity, cannot use it as a category"),
+        (
+            "let x is C\nlet y is x",
+            "p.pal:3:1: 'x' is already an entity, cannot use it as a category",
+        ),
+    ],
+    ids=["same-statement", "earlier-statement"],
+)
+def test_let_refuses_an_entity_as_a_category(body, error):
+    # an entity and a privilege may share a name; an entity and a category may not
+    with pytest.raises(ResolutionError) as exc:
+        build_environment('namespace "n" {\n' + body + "\n}\n", filename="p.pal")
+    assert str(exc.value) == error
+
+
 def test_entity_may_also_become_privilege():
     # the dual binding: an entity name acquires a privilege value while
     # '/' keeps resolving it as an entity
@@ -773,8 +791,13 @@ def test_rbac_validation_errors():
         ("user r = r\nop a\ncat C\nrole r = a/C\n", "4: 'r' is declared both as role and user"),
         ("user a = r\nop a\ncat C\nrole r = a/C\n", "2: 'a' is declared both as op and user"),
         ("op a\ncat C\nuser u = r, x\nrole r = a/C\n", "3: user 'u' references unknown role 'x'"),
+        ("op a\ncat C\nrole r = a/C\ninherits r\n", "4: expected: inherits <senior> <junior>"),
+        ("op a\ncat C\nrole r = a/C\nuser u r\n", "4: expected: user <id> = <role>, ..."),
     ],
-    ids=["operation", "category", "hierarchy", "cycle", "clash", "clash-first", "user"],
+    ids=[
+        "operation", "category", "hierarchy", "cycle", "clash", "clash-first", "user",
+        "inherits-form", "user-form",
+    ],
 )
 def test_rbac_validation_errors_name_the_declaration_line(text, error):
     with pytest.raises(RbacImportError) as exc:
