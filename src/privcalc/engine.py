@@ -26,7 +26,7 @@ and the environment set-up and query dispatch (``build_environment`` /
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Container, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from . import pal
 from .algebra import Employment, Entity, EntitySet, FunctionSymbol, UNIVERSAL
@@ -500,26 +500,20 @@ def load_rbac(text: str, filename: str | None = None) -> RbacModel:
     users: dict[str, frozenset[str]] = {}
     lines: dict[tuple[str, ...], int] = {}
 
-    def ident(line_no: int, name: str, kind: str, taken: Container[str] = ()) -> str:
-        if not pal.is_identifier(name):
-            raise RbacImportError(f"invalid {kind} name {name!r}", line_no)
-        if name in taken:
-            raise RbacImportError(f"duplicate {kind} '{name}'", line_no)
-        return name
-
     with in_text(text, filename):
         for line_no, head, rest in pal.declarations(text):
             if head in ("op", "cat"):
                 if len(pal.words(rest)) != 1:
                     raise RbacImportError(f"expected: {head} <id>", line_no)
-                (operations if head == "op" else categories).add(ident(line_no, rest, head))
+                pal.declared_name(RbacImportError, line_no, rest, head)
+                (operations if head == "op" else categories).add(rest)
                 lines.setdefault((head, rest), line_no)
             elif head == "role":
                 name, eq, perms = rest.partition("=")
                 name = name.strip(pal.BLANKS)
                 if not eq or not name:
                     raise RbacImportError("expected: role <id> = <op>/<cat>, ...", line_no)
-                ident(line_no, name, "role", roles)
+                pal.declared_name(RbacImportError, line_no, name, "role", roles)
                 pairs = set()
                 for chunk in perms.split(","):
                     chunk = chunk.strip(pal.BLANKS)
@@ -543,7 +537,7 @@ def load_rbac(text: str, filename: str | None = None) -> RbacModel:
                 name = name.strip(pal.BLANKS)
                 if not eq or not name:
                     raise RbacImportError("expected: user <id> = <role>, ...", line_no)
-                ident(line_no, name, "user", users)
+                pal.declared_name(RbacImportError, line_no, name, "user", users)
                 names = [r.strip(pal.BLANKS) for r in role_list.split(",")]
                 if not all(names):
                     raise RbacImportError(f"user '{name}' has an empty role reference", line_no)

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Container, Iterable, Iterator, NewType
+from typing import Iterable, Iterator, NewType
 
 from .errors import PrivCalcError, SourceError, in_text
-from .pal import declarations, is_identifier, words
+from .pal import declarations, declared_name, words
 
 __all__ = [
     "Condition",
@@ -273,13 +273,6 @@ def load_facts(
     last_fact_line: int | None = None
     conditions: dict[str, Condition] = {}
 
-    def ident(line_no: int, token: str, role: str, taken: Container[str]) -> str:
-        if not is_identifier(token):
-            raise DeclarationError(f"invalid {role} name {token!r}", line_no)
-        if token in taken:
-            raise DeclarationError(f"duplicate {role} '{token}'", line_no)
-        return token
-
     def resolve(line_no: int, owner: str, tokens: list[str]) -> frozenset[Statement]:
         for token in tokens:
             if token not in statements:
@@ -293,19 +286,19 @@ def load_facts(
             if head == "statement":
                 if len(tokens) != 2:
                     raise DeclarationError("expected: statement <id>", line_no)
-                name = ident(line_no, tokens[1], "statement", statements)
+                name = declared_name(DeclarationError, line_no, tokens[1], "statement", statements)
                 statements.add(Statement(name))
             elif head == "fact":
                 if len(tokens) < 3 or tokens[2] != "=":
                     raise DeclarationError("expected: fact <id> = [<stmt-id> ...]", line_no)
-                name = ident(line_no, tokens[1], "fact", generators)
+                name = declared_name(DeclarationError, line_no, tokens[1], "fact", generators)
                 generators[name] = Fact(name, resolve(line_no, name, tokens[3:]))
                 last_fact_line = line_no
             elif head == "condition":
                 if len(tokens) < 4 or tokens[2] != "=":
                     message = "expected: condition <id> = any|true|false ..."
                     raise DeclarationError(message, line_no)
-                name = ident(line_no, tokens[1], "condition", conditions)
+                name = declared_name(DeclarationError, line_no, tokens[1], "condition", conditions)
                 kind = tokens[3]
                 if kind == "any":
                     if len(tokens) < 5:

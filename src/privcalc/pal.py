@@ -30,7 +30,9 @@ a product. The bracket form denotes a guard: ``<:`` for compliance,
 ``text``, and ``format_expr`` that of an expression; formatting then
 parsing returns an equal tree (node equality ignores source positions).
 
-A token or node holds its source position as one character offset,
+A token's kind is its spelling for a keyword or punctuation (``"let"``,
+``":="``, ``"0"``), and otherwise ``IDENT``, ``STRING`` or ``EOF``. A
+token or node holds its source position as one character offset,
 ``at``. The reader of a text counts the line and column of an offset
 only for an error that leaves it (``errors.in_text``), and the engine
 only for a warning.
@@ -40,17 +42,18 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Container, Iterable, Iterator, NamedTuple, Union
 
 from .errors import SourceError, in_text, line_starts
 
 __all__ = [
     "BLANKS",
     "Define",
+    "EOF",
     "ExprNode",
     "Guard",
+    "IDENT",
     "LetIs",
     "LexError",
     "MAX_NESTING",
@@ -59,13 +62,14 @@ __all__ = [
     "ParseError",
     "Product",
     "Program",
+    "STRING",
     "Slash",
     "StatementNode",
     "Sum",
     "Token",
-    "TokenKind",
     "chain",
     "declarations",
+    "declared_name",
     "format_expr",
     "format_program",
     "is_identifier",
@@ -84,43 +88,18 @@ class ParseError(SourceError):
     """The token stream does not match the grammar."""
 
 
-class TokenKind(Enum):
-    IDENT = "identifier"
-    STRING = "string"
-    NAMESPACE = "'namespace'"
-    LET = "'let'"
-    IS = "'is'"
-    ASSIGN = "':='"
-    PLUS = "'+'"
-    STAR = "'*'"
-    SLASH = "'/'"
-    LPAREN = "'('"
-    RPAREN = "')'"
-    LBRACE = "'{'"
-    RBRACE = "'}'"
-    LBRACKET = "'['"
-    RBRACKET = "']'"
-    COMPLIES = "'<:'"
-    TILDE = "'~'"
-    ZERO = "'0'"
-    EOF = "end of input"
+# A keyword or punctuation token's kind is its spelling (``_SPELLINGS``);
+# the other kinds are named as an error message prints them.
+IDENT, STRING, EOF = "identifier", "string", "end of input"
+_SPELLINGS = frozenset("namespace let is := + * / ( ) { } [ ] <: ~ 0".split())
 
 
 class Token(NamedTuple):
-    kind: TokenKind
+    kind: str  # a spelling, IDENT, STRING or EOF
     text: str
     at: int  # offset of the first character in the source text
 
 
-# The kinds the lexer and parser test token by token, bound to plain
-# names: reading a member off an Enum class is a slow lookup (CPython 3.11).
-_IDENT, _ZERO, _LET, _IS, _ASSIGN, _PLUS, _STAR, _SLASH, _LPAREN, _LBRACKET, _RBRACE = (
-    TokenKind[name]
-    for name in "IDENT ZERO LET IS ASSIGN PLUS STAR SLASH LPAREN LBRACKET RBRACE".split()
-)
-
-# Keywords and punctuation by spelling, read off the kinds' quoted names.
-_SPELLINGS = {kind.value[1:-1]: kind for kind in TokenKind if kind.value[0] == "'"}
 # The characters that separate words in PAL, facts and RBAC files. Only
 # "\n" ends a line: other Unicode breaks and spaces are characters.
 BLANKS = " \t\r"
@@ -142,6 +121,18 @@ def is_identifier(text: str) -> bool:
     ``guard``, the function of bare guards. Facts and RBAC files name
     things by the same rule."""
     return _WORD.fullmatch(text) is not None and text not in _SPELLINGS and text != "guard"
+
+
+def declared_name(
+    error: type[SourceError], line: int, name: str, kind: str, taken: Container[str] = ()
+) -> str:
+    """``name`` as a facts or RBAC file declares a ``kind`` at ``line``:
+    an identifier not in ``taken``, or else an ``error`` at the line."""
+    if not is_identifier(name):
+        raise error(f"invalid {kind} name {name!r}", line)
+    if name in taken:
+        raise error(f"duplicate {kind} '{name}'", line)
+    return name
 
 
 def words(text: str) -> list[str]:
@@ -166,22 +157,22 @@ def tokenize(source: str) -> list[Token]:
     character, a string's opening '"'; the end-of-input token's is the
     text's length. A ``LexError`` is placed at the character at fault."""
     tokens: list[Token] = []
-    append, kind_of, new = tokens.append, _SPELLINGS.get, tuple.__new__
+    append, spellings, new = tokens.append, _SPELLINGS, tuple.__new__
     with in_text(source):
         for match in _TOKEN.finditer(source):
             group = match.lastindex
             if group == 2:
                 text = match[2]
                 # Token's own constructor, less a Python-level call per token
-                append(new(Token, (kind_of(text, _IDENT), text, match.end(1))))
+                append(new(Token, (text if text in spellings else IDENT, text, match.end(1))))
             elif group == 3:
-                append(Token(TokenKind.STRING, match[3], match.end(1)))
+                append(Token(STRING, match[3], match.end(1)))
             elif group == 4:
                 raise LexError("unterminated string", at=match.end(1))
             elif group == 5:
                 raise LexError(f"unexpected character {match[5]!r}", at=match.end(1))
             else:
-                append(Token(TokenKind.EOF, "", match.end(1)))
+                append(Token(EOF, "", match.end(1)))
                 return tokens
 
 
@@ -280,24 +271,24 @@ class _Parser:
         self.pos = 0
         self.depth = 0  # "(" and "[" open around the current token
 
-    def expect(self, *kinds: TokenKind) -> Token:
+    def expect(self, *kinds: str) -> Token:
         tok = self.tokens[self.pos]
         if tok.kind not in kinds:
             self.fail(*kinds)
         self.pos += 1
         return tok
 
-    def fail(self, *kinds: TokenKind):
+    def fail(self, *kinds: str):
         tok = self.tokens[self.pos]
-        names = sorted(k.value for k in kinds)
-        found = tok.kind.value if tok.kind is TokenKind.EOF else f"'{tok.text}'"
+        names = sorted(f"'{k}'" if k in _SPELLINGS else k for k in kinds)
+        found = EOF if tok.kind == EOF else f"'{tok.text}'"
         raise ParseError(f"expected {' or '.join(names)}, found {found}", at=tok.at)
 
     # program := namespace*
     def namespaces(self) -> tuple[Namespace, ...]:
         namespaces: list[Namespace] = []
         seen: set[str] = set()
-        while (tok := self.tokens[self.pos]).kind is not TokenKind.EOF:
+        while (tok := self.tokens[self.pos]).kind != EOF:
             ns = self.namespace()
             if ns.name in seen:
                 raise ParseError(f'duplicate namespace "{ns.name}"', at=tok.at)
@@ -306,28 +297,28 @@ class _Parser:
         return tuple(namespaces)
 
     def namespace(self) -> Namespace:
-        self.expect(TokenKind.NAMESPACE)
-        name = self.expect(TokenKind.STRING).text
-        self.expect(TokenKind.LBRACE)
+        self.expect("namespace")
+        name = self.expect(STRING).text
+        self.expect("{")
         statements: list[StatementNode] = []
-        while self.tokens[self.pos].kind is not _RBRACE:
+        while self.tokens[self.pos].kind != "}":
             statements.append(self.statement())
-        self.expect(_RBRACE)
+        self.expect("}")
         return Namespace(name, tuple(statements))
 
     def statement(self) -> StatementNode:
         tok = self.tokens[self.pos]
-        if tok.kind is _LET:
+        if tok.kind == "let":
             self.pos += 1
-            entity = self.expect(_IDENT).text
-            self.expect(_IS)
-            category = self.expect(_IDENT).text
+            entity = self.expect(IDENT).text
+            self.expect("is")
+            category = self.expect(IDENT).text
             return LetIs(entity, category, tok.at)
-        if tok.kind is _IDENT:
+        if tok.kind == IDENT:
             self.pos += 1
-            self.expect(_ASSIGN)
+            self.expect(":=")
             return Define(tok.text, self.expr(), tok.at)
-        self.fail(TokenKind.LET, TokenKind.IDENT, TokenKind.RBRACE)
+        self.fail("let", IDENT, "}")
         raise AssertionError("unreachable")
 
     def expr(self) -> ExprNode:
@@ -335,41 +326,41 @@ class _Parser:
         tokens, terms = self.tokens, []
         while True:
             factors = [self.primary()]
-            while tokens[self.pos].kind is _STAR:
+            while tokens[self.pos].kind == "*":
                 self.pos += 1
                 factors.append(self.primary())
             terms.append(Product(tuple(factors)) if len(factors) > 1 else factors[0])
-            if tokens[self.pos].kind is not _PLUS:
+            if tokens[self.pos].kind != "+":
                 return Sum(tuple(terms)) if len(terms) > 1 else terms[0]
             self.pos += 1
 
     def primary(self) -> ExprNode:
         tokens = self.tokens
         kind, text, at = tokens[self.pos]
-        if kind is _IDENT or kind is _ZERO:
+        if kind == IDENT or kind == "0":
             self.pos += 1
             node: ExprNode = Name(text, at)
         else:
-            if kind is not _LPAREN and kind is not _LBRACKET:
-                self.fail(TokenKind.IDENT, TokenKind.ZERO, TokenKind.LPAREN, TokenKind.LBRACKET)
+            if kind != "(" and kind != "[":
+                self.fail(IDENT, "0", "(", "[")
             if self.depth == MAX_NESTING:
                 raise ParseError(f"'{text}' nested more than {MAX_NESTING} deep", at=at)
             self.pos += 1
             self.depth += 1
             node = self.expr()
-            if kind is _LPAREN:
-                self.expect(TokenKind.RPAREN)
+            if kind == "(":
+                self.expect(")")
             else:
-                op = self.expect(TokenKind.COMPLIES, TokenKind.TILDE).text
+                op = self.expect("<:", "~").text
                 node = Guard(op, node, self.expr(), at)
-                self.expect(TokenKind.RBRACKET)
+                self.expect("]")
             self.depth -= 1
-        if tokens[self.pos].kind is not _SLASH:
+        if tokens[self.pos].kind != "/":
             return node
         scopes: list[Name] = []
-        while tokens[self.pos].kind is _SLASH:
+        while tokens[self.pos].kind == "/":
             self.pos += 1
-            scope = self.expect(_IDENT)
+            scope = self.expect(IDENT)
             scopes.append(Name(scope.text, scope.at))
         return Slash(node, tuple(scopes))
 
@@ -386,8 +377,8 @@ def parse_expression(source: str) -> ExprNode:
     with in_text(source):
         parser = _Parser(tokenize(source))
         node = parser.expr()
-        if parser.tokens[parser.pos].kind is not TokenKind.EOF:
-            parser.fail(TokenKind.EOF)
+        if parser.tokens[parser.pos].kind != EOF:
+            parser.fail(EOF)
     return node
 
 

@@ -519,7 +519,10 @@ def _overlapped_pairs(
     outer guard never evaluates the guards nested in it. Each pair costs
     O(log k) mask operations over k classes."""
     cu, cv = _overlapped(u, arrangement), _overlapped(v, arrangement)
-    span_u, span_v = (sum(m for _, m in side) for side in (cu, cv))  # masks are disjoint
+    span_u, span_v = (sum(m for _, m in side) for side in (cu, cv))
+    # Disjoint masks add without a carry; an overlap on either side loses a bit.
+    if sum(m.bit_count() for _, m in cu + cv) != span_u.bit_count() + span_v.bit_count():
+        raise AssertionError("the coefficient classes of one side overlap")
     # Each side is a heap of (lowest unpaired element, mask, coefficient),
     # false where only the other side is not, so both heaps hold the same
     # elements and both tops hold the least of them. Sorted is a heap.
@@ -528,11 +531,7 @@ def _overlapped_pairs(
         for side, outside in ((cu, span_v & ~span_u), (cv, span_u & ~span_v))
     )
     pairs: list[tuple[Coefficient, Coefficient]] = []
-    steps = (span_u | span_v).bit_count()  # each step pairs off an element
-    while hu:
-        if not steps:
-            raise AssertionError("the coefficient classes of one side overlap")
-        steps -= 1
+    while hu:  # both tops hold the least element, so each step pairs it off
         (_, mu, a), (_, mv, b) = heapq.heappop(hu), heapq.heappop(hv)
         for heap, rest, c in ((hu, mu & ~mv, a), (hv, mv & ~mu, b)):
             if rest:

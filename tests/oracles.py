@@ -22,7 +22,7 @@ from privcalc import (
     RbacModel,
     Statement,
 )
-from privcalc.pal import LexError, Token, TokenKind
+from privcalc.pal import EOF, IDENT, STRING, LexError, Token
 
 Grant = tuple[str, str]
 
@@ -203,21 +203,7 @@ def rbac_role_grants(model: RbacModel) -> dict[str, frozenset[tuple[str, str]]]:
 # --- PAL tokens ------------------------------------------------------------------
 
 _PAL_SPELLINGS = {
-    "namespace": TokenKind.NAMESPACE,
-    "let": TokenKind.LET,
-    "is": TokenKind.IS,
-    ":=": TokenKind.ASSIGN,
-    "<:": TokenKind.COMPLIES,
-    "+": TokenKind.PLUS,
-    "*": TokenKind.STAR,
-    "/": TokenKind.SLASH,
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    "[": TokenKind.LBRACKET,
-    "]": TokenKind.RBRACKET,
-    "~": TokenKind.TILDE,
+    "namespace", "let", "is", ":=", "<:", "+", "*", "/", "(", ")", "{", "}", "[", "]", "~"
 }
 
 
@@ -237,7 +223,7 @@ def reference_tokens(source: str) -> list[tuple[Token, tuple[int, int]]]:
     tokens: list[tuple[Token, tuple[int, int]]] = []
     i, line, column = 0, 1, 1
 
-    def emit(kind: TokenKind, text: str) -> None:
+    def emit(kind: str, text: str) -> None:
         tokens.append((Token(kind, text, i), (line, column)))
 
     while i < len(source):
@@ -258,23 +244,23 @@ def reference_tokens(source: str) -> list[tuple[Token, tuple[int, int]]]:
             while end < len(source) and _is_word_char(source[end]):
                 end += 1
             word = source[i:end]
-            emit(_PAL_SPELLINGS.get(word, TokenKind.IDENT), word)
+            emit(word if word in _PAL_SPELLINGS else IDENT, word)
         elif ch == "0" and not (end < len(source) and _is_word_char(source[end])):
-            emit(TokenKind.ZERO, ch)
+            emit("0", ch)
         elif ch == '"':
             while end < len(source) and source[end] not in '"\n':
                 end += 1
             if end == len(source) or source[end] == "\n":
                 raise LexError("unterminated string", line, column, at=i)
             end += 1
-            emit(TokenKind.STRING, source[i + 1 : end - 1])
+            emit(STRING, source[i + 1 : end - 1])
         elif source[i : i + 2] in (":=", "<:"):
             end = i + 2
-            emit(_PAL_SPELLINGS[source[i:end]], source[i:end])
+            emit(source[i:end], source[i:end])
         elif ch in _PAL_SPELLINGS:
-            emit(_PAL_SPELLINGS[ch], ch)
+            emit(ch, ch)
         else:
             raise LexError(f"unexpected character {ch!r}", line, column, at=i)
         i, column = end, column + end - i
-    emit(TokenKind.EOF, "")
+    emit(EOF, "")
     return tokens

@@ -26,18 +26,20 @@ LAYERS = ("errors", "algebra", "pal", "facts", "privilege", "engine", "cli")
 
 PAL_INTERNALS = {
     "Define",
+    "EOF",
     "ExprNode",
     "Guard",
+    "IDENT",
     "LetIs",
     "Name",
     "Namespace",
     "Product",
     "Program",
+    "STRING",
     "Slash",
     "StatementNode",
     "Sum",
     "Token",
-    "TokenKind",
     "tokenize",
 }
 

@@ -914,14 +914,19 @@ def test_a_guard_over_equal_pairs_evaluates_no_nested_guard(monkeypatch):
 
 def test_the_pair_walk_fails_rather_than_hangs_on_overlapping_classes(monkeypatch):
     # The walk relies on each side's classes being disjoint; two classes
-    # over one element would pair forever, so the walk is bounded by the
-    # number of overlapped elements and names the broken invariant.
+    # over one element would pair forever or tie in a heap, so the walk
+    # checks each side first and names the broken invariant.
     arr = atomic_arrangement([READ], _IDX_ENTITIES)
     c1, c2 = (Coefficient.from_conjunctions([{c}]) for c in (C1, C2))
-    broken = {"u": ((c1, 0b01), (c2, 0b11)), "v": ((c2, 0b10),)}  # both u classes hold e0
-    monkeypatch.setattr(privilege_module, "_overlapped", lambda p, arrangement: broken[p])
-    with pytest.raises(AssertionError, match="classes of one side overlap"):
-        privilege_module._overlapped_pairs("u", "v", arr)
+    cases = [
+        (((c1, 0b01), (c2, 0b11)), ((c2, 0b10),)),  # both u classes hold e0
+        (((c1, 0b01), (c2, 0b01)), ((c2, 0b11),)),  # one u mask twice
+        (((c1, 0b011), (c2, 0b110)), ((c2, 0b111),)),  # both u classes hold e1
+    ]
+    for broken in ({"u": u, "v": v} for u, v in cases):
+        monkeypatch.setattr(privilege_module, "_overlapped", lambda p, arrangement: broken[p])
+        with pytest.raises(AssertionError, match="classes of one side overlap"):
+            privilege_module._overlapped_pairs("u", "v", arr)
 
 
 def test_a_projection_folds_once_per_combination_of_condition_sets(monkeypatch):
