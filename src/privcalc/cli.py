@@ -132,26 +132,6 @@ def _read(path: str) -> str:
     return text
 
 
-def _context(args: argparse.Namespace) -> tuple[str | None, dict]:
-    """The arrangement's file, if it is read from one, and keyword
-    arguments for ``engine.build_environment`` from the options. The
-    program's faults name the program, so an error that leaves
-    ``build_environment`` naming no file is the arrangement's."""
-    family = conditions = path = None
-    if args.facts:
-        family, conditions = load_facts(_read(args.facts), filename=args.facts)
-    text = args.arrangement
-    if text is not None and text.startswith("@"):
-        path = text[1:]
-        text = _read(path)
-    return path, dict(
-        family=family,
-        conditions=conditions,
-        arrangement=text,
-        merge_mode=ConditionMergeMode(args.merge_conditions),
-    )
-
-
 def _warn(filename: str, envs: list[engine.Environment]) -> None:
     for env in envs:
         for warning in env.warnings:
@@ -159,16 +139,28 @@ def _warn(filename: str, envs: list[engine.Environment]) -> None:
 
 
 def _cmd_program(args: argparse.Namespace) -> int:
-    """Load the program and answer the query, or print ``ok`` for
-    ``check``, which loads every namespace unless one is named."""
+    """Read the program, ``--facts`` and ``--arrangement``, in that
+    order, then load the program and answer the query, or print ``ok``
+    for ``check``, which loads every namespace unless one is named."""
     program = pal.parse_text(_read(args.file), filename=args.file)
+    family = conditions = path = None
+    if args.facts:
+        family, conditions = load_facts(_read(args.facts), filename=args.facts)
+    arrangement = args.arrangement
+    if arrangement is not None and arrangement.startswith("@"):
+        path = arrangement[1:]
+        arrangement = _read(path)
     names = [args.namespace]
     if args.query is None and args.namespace is None:
         names = [ns.name for ns in program.namespaces] or [None]
-    path, context = _context(args)
-    with in_text(context["arrangement"] or "", path):
+    mode = ConditionMergeMode(args.merge_conditions)
+    # The program's faults name the program, so an error that leaves
+    # ``build_environment`` naming no file is the arrangement's.
+    with in_text(arrangement or "", path):
         envs = [
-            engine.build_environment(program, namespace=name, filename=args.file, **context)
+            engine.build_environment(
+                program, family, conditions, arrangement, mode, name, filename=args.file
+            )
             for name in names
         ]
     _warn(args.file, envs)

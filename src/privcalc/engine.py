@@ -8,7 +8,9 @@ expressions become function symbols on first use; ``let`` introduces
 entities and categories; ``:=`` binds privileges, and rebinding wins
 with a warning. Conditions (from a facts file) are bound before the
 program, so no statement binds their names. Evaluated privileges are
-snapshots: later rebindings or category growth never change them.
+snapshots: later rebindings or category growth never change them. Only
+a program binds names: a query's or an arrangement's text sees the
+environment's names and binds none of them.
 
 Guards need an arrangement to project onto, so expressions containing
 ``[p <: q]`` or ``[u ~ v]`` require ``Environment.arrangement`` to be
@@ -25,6 +27,7 @@ and the environment set-up and query dispatch (``build_environment`` /
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence, Union
 
@@ -85,9 +88,10 @@ class RbacImportError(SourceError):
 class Environment:
     """Per-namespace binding scope plus fact and arrangement context.
 
-    Built statement by statement by ``load_program``; treat it as
-    read-only afterwards. The default fact family is the trivial one
-    (a single empty fact), enough for unconditioned privileges.
+    Built statement by statement by ``load_program``, and read-only
+    afterwards: ``eval_text``, ``arrangement_from_text`` and ``answer``
+    leave its names as they found them. The default fact family is the
+    trivial one (a single empty fact), enough for unconditioned privileges.
     """
 
     def __init__(
@@ -231,9 +235,17 @@ def eval_expr(node: pal.ExprNode, env: Environment) -> Privilege:
 
 def eval_text(source: str, env: Environment) -> Privilege:
     """Parse and evaluate one expression against an environment. The
-    text is no file, so its errors name none."""
+    text is no file, so its errors name none. Its new names bind within
+    the text only, never in ``env``."""
     with in_text(source):
-        return eval_expr(pal.parse_expression(source), env)
+        return eval_expr(pal.parse_expression(source), _reader(env))
+
+
+def _reader(env: Environment) -> Environment:
+    """``env`` with its own copies of the tables that evaluation writes."""
+    reader = copy.copy(env)
+    reader.functions, reader.categories = set(env.functions), dict(env.categories)
+    return reader
 
 
 def _eval_name(node: pal.Name, env: Environment) -> Privilege:
@@ -374,13 +386,10 @@ def _walk(node: pal.ExprNode) -> Iterator[pal.ExprNode]:
 
 def arrangement_from_text(text: str, env: Environment) -> Arrangement:
     """Parse "m1 + m2 + ..." and load it as an arrangement. The text is
-    no file, so its errors name none.
-
-    The text is evaluated in ``env`` itself, so its new names bind there;
-    ``build_environment`` gives the arrangement a scope of its own.
-    """
+    no file, so its errors name none. Its new names bind within the text
+    only, never in ``env``."""
     with in_text(text):
-        return load_arrangement(_sum_terms(pal.parse_expression(text)), env)
+        return load_arrangement(_sum_terms(pal.parse_expression(text)), _reader(env))
 
 
 # --- role-model import -------------------------------------------------
@@ -643,19 +652,18 @@ def build_environment(
 ) -> Environment:
     """Load one namespace of a program over facts and an arrangement.
 
-    The arrangement is parsed first, then evaluated after the program
-    parses, in a scope of the conditions and the namespace's final
-    ``let`` membership over the empty basis: its names never bind in the
-    program, a guard in it is a condition it carries, and a fault of the
-    program is reported before its own. ``filename`` names the program
-    in its errors; the arrangement's errors name no file.
+    Inputs are read in one order, as the command line reads them: the
+    program is parsed, then the arrangement, which is evaluated in a
+    scope of the conditions and the namespace's final ``let`` membership
+    over the empty basis: a guard in it is a condition it carries, and a
+    fault of the program is reported before its own. ``filename`` names
+    the program in its errors; the arrangement's errors name no file.
     """
-    if arrangement is not None:
-        elements = _sum_terms(pal.parse_expression(arrangement))
     if isinstance(source, str):
         source = pal.parse_text(source, filename)
     env = Environment(family=family, conditions=conditions, merge_mode=merge_mode)
     if arrangement is not None:
+        elements = _sum_terms(pal.parse_expression(arrangement))
         with in_text(arrangement):
             try:
                 scope = Environment(family, conditions, Arrangement(()), merge_mode)
@@ -667,12 +675,10 @@ def build_environment(
                         defined.add(stmt.name)
                 # Here a privilege's name would be a function that overlaps
                 # no atom of the program, and every guard would pass.
-                names = [n for e in elements for n in _walk(e) if isinstance(n, pal.Name)]
-                clashes = [n for n in names if n.id in defined and not scope.kinds_of(n.id)]
-                if clashes:
-                    first = min(clashes, key=lambda n: n.at)
-                    message = f"'{first.id}' is a privilege of the program"
-                    raise ArrangementError(message, at=first.at)
+                for name in (n for e in elements for n in _walk(e) if isinstance(n, pal.Name)):
+                    if name.id in defined and not scope.kinds_of(name.id):
+                        message = f"'{name.id}' is a privilege of the program"
+                        raise ArrangementError(message, at=name.at)
                 env.arrangement = load_arrangement(elements, scope)
             except PrivCalcError:
                 # The program's own fault, found over an empty basis, first.
@@ -682,44 +688,38 @@ def build_environment(
     return load_program(source, env, namespace=namespace, filename=filename)
 
 
-def _need_arrangement(env: Environment) -> Arrangement:
+def answer(query: Query, env: Environment) -> QueryResult:
+    """Answer one query. Its expressions are text of their own, not part
+    of a file, so errors in them carry no file name; each is read by
+    ``eval_text``, so no answer depends on an earlier one. Every query
+    but ``EvalQuery`` needs the arrangement, checked before any text is
+    read. The answer's text is what ``pal`` prints, less the line feed."""
+    if isinstance(query, EvalQuery):
+        value = eval_text(query.expr, env)
+        return QueryResult(value.text(), value)
     if env.arrangement is None:
         raise ResolutionError(
             "this query needs an arrangement "
             "(set Environment.arrangement, or pass --arrangement)"
         )
-    return env.arrangement
-
-
-def answer(query: Query, env: Environment) -> QueryResult:
-    """Answer one query. Its expressions are text of their own, not part
-    of a file, so errors in them carry no file name. The answer's text
-    is what the command line prints, less the final line feed."""
-    if isinstance(query, EvalQuery):
-        value = eval_text(query.expr, env)
-        return QueryResult(value.text(), value)
     if isinstance(query, NormalFormQuery):
-        nf = normal_form(eval_text(query.expr, env), _need_arrangement(env))
+        nf = normal_form(eval_text(query.expr, env), env.arrangement)
         return QueryResult(nf.render(), nf)
     if isinstance(query, EquivalenceQuery):
         eq = structural_eq(
             eval_text(query.left, env),
             eval_text(query.right, env),
-            _need_arrangement(env),
+            env.arrangement,
             env.family,
         )
         return QueryResult("equal" if eq else "different", eq)
     if isinstance(query, PulseQuery):
-        form = pulse(
-            eval_text(query.expr, env),
-            _need_arrangement(env),
-            env.family.fact(query.fact),
-        )
+        form = pulse(eval_text(query.expr, env), env.arrangement, env.family.fact(query.fact))
         return QueryResult(form.render(), form)
     if isinstance(query, TraceQuery):
         matrix = trace(
             eval_text(query.expr, env),
-            _need_arrangement(env),
+            env.arrangement,
             [env.family.fact(fid) for fid in query.facts],
         )
         return QueryResult(matrix.to_csv().removesuffix("\n"), matrix)
@@ -727,7 +727,7 @@ def answer(query: Query, env: Environment) -> QueryResult:
         verdict = compliant(
             eval_text(query.holder, env),
             eval_text(query.target, env),
-            _need_arrangement(env),
+            env.arrangement,
             env.family.fact(query.fact),
             env.merge_mode,
         )

@@ -135,10 +135,16 @@ def test_scopes_over_members_and_entities_do_not_warn():
 
 
 def test_bare_names_become_functions():
-    env = Environment()
-    p = eval_text("fly", env)
-    assert p.text() == "fly"
+    # a program's use binds the name; a query's text binds none of its names
+    env = load_program(parse_text('namespace "n" { p := fly }'))
     assert "fly" in env.functions
+    env = Environment()
+    functions = set(env.functions)
+    assert eval_text("fly", env).text() == "fly"
+    assert env.functions == functions
+    # within one text the first use still fixes the kind
+    with pytest.raises(ResolutionError, match="'fly' is a function"):
+        eval_text("fly/fly", env)
 
 
 def test_entity_in_expression_position_fails():
@@ -327,7 +333,7 @@ def test_arrangement_rejects_the_programs_privileges():
 )
 def test_privilege_in_the_arrangement_is_named_at_its_first_use(monkeypatch, arrangement, position):
     # Scopes, guard operands and later elements are all searched, and the
-    # arrangement is tokenized once, with the program.
+    # arrangement is tokenized once, after the program.
     calls = []
     tokenize = pal.tokenize
     monkeypatch.setattr(pal, "tokenize", lambda *a: calls.append(a) or tokenize(*a))
@@ -335,7 +341,7 @@ def test_privilege_in_the_arrangement_is_named_at_its_first_use(monkeypatch, arr
     with pytest.raises(ArrangementError) as exc:
         build_environment(source, arrangement=arrangement)
     assert str(exc.value) == f"{position}: 'x' is a privilege of the program"
-    assert [args[0] for args in calls] == [arrangement, source]
+    assert [args[0] for args in calls] == [source, arrangement]
 
 
 def test_program_fault_is_reported_before_the_arrangement():
@@ -384,12 +390,15 @@ def test_clashing_arrangement_elements_are_placed_at_the_later_one(arrangement, 
     assert str(exc.value) == error
 
 
-def test_broken_arrangement_is_reported_before_the_program():
+def test_broken_program_is_reported_before_the_broken_arrangement():
+    # the library reads its inputs in the order pal does: the program first
     with pytest.raises(pal.ParseError) as exc:
         build_environment(
             'namespace "n" { p := + }', arrangement="read +", filename="p.pal"
         )
-    assert str(exc.value).startswith("1:7: ")
+    assert str(exc.value) == (
+        "p.pal:1:22: expected '(' or '0' or '[' or identifier, found '+'"
+    )
 
 
 # --- guards ---------------------------------------------------------------------
@@ -1236,6 +1245,56 @@ def test_answer_raises_on_a_bad_query_and_answers_the_next():
     assert answer(EvalQuery("session_2"), env).text == "list/TechDoc + read/TechDoc"
 
 
+# X and Y are named by no program: the first query to mention one must
+# not fix its kind (function, or empty category under '/') for the next.
+UNBOUND_QUERIES = [
+    EvalQuery("X"),
+    EvalQuery("read/X"),
+    NormalFormQuery("read/Y"),
+    EvalQuery("Y"),
+    ComplianceQuery("Y", "read/Y", "empty"),
+    EvalQuery("p/p +"),
+]
+
+
+def _unbound_env() -> Environment:
+    return build_environment('namespace "n" { p := read }', arrangement="read + X")
+
+
+def _outcome(query, env) -> str:
+    try:
+        return answer(query, env).text
+    except PrivCalcError as exc:
+        return str(exc)
+
+
+def _name_tables(env: Environment) -> tuple:
+    categories = {name: set(members) for name, members in env.categories.items()}
+    return set(env.functions), set(env.entities), categories, dict(env.privileges)
+
+
+@pytest.mark.parametrize("first", UNBOUND_QUERIES, ids=repr)
+@pytest.mark.parametrize("second", UNBOUND_QUERIES, ids=repr)
+def test_an_answer_does_not_depend_on_earlier_answers(first, second):
+    env = _unbound_env()
+    tables = _name_tables(env)
+    _outcome(first, env)
+    assert _name_tables(env) == tables
+    assert _outcome(second, env) == _outcome(second, _unbound_env())
+    assert _name_tables(env) == tables
+
+
+@pytest.mark.parametrize("text", ["X + write", "X + write + Z/Z", "Y + read/W"])
+def test_an_arrangement_text_binds_no_name(text):
+    env = _unbound_env()
+    tables = _name_tables(env)
+    try:
+        arrangement_from_text(text, env)
+    except PrivCalcError:
+        pass
+    assert _name_tables(env) == tables
+
+
 def test_answer_errors_carry_no_file_name():
     env = build_environment(EXAMPLE_PAL, filename="x.pal")
     with pytest.raises(PrivCalcError) as parse_error:
@@ -1264,6 +1323,9 @@ def test_answer_needs_an_arrangement_for_projecting_queries():
         "this query needs an arrangement "
         "(set Environment.arrangement, or pass --arrangement)"
     )
+    # checked before the query's texts are read, so it is the first error
+    with pytest.raises(ResolutionError, match="^this query needs an arrangement"):
+        answer(ComplianceQuery("doc1", "read +", "empty"), env)
 
 
 def test_structural_eq_distinguishes_conditions_union_mode():

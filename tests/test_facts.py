@@ -144,6 +144,28 @@ def test_unknown_fact_names_the_first_ten_ids():
     )
 
 
+@pytest.mark.parametrize(
+    "names, listed",
+    [
+        (("g0", "g1", "s2"), "empty, g0, g1, s0, s0+s1, s0+s1+s2, s0+s2, s1, s1+s2, s2"),
+        (
+            ("g0", "g1", "g2"),
+            "empty, g0, g1, g2, s0, s0+s1, s0+s1+s2, s0+s2, s1, s1+s2 … and 1 more",
+        ),
+    ],
+    ids=["10-ids", "11-ids"],
+)
+def test_unknown_fact_counts_the_ids_past_the_tenth(names, listed):
+    # Aliases are ids too: a generator named other than its statement set
+    # is known by both names, so these families have 10 and 11 ids.
+    statements = [Statement(f"s{i}") for i in range(3)]
+    generators = [Fact(name, frozenset({s})) for name, s in zip(names, statements)]
+    family = close_family(statements, generators)
+    with pytest.raises(EvaluationError) as exc:
+        family.fact("nope")
+    assert str(exc.value) == f"unknown fact 'nope' (known: {listed})"
+
+
 def test_verify_family_flags_missing_union():
     fam = FactFamily(
         {S1, S2, S3},

@@ -982,6 +982,15 @@ def test_pairs_are_the_distinct_element_pairs_by_first_element():
     assert len(want) == 31
 
 
+def test_a_projection_keeps_no_false_class():
+    # read * f with f always false folds to the false coefficient, which
+    # every element not in a class has: read's element is in no class.
+    arr = Arrangement((Employment(READ, UNIVERSAL), Employment(WRITE, UNIVERSAL)))
+    p = priv((READ, UNIVERSAL, [FalseCondition("f")]), (WRITE, UNIVERSAL, []))
+    assert privilege_module._overlapped(p, arr) == ((Coefficient((frozenset(),)), 0b10),)
+    assert normal_form(p, arr).render() == "read/*: false\nwrite/*: true"
+
+
 def test_a_live_value_is_projected_once(monkeypatch):
     # Every query reads one projection per live value: a second round of
     # queries projects nothing, and compliant's own p*q finds the

@@ -1,0 +1,184 @@
+#!/usr/bin/env python3
+"""Run one corpus of ``pal`` commands on two source trees and compare.
+
+    python3 tools/differential.py PARENT_TREE CHANGE_TREE
+
+Each tree is a checkout whose package sits in ``TREE/src``. The corpus
+is written once, to one temporary directory, so file paths in messages
+match on both sides:
+
+- the three sample programs through every command, with each name they
+  define and a few faulty texts, under seven option sets (none,
+  ``--facts``, facts plus ``@sessions.arr``, an inline arrangement, union
+  mergence, a broken ``--arrangement``, a missing ``--namespace``);
+- ``import-rbac samples/staff.rbac``;
+- policy-load's hostile inputs and its first 80 commands for seeds 1-3,
+  with the argv that ``bench/workloads.PolicyLoad.prepare`` builds;
+- ``check`` of every prefix of each ``samples/*.pal``.
+
+Each tree runs in a child process with ``PYTHONPATH=TREE/src`` that
+calls ``privcalc.cli.main`` in-process for each invocation and captures
+its output, as ``bench/workloads.run_cli`` does. The corpus is built from
+this checkout's ``samples/`` and ``bench/``, which it only reads.
+
+Prints the invocation count, each side's exit-code split and every
+difference in stdout, stderr or exit code, grouped by command and by
+each side's first stderr line. Exits 0 when the two trees agree on
+every invocation, 1 on any difference and 2 when a child fails.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import collections
+import json
+import os
+import re
+import shlex
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SAMPLES = ("example.pal", "guards.pal", "audited.pal")
+FAULTY = ("read +", "(read", "doc1", "TechDoc", "logged", "x/x", "read/Nobody", "[read <: write]")
+OPTION_SETS = (
+    [],
+    ["--facts", "samples/store.facts"],
+    ["--facts", "samples/store.facts", "--arrangement", "@samples/sessions.arr"],
+    ["--arrangement", "read/TechDoc + write + list"],
+    ["--merge-conditions", "union", "--facts", "samples/store.facts",
+     "--arrangement", "@samples/sessions.arr"],
+    ["--arrangement", "read +"],
+    ["--namespace", "missing"],
+)
+POLICY_SEEDS = (1, 2, 3)
+POLICY_COMMANDS = 80
+
+# Runs in each child: reads the corpus, writes one [stdout, stderr, code]
+# per invocation.
+CHILD = """
+import contextlib, io, json, sys
+from privcalc import cli
+corpus, results = sys.argv[1], sys.argv[2]
+out = []
+for argv in json.loads(open(corpus, encoding="utf-8").read()):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except Exception as exc:
+            code = "escaped: " + type(exc).__name__
+    out.append([stdout.getvalue(), stderr.getvalue(), code])
+open(results, "w", encoding="utf-8").write(json.dumps(out))
+"""
+
+
+def sample_commands() -> list[list[str]]:
+    commands = []
+    for sample in SAMPLES:
+        path = f"samples/{sample}"
+        text = (ROOT / "samples" / sample).read_text(encoding="utf-8")
+        names = list(dict.fromkeys(re.findall(r"^\s*(\w+)\s*:=", text, re.M)))
+        texts = names + list(FAULTY)
+        for options in OPTION_SETS:
+            commands.append(["check", path, *options])
+            for t in texts:
+                queries = [
+                    ["eval", "--expr", t],
+                    ["nf", "--expr", t],
+                    ["eq", "--left", t, "--right", t],
+                    ["eq", "--left", names[0], "--right", t],
+                    ["pulse", "--expr", t],
+                    ["pulse", "--expr", t, "--fact", "office"],
+                    ["trace", "--expr", t, "--seq", "empty,office"],
+                    ["comply", "--p", t, "--q", "write/doc1"],
+                    ["comply", "--p", names[0], "--q", t, "--fact", "roaming"],
+                ]
+                commands += [[q[0], path, *q[1:], *options] for q in queries]
+    commands.append(["import-rbac", "samples/staff.rbac"])
+    return commands
+
+
+def policy_commands(workdir: Path) -> list[list[str]]:
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    sys.dont_write_bytecode = True  # read bench/, write nothing there
+    import workloads  # noqa: E402  (bench/ is on the path only now)
+
+    commands = []
+    for seed in POLICY_SEEDS:
+        seed_dir = workdir / f"policy-load-{seed}"
+        seed_dir.mkdir()
+        load = workloads.PolicyLoad(seed, seed_dir)
+        commands += [argv for _, argv, _, _ in load.hostile]
+        commands += [load.prepare(None, cmd) for cmd in load.ops[:POLICY_COMMANDS]]
+    return commands
+
+
+def prefix_commands(workdir: Path) -> list[list[str]]:
+    commands = []
+    (workdir / "prefixes").mkdir()
+    for sample in sorted((ROOT / "samples").glob("*.pal")):
+        text = sample.read_text(encoding="utf-8")
+        for n in range(len(text) + 1):
+            path = f"prefixes/{sample.stem}-{n}.pal"
+            (workdir / path).write_text(text[:n], encoding="utf-8")
+            commands.append(["check", path])
+    return commands
+
+
+def run_tree(tree: Path, workdir: Path, corpus: Path, name: str) -> list:
+    results = workdir / f"results-{name}.json"
+    env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
+    child = subprocess.run(
+        [sys.executable, "-c", CHILD, str(corpus), str(results)],
+        cwd=workdir, env=env, capture_output=True, text=True,
+    )
+    if child.returncode != 0:
+        sys.exit(f"the child for {tree} failed:\n{child.stderr}")
+    return json.loads(results.read_text(encoding="utf-8"))
+
+
+def first_line(text: str) -> str:
+    return text.splitlines()[0] if text else "(no stderr)"
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python3 tools/differential.py PARENT_TREE CHANGE_TREE", file=sys.stderr)
+        return 2
+    parent, change = map(Path, argv)
+    with tempfile.TemporaryDirectory(prefix="differential-") as tmp:
+        workdir = Path(tmp)
+        shutil.copytree(ROOT / "samples", workdir / "samples")
+        commands = sample_commands() + policy_commands(workdir) + prefix_commands(workdir)
+        corpus = workdir / "corpus.json"
+        corpus.write_text(json.dumps(commands), encoding="utf-8")
+        sides = [
+            run_tree(tree, workdir, corpus, name)
+            for name, tree in (("parent", parent), ("change", change))
+        ]
+
+    print(f"invocations: {len(commands):,}")
+    for name, results in zip(("parent", "change"), sides):
+        split = collections.Counter(str(code) for _, _, code in results)
+        print(f"{name} exit codes: " + ", ".join(f"{k}: {v:,}" for k, v in sorted(split.items())))
+    groups: dict[tuple, list[list[str]]] = collections.defaultdict(list)
+    for argv, before, after in zip(commands, *sides):
+        if before != after:
+            key = (argv[0], first_line(before[1]), first_line(after[1]))
+            groups[key].append(argv)
+    count = sum(map(len, groups.values()))
+    print(f"differences: {count:,}")
+    for (command, before, after), members in sorted(groups.items()):
+        print(f"\n{command}: {len(members):,}\n  parent: {before}\n  change: {after}")
+        for argv in members:
+            print("    pal " + shlex.join(argv))
+    return 1 if count else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
