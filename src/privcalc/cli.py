@@ -163,6 +163,9 @@ def _cmd_program(args: argparse.Namespace) -> int:
             )
             for name in names
         ]
+    if args.query is None:
+        for env in envs:
+            env.read_all()
     _warn(args.file, envs)
     if args.query is None:
         print("ok")

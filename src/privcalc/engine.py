@@ -12,9 +12,18 @@ snapshots: later rebindings or category growth never change them. Only
 a program binds names: a query's or an arrangement's text sees the
 environment's names and binds none of them.
 
+Loading resolves, then evaluates on demand. Resolution walks the
+statements once and computes no value: it fixes each name's kind at
+each line, raises every clash and kind error and records every warning,
+and binds each name a definition reads to what it denotes at that line,
+so the definitions form a graph in which each reads only earlier ones.
+A definition's value is computed on its first read, after the unread
+definitions it reads, and kept. ``load_program`` reads them all;
+``build_environment`` reads none, so a query computes its cone only.
+
 Guards need an arrangement to project onto, so expressions containing
 ``[p <: q]`` or ``[u ~ v]`` require ``Environment.arrangement`` to be
-set before evaluation. Inside a product, a guard hands its condition to
+set before they are read. Inside a product, a guard hands its condition to
 the other operand's atoms; a bare guard becomes an atom over the
 reserved function ``guard``, a name no program can rebind. Names bound
 to conditions (loaded from a facts file) work the same way:
@@ -28,12 +37,13 @@ and the environment set-up and query dispatch (``build_environment`` /
 from __future__ import annotations
 
 import copy
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 from . import pal
 from .algebra import Employment, Entity, EntitySet, FunctionSymbol, UNIVERSAL
-from .errors import PrivCalcError, SourceError, in_text, line_column
+from .errors import SourceError, in_text, line_column
 from .facts import Condition, FactFamily, close_family
 from .privilege import (
     GUARD_FUNCTION,
@@ -88,10 +98,14 @@ class RbacImportError(SourceError):
 class Environment:
     """Per-namespace binding scope plus fact and arrangement context.
 
-    Built statement by statement by ``load_program``, and read-only
-    afterwards: ``eval_text``, ``arrangement_from_text`` and ``answer``
-    leave its names as they found them. The default fact family is the
-    trivial one (a single empty fact), enough for unconditioned privileges.
+    Built statement by statement by ``load_program`` or
+    ``build_environment``, and read-only afterwards: ``eval_text``,
+    ``arrangement_from_text`` and ``answer`` leave its names as they
+    found them. ``privileges`` maps each name to the value of its latest
+    definition, computed on first read with the arrangement and mergence
+    set then; once ``read_all`` has computed them all, the environment
+    holds values and no syntax. The default fact family is the trivial
+    one (a single empty fact), enough for unconditioned privileges.
     """
 
     def __init__(
@@ -105,14 +119,27 @@ class Environment:
         # can bind its name to anything else.
         self.functions: set[str] = {GUARD_FUNCTION}
         self.entities: set[str] = set()
-        # A category's membership only ever grows; ``/`` takes a snapshot.
+        # A category's membership only ever grows; ``/`` takes a snapshot,
+        # one per category and member count.
         self.categories: dict[str, set[Entity]] = {}
-        self.privileges: dict[str, Privilege] = {}
+        self._snapshots: dict[tuple[str, int], EntitySet] = {}
+        self._latest: dict[str, _Definition] = {}
+        self._unread: list[_Definition] = []  # every definition, until all are read
         self.family = family if family is not None else close_family((), ())
         self.conditions: dict[str, Condition] = dict(conditions or {})
         self.arrangement = arrangement
         self.merge_mode = merge_mode
         self.warnings: list[str] = []
+
+    @property
+    def privileges(self) -> Mapping[str, Privilege]:
+        return _Privileges(self)
+
+    def read_all(self) -> None:
+        """Compute every definition not read yet, shadowed ones
+        included, in source order, as ``check`` does."""
+        _evaluate(self, self._unread)
+        self._unread = []
 
     def kinds_of(self, name: str) -> list[str]:
         kinds = []
@@ -122,11 +149,65 @@ class Environment:
             kinds.append("entity")
         if name in self.categories:
             kinds.append("category")
-        if name in self.privileges:
+        if name in self._latest:
             kinds.append("privilege")
         if name in self.conditions:
             kinds.append("condition")
         return kinds
+
+
+class _Definition:
+    """One ``:=``: its body and what each name it reads denotes, until
+    its value is computed; then the value alone."""
+
+    __slots__ = ("body", "bound", "text", "value")
+
+    def __init__(self, body: pal.ExprNode, bound: list, text: tuple):
+        self.body, self.bound, self.text, self.value = body, bound, text, None
+
+
+class _Privileges(Mapping):
+    """``Environment.privileges``: reading a name computes its latest
+    definition, unless a read has."""
+
+    def __init__(self, env: Environment):
+        self.env = env
+
+    def __getitem__(self, name: str) -> Privilege:
+        definition = self.env._latest[name]
+        _evaluate(self.env, [definition])
+        return definition.value
+
+    def __contains__(self, name: object) -> bool:
+        return name in self.env._latest
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.env._latest)
+
+    def __len__(self) -> int:
+        return len(self.env._latest)
+
+
+def _evaluate(env: Environment, wanted: list) -> None:
+    """Compute the unread definitions among ``wanted``, first to last,
+    each after the unread ones it reads (its cone): depth first on a
+    stack, so that no read recurses through names. A fault of a value is
+    placed in its definition's program."""
+    stack = [d for d in reversed(wanted) if isinstance(d, _Definition)]
+    while stack:
+        definition = stack.pop()
+        if definition.value is not None:
+            continue
+        unread = [d for d in definition.bound if isinstance(d, _Definition) and d.value is None]
+        if unread:
+            stack += [definition, *unread]
+            continue
+        try:
+            definition.value = _value(definition.body, env, iter(definition.bound))
+        except SourceError:
+            with in_text(*definition.text):
+                raise
+        definition.body = definition.bound = definition.text = None
 
 
 def _pick_namespace(program: pal.Program, namespace: str | None) -> pal.Namespace:
@@ -149,22 +230,35 @@ def load_program(
     namespace: str | None = None,
     filename: str | None = None,
 ) -> Environment:
-    """Process one namespace's statements, in order, into an environment.
+    """Process one namespace's statements, in order, into an environment,
+    and compute every definition (``Environment.read_all``).
 
     ``namespace`` selects among several; a single-namespace program
     needs no selector. Namespaces are isolated scopes: nothing defined
     in one is visible from another. Errors name ``filename`` and are
     placed in the program's source, as are warnings.
     """
+    env = _resolve(program, env, namespace, filename)
+    env.read_all()
+    return env
+
+
+def _resolve(
+    program: pal.Program, env: Environment | None, namespace: str | None, filename: str | None
+) -> Environment:
+    """Load the statements, computing no value: fix each name's kind at
+    each line and bind each name a definition reads, raising every clash
+    and kind error and recording every warning, in source order."""
     with in_text(program.source, filename):
         block = _pick_namespace(program, namespace)
         if env is None:
             env = Environment()
+        text = (program.source, filename)
         for stmt in block.statements:
             if isinstance(stmt, pal.LetIs):
                 _load_let(stmt, env)
             else:
-                _load_define(stmt, env, program)
+                _load_define(stmt, env, program, text)
     return env
 
 
@@ -182,24 +276,21 @@ def _load_let(stmt: pal.LetIs, env: Environment) -> None:
     bad = {"function", "entity", "privilege", "condition"} & set(env.kinds_of(stmt.category))
     if bad or stmt.category == stmt.entity:  # `let x is x` would make x both
         raise _clash(stmt.category, bad or {"entity"}, "a category", stmt)
-    _add_member(stmt, env)
-
-
-def _add_member(stmt: pal.LetIs, env: Environment) -> None:
     env.entities.add(stmt.entity)
     env.categories.setdefault(stmt.category, set()).add(Entity(stmt.entity))
 
 
-def _load_define(stmt: pal.Define, env: Environment, program: pal.Program) -> None:
-    value = eval_expr(stmt.body, env)
-    bad = {"function", "category", "condition"} & set(env.kinds_of(stmt.name))
-    if bad:
+def _load_define(stmt: pal.Define, env: Environment, program: pal.Program, text: tuple) -> None:
+    bound: list = []
+    _bind(stmt.body, env, bound)
+    if stmt.name in env.functions or stmt.name in env.categories or stmt.name in env.conditions:
+        bad = {"function", "category", "condition"} & set(env.kinds_of(stmt.name))
         raise _clash(stmt.name, bad, "a privilege", stmt)
 
     def line(at: int) -> int:
         return line_column(program.line_starts, at)[0]
 
-    if stmt.name in env.privileges:
+    if stmt.name in env._latest:
         env.warnings.append(
             f"line {line(stmt.at)}: redefinition of '{stmt.name}' (latest wins)"
         )
@@ -211,26 +302,17 @@ def _load_define(stmt: pal.Define, env: Environment, program: pal.Program) -> No
                     f"line {line_no}: category '{name}' is empty here, "
                     f"so '/{name}' restricts everything away"
                 )
-    env.privileges[stmt.name] = value
+    env._latest[stmt.name] = definition = _Definition(stmt.body, bound, text)
+    env._unread.append(definition)
 
 
 def eval_expr(node: pal.ExprNode, env: Environment) -> Privilege:
-    """Evaluate an expression to a privilege value (a snapshot)."""
-    if isinstance(node, pal.Name):
-        return _eval_name(node, env)
-    if isinstance(node, pal.Sum):
-        return compose(*[eval_expr(operand, env) for operand in node.operands])
-    if isinstance(node, pal.Product):
-        return _eval_product(node.operands, env)
-    if isinstance(node, pal.Slash):
-        value = eval_expr(node.operand, env)
-        for scope in node.scopes:
-            value = value.restricted(_resolve_scope(scope, env))
-        return value
-    if isinstance(node, pal.Guard):
-        condition = _guard_condition(node, env)
-        return Privilege.single(Employment(GUARD_FUNCTION, UNIVERSAL), [condition])
-    raise TypeError(f"not an expression node: {node!r}")
+    """Evaluate an expression to a privilege value (a snapshot): bind its
+    names, compute the definitions they read, then its value."""
+    bound: list = []
+    _bind(node, env, bound)
+    _evaluate(env, bound)
+    return _value(node, env, iter(bound))
 
 
 def eval_text(source: str, env: Environment) -> Privilege:
@@ -242,17 +324,52 @@ def eval_text(source: str, env: Environment) -> Privilege:
 
 
 def _reader(env: Environment) -> Environment:
-    """``env`` with its own copies of the tables that evaluation writes."""
+    """``env`` with its own copies of the tables that binding writes."""
     reader = copy.copy(env)
     reader.functions, reader.categories = set(env.functions), dict(env.categories)
     return reader
 
 
-def _eval_name(node: pal.Name, env: Environment) -> Privilege:
-    if node.id in env.privileges:
-        return env.privileges[node.id]
+def _bind(node: pal.ExprNode, env: Environment, bound: list) -> None:
+    """Append to ``bound`` what each name of ``node`` denotes where it
+    stands: a definition, a function's name, ``0``'s value or, after
+    ``/``, an entity set. The names come in the order ``_value`` reads
+    them, which takes one binding a read, and a fault of a name is the
+    one that the first faulty read would meet."""
+    if isinstance(node, pal.Name):
+        bound.append(_bind_name(node, env))
+    elif isinstance(node, pal.Slash):
+        _bind(node.operand, env, bound)
+        bound += [_resolve_scope(scope, env) for scope in node.scopes]
+    elif isinstance(node, pal.Guard):
+        if env.arrangement is None:
+            message = (
+                "guard expressions need an arrangement in scope "
+                "(set one before loading, or pass --arrangement)"
+            )
+            raise ResolutionError(message, at=node.at)
+        _bind(node.left, env, bound)
+        _bind(node.right, env, bound)
+    elif isinstance(node, pal.Product):
+        first, *rest = _factors(node.operands, env)
+        _bind(first, env, bound)
+        for factor in rest:
+            if isinstance(factor, pal.Guard) or not _is_condition(factor, env):
+                _bind(factor, env, bound)
+    elif isinstance(node, pal.Sum):
+        for operand in node.operands:
+            _bind(operand, env, bound)
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+
+
+def _bind_name(node: pal.Name, env: Environment) -> _Definition | str | Privilege:
+    if node.id in env._latest:
+        return env._latest[node.id]
     if node.id == "0":
         return Privilege()
+    if node.id in env.functions:  # the common case, settled by the first read
+        return node.id
     kinds = env.kinds_of(node.id)
     if "entity" in kinds or "category" in kinds:
         article = "an entity" if "entity" in kinds else "a category"
@@ -262,36 +379,67 @@ def _eval_name(node: pal.Name, env: Environment) -> Privilege:
         message = f"'{node.id}' is a condition; attach it with '*'"
         raise ResolutionError(message, at=node.at)
     env.functions.add(node.id)
-    return Privilege.single(Employment(FunctionSymbol(node.id), UNIVERSAL))
+    return node.id
+
+
+def _value(node: pal.ExprNode, env: Environment, bound: Iterator) -> Privilege:
+    if isinstance(node, pal.Name):
+        binding = next(bound)
+        if isinstance(binding, _Definition):
+            return binding.value
+        if isinstance(binding, str):
+            return Privilege.single(Employment(FunctionSymbol(binding), UNIVERSAL))
+        return binding
+    if isinstance(node, pal.Sum):
+        return compose(*[_value(operand, env, bound) for operand in node.operands])
+    if isinstance(node, pal.Product):
+        return _eval_product(node.operands, env, bound)
+    if isinstance(node, pal.Slash):
+        value = _value(node.operand, env, bound)
+        for _ in node.scopes:
+            value = value.restricted(next(bound))
+        return value
+    condition = _guard_condition(node, env, bound)  # a guard: ``_bind`` takes no other node
+    return Privilege.single(Employment(GUARD_FUNCTION, UNIVERSAL), [condition])
 
 
 def _is_condition(node: pal.ExprNode, env: Environment) -> bool:
     return isinstance(node, pal.Guard) or isinstance(node, pal.Name) and node.id in env.conditions
 
 
-def _eval_product(factors: tuple[pal.ExprNode, ...], env: Environment) -> Privilege:
-    # Left to right. A guard or condition operand hands its condition to
-    # the other side's atoms instead of merging as a separate atom; a
-    # leading one goes to the second factor, after that factor is
-    # evaluated.
+def _factors(factors: tuple[pal.ExprNode, ...], env: Environment) -> list[pal.ExprNode]:
+    """Left to right, but a leading guard or condition goes to the
+    second factor, after that factor is evaluated."""
     first, second, *rest = factors
     if _is_condition(first, env) and not _is_condition(second, env):
-        first, second = second, first
-    value = eval_expr(first, env)
-    for factor in (second, *rest):
+        return [second, first, *rest]
+    return [first, second, *rest]
+
+
+def _eval_product(
+    factors: tuple[pal.ExprNode, ...], env: Environment, bound: Iterator
+) -> Privilege:
+    # A guard or condition operand hands its condition to the other
+    # side's atoms instead of merging as a separate atom.
+    first, *rest = _factors(factors, env)
+    value = _value(first, env, bound)
+    for factor in rest:
         if isinstance(factor, pal.Guard):
-            value = value.with_condition(_guard_condition(factor, env))
+            value = value.with_condition(_guard_condition(factor, env, bound))
         elif _is_condition(factor, env):
             value = value.with_condition(env.conditions[factor.id])
         else:
-            value = merge(value, eval_expr(factor, env), env.merge_mode)
+            value = merge(value, _value(factor, env, bound), env.merge_mode)
     return value
 
 
 def _resolve_scope(scope: pal.Name, env: Environment) -> EntitySet:
     name = scope.id
     if name in env.categories:
-        return EntitySet.finite(env.categories[name], label=name)
+        key = (name, len(env.categories[name]))
+        if key not in env._snapshots:
+            env._snapshots[key] = EntitySet.finite(env.categories[name], label=name)
+        return env._snapshots[key]
     if name in env.entities:
         return EntitySet.finite([Entity(name)])
     kinds = env.kinds_of(name)
@@ -304,22 +452,16 @@ def _resolve_scope(scope: pal.Name, env: Environment) -> EntitySet:
     return EntitySet.finite(env.categories.setdefault(name, set()), label=name)
 
 
-def _guard_condition(node: pal.Guard, env: Environment) -> Condition:
-    if env.arrangement is None:
-        message = (
-            "guard expressions need an arrangement in scope "
-            "(set one before loading, or pass --arrangement)"
-        )
-        raise ResolutionError(message, at=node.at)
-    left = eval_expr(node.left, env)
-    right = eval_expr(node.right, env)
+def _guard_condition(node: pal.Guard, env: Environment, bound: Iterator) -> Condition:
+    left = _value(node.left, env, bound)
+    right = _value(node.right, env, bound)
     if node.op == "<:":
         condition = compliance_condition(left, right, env.arrangement, env.merge_mode)
     else:
         condition = congruence_condition(left, right, env.arrangement)
     # Brackets nest at most MAX_NESTING deep in one expression, but a
-    # name can hold a guard, so nesting through names is bounded here:
-    # evaluating a guard recurses once per level.
+    # name can hold a guard, so nesting through names is bounded here,
+    # where the definition holding the guard is computed.
     if condition.depth > pal.MAX_NESTING:
         message = f"'[' nested more than {pal.MAX_NESTING} deep through names"
         raise ResolutionError(message, at=node.at)
@@ -650,42 +792,42 @@ def build_environment(
     namespace: str | None = None,
     filename: str | None = None,
 ) -> Environment:
-    """Load one namespace of a program over facts and an arrangement.
+    """Resolve one namespace of a program over facts and an arrangement.
 
     Inputs are read in one order, as the command line reads them: the
-    program is parsed, then the arrangement, which is evaluated in a
-    scope of the conditions and the namespace's final ``let`` membership
-    over the empty basis: a guard in it is a condition it carries, and a
-    fault of the program is reported before its own. ``filename`` names
-    the program in its errors; the arrangement's errors name no file.
+    program is parsed, then the arrangement; the program's names are
+    resolved, so a clash or kind error in it comes first; then the
+    arrangement is evaluated in a scope of the conditions and the
+    namespace's final ``let`` membership over the empty basis, where a
+    guard is a condition it carries. No definition is computed here:
+    each is on its first read, so a query computes only the definitions
+    its names depend on, and meets a fault of a value (a guard nested
+    too deep through names) only there; ``read_all`` computes them all.
+    ``filename`` names the program in its errors; the arrangement's
+    errors name no file.
     """
     if isinstance(source, str):
         source = pal.parse_text(source, filename)
-    env = Environment(family=family, conditions=conditions, merge_mode=merge_mode)
-    if arrangement is not None:
-        elements = _sum_terms(pal.parse_expression(arrangement))
+    # Until the arrangement is evaluated, the empty basis stands in for
+    # it: binding a guard asks only whether there is one.
+    basis = None if arrangement is None else Arrangement(())
+    elements = None if arrangement is None else _sum_terms(pal.parse_expression(arrangement))
+    env = Environment(family, conditions, basis, merge_mode)
+    _resolve(source, env, namespace, filename)
+    if elements is not None:
         with in_text(arrangement):
-            try:
-                scope = Environment(family, conditions, Arrangement(()), merge_mode)
-                defined = set()
-                for stmt in _pick_namespace(source, namespace).statements:
-                    if isinstance(stmt, pal.LetIs):
-                        _add_member(stmt, scope)
-                    else:
-                        defined.add(stmt.name)
-                # Here a privilege's name would be a function that overlaps
-                # no atom of the program, and every guard would pass.
-                for name in (n for e in elements for n in _walk(e) if isinstance(n, pal.Name)):
-                    if name.id in defined and not scope.kinds_of(name.id):
-                        message = f"'{name.id}' is a privilege of the program"
-                        raise ArrangementError(message, at=name.at)
-                env.arrangement = load_arrangement(elements, scope)
-            except PrivCalcError:
-                # The program's own fault, found over an empty basis, first.
-                probe = Environment(family, conditions, Arrangement(()), merge_mode)
-                load_program(source, probe, namespace=namespace, filename=filename)
-                raise
-    return load_program(source, env, namespace=namespace, filename=filename)
+            scope = Environment(family, conditions, basis, merge_mode)
+            scope.entities = env.entities
+            # only a `let` gives a category members
+            scope.categories = {c: members for c, members in env.categories.items() if members}
+            # Here a privilege's name would be a function that overlaps
+            # no atom of the program, and every guard would pass.
+            for name in (n for e in elements for n in _walk(e) if isinstance(n, pal.Name)):
+                if name.id in env._latest and not scope.kinds_of(name.id):
+                    message = f"'{name.id}' is a privilege of the program"
+                    raise ArrangementError(message, at=name.at)
+            env.arrangement = load_arrangement(elements, scope)
+    return env
 
 
 def answer(query: Query, env: Environment) -> QueryResult:

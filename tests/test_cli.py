@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import inspect
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from privcalc import (
     TraceQuery,
     load_facts,
 )
+from privcalc import engine, pal
 from privcalc.cli import main
 from privcalc.engine import answer, build_environment
 from privcalc.facts import MAX_FAMILY
@@ -926,30 +928,50 @@ def _guard_chain(op: str, levels: int) -> str:
     return 'namespace "c" {\n' + "\n".join(lines) + "\n}\n"
 
 
-_PROGRAM_COMMANDS = [
-    ["check"],
-    ["eval", "--expr", "g1"],
-    ["nf", "--expr", "g1"],
-    ["eq", "--left", "g1", "--right", "read"],
-    ["pulse", "--expr", "g1"],
-    ["trace", "--expr", "g1", "--seq", "empty"],
-    ["comply", "--p", "g1", "--q", "read"],
-]
+def _program_commands(name: str) -> list[list[str]]:
+    return [
+        ["check"],
+        ["eval", "--expr", name],
+        ["nf", "--expr", name],
+        ["eq", "--left", name, "--right", "read"],
+        ["pulse", "--expr", name],
+        ["trace", "--expr", name, "--seq", "empty"],
+        ["comply", "--p", name, "--q", "read"],
+    ]
 
 
 @pytest.mark.parametrize("mode", ["intersection", "union"])
 @pytest.mark.parametrize("op", ["<:", "~"])
 def test_guards_nested_through_names_are_bounded(tmp_path, capsys, op, mode):
     # Brackets cannot nest a guard deeper than MAX_NESTING, but names
-    # can; the guard one level past the bound is refused at its '['.
+    # can; the guard one level past the bound is refused at its '[', by
+    # `check` and by every query that reads it.
     path = tmp_path / "chain.pal"
     path.write_text(_guard_chain(op, 150))
     options = ["--arrangement", "read + write", "--merge-conditions", mode]
     line, column = MAX_NESTING + 3, len(f"  g{MAX_NESTING + 1} := read * ") + 1
     message = f"'[' nested more than {MAX_NESTING} deep through names"
     error = f"error: {path}:{line}:{column}: {message}\n"
-    for command, *query in _PROGRAM_COMMANDS:
+    for command, *query in _program_commands("g150"):
         assert run(capsys, command, str(path), *query, *options) == (2, "", error), command
+
+
+@pytest.mark.parametrize("op", ["<:", "~"])
+def test_a_query_whose_cone_avoids_a_fault_of_a_value_answers(tmp_path, capsys, op):
+    # A definition is computed when a command first reads it: `check`
+    # reads every one, a query only those its names depend on. g1 reads
+    # g0 alone, so the guard too deep at g101 is no fault of its queries.
+    path = tmp_path / "chain.pal"
+    path.write_text(_guard_chain(op, 150))
+    options = ["--arrangement", "read + write"]
+    code, out, err = run(capsys, "check", str(path), *options)
+    assert (code, out) == (2, "") and err.startswith(f"error: {path}:{MAX_NESTING + 3}:")
+    for command, *query in _program_commands("g1")[1:]:
+        code, out, err = run(capsys, command, str(path), *query, *options)
+        assert code in (0, 1) and out and not err, command
+    assert run(capsys, "eval", str(path), "--expr", "g0 + g1", *options) == (
+        0, f"read + read * [read {op} read]\n", ""
+    )
 
 
 @pytest.mark.parametrize("op", ["<:", "~"])
@@ -967,3 +989,65 @@ def test_guards_nested_through_names_to_the_bound_answer(tmp_path, capsys, op):
     assert run(capsys, "eval", str(path), "--expr", deeper, *options) == (
         2, "", f"error: 1:8: '[' nested more than {MAX_NESTING} deep through names\n"
     )
+
+
+# Shaped like policy-load's policies: roles, users, terminals, sessions
+# (user * terminal) and an audited session.
+ORG_PAL = """\
+namespace "org" {
+  let d1 is Docs
+  let d2 is Docs
+  reader := (read + list)/Docs
+  writer := reader + write/Docs
+  admin := writer + remove/Docs
+  alice := reader
+  bob := writer
+  carol := admin
+  phone := read + list
+  desk := read + list + write + remove
+  s_alice := alice * phone
+  s_bob := bob * desk
+  s_carol := carol * desk
+  a_bob := s_bob * logged
+}
+"""
+
+
+def test_a_query_evaluates_only_its_cone(workspace, capsys, monkeypatch):
+    # `_value` meets a definition's body only when it computes that
+    # definition, so counting those calls counts computations.
+    path = workspace / "org.pal"
+    path.write_text(ORG_PAL)
+    bodies: dict[int, str] = {}
+    counts: collections.Counter = collections.Counter()
+    parse_text, value = pal.parse_text, engine._value
+
+    def parsing(text, filename=None):
+        program = parse_text(text, filename)
+        for stmt in program.namespaces[0].statements:
+            if isinstance(stmt, pal.Define):
+                bodies[id(stmt.body)] = stmt.name
+        return program
+
+    def counting(node, env, bound):
+        counts[bodies.get(id(node))] += 1
+        return value(node, env, bound)
+
+    monkeypatch.setattr(pal, "parse_text", parsing)
+    monkeypatch.setattr(engine, "_value", counting)
+
+    def computed(command, *options):
+        bodies.clear()
+        counts.clear()
+        facts = ["--facts", str(workspace / "store.facts")]
+        code, out, err = run(capsys, command, str(path), *options, *facts)
+        assert code == 0 and out and not err
+        return {name: n for name, n in counts.items() if name is not None}
+
+    cone = {"reader": 1, "writer": 1, "bob": 1, "desk": 1, "s_bob": 1}
+    assert computed("eval", "--expr", "s_bob") == cone
+    every = [line.split(" := ")[0].strip() for line in ORG_PAL.splitlines() if " := " in line]
+    assert computed("check") == dict.fromkeys(every, 1)
+    arrangement = ["--arrangement", "read + list + write + remove"]
+    both = ["--left", "a_bob", "--right", "a_bob"]
+    assert computed("eq", *both, *arrangement) == {**cone, "a_bob": 1}

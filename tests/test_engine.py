@@ -260,10 +260,8 @@ def test_arrangement_rejects_overlapping_terms():
 
 
 def test_arrangement_rejects_conditioned_atoms():
-    env = Environment()
-    env.privileges["guarded"] = eval_text("read", env).with_condition(
-        WitnessCondition("w", frozenset())
-    )
+    env = Environment(conditions={"w": WitnessCondition("w", frozenset())})
+    load_program(parse_text('namespace "n" { guarded := read * w }'), env)
     with pytest.raises(ArrangementError) as exc:
         arrangement_from_text("write +\n  (guarded)", env)
     assert str(exc.value) == "2:4: arrangement element read/* carries conditions"
@@ -532,11 +530,11 @@ def test_privilege_binding_shadows_condition():
 _FACTORS = ["read", "read/TechDoc", "write", "(read + list)", "logged", "[read <: write]"]
 
 
-def _product_env(mode: ConditionMergeMode) -> Environment:
+def _product_env(mode: ConditionMergeMode, definitions: str = "") -> Environment:
     env = _condition_env()
     env.merge_mode = mode
     env.arrangement = arrangement_from_text(SESSION_ARRANGEMENT, env)
-    return load_program(parse_text('namespace "n" { let doc1 is TechDoc }'), env)
+    return load_program(parse_text(f'namespace "n" {{ let doc1 is TechDoc\n{definitions} }}'), env)
 
 
 def _value_or_error(text: str, env: Environment) -> Privilege | str:
@@ -552,16 +550,14 @@ def _value_or_error(text: str, env: Environment) -> Privilege | str:
 )
 def test_product_chain_equals_stepwise_binary_products(factors, mode):
     # A name bound to a privilege is never a condition operand, so
-    # "prefix * f" is one binary product of the value so far and f.
+    # "p{k} := p{k-1} * f" is one binary product of the value so far and f.
     env = _product_env(mode)
     chain = _value_or_error(" * ".join(factors), env)
     step = _value_or_error(f"{factors[0]} * {factors[1]}", env)
-    for factor in factors[2:]:
-        if isinstance(step, str):
-            break
-        env.privileges["prefix"] = step
-        step = _value_or_error(f"prefix * {factor}", env)
-        del env.privileges["prefix"]
+    if not isinstance(step, str):
+        steps = [f"p1 := {factors[0]} * {factors[1]}"]
+        steps += [f"p{k} := p{k - 1} * {factor}" for k, factor in enumerate(factors[2:], 2)]
+        step = _product_env(mode, "\n".join(steps)).privileges[f"p{len(factors) - 1}"]
     assert str(chain) == str(step)
 
 
@@ -708,6 +704,52 @@ def test_guarded_values_re_read_as_themselves(text):
         env = _law_env((text,), mode)
         printed = env.privileges["e1"].text()
         assert eval_text(printed, env) == env.privileges["e1"], (text, printed)
+
+
+_ORDER_FACTS = _LAW_FACTS + "condition logged = any s2\n"
+_ORDER_BASIS = "read + write + list + guard"
+
+
+def _eager_or_error(source: str, mode: ConditionMergeMode) -> Environment | str:
+    family, conditions = load_facts(_ORDER_FACTS)
+    env = Environment(family, conditions, merge_mode=mode)
+    env.arrangement = arrangement_from_text(_ORDER_BASIS, env)
+    try:
+        return load_program(parse_text(source), env)
+    except ResolutionError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([ConditionMergeMode.INTERSECTION, UNION]))
+def test_reading_order_changes_no_value_and_no_warning(data, mode):
+    # Definitions over product factors, guarded texts and earlier names,
+    # some redefined, some scoped before a `let` adds to the category.
+    lines, names = ["let doc1 is TechDoc"], []
+    for _ in range(data.draw(st.integers(1, 6), label="definitions")):
+        if data.draw(st.booleans()):
+            lines.append(data.draw(st.sampled_from(["let d1 is C", "let d2 is D", "let d3 is C"])))
+        factor = st.one_of(st.sampled_from(_FACTORS + names), _LAW_EXPR.map("({})".format))
+        factors = data.draw(st.lists(factor, min_size=1, max_size=3))
+        name = data.draw(st.sampled_from(["p", "q", "r", "s"]))
+        lines.append(f"{name} := {' * '.join(factors)}")
+        names.append(name)
+    source = 'namespace "n" {\n' + "".join(f"  {line}\n" for line in lines) + "}\n"
+    eager = _eager_or_error(source, mode)
+    family, conditions = load_facts(_ORDER_FACTS)
+    build = lambda: build_environment(source, family, conditions, _ORDER_BASIS, mode)  # noqa: E731
+    if isinstance(eager, str):
+        with pytest.raises(ResolutionError) as exc:
+            build()
+        assert str(exc.value) == eager
+        return
+    defined = list(dict.fromkeys(names))
+    for order in (defined, defined[::-1], data.draw(st.permutations(defined))):
+        lazy = build()
+        assert [lazy.privileges[n] for n in order] == [eager.privileges[n] for n in order]
+        assert lazy.warnings == eager.warnings
+        lazy.read_all()
+        assert lazy.privileges == eager.privileges
 
 
 def test_guard_is_the_bare_guards_function_and_cannot_be_rebound():
@@ -1330,9 +1372,10 @@ def test_answer_needs_an_arrangement_for_projecting_queries():
 
 def test_structural_eq_distinguishes_conditions_union_mode():
     fam = power_family("s1")
-    env = example_env(arrangement=SESSION_ARRANGEMENT, family=fam, mode=UNION)
     cond = WitnessCondition("w", frozenset({next(iter(fam.universe))}))
-    env.privileges["guarded"] = env.privileges["session_1"].with_condition(cond)
+    env = Environment(family=fam, conditions={"w": cond}, merge_mode=UNION)
+    env.arrangement = arrangement_from_text(SESSION_ARRANGEMENT, env)
+    load_program(parse_text(EXAMPLE_PAL.replace("}\n", "  guarded := session_1 * w\n}\n")), env)
     assert not structural_eq(
         env.privileges["guarded"],
         env.privileges["session_1"],

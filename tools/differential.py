@@ -13,7 +13,13 @@ match on both sides:
   mergence, a broken ``--arrangement``, a missing ``--namespace``);
 - ``import-rbac samples/staff.rbac``;
 - policy-load's hostile inputs and its first 80 commands for seeds 1-3,
-  with the argv that ``bench/workloads.PolicyLoad.prepare`` builds;
+  with the argv that ``bench/workloads.PolicyLoad.prepare`` builds, and
+  for seed 1 the first command of each kind on each of its policies;
+- the shapes that evaluating a definition only when a command reads it
+  could break: a redefined name that a later definition still reads, a
+  scope taken before a ``let`` grows its category, a guard nested too
+  deep through names after the queried name, and a guard read without
+  an arrangement;
 - ``check`` of every prefix of each ``samples/*.pal``.
 
 Each tree runs in a child process with ``PYTHONPATH=TREE/src`` that
@@ -57,6 +63,34 @@ OPTION_SETS = (
 )
 POLICY_SEEDS = (1, 2, 3)
 POLICY_COMMANDS = 80
+
+# name -> (program, commands run on it); each command is argv after the file
+SHAPES = {
+    "shadowed.pal": (
+        'namespace "s" {\n  let d1 is C\n  x := read\n  y := x + write\n'
+        '  x := list/C\n  z := x + y\n}\n',
+        [["check"], ["eval", "--expr", "x"], ["eval", "--expr", "y"], ["eval", "--expr", "z"],
+         ["eq", "--left", "y", "--right", "read + write", "--arrangement", "read + write + list"]],
+    ),
+    "snapshot.pal": (
+        'namespace "n" {\n  let d1 is C\n  x := read/C\n  let d2 is C\n}\n',
+        [["check"], ["eval", "--expr", "x"],
+         ["eq", "--left", "x", "--right", "read/C", "--arrangement", "read/d1 + read/d2"]],
+    ),
+    "deep.pal": (
+        'namespace "c" {\n  g0 := read\n'
+        + "".join(f"  g{i} := read * [g{i - 1} <: read]\n" for i in range(1, 151))
+        + "}\n",
+        [[*query, "--arrangement", "read + write"] for query in (
+            ["check"], ["eval", "--expr", "g1"], ["eval", "--expr", "g150"],
+            ["pulse", "--expr", "g1"], ["eq", "--left", "g1", "--right", "g1"],
+        )] + [["check", "--arrangement", "read + read"]],
+    ),
+    "guarded.pal": (
+        'namespace "g" {\n  x := read\n  y := read * [x <: read]\n}\n',
+        [["check"], ["eval", "--expr", "x"], ["eval", "--expr", "y"]],
+    ),
+}
 
 # Runs in each child: reads the corpus, writes one [stdout, stderr, code]
 # per invocation.
@@ -115,6 +149,17 @@ def policy_commands(workdir: Path) -> list[list[str]]:
         load = workloads.PolicyLoad(seed, seed_dir)
         commands += [argv for _, argv, _, _ in load.hostile]
         commands += [load.prepare(None, cmd) for cmd in load.ops[:POLICY_COMMANDS]]
+        if seed == 1:  # every command kind on every policy and role model
+            firsts = {cmd[:2]: cmd for cmd in reversed(load.ops)}
+            commands += [load.prepare(None, cmd) for _, cmd in sorted(firsts.items())]
+    return commands
+
+
+def shape_commands(workdir: Path) -> list[list[str]]:
+    commands = []
+    for name, (text, queries) in SHAPES.items():
+        (workdir / name).write_text(text, encoding="utf-8")
+        commands += [[query[0], name, *query[1:]] for query in queries]
     return commands
 
 
@@ -154,7 +199,10 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="differential-") as tmp:
         workdir = Path(tmp)
         shutil.copytree(ROOT / "samples", workdir / "samples")
-        commands = sample_commands() + policy_commands(workdir) + prefix_commands(workdir)
+        commands = (
+            sample_commands() + policy_commands(workdir) + shape_commands(workdir)
+            + prefix_commands(workdir)
+        )
         corpus = workdir / "corpus.json"
         corpus.write_text(json.dumps(commands), encoding="utf-8")
         sides = [
