@@ -18,13 +18,24 @@ statement) and the constants ``true`` and ``false`` satisfy the axiom
 by construction. These and the privilege layer's guards are the only
 conditions a facts file or a PAL program can state, and each is
 defined at every fact.
+
+Over a family, a condition's meaning is its mask, an ``int`` whose bit
+k is set where it holds at ``family.facts[k]``. ``Condition.mask``
+builds it once per family, from ``evaluate`` at each fact, and keeps it
+while the family lives; ``evaluate`` stays the definition. A family
+places its facts when it first sorts them: each learns its position
+there, so a query at a fact reads one bit of a mask. A fact that no
+live family placed, such as one built by hand, is read as a family of
+one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, NewType
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NewType
 
 from .errors import PrivCalcError, SourceError, in_text
 from .pal import declarations, declared_name, words
@@ -37,6 +48,7 @@ __all__ = [
     "FactFamily",
     "FalseCondition",
     "MAX_FAMILY",
+    "Masked",
     "Statement",
     "TrueCondition",
     "WitnessCondition",
@@ -68,14 +80,37 @@ Statement = NewType("Statement", str)
 
 @dataclass(frozen=True)
 class Fact:
-    """A named subset of the statement universe."""
+    """A named subset of the statement universe.
+
+    ``place`` is set by the family that hands the fact out: a weak
+    reference to that family and the fact's position in its ``facts``.
+    It takes no part in equality, hashing or ``repr``."""
 
     id: str
     statements: frozenset[Statement]
+    place: tuple[weakref.ref, int] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __repr__(self) -> str:
         inner = ",".join(sorted(self.statements))
         return f"fact:{self.id}{{{inner}}}"
+
+    def __reduce__(self):
+        # A weak reference does not pickle, so a copy is unplaced.
+        return Fact, (self.id, self.statements)
+
+    def placed(self) -> tuple[FactFamily, int]:
+        """The family that placed this fact and its position there. A fact
+        no live family placed becomes the one fact of a new family."""
+        if self.place is not None:
+            ref, k = self.place
+            family = ref()
+            if family is not None:
+                return family, k
+        family = FactFamily(self.statements, (self,))
+        family.facts  # places the fact
+        return family, 0
 
 
 def synthesized_id(statements: frozenset[Statement]) -> str:
@@ -104,15 +139,22 @@ class FactFamily:
     @cached_property
     def facts(self) -> tuple[Fact, ...]:
         """Canonical facts, smallest first; computed once, since a family
-        is never changed after construction."""
-        return tuple(
+        is never changed after construction. Each is placed here, at its
+        position; the family is held only weakly, so a family and its
+        facts make no reference cycle."""
+        facts = tuple(
             sorted(
                 self._by_set.values(),
                 key=lambda f: (len(f.statements), synthesized_id(f.statements)),
             )
         )
+        ref = weakref.ref(self)
+        for k, fact in enumerate(facts):
+            object.__setattr__(fact, "place", (ref, k))
+        return facts
 
     def fact(self, fact_id: str) -> Fact:
+        self.facts  # the fact handed out is placed
         try:
             return self._by_id[fact_id]
         except KeyError:
@@ -196,13 +238,55 @@ def close_family(
     return FactFamily(universe_set, facts)
 
 
-class Condition:
-    """Boolean function on facts. Subclasses implement ``evaluate``."""
+class Masked:
+    """A boolean function on facts held as masks: per family, an ``int``
+    whose bit k is set where it holds at ``family.facts[k]``. Subclasses
+    implement ``_build_mask``; ``mask`` calls it on the first call per
+    family and keeps the mask, keyed by a weak reference to the family;
+    storing a mask drops those of families that have died."""
+
+    # No masks until ``_keep`` gives the object a dict of its own.
+    _masks: Mapping[weakref.ref, int] = MappingProxyType({})
+
+    def mask(self, family: FactFamily) -> int:
+        key = weakref.ref(family)
+        mask = self._masks.get(key)
+        if mask is None:
+            mask = self._keep(key, self._build_mask(family))
+        return mask
+
+    def _keep(self, key: weakref.ref, mask: int) -> int:
+        """Store the mask under ``key``, dropping the masks of dead families."""
+        masks = {k: m for k, m in self._masks.items() if k() is not None}
+        masks[key] = mask
+        object.__setattr__(self, "_masks", masks)
+        return mask
+
+    def _build_mask(self, family: FactFamily) -> int:
+        raise NotImplementedError
+
+    def __getstate__(self) -> dict:
+        # The masks are keyed by weak references, which do not pickle.
+        return {k: v for k, v in vars(self).items() if k != "_masks"}
+
+    def holds(self, fact: Fact) -> bool:
+        """The mask's bit at ``fact``, over the family that placed it."""
+        family, k = fact.placed()
+        return self.mask(family) >> k & 1 == 1
+
+
+class Condition(Masked):
+    """Boolean function on facts. Subclasses implement ``evaluate``, the
+    definition each mask is built from."""
 
     id: str
 
     def evaluate(self, fact: Fact) -> bool:
         raise NotImplementedError
+
+    def _build_mask(self, family: FactFamily) -> int:
+        digits = "".join("1" if self.evaluate(f) else "0" for f in family.facts)
+        return int(digits[::-1] or "0", 2)
 
 
 @dataclass(frozen=True)
@@ -233,8 +317,10 @@ class WitnessCondition(Condition):
 
 
 def evidences(condition: Condition, family: FactFamily) -> frozenset[Fact]:
-    """Facts of the family on which the condition holds."""
-    return frozenset(f for f in family if condition.evaluate(f))
+    """Facts of the family on which the condition holds: the set bits of
+    its mask, read lowest first from the mask's binary digits."""
+    bits = bin(condition.mask(family))[:1:-1]
+    return frozenset(f for f, bit in zip(family.facts, bits) if bit == "1")
 
 
 def minimum_evidences(condition: Condition, family: FactFamily) -> frozenset[Fact]:

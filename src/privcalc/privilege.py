@@ -18,16 +18,22 @@ element the disjunction of the condition conjunctions of the atoms that
 overlap it; at a fact that is the pulsed form, a bit vector, and along
 a fact sequence a trace matrix. A privilege value is projected once per
 arrangement, while it lives, into its distinct coefficients with ``int``
-masks of the elements they cover. A query evaluates each coefficient, or
-each pair of them that differ, once per fact; an equal pair agrees at
-every fact and is never evaluated.
-The projection works on masks throughout: it ORs the masks of the atoms
-that share a condition set, and folds one coefficient per combination of
-condition sets over an element, not one per element.
+masks of the elements they cover. The projection works on masks
+throughout: it ORs the masks of the atoms that share a condition set,
+and folds one coefficient per combination of condition sets over an
+element, not one per element.
+
+Over a fact family, a coefficient, like a condition, is also a mask,
+with bit k for the family's k-th fact (``facts.Masked``): the OR of the
+ANDs of its conditions' masks, built once per family. So a query reads
+bits: a pulse reads one per coefficient, and a comparison reads only the
+pairs of coefficients that differ. An equal pair agrees at every fact,
+so its masks are never built.
 
 Congruence at a fact is pulsed-form equality, and p complies with q
 when p*q is congruent to q. A guard (``HighOrderCondition``) packages
 either test as a value; equal guards are hash-consed into one object.
+A guard's mask is set where every differing pair's masks agree.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from .facts import (
     Fact,
     FactFamily,
     FalseCondition,
+    Masked,
     TrueCondition,
 )
 
@@ -335,13 +342,24 @@ class Arrangement:
 
 
 @dataclass(frozen=True)
-class Coefficient:
-    """Disjunction of condition conjunctions; no disjuncts means false."""
+class Coefficient(Masked):
+    """Disjunction of condition conjunctions; no disjuncts means false.
+    Over a family its mask is the OR of the ANDs of its conditions'
+    masks, and ``evaluate`` reads one bit of it."""
 
     disjuncts: tuple[frozenset[Condition], ...] = ()
 
-    def evaluate(self, fact: Fact) -> bool:
-        return any(all(c.evaluate(fact) for c in d) for d in self.disjuncts)
+    def _build_mask(self, family: FactFamily) -> int:
+        full = (1 << len(family.facts)) - 1
+        mask = 0
+        for conjunction in self.disjuncts:
+            term = full
+            for c in conjunction:
+                term &= c.mask(family)
+            mask |= term
+        return mask
+
+    evaluate = Masked.holds
 
     def render(self) -> str:
         if not self.disjuncts:
@@ -363,12 +381,17 @@ class Coefficient:
                 continue
             kept = frozenset(c for c in conj if not isinstance(c, TrueCondition))
             if not kept:
-                return Coefficient((frozenset(),))
+                return _TRUE
             folded.add(kept)
         ordered = sorted(
             folded, key=lambda d: (len(d), tuple(sorted(c.id for c in d)))
         )
-        return Coefficient(tuple(ordered))
+        return Coefficient(tuple(ordered)) if ordered else _FALSE
+
+
+# The constant coefficients, one object each, so that every element that
+# folds to a constant, in any projection, reads one mask per family.
+_TRUE, _FALSE = Coefficient((frozenset(),)), Coefficient()
 
 
 @dataclass(frozen=True)
@@ -440,7 +463,7 @@ def _overlapped(
         for conjs, mask in combinations.items():
             coefficient = Coefficient.from_conjunctions(conjs)
             masks[coefficient] = masks.get(coefficient, 0) | mask
-        masks.pop(Coefficient(), None)
+        masks.pop(_FALSE, None)
         classes = tuple(sorted(masks.items(), key=lambda item: _low(item[1])))
         arrangement._projections[p] = classes
     return classes
@@ -462,7 +485,7 @@ def normal_form(p: Privilege, arrangement: Arrangement) -> NormalForm:
     """Project ``p`` onto the basis: per element, the disjunction of the
     condition conjunctions of the atoms whose employment overlaps it;
     constant false where no atom does."""
-    return NormalForm(arrangement, _spread(p, arrangement, lambda c: c, Coefficient()))
+    return NormalForm(arrangement, _spread(p, arrangement, lambda c: c, _FALSE))
 
 
 @dataclass(frozen=True)
@@ -514,10 +537,9 @@ def _overlapped_pairs(
     """The distinct coefficient pairs that differ, by each pair's lowest
     element; at every other element the two coefficients are equal (both
     false, say), so ``u`` and ``v`` agree there at every fact and only
-    these pairs are ever evaluated. The first pair to disagree at a fact
-    holds the first element that does; a walk stops there, so a failing
-    outer guard never evaluates the guards nested in it. Each pair costs
-    O(log k) mask operations over k classes."""
+    these pairs' masks are ever built. The first pair to disagree at a
+    fact holds the first element that does, and a walk at one fact stops
+    there. Each pair costs O(log k) mask operations over k classes."""
     cu, cv = _overlapped(u, arrangement), _overlapped(v, arrangement)
     span_u, span_v = (sum(m for _, m in side) for side in (cu, cv))
     # Disjoint masks add without a carry; an overlap on either side loses a bit.
@@ -527,7 +549,7 @@ def _overlapped_pairs(
     # false where only the other side is not, so both heaps hold the same
     # elements and both tops hold the least of them. Sorted is a heap.
     hu, hv = (
-        sorted((_low(m), m, c) for c, m in side + ((Coefficient(), outside),) if m)
+        sorted((_low(m), m, c) for c, m in side + ((_FALSE, outside),) if m)
         for side, outside in ((cu, span_v & ~span_u), (cv, span_u & ~span_v))
     )
     pairs: list[tuple[Coefficient, Coefficient]] = []
@@ -541,26 +563,25 @@ def _overlapped_pairs(
     return pairs
 
 
-def _rows_agree(rows: list[tuple[Coefficient, Coefficient]], fact: Fact) -> bool:
-    """The overlapped coefficient pairs agree at the fact."""
-    return all(cu.evaluate(fact) == cv.evaluate(fact) for cu, cv in rows)
-
-
 def structural_eq(
     u: Privilege, v: Privilege, arrangement: Arrangement, family: FactFamily
 ) -> bool:
     """Extensional normal-form equality: congruent at every fact of the
-    family. Only the pairs that differ are evaluated, so when there are
-    none the answer is true without a walk of the family."""
+    family, that is, each pair that differs has equal masks over it.
+    When no pair differs the answer is true and no mask is built."""
     rows = _overlapped_pairs(u, v, arrangement)
-    return not rows or all(_rows_agree(rows, t) for t in family.facts)
+    return all(cu.mask(family) == cv.mask(family) for cu, cv in rows)
 
 
 def congruent(
     u: Privilege, v: Privilege, arrangement: Arrangement, fact: Fact
 ) -> bool:
-    """Same pulsed form at the fact."""
-    return _rows_agree(_overlapped_pairs(u, v, arrangement), fact)
+    """Same pulsed form at the fact: no differing pair's masks differ in
+    the fact's bit. A pair's masks are built when the walk reaches it,
+    and the walk stops at the first pair that disagrees."""
+    family, k = fact.placed()
+    rows = _overlapped_pairs(u, v, arrangement)
+    return not any((cu.mask(family) ^ cv.mask(family)) >> k & 1 for cu, cv in rows)
 
 
 def compliant(
@@ -582,11 +603,11 @@ class HighOrderCondition(Condition):
     Operator, operands, arrangement and mode give equality and hashing;
     the arrangement stays out of the hash, which would walk the whole
     basis, and congruence stores mode ``None``. The label and the depth
-    are derived here, the coefficient pairs at the first evaluation, so
-    a guard that hash-consing discards merges and projects nothing; none
-    takes part in equality. The depth is one more than the deepest guard
-    among the conditions of the operands' atoms, read off those guards,
-    which exist already."""
+    are derived here, the coefficient pairs when a mask is first built,
+    so a guard that hash-consing discards merges and projects nothing;
+    none takes part in equality. The depth is one more than the deepest
+    guard among the conditions of the operands' atoms, read off those
+    guards, which exist already."""
 
     op: str
     left: Privilege
@@ -616,8 +637,34 @@ class HighOrderCondition(Condition):
         u = merge(self.left, self.right, self.mode) if self.op == "<:" else self.left
         return _overlapped_pairs(u, self.right, self.arrangement)
 
-    def evaluate(self, fact: Fact) -> bool:
-        return _rows_agree(self._rows, fact)
+    def _build_mask(self, family: FactFamily) -> int:
+        """Set where every pair's masks agree. The guards in the pairs are
+        built first, inner before outer, on an explicit stack, so a guard
+        nested any depth costs no recursion."""
+        key = weakref.ref(family)
+        stack = [self]
+        while stack:
+            guard = stack[-1]
+            waiting = {
+                c
+                for pair in guard._rows
+                for coefficient in pair
+                for conjunction in coefficient.disjuncts
+                for c in conjunction
+                if isinstance(c, HighOrderCondition) and key not in c._masks
+            }
+            if waiting:
+                stack += waiting
+                continue
+            stack.pop()
+            if key not in guard._masks:  # a guard two others wait on is built once
+                differ = 0
+                for cu, cv in guard._rows:
+                    differ |= cu.mask(family) ^ cv.mask(family)
+                guard._keep(key, ((1 << len(family.facts)) - 1) & ~differ)
+        return self._masks[key]
+
+    evaluate = Masked.holds
 
 
 # Hash-consing: one live guard per value, so comparing two guards stops

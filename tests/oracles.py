@@ -17,6 +17,7 @@ from privcalc import (
     EntitySet,
     Fact,
     FactFamily,
+    HighOrderCondition,
     Privilege,
     PrivilegeAtom,
     RbacModel,
@@ -96,6 +97,31 @@ def pairwise_normal_form(
     return [
         [a.conditions for a in p.atoms if employment_meet(a.employment, m) is not None]
         for m in basis
+    ]
+
+
+def pointwise_holds(condition: Condition, fact: Fact) -> bool:
+    """Whether a condition holds at a fact, with no mask: a guard by the
+    dense pulses of its operands at the fact, from ``pairwise_merge`` and
+    ``pairwise_normal_form`` over its arrangement's basis, its nested
+    guards likewise; any other condition by ``evaluate``."""
+    if not isinstance(condition, HighOrderCondition):
+        return condition.evaluate(fact)
+    right = condition.right
+    left = condition.left
+    if condition.op == "<:":
+        left = pairwise_merge(left, right, condition.mode)
+    return pointwise_pulse(left, condition.arrangement.basis, fact) == pointwise_pulse(
+        right, condition.arrangement.basis, fact
+    )
+
+
+def pointwise_pulse(p: Privilege, basis: Sequence[Employment], fact: Fact) -> list[bool]:
+    """Per basis element, whether some atom over it has all of its
+    conditions holding at the fact, by ``pointwise_holds``."""
+    return [
+        any(all(pointwise_holds(c, fact) for c in conditions) for conditions in element)
+        for element in pairwise_normal_form(p, basis)
     ]
 
 

@@ -12,13 +12,20 @@ from pathlib import Path
 import pytest
 
 from privcalc import (
+    Arrangement,
     ComplianceQuery,
+    Employment,
+    FunctionSymbol,
     PrivCalcError,
     EquivalenceQuery,
     EvalQuery,
     NormalFormQuery,
+    Privilege,
     PulseQuery,
     TraceQuery,
+    UNIVERSAL,
+    close_family,
+    compliance_condition,
     load_facts,
 )
 from privcalc import engine, pal
@@ -891,19 +898,24 @@ def test_deepest_nesting_checks_and_evaluates_at_low_recursion_limit(tmp_path, c
 
 def test_bench_tracer_counts_guard_evaluations(monkeypatch, capsys):
     # The bench reads facts.guard_evals from the tracer, which finds the
-    # guard class among the Condition subclasses by name.
+    # guard class among the Condition subclasses by name. A query reads
+    # the guard's mask and calls no evaluate; a direct evaluate counts.
     monkeypatch.syspath_prepend(str(SAMPLES.parent / "bench"))
     from tracing import Tracer
 
+    read = Employment(FunctionSymbol("read"), UNIVERSAL)
+    reads = Privilege.single(read)
+    guard = compliance_condition(reads, reads, Arrangement((read,)))
     with Tracer().installed() as tracer:
         code = main([
             "pulse", str(SAMPLES / "guards.pal"),
             "--arrangement", f"@{SAMPLES / 'sessions.arr'}",
             "--expr", "readguard",
         ])
+        assert guard.evaluate(close_family((), ()).fact("empty")) is True
     assert code == 0
     assert capsys.readouterr().out == "1 0 0 0\n"
-    assert tracer.metrics()["facts.guard_evals"][0] > 0
+    assert tracer.metrics()["facts.guard_evals"][0] == 1
 
 
 def test_oversized_fact_family_exits_2_within_a_second(workspace, capsys):

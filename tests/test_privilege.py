@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import pickle
 import weakref
 from types import SimpleNamespace
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import privcalc.privilege as privilege_module
+from privcalc.facts import Masked
 from privcalc import (
     Arrangement,
     ArrangementError,
@@ -19,6 +21,7 @@ from privcalc import (
     Employment,
     Entity,
     EntitySet,
+    Fact,
     FalseCondition,
     FunctionSymbol,
     HighOrderCondition,
@@ -29,6 +32,7 @@ from privcalc import (
     UNIVERSAL,
     WitnessCondition,
     atomic_arrangement,
+    close_family,
     compliance_condition,
     compliant,
     compose,
@@ -46,6 +50,8 @@ from oracles import (
     pairwise_disjoint,
     pairwise_merge,
     pairwise_normal_form,
+    pointwise_holds,
+    pointwise_pulse,
     privilege_grants,
 )
 from fixtures import power_family
@@ -789,6 +795,124 @@ def test_pulse_trace_and_eq_match_every_coefficient(basis, p, q):
     assert structural_eq(p, q, arr, FAM) == all(agree(cp, cq, t) for t in facts)
 
 
+# --- masks against the pointwise oracle ---------------------------------------
+
+
+@st.composite
+def _guarded_worlds(draw):
+    """A family closed from up to three generators over up to five
+    statements, a basis, and a pool of privileges whose atoms carry
+    witness conditions, constants and guards nested up to three deep,
+    each guard of either operator and, for ``<:``, either merge mode; and
+    two privileges of the pool."""
+    statements = [Statement(f"s{i}") for i in range(draw(st.integers(1, 5)))]
+    subsets = st.frozensets(st.sampled_from(statements))
+    generators = draw(st.lists(subsets, max_size=3))
+    family = close_family(statements, [Fact(f"g{i}", g) for i, g in enumerate(generators)])
+    witness_sets = st.frozensets(st.sampled_from(statements), min_size=1)
+    witnessed = draw(st.lists(witness_sets, min_size=1, max_size=3))
+    conditions = [WitnessCondition(f"w{i}", w) for i, w in enumerate(witnessed)] + [OPEN, SEALED]
+    arr = Arrangement(draw(_disjoint_bases()))
+
+    def privilege(min_size=0):
+        fns = st.sampled_from(_IDX_FUNCTIONS)
+        conds = st.frozensets(st.sampled_from(conditions), max_size=2)
+        atom = st.builds(PrivilegeAtom, st.builds(Employment, fns, _atom_entity_sets()), conds)
+        return Privilege(frozenset(draw(st.lists(atom, min_size=min_size, max_size=3))))
+
+    # Each guard reads the latest privilege, which carries the guard before.
+    pool = [privilege()]
+    for _ in range(3):
+        u, v = pool[-1], draw(st.sampled_from(pool))
+        if draw(st.booleans()):
+            u, v = v, u
+        if draw(st.booleans()):
+            guard = compliance_condition(u, v, arr, draw(st.sampled_from([INTER, UNION])))
+        else:
+            guard = congruence_condition(u, v, arr)
+        conditions.append(guard)
+        pool.append(compose(privilege(), privilege(1).with_condition(guard)))
+    return family, arr, draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_guarded_worlds(), st.sampled_from([INTER, UNION]), st.data())
+def test_queries_agree_with_the_pointwise_oracle_at_every_fact(world, mode, data):
+    # Masks against the dense definition at each fact: at the family's
+    # placed facts, at hand-built copies of them (each a family of one)
+    # and at a hand-built fact the family need not hold, in any order.
+    family, arr, p, q = world
+    hand = [Fact(f"h{k}", f.statements) for k, f in enumerate(family.facts)]
+    loose = Fact("loose", data.draw(st.frozensets(st.sampled_from(sorted(family.universe)))))
+    facts = data.draw(st.permutations([*family.facts, *hand, loose]))
+    merged = pairwise_merge(p, q, mode)
+    rows = []
+    for t in facts:
+        pp, pq = (tuple(pointwise_pulse(x, arr.basis, t)) for x in (p, q))
+        rows.append(pp)
+        assert pulse(p, arr, t).bits == pp
+        assert congruent(p, q, arr, t) == (pp == pq)
+        pm = tuple(pointwise_pulse(merged, arr.basis, t))
+        assert compliant(p, q, arr, t, mode) == (pm == pq)
+        for atom in p.atoms:
+            for c in atom.conditions:
+                assert c.evaluate(t) == pointwise_holds(c, t)
+    assert trace(p, arr, facts).cells == tuple(zip(*rows))
+    assert structural_eq(p, q, arr, family) == all(
+        pointwise_pulse(p, arr.basis, t) == pointwise_pulse(q, arr.basis, t) for t in family.facts
+    )
+
+
+def test_masks_pin_neither_families_nor_guards():
+    # A family is freed by reference counting alone: its facts and the
+    # masks built over it hold it weakly. A guard whose masks were built
+    # leaves the hash-consing table once it is dropped, and a placed fact
+    # is equal to, hashes like and prints like the same fact built by hand.
+    gc.collect()
+    guards = len(privilege_module._guards)
+    family = power_family("s1", "s2")
+    fact = family.fact("s1")
+    by_hand = Fact("s1", frozenset({Statement("s1")}))
+    assert fact.place is not None and by_hand.place is None
+    assert (fact, hash(fact), repr(fact)) == (by_hand, hash(by_hand), repr(by_hand))
+    arr = atomic_arrangement([READ, WRITE], _IDX_ENTITIES)
+    p = priv((READ, UNIVERSAL, [C1]))
+    guard = compliance_condition(p, priv((WRITE, UNIVERSAL, [C2])), arr, UNION)
+    g = p.with_condition(guard)
+    assert pulse(g, arr, fact).bits == pulse(g, arr, by_hand).bits
+    trace(g, arr, family.facts)
+    assert not structural_eq(g, p, arr, family)
+    ref = weakref.ref(family)
+    assert ref in guard._masks and ref in C1._masks
+    gc.disable()
+    try:
+        del family, fact
+        assert ref() is None
+    finally:
+        gc.enable()
+    C1.mask(power_family("s1"))  # storing a mask drops those of dead families
+    assert ref not in C1._masks
+    refs = [weakref.ref(x) for x in (p, guard, g)]
+    del p, guard, g
+    gc.collect()
+    assert [r() for r in refs] == [None] * 3
+    assert len(privilege_module._guards) == guards
+
+
+def test_placed_facts_and_values_with_masks_pickle_as_values():
+    # Places and masks hold weak references, which do not pickle; a copy
+    # is equal and unplaced, and builds its masks afresh.
+    family = power_family("s1", "s2")
+    fact = family.fact("s1")
+    coefficient = Coefficient.from_conjunctions([{C1, C2}, {C2, OPEN}])
+    for value in (C1, coefficient):
+        value.mask(family)
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and copy.evaluate(fact) == value.evaluate(fact)
+    copy = pickle.loads(pickle.dumps(fact))
+    assert (copy, copy.place) == (fact, None)
+
+
 def test_merge_pairs_atoms_only_within_a_function(monkeypatch):
     # Each pairing intersects the two entity sets once.
     calls = []
@@ -839,30 +963,35 @@ def test_pulse_and_trace_evaluate_only_overlapped_elements(monkeypatch):
 
 
 def test_the_pair_walk_stops_at_the_first_element_that_disagrees(monkeypatch):
-    # Pairs go by lowest element, so a verdict evaluates no more than a
-    # walk of the elements in basis order would; the leading list/{a}
-    # holds an equal pair, which is never evaluated.
+    # Pairs go by lowest element, so a verdict reads no more masks than a
+    # walk of the elements in basis order would: the leading list/{a}
+    # holds an equal pair, whose masks are never read, and the walk
+    # stops at read/{a} when that pair disagrees, before write's pair.
     arr = atomic_arrangement([LIST_, READ, WRITE], _IDX_ENTITIES)
     a_to_c = EntitySet.finite(_IDX_ENTITIES[:3])
     lead = (LIST_, EntitySet.finite([_A]), [WitnessCondition("c0", frozenset({Statement("s2")}))])
     p = priv(lead, (READ, EntitySet.finite([_A]), [C1]), (WRITE, a_to_c, [C2]))
-    q = priv(lead, (READ, EntitySet.finite([_A]), [C2]), (WRITE, a_to_c, [C2]))
-    evaluated = []
-    evaluate = Coefficient.evaluate
+    q = priv(lead, (READ, EntitySet.finite([_A]), [C2]), (WRITE, a_to_c, [OPEN]))
+    read = []
+    mask = Coefficient.mask
 
-    def counting(self, fact):
-        evaluated.append(self)
-        return evaluate(self, fact)
+    def counting(self, family):
+        read.append(self)
+        return mask(self, family)
 
-    monkeypatch.setattr(Coefficient, "evaluate", counting)
+    monkeypatch.setattr(Coefficient, "mask", counting)
+    on_c1, on_c2, always = (Coefficient.from_conjunctions([{c}]) for c in (C1, C2, OPEN))
     assert not congruent(p, q, arr, T_S1)
-    assert evaluated == [Coefficient.from_conjunctions([{c}]) for c in (C1, C2)]
+    assert read == [on_c1, on_c2]
+    read.clear()
+    assert not congruent(p, q, arr, T_EMPTY)  # read/{a} agrees there
+    assert read == [on_c1, on_c2, on_c2, always]
 
 
 def test_eq_of_equal_values_spelled_differently_evaluates_nothing(monkeypatch):
     # A privilege and its twin, spelled one function and one entity per
     # atom in reverse order: different values, equal coefficients
-    # everywhere, so eq over 1,024 facts evaluates no coefficient.
+    # everywhere, so eq over 1,024 facts builds no mask and visits no fact.
     family = power_family(*(f"s{i}" for i in range(10)))
     assert len(family.facts) == 1024
     arr = atomic_arrangement([LIST_, READ, WRITE], _IDX_ENTITIES)
@@ -873,21 +1002,21 @@ def test_eq_of_equal_values_spelled_differently_evaluates_nothing(monkeypatch):
     twin = priv(*((f, EntitySet.finite([e]), [c]) for fs, es, c in terms[::-1]
                   for f in fs[::-1] for e in es[::-1]))
     assert p != twin
-    evaluated = []
-    evaluate = Coefficient.evaluate
+    built = []
+    mask = Masked.mask
 
-    def counting(self, fact):
-        evaluated.append(self)
-        return evaluate(self, fact)
+    def counting(self, over):
+        built.append(self)
+        return mask(self, over)
 
-    monkeypatch.setattr(Coefficient, "evaluate", counting)
+    monkeypatch.setattr(Masked, "mask", counting)
     visited = []
     watched = SimpleNamespace(facts=(visited.append(t) or t for t in family.facts))
     assert structural_eq(p, twin, arr, watched)
-    assert evaluated == visited == []
-    # one more atom: the pair it changes is evaluated until it disagrees
+    assert built == visited == []
+    # one more atom: the masks of the pairs it changes are built
     assert not structural_eq(p, compose(twin, priv((WRITE, UNIVERSAL, [w[2]]))), arr, family)
-    assert evaluated
+    assert built
 
 
 def test_a_guard_over_equal_pairs_evaluates_no_nested_guard(monkeypatch):

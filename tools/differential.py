@@ -20,7 +20,13 @@ match on both sides:
   scope taken before a ``let`` grows its category, a guard nested too
   deep through names after the queried name, and a guard read without
   an arrangement;
-- ``check`` of every prefix of each ``samples/*.pal``.
+- ``check`` of every prefix of each ``samples/*.pal``;
+- guarded-trace's seed-1 facts file (a 1,024-fact family closed from 10
+  generators), program and atomic arrangement: its first 25 queries
+  (``pulse``, ``trace`` and ``eq``), with two ``comply`` and one ``eq``
+  per pulsed guard chain (against its guard's target, its outer scope
+  and its previous level), about 50 facts in all, under both merge
+  modes.
 
 Each tree runs in a child process with ``PYTHONPATH=TREE/src`` that
 calls ``privcalc.cli.main`` in-process for each invocation and captures
@@ -39,6 +45,7 @@ from __future__ import annotations
 import collections
 import json
 import os
+import random
 import re
 import shlex
 import shutil
@@ -63,6 +70,7 @@ OPTION_SETS = (
 )
 POLICY_SEEDS = (1, 2, 3)
 POLICY_COMMANDS = 80
+GUARDED_QUERIES = 25  # about 50 facts
 
 # name -> (program, commands run on it); each command is argv after the file
 SHAPES = {
@@ -137,10 +145,20 @@ def sample_commands() -> list[list[str]]:
     return commands
 
 
+def _bench_modules():
+    """``bench/gen.py`` and ``bench/workloads.py``, imported from this
+    checkout without writing bytecode there."""
+    if str(ROOT / "bench") not in sys.path:
+        sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    sys.dont_write_bytecode = True
+    import gen  # noqa: E402  (bench/ is on the path only now)
+    import workloads  # noqa: E402
+
+    return gen, workloads
+
+
 def policy_commands(workdir: Path) -> list[list[str]]:
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
-    sys.dont_write_bytecode = True  # read bench/, write nothing there
-    import workloads  # noqa: E402  (bench/ is on the path only now)
+    _, workloads = _bench_modules()
 
     commands = []
     for seed in POLICY_SEEDS:
@@ -153,6 +171,35 @@ def policy_commands(workdir: Path) -> list[list[str]]:
             firsts = {cmd[:2]: cmd for cmd in reversed(load.ops)}
             commands += [load.prepare(None, cmd) for _, cmd in sorted(firsts.items())]
     return commands
+
+
+def guarded_commands(workdir: Path) -> list[list[str]]:
+    gen, _ = _bench_modules()
+    inp = gen.make_guarded(random.Random("guarded-trace/1"))
+    entities = [e for members in inp.categories.values() for e in members]
+    (workdir / "guarded.facts").write_text(inp.facts_text, encoding="utf-8")
+    (workdir / "guarded.pal").write_text(inp.pal_text, encoding="utf-8")
+    basis = " + ".join(f"{op}/{e}" for op in sorted(inp.ops) for e in sorted(entities))
+    (workdir / "guarded.arr").write_text(basis + "\n", encoding="utf-8")
+    options = ["--facts", "guarded.facts", "--arrangement", "@guarded.arr"]
+    queries = []
+    for kind, name, *rest in inp.queries[:GUARDED_QUERIES]:
+        if kind == "trace":
+            queries.append(["trace", "--expr", name, "--seq", ",".join(map(gen.fact_id, rest[0]))])
+        elif kind == "pulse":
+            fact = gen.fact_id(rest[0])
+            queries.append(["pulse", "--expr", name, "--fact", fact])
+            _, op, scope, prev, qop, qent = inp.defs[name]
+            queries.append(["comply", "--p", name, "--q", f"{qop}/{qent}", "--fact", fact])
+            queries.append(["comply", "--p", f"{op}/{scope}", "--q", name, "--fact", fact])
+            queries.append(["eq", "--left", name, "--right", prev])
+        else:
+            queries.append(["eq", "--left", name, "--right", rest[0]])
+    return [
+        [query[0], "guarded.pal", *query[1:], *options, "--merge-conditions", mode]
+        for mode in ("union", "intersection")
+        for query in queries
+    ]
 
 
 def shape_commands(workdir: Path) -> list[list[str]]:
@@ -201,7 +248,7 @@ def main(argv: list[str]) -> int:
         shutil.copytree(ROOT / "samples", workdir / "samples")
         commands = (
             sample_commands() + policy_commands(workdir) + shape_commands(workdir)
-            + prefix_commands(workdir)
+            + prefix_commands(workdir) + guarded_commands(workdir)
         )
         corpus = workdir / "corpus.json"
         corpus.write_text(json.dumps(commands), encoding="utf-8")
