@@ -56,41 +56,35 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--arrangement", type=_given, help="arrangement expression, or @FILE to read it from a file"
     )
+    common.add_argument("file")
     common.set_defaults(handler=_cmd_program, query=None)
 
-    p = sub.add_parser("check", parents=[common], help="parse and resolve a program")
-    p.add_argument("file")
+    sub.add_parser("check", parents=[common], help="parse and resolve a program")
 
     p = sub.add_parser("eval", parents=[common], help="evaluate an expression")
-    p.add_argument("file")
     p.add_argument("--expr", required=True)
     p.set_defaults(query=lambda a: engine.EvalQuery(a.expr))
 
     p = sub.add_parser("nf", parents=[common], help="normal form over an arrangement")
-    p.add_argument("file")
     p.add_argument("--expr", required=True)
     p.set_defaults(query=lambda a: engine.NormalFormQuery(a.expr))
 
     p = sub.add_parser("eq", parents=[common], help="structural equality of two expressions")
-    p.add_argument("file")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.set_defaults(query=lambda a: engine.EquivalenceQuery(a.left, a.right))
 
     p = sub.add_parser("pulse", parents=[common], help="pulsed form at one fact")
-    p.add_argument("file")
     p.add_argument("--expr", required=True)
     p.add_argument("--fact", default="empty")
     p.set_defaults(query=lambda a: engine.PulseQuery(a.expr, a.fact))
 
     p = sub.add_parser("trace", parents=[common], help="trace matrix over a fact sequence (CSV)")
-    p.add_argument("file")
     p.add_argument("--expr", required=True)
     p.add_argument("--seq", required=True, type=_fact_ids, help="comma-separated fact ids")
     p.set_defaults(query=lambda a: engine.TraceQuery(a.expr, a.seq))
 
     p = sub.add_parser("comply", parents=[common], help="does p comply with q at a fact")
-    p.add_argument("file")
     p.add_argument("--p", required=True, dest="holder")
     p.add_argument("--q", required=True, dest="target")
     p.add_argument("--fact", default="empty")

@@ -78,7 +78,6 @@ __all__ = [
     "answer",
     "arrangement_from_text",
     "build_environment",
-    "eval_expr",
     "eval_text",
     "import_rbac",
     "load_arrangement",
@@ -100,12 +99,13 @@ class Environment:
 
     Built statement by statement by ``load_program`` or
     ``build_environment``, and read-only afterwards: ``eval_text``,
-    ``arrangement_from_text`` and ``answer`` leave its names as they
-    found them. ``privileges`` maps each name to the value of its latest
-    definition, computed on first read with the arrangement and mergence
-    set then; once ``read_all`` has computed them all, the environment
-    holds values and no syntax. The default fact family is the trivial
-    one (a single empty fact), enough for unconditioned privileges.
+    ``load_arrangement``, ``arrangement_from_text`` and ``answer`` leave
+    its names as they found them. ``privileges`` maps each name to the
+    value of its latest definition, computed on first read with the
+    arrangement and mergence set then; once ``read_all`` has computed
+    them all, the environment holds values and no syntax. The default
+    fact family is the trivial one (a single empty fact), enough for
+    unconditioned privileges.
     """
 
     def __init__(
@@ -254,11 +254,12 @@ def _resolve(
         if env is None:
             env = Environment()
         text = (program.source, filename)
+        warned: set[tuple[int, str]] = set()  # (line, category) of each empty scope
         for stmt in block.statements:
             if isinstance(stmt, pal.LetIs):
                 _load_let(stmt, env)
             else:
-                _load_define(stmt, env, program, text)
+                _load_define(stmt, env, program, text, warned)
     return env
 
 
@@ -280,7 +281,9 @@ def _load_let(stmt: pal.LetIs, env: Environment) -> None:
     env.categories.setdefault(stmt.category, set()).add(Entity(stmt.entity))
 
 
-def _load_define(stmt: pal.Define, env: Environment, program: pal.Program, text: tuple) -> None:
+def _load_define(
+    stmt: pal.Define, env: Environment, program: pal.Program, text: tuple, warned: set
+) -> None:
     bound: list = []
     _bind(stmt.body, env, bound)
     if stmt.name in env.functions or stmt.name in env.categories or stmt.name in env.conditions:
@@ -296,8 +299,9 @@ def _load_define(stmt: pal.Define, env: Environment, program: pal.Program, text:
         )
     if not all(env.categories.values()):  # only a scope makes a category empty
         scopes = [s for n in _walk(stmt.body) if isinstance(n, pal.Slash) for s in n.scopes]
-        for line_no, name in dict.fromkeys((line(s.at), s.id) for s in scopes):  # once a line
-            if not env.categories.get(name, True):
+        for line_no, name in ((line(s.at), s.id) for s in scopes):
+            if (line_no, name) not in warned and not env.categories.get(name, True):
+                warned.add((line_no, name))  # once a line and category
                 env.warnings.append(
                     f"line {line_no}: category '{name}' is empty here, "
                     f"so '/{name}' restricts everything away"
@@ -306,9 +310,9 @@ def _load_define(stmt: pal.Define, env: Environment, program: pal.Program, text:
     env._unread.append(definition)
 
 
-def eval_expr(node: pal.ExprNode, env: Environment) -> Privilege:
+def _eval_expr(node: pal.ExprNode, env: Environment) -> Privilege:
     """Evaluate an expression to a privilege value (a snapshot): bind its
-    names, compute the definitions they read, then its value."""
+    names in ``env``, compute the definitions they read, then its value."""
     bound: list = []
     _bind(node, env, bound)
     _evaluate(env, bound)
@@ -320,7 +324,7 @@ def eval_text(source: str, env: Environment) -> Privilege:
     text is no file, so its errors name none. Its new names bind within
     the text only, never in ``env``."""
     with in_text(source):
-        return eval_expr(pal.parse_expression(source), _reader(env))
+        return _eval_expr(pal.parse_expression(source), _reader(env))
 
 
 def _reader(env: Environment) -> Environment:
@@ -475,12 +479,14 @@ def load_arrangement(exprs: Sequence[pal.ExprNode], env: Environment) -> Arrange
     merge-disjoint; within one expression the atoms are taken in
     canonical order. An expression that evaluates to nothing is an
     error at its first name, and so is one that brings in an atom
-    overlapping an earlier one.
+    overlapping an earlier one. The expressions are read in one scope
+    of their own: a name new to ``env`` binds in them only.
     """
+    scope = _reader(env)
     basis: list[Employment] = []
     firsts: list[pal.Name | pal.Guard] = []  # where each basis element came from
     for node in exprs:
-        value = eval_expr(node, env)
+        value = _eval_expr(node, scope)
         # the element's first name or guard, for its position
         first = next(n for n in _walk(node) if isinstance(n, (pal.Name, pal.Guard)))
         if value.is_empty:
@@ -528,10 +534,9 @@ def _walk(node: pal.ExprNode) -> Iterator[pal.ExprNode]:
 
 def arrangement_from_text(text: str, env: Environment) -> Arrangement:
     """Parse "m1 + m2 + ..." and load it as an arrangement. The text is
-    no file, so its errors name none. Its new names bind within the text
-    only, never in ``env``."""
+    no file, so its errors name none."""
     with in_text(text):
-        return load_arrangement(_sum_terms(pal.parse_expression(text)), _reader(env))
+        return load_arrangement(_sum_terms(pal.parse_expression(text)), env)
 
 
 # --- role-model import -------------------------------------------------

@@ -20,13 +20,13 @@ conditions a facts file or a PAL program can state, and each is
 defined at every fact.
 
 Over a family, a condition's meaning is its mask, an ``int`` whose bit
-k is set where it holds at ``family.facts[k]``. ``Condition.mask``
-builds it once per family, from ``evaluate`` at each fact, and keeps it
-while the family lives; ``evaluate`` stays the definition. A family
-places its facts when it first sorts them: each learns its position
-there, so a query at a fact reads one bit of a mask. A fact that no
-live family placed, such as one built by hand, is read as a family of
-one.
+k is set where it holds at ``family.facts[k]``. ``Masked.mask`` builds
+it once per family, a leaf condition's from ``evaluate`` at each fact,
+and keeps it while the family lives; ``evaluate`` stays the
+definition. A family places its facts when it first sorts them: each
+learns its position there, so a query at a fact reads one bit of a
+mask. A fact that no live family placed, such as one built by hand, is
+read as a family of one.
 """
 
 from __future__ import annotations
@@ -240,29 +240,42 @@ def close_family(
 
 class Masked:
     """A boolean function on facts held as masks: per family, an ``int``
-    whose bit k is set where it holds at ``family.facts[k]``. Subclasses
-    implement ``_build_mask``; ``mask`` calls it on the first call per
-    family and keeps the mask, keyed by a weak reference to the family;
-    storing a mask drops those of families that have died."""
+    whose bit k is set where it holds at ``family.facts[k]``. A subclass
+    names the masks its own is built from (``_reads``) and combines them
+    (``_build_mask``). ``mask`` alone builds and stores masks: on the
+    first call per family it builds every mask read and not built yet,
+    inner before outer, on an explicit stack, so a mask nested any depth
+    costs no recursion. Each is kept under a weak reference to the
+    family, and storing one drops those of families that have died."""
 
-    # No masks until ``_keep`` gives the object a dict of its own.
+    # No masks until ``mask`` gives the object a dict of its own.
     _masks: Mapping[weakref.ref, int] = MappingProxyType({})
 
     def mask(self, family: FactFamily) -> int:
         key = weakref.ref(family)
         mask = self._masks.get(key)
         if mask is None:
-            mask = self._keep(key, self._build_mask(family))
+            stack: list[Masked] = [self]
+            while stack:
+                top = stack.pop()
+                if key in top._masks:  # one that two others read is built once
+                    continue
+                waiting = [m for m in top._reads() if key not in m._masks]
+                if waiting:
+                    stack += [top, *waiting]
+                    continue
+                masks = {k: m for k, m in top._masks.items() if k() is not None}
+                masks[key] = top._build_mask(family)
+                object.__setattr__(top, "_masks", masks)
+            mask = self._masks[key]
         return mask
 
-    def _keep(self, key: weakref.ref, mask: int) -> int:
-        """Store the mask under ``key``, dropping the masks of dead families."""
-        masks = {k: m for k, m in self._masks.items() if k() is not None}
-        masks[key] = mask
-        object.__setattr__(self, "_masks", masks)
-        return mask
+    def _reads(self) -> Iterable[Masked]:
+        """The masked values whose masks ``_build_mask`` reads."""
+        return ()
 
     def _build_mask(self, family: FactFamily) -> int:
+        """The mask over ``family``, from the masks of ``_reads``."""
         raise NotImplementedError
 
     def __getstate__(self) -> dict:

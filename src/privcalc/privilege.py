@@ -349,6 +349,9 @@ class Coefficient(Masked):
 
     disjuncts: tuple[frozenset[Condition], ...] = ()
 
+    def _reads(self) -> Iterator[Condition]:
+        return (c for conjunction in self.disjuncts for c in conjunction)
+
     def _build_mask(self, family: FactFamily) -> int:
         full = (1 << len(family.facts)) - 1
         mask = 0
@@ -637,32 +640,15 @@ class HighOrderCondition(Condition):
         u = merge(self.left, self.right, self.mode) if self.op == "<:" else self.left
         return _overlapped_pairs(u, self.right, self.arrangement)
 
+    def _reads(self) -> Iterator[Coefficient]:
+        return (c for pair in self._rows for c in pair)
+
     def _build_mask(self, family: FactFamily) -> int:
-        """Set where every pair's masks agree. The guards in the pairs are
-        built first, inner before outer, on an explicit stack, so a guard
-        nested any depth costs no recursion."""
-        key = weakref.ref(family)
-        stack = [self]
-        while stack:
-            guard = stack[-1]
-            waiting = {
-                c
-                for pair in guard._rows
-                for coefficient in pair
-                for conjunction in coefficient.disjuncts
-                for c in conjunction
-                if isinstance(c, HighOrderCondition) and key not in c._masks
-            }
-            if waiting:
-                stack += waiting
-                continue
-            stack.pop()
-            if key not in guard._masks:  # a guard two others wait on is built once
-                differ = 0
-                for cu, cv in guard._rows:
-                    differ |= cu.mask(family) ^ cv.mask(family)
-                guard._keep(key, ((1 << len(family.facts)) - 1) & ~differ)
-        return self._masks[key]
+        """Set where every pair's masks agree."""
+        differ = 0
+        for cu, cv in self._rows:
+            differ |= cu.mask(family) ^ cv.mask(family)
+        return ((1 << len(family.facts)) - 1) & ~differ
 
     evaluate = Masked.holds
 

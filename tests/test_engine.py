@@ -8,7 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 from privcalc import (
     Arrangement,
     ArrangementError,
+    Coefficient,
     ComplianceQuery,
+    Condition,
     ConditionMergeMode,
     Entity,
     EntitySet,
@@ -16,6 +18,7 @@ from privcalc import (
     EquivalenceQuery,
     EvalQuery,
     FunctionSymbol,
+    HighOrderCondition,
     NormalFormQuery,
     PrivCalcError,
     Privilege,
@@ -120,6 +123,16 @@ namespace "n" {
     assert env.warnings == [
         "line 2: category 'Later' is empty here, so '/Later' restricts everything away",
         "line 4: category 'Other' is empty here, so '/Other' restricts everything away",
+    ]
+
+
+def test_two_definitions_on_one_line_warn_once_per_category():
+    source = 'namespace "n" { x := read/C  y := write/C + list/D\n  z := read/C }\n'
+    env = example_env(source=source)
+    assert env.warnings == [
+        "line 1: category 'C' is empty here, so '/C' restricts everything away",
+        "line 1: category 'D' is empty here, so '/D' restricts everything away",
+        "line 2: category 'C' is empty here, so '/C' restricts everything away",
     ]
 
 
@@ -466,6 +479,47 @@ def test_congruence_guard():
     (condition,) = atom.conditions
     assert condition.id == "[list/TechDoc + read/TechDoc ~ list/TechDoc + read/TechDoc]"
     assert condition.evaluate(env.family.fact("empty")) is True
+
+
+def test_each_mask_is_built_once_per_family(monkeypatch):
+    # ``Masked.mask`` is the one builder: over a guard chain three deep
+    # through names, asked twice, each leaf condition, coefficient and
+    # guard builds its mask over the family once.
+    builds: dict[int, list] = {}
+    for cls in (Condition, Coefficient, HighOrderCondition):
+
+        def spy(self, family, build=vars(cls)["_build_mask"]):
+            builds.setdefault(id(self), [self]).append(family)
+            return build(self, family)
+
+        monkeypatch.setattr(cls, "_build_mask", spy)
+    source = """\
+namespace "g" {
+  g0 := read * logged + write
+  g1 := read * [g0 <: read]
+  g2 := list * [g1 ~ read * logged]
+  g3 := write * [g2 + g1 <: list + read]
+}
+"""
+    fam = power_family("s1", "s2")
+    logged = WitnessCondition("logged", fam.fact("s2").statements)
+    env = build_environment(source, fam, {"logged": logged}, "read + write + list", UNION)
+    queries = [
+        PulseQuery("g3", "s2"),
+        TraceQuery("g3 + g1", ("empty", "s1", "s2")),
+        EquivalenceQuery("g2", "list"),
+    ]
+    texts = [answer(query, env).text for query in queries * 2]
+    assert texts == [
+        "0 1 0",
+        "employment,empty,s1,s2\nread/*,0,0,1\nwrite/*,0,0,1\nlist/*,0,0,0",
+        "equal",
+    ] * 2
+    assert {type(value) for value, *_ in builds.values()} == {
+        WitnessCondition, Coefficient, HighOrderCondition
+    }
+    assert sum(isinstance(value, HighOrderCondition) for value, *_ in builds.values()) == 3
+    assert [families for _, *families in builds.values()] == [[fam]] * len(builds)
 
 
 # --- named conditions --------------------------------------------------------
@@ -1327,14 +1381,34 @@ def test_an_answer_does_not_depend_on_earlier_answers(first, second):
 
 
 @pytest.mark.parametrize("text", ["X + write", "X + write + Z/Z", "Y + read/W"])
-def test_an_arrangement_text_binds_no_name(text):
+@pytest.mark.parametrize(
+    "read",
+    [arrangement_from_text, lambda text, env: load_arrangement([pal.parse_expression(text)], env)],
+    ids=["arrangement_from_text", "load_arrangement"],
+)
+def test_an_arrangement_text_binds_no_name(read, text):
     env = _unbound_env()
     tables = _name_tables(env)
     try:
-        arrangement_from_text(text, env)
+        read(text, env)
     except PrivCalcError:
         pass
     assert _name_tables(env) == tables
+
+
+def test_a_name_a_reader_met_is_still_free_for_a_program():
+    # Only a program binds names: after every public reader has met
+    # `audit` as a function and `Nowhere` as an empty category, a program
+    # may still make `audit` an entity of `Nowhere`.
+    env = _unbound_env()
+    tables = _name_tables(env)
+    load_arrangement([pal.parse_expression("audit/Nowhere + zap")], env)
+    arrangement_from_text("audit + zap", env)
+    assert eval_text("audit/Nowhere", env).is_empty
+    assert answer(PulseQuery("zap + audit/Nowhere", "empty"), env).text == "0 0"
+    assert _name_tables(env) == tables
+    load_program(parse_text('namespace "n" { let audit is Nowhere  let zap is D }'), env)
+    assert env.kinds_of("audit") == ["entity"] and env.kinds_of("Nowhere") == ["category"]
 
 
 def test_answer_errors_carry_no_file_name():

@@ -134,3 +134,55 @@ def test_modules_import_only_lower_layers():
         if LAYERS.index(name) >= LAYERS.index(path.stem)
     ]
     assert upward == []
+
+
+def _assigned(target: ast.expr) -> list[str]:
+    """The names and attribute names an assignment target binds."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [name for element in target.elts for name in _assigned(element)]
+    if isinstance(target, ast.Starred):
+        return _assigned(target.value)
+    if isinstance(target, ast.Name):
+        return [target.id]
+    if isinstance(target, ast.Attribute):
+        return [target.attr]
+    return []
+
+
+def _private_names(tree: ast.Module) -> tuple[set[str], list[tuple[int, str]]]:
+    """The private names a module defines (``def`` and ``class`` names,
+    assignment and annotation targets, ``_``-prefixed string constants
+    such as ``__slots__`` entries), and each ``x._name`` it reads, by line."""
+    defined: set[str] = set()
+    read: list[tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(name for target in node.targets for name in _assigned(target))
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            defined.update(_assigned(node.target))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            defined.add(node.value)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.append((node.lineno, node.attr))
+
+    def private(name: str) -> bool:
+        return name.startswith("_") and not re.fullmatch(r"__\w+__", name)
+
+    return set(filter(private, defined)), [(line, name) for line, name in read if private(name)]
+
+
+def test_modules_read_no_private_name_only_another_module_defines():
+    # A module's private state is its own: no module reaches into the
+    # private attributes of another (as ``privilege`` once did into the
+    # masks that ``facts.Masked`` stores).
+    scanned = {path.name: _private_names(_parse(path)) for path in SOURCES}
+    reaches = [
+        f"{module}:{line} reads {name}"
+        for module, (own, reads) in scanned.items()
+        for line, name in reads
+        if name not in own
+        and any(name in other for m, (other, _) in scanned.items() if m != module)
+    ]
+    assert reaches == []

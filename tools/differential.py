@@ -18,8 +18,9 @@ match on both sides:
 - the shapes that evaluating a definition only when a command reads it
   could break: a redefined name that a later definition still reads, a
   scope taken before a ``let`` grows its category, a guard nested too
-  deep through names after the queried name, and a guard read without
-  an arrangement;
+  deep through names after the queried name, a guard read without
+  an arrangement, and definitions sharing a line that scope one empty
+  category;
 - ``check`` of every prefix of each ``samples/*.pal``;
 - guarded-trace's seed-1 facts file (a 1,024-fact family closed from 10
   generators), program and atomic arrangement: its first 25 queries
@@ -93,6 +94,10 @@ SHAPES = {
             ["check"], ["eval", "--expr", "g1"], ["eval", "--expr", "g150"],
             ["pulse", "--expr", "g1"], ["eq", "--left", "g1", "--right", "g1"],
         )] + [["check", "--arrangement", "read + read"]],
+    ),
+    "oneline.pal": (
+        'namespace "n" { x := read/C  y := write/C + list/D  let d is D  z := read/D/C }\n',
+        [["check"], ["eval", "--expr", "y"], ["eval", "--expr", "z"]],
     ),
     "guarded.pal": (
         'namespace "g" {\n  x := read\n  y := read * [x <: read]\n}\n',
