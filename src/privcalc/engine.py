@@ -256,57 +256,57 @@ def _resolve(
         text = (program.source, filename)
         warned: set[tuple[int, str]] = set()  # (line, category) of each empty scope
         for stmt in block.statements:
-            if isinstance(stmt, pal.LetIs):
+            if type(stmt) is pal.LetIs:
                 _load_let(stmt, env)
             else:
                 _load_define(stmt, env, program, text, warned)
     return env
 
 
-def _clash(name: str, kinds: set[str], wanted: str, stmt) -> ResolutionError:
-    kind = sorted(kinds)[0]
+def _clash(name: str, env: Environment, kinds: set[str], wanted: str, at: int) -> ResolutionError:
+    """``name`` cannot be bound as ``wanted`` where it has one of
+    ``kinds``: the first of them it has, or else "entity"."""
+    kind = min(kinds.intersection(env.kinds_of(name)), default="entity")
     article = "an" if kind == "entity" else "a"
     message = f"'{name}' is already {article} {kind}, cannot use it as {wanted}"
-    return ResolutionError(message, at=stmt.at)
+    return ResolutionError(message, at=at)
 
 
 def _load_let(stmt: pal.LetIs, env: Environment) -> None:
-    bad = {"function", "category", "condition"} & set(env.kinds_of(stmt.entity))
-    if bad:
-        raise _clash(stmt.entity, bad, "an entity", stmt)
-    bad = {"function", "entity", "privilege", "condition"} & set(env.kinds_of(stmt.category))
-    if bad or stmt.category == stmt.entity:  # `let x is x` would make x both
-        raise _clash(stmt.category, bad or {"entity"}, "a category", stmt)
-    env.entities.add(stmt.entity)
-    env.categories.setdefault(stmt.category, set()).add(Entity(stmt.entity))
+    entity, category, at = stmt
+    if entity in env.functions or entity in env.categories or entity in env.conditions:
+        raise _clash(entity, env, {"function", "category", "condition"}, "an entity", at)
+    if (  # `let x is x` would make x both
+        category == entity or category in env.functions or category in env.entities
+        or category in env._latest or category in env.conditions
+    ):
+        kinds = {"function", "entity", "privilege", "condition"}
+        raise _clash(category, env, kinds, "a category", at)
+    env.entities.add(entity)
+    env.categories.setdefault(category, set()).add(Entity(entity))
 
 
 def _load_define(
     stmt: pal.Define, env: Environment, program: pal.Program, text: tuple, warned: set
 ) -> None:
+    name, body, at = stmt
     bound: list = []
-    _bind(stmt.body, env, bound)
-    if stmt.name in env.functions or stmt.name in env.categories or stmt.name in env.conditions:
-        bad = {"function", "category", "condition"} & set(env.kinds_of(stmt.name))
-        raise _clash(stmt.name, bad, "a privilege", stmt)
-
-    def line(at: int) -> int:
-        return line_column(program.line_starts, at)[0]
-
-    if stmt.name in env._latest:
-        env.warnings.append(
-            f"line {line(stmt.at)}: redefinition of '{stmt.name}' (latest wins)"
-        )
+    _bind(body, env, bound)
+    if name in env.functions or name in env.categories or name in env.conditions:
+        raise _clash(name, env, {"function", "category", "condition"}, "a privilege", at)
+    if name in env._latest:
+        line_no = line_column(program.line_starts, at)[0]
+        env.warnings.append(f"line {line_no}: redefinition of '{name}' (latest wins)")
     if not all(env.categories.values()):  # only a scope makes a category empty
-        scopes = [s for n in _walk(stmt.body) if isinstance(n, pal.Slash) for s in n.scopes]
-        for line_no, name in ((line(s.at), s.id) for s in scopes):
-            if (line_no, name) not in warned and not env.categories.get(name, True):
-                warned.add((line_no, name))  # once a line and category
+        for scope in (s for n in _walk(body) if type(n) is pal.Slash for s in n.scopes):
+            key = (line_column(program.line_starts, scope.at)[0], scope.id)
+            if key not in warned and not env.categories.get(scope.id, True):
+                warned.add(key)  # once a line and category
                 env.warnings.append(
-                    f"line {line_no}: category '{name}' is empty here, "
-                    f"so '/{name}' restricts everything away"
+                    f"line {key[0]}: category '{scope.id}' is empty here, "
+                    f"so '/{scope.id}' restricts everything away"
                 )
-    env._latest[stmt.name] = definition = _Definition(stmt.body, bound, text)
+    env._latest[name] = definition = _Definition(body, bound, text)
     env._unread.append(definition)
 
 
@@ -339,13 +339,30 @@ def _bind(node: pal.ExprNode, env: Environment, bound: list) -> None:
     stands: a definition, a function's name, ``0``'s value or, after
     ``/``, an entity set. The names come in the order ``_value`` reads
     them, which takes one binding a read, and a fault of a name is the
-    one that the first faulty read would meet."""
-    if isinstance(node, pal.Name):
-        bound.append(_bind_name(node, env))
-    elif isinstance(node, pal.Slash):
+    one that the first faulty read would meet. Recursion is bounded as
+    the parser bounds nesting; the node shapes come most common first."""
+    kind = type(node)
+    if kind is pal.Sum:
+        for operand in node.operands:
+            _bind(operand, env, bound)
+    elif kind is pal.Slash:
         _bind(node.operand, env, bound)
-        bound += [_resolve_scope(scope, env) for scope in node.scopes]
-    elif isinstance(node, pal.Guard):
+        for scope in node.scopes:
+            bound.append(_resolve_scope(scope, env))
+    elif kind is pal.Name:
+        if node.id in env._latest:
+            bound.append(env._latest[node.id])
+        elif node.id in env.functions:  # settled by the name's first read
+            bound.append(node.id)
+        else:
+            bound.append(_bind_name(node, env))
+    elif kind is pal.Product:
+        first, *rest = _factors(node.operands, env)
+        _bind(first, env, bound)
+        for factor in rest:
+            if type(factor) is pal.Guard or not _is_condition(factor, env):
+                _bind(factor, env, bound)
+    elif kind is pal.Guard:
         if env.arrangement is None:
             message = (
                 "guard expressions need an arrangement in scope "
@@ -354,26 +371,15 @@ def _bind(node: pal.ExprNode, env: Environment, bound: list) -> None:
             raise ResolutionError(message, at=node.at)
         _bind(node.left, env, bound)
         _bind(node.right, env, bound)
-    elif isinstance(node, pal.Product):
-        first, *rest = _factors(node.operands, env)
-        _bind(first, env, bound)
-        for factor in rest:
-            if isinstance(factor, pal.Guard) or not _is_condition(factor, env):
-                _bind(factor, env, bound)
-    elif isinstance(node, pal.Sum):
-        for operand in node.operands:
-            _bind(operand, env, bound)
     else:
         raise TypeError(f"not an expression node: {node!r}")
 
 
-def _bind_name(node: pal.Name, env: Environment) -> _Definition | str | Privilege:
-    if node.id in env._latest:
-        return env._latest[node.id]
+def _bind_name(node: pal.Name, env: Environment) -> str | Privilege:
+    """What a name that is neither a privilege nor a function denotes:
+    ``0``'s value, or else a new function."""
     if node.id == "0":
         return Privilege()
-    if node.id in env.functions:  # the common case, settled by the first read
-        return node.id
     kinds = env.kinds_of(node.id)
     if "entity" in kinds or "category" in kinds:
         article = "an entity" if "entity" in kinds else "a category"
@@ -387,18 +393,19 @@ def _bind_name(node: pal.Name, env: Environment) -> _Definition | str | Privileg
 
 
 def _value(node: pal.ExprNode, env: Environment, bound: Iterator) -> Privilege:
-    if isinstance(node, pal.Name):
+    kind = type(node)
+    if kind is pal.Name:
         binding = next(bound)
-        if isinstance(binding, _Definition):
+        if type(binding) is _Definition:
             return binding.value
-        if isinstance(binding, str):
+        if type(binding) is str:
             return Privilege.single(Employment(FunctionSymbol(binding), UNIVERSAL))
         return binding
-    if isinstance(node, pal.Sum):
+    if kind is pal.Sum:
         return compose(*[_value(operand, env, bound) for operand in node.operands])
-    if isinstance(node, pal.Product):
+    if kind is pal.Product:
         return _eval_product(node.operands, env, bound)
-    if isinstance(node, pal.Slash):
+    if kind is pal.Slash:
         value = _value(node.operand, env, bound)
         for _ in node.scopes:
             value = value.restricted(next(bound))

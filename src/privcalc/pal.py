@@ -35,15 +35,20 @@ A token's kind is its spelling for a keyword or punctuation (``"let"``,
 token or node holds its source position as one character offset,
 ``at``. The reader of a text counts the line and column of an offset
 only for an error that leaves it (``errors.in_text``), and the engine
-only for a warning.
+only for a warning. Tokens and nodes are named tuples, which the lexer
+and parser build with ``tuple.__new__``, bypassing a Python-level
+constructor per token and node; a node's equality and hash ignore
+``at``.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Container, Iterable, Iterator, NamedTuple, Union
+from operator import itemgetter
+from typing import Container, Iterable, Iterator, NamedTuple, NoReturn, Union
 
 from .errors import SourceError, in_text, line_starts
 
@@ -104,15 +109,15 @@ class Token(NamedTuple):
 # "\n" ends a line: other Unicode breaks and spaces are characters.
 BLANKS = " \t\r"
 _NON_BLANKS = re.compile(f"[^{BLANKS}]+")
-# ASCII only, unlike \w. Each match takes the blanks, newlines and
-# comments before a token (group 1, possessive, so a long run is never
-# backtracked into) and then one of: a word or operator (2), a string's
-# body (3), an unpaired '"' (4), any other character (5) or the end of
-# the input (none). A "0" is a token only when no word character follows.
+# ASCII only, unlike \w. Each match is the blanks, newlines and comments
+# before a token (group 1, possessive, so a long run is never backtracked
+# into), then a word or operator (2) or anything else (3): a string, an
+# unpaired '"', any other character or, at the end of the input, nothing.
+# A "0" is a token only when no word character follows.
 _WORD = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _TOKEN = re.compile(
-    rf"((?:[{BLANKS}\n]+|#[^\n]*)*+)"
-    rf"(?:({_WORD.pattern}|0(?![A-Za-z0-9_])|:=|<:|[+*/(){{}}\[\]~])|\"([^\"\n]*)\"|(\")|(.)|\Z)"
+    rf"([{BLANKS}\n]*+(?:#[^\n]*+[{BLANKS}\n]*+)*+)"
+    rf"(?:({_WORD.pattern}|0(?![A-Za-z0-9_])|:=|<:|[+*/(){{}}\[\]~])|(\"[^\"\n]*+\"?|.|\Z))"
 )
 
 
@@ -158,52 +163,73 @@ def tokenize(source: str) -> list[Token]:
     text's length. A ``LexError`` is placed at the character at fault."""
     tokens: list[Token] = []
     append, spellings, new = tokens.append, _SPELLINGS, tuple.__new__
+    at = 0  # each match starts where the last one ended
     with in_text(source):
-        for match in _TOKEN.finditer(source):
-            group = match.lastindex
-            if group == 2:
-                text = match[2]
+        # four strings a match, the empty gap before it and its groups
+        pieces = iter(_TOKEN.split(source))
+        for _, skip, word, other in zip(pieces, pieces, pieces, pieces):
+            at += len(skip)
+            if word:
                 # Token's own constructor, less a Python-level call per token
-                append(new(Token, (text if text in spellings else IDENT, text, match.end(1))))
-            elif group == 3:
-                append(Token(STRING, match[3], match.end(1)))
-            elif group == 4:
-                raise LexError("unterminated string", at=match.end(1))
-            elif group == 5:
-                raise LexError(f"unexpected character {match[5]!r}", at=match.end(1))
+                append(new(Token, (word if word in spellings else IDENT, word, at)))
+                at += len(word)
+            elif len(other) > 1 and other[-1] == '"':
+                append(Token(STRING, other[1:-1], at))
+                at += len(other)
+            elif other[:1] == '"':
+                raise LexError("unterminated string", at=at)
+            elif other:
+                raise LexError(f"unexpected character {other!r}", at=at)
             else:
-                append(Token(EOF, "", match.end(1)))
+                append(Token(EOF, "", at))
                 return tokens
 
 
-@dataclass(frozen=True)
-class Name:
-    id: str
-    at: int = field(default=0, compare=False)
+class _Node(tuple):
+    """What AST nodes share. A node is a named tuple of its fields, with
+    its source position ``at`` last where it has one, 0 in a node built
+    by hand. Nodes are values: equality and hash read the node's type
+    and every field but ``at``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls):
+        cls._compared = len(cls._fields) - (cls._fields[-1] == "at")
+
+    def __eq__(self, other):
+        n = self._compared
+        return type(other) is type(self) and self[:n] == other[:n]
+
+    def __ne__(self, other):  # not tuple's, which reads ``at``
+        return not self == other
+
+    def __hash__(self):
+        return hash((type(self), self[: self._compared]))
 
 
-@dataclass(frozen=True)
-class Sum:
-    operands: tuple[ExprNode, ...]  # two or more
+class Name(namedtuple("Name", "id at", defaults=[0]), _Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Product:
-    operands: tuple[ExprNode, ...]  # two or more
+class Sum(namedtuple("Sum", "operands"), _Node):  # two or more operands
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Slash:
-    operand: ExprNode
-    scopes: tuple[Name, ...]  # one or more, applied left to right
+class Product(namedtuple("Product", "operands"), _Node):  # two or more operands
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Guard:
-    op: str  # "<:" or "~"
-    left: ExprNode
-    right: ExprNode
-    at: int = field(default=0, compare=False)  # of the "["
+class Slash(namedtuple("Slash", "operand scopes"), _Node):
+    """``operand`` restricted to each scope ``Name`` in turn."""
+
+    __slots__ = ()
+
+
+class Guard(namedtuple("Guard", "op left right at", defaults=[0]), _Node):
+    """``[left op right]``, ``op`` "<:" or "~", at its "["."""
+
+    __slots__ = ()
 
 
 ExprNode = Union[Name, Sum, Product, Slash, Guard]
@@ -218,18 +244,12 @@ def chain(kind: type[Sum] | type[Product], operands: Iterable[ExprNode]) -> Expr
     return operands[0] if operands else Name("0")
 
 
-@dataclass(frozen=True)
-class LetIs:
-    entity: str
-    category: str
-    at: int = field(default=0, compare=False)
+class LetIs(namedtuple("LetIs", "entity category at", defaults=[0]), _Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Define:
-    name: str
-    body: ExprNode
-    at: int = field(default=0, compare=False)
+class Define(namedtuple("Define", "name body at", defaults=[0]), _Node):
+    __slots__ = ()
 
 
 StatementNode = Union[LetIs, Define]
@@ -256,113 +276,126 @@ class Program:
 
 
 # Deepest nesting of "(" and "[" the parser accepts. Each level costs
-# the parser two stack frames (``expr`` and ``primary``) and the
+# the parser two stack frames (``expr`` and ``nested``) and the
 # evaluator at most two, so without a bound a deeply nested input
 # exhausts Python's recursion limit.
 MAX_NESTING = 100
 
 
 class _Parser:
-    """Reads ``tokens[pos]`` directly. Every token list ends in the EOF
-    token, which is never consumed, so ``pos`` always indexes a token."""
+    """Reads the columns of a token list, ``kinds[pos]``, ``texts[pos]``
+    and ``ats[pos]``: each rule takes the index of its first token and
+    returns what it read with the index after it. Every token list ends
+    in the EOF token, which no rule consumes, so an index past a token
+    that is not EOF indexes a token."""
 
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+        # not zip(*tokens), which makes an iterator for every token
+        self.kinds, self.texts, self.ats = (tuple(map(itemgetter(i), tokens)) for i in range(3))
         self.depth = 0  # "(" and "[" open around the current token
 
-    def expect(self, *kinds: str) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind not in kinds:
-            self.fail(*kinds)
-        self.pos += 1
-        return tok
+    def expect(self, pos: int, *kinds: str) -> int:
+        if self.kinds[pos] not in kinds:
+            self.fail(pos, *kinds)
+        return pos + 1
 
-    def fail(self, *kinds: str):
-        tok = self.tokens[self.pos]
+    def fail(self, pos: int, *kinds: str) -> NoReturn:
         names = sorted(f"'{k}'" if k in _SPELLINGS else k for k in kinds)
-        found = EOF if tok.kind == EOF else f"'{tok.text}'"
-        raise ParseError(f"expected {' or '.join(names)}, found {found}", at=tok.at)
+        found = EOF if self.kinds[pos] == EOF else f"'{self.texts[pos]}'"
+        raise ParseError(f"expected {' or '.join(names)}, found {found}", at=self.ats[pos])
 
     # program := namespace*
     def namespaces(self) -> tuple[Namespace, ...]:
         namespaces: list[Namespace] = []
         seen: set[str] = set()
-        while (tok := self.tokens[self.pos]).kind != EOF:
-            ns = self.namespace()
+        pos = 0
+        while self.kinds[pos] != EOF:
+            at = self.ats[pos]
+            ns, pos = self.namespace(pos)
             if ns.name in seen:
-                raise ParseError(f'duplicate namespace "{ns.name}"', at=tok.at)
+                raise ParseError(f'duplicate namespace "{ns.name}"', at=at)
             seen.add(ns.name)
             namespaces.append(ns)
         return tuple(namespaces)
 
-    def namespace(self) -> Namespace:
-        self.expect("namespace")
-        name = self.expect(STRING).text
-        self.expect("{")
+    def namespace(self, pos: int) -> tuple[Namespace, int]:
+        """The namespace and its statements, each statement read here."""
+        kinds, texts, ats, new = self.kinds, self.texts, self.ats, tuple.__new__
+        pos = self.expect(self.expect(pos, "namespace"), STRING)
+        name = texts[pos - 1]
+        pos = self.expect(pos, "{")
         statements: list[StatementNode] = []
-        while self.tokens[self.pos].kind != "}":
-            statements.append(self.statement())
-        self.expect("}")
-        return Namespace(name, tuple(statements))
-
-    def statement(self) -> StatementNode:
-        tok = self.tokens[self.pos]
-        if tok.kind == "let":
-            self.pos += 1
-            entity = self.expect(IDENT).text
-            self.expect("is")
-            category = self.expect(IDENT).text
-            return LetIs(entity, category, tok.at)
-        if tok.kind == IDENT:
-            self.pos += 1
-            self.expect(":=")
-            return Define(tok.text, self.expr(), tok.at)
-        self.fail("let", IDENT, "}")
-        raise AssertionError("unreachable")
-
-    def expr(self) -> ExprNode:
-        """A sum of products, each chain built once from a loop."""
-        tokens, terms = self.tokens, []
-        while True:
-            factors = [self.primary()]
-            while tokens[self.pos].kind == "*":
-                self.pos += 1
-                factors.append(self.primary())
-            terms.append(Product(tuple(factors)) if len(factors) > 1 else factors[0])
-            if tokens[self.pos].kind != "+":
-                return Sum(tuple(terms)) if len(terms) > 1 else terms[0]
-            self.pos += 1
-
-    def primary(self) -> ExprNode:
-        tokens = self.tokens
-        kind, text, at = tokens[self.pos]
-        if kind == IDENT or kind == "0":
-            self.pos += 1
-            node: ExprNode = Name(text, at)
-        else:
-            if kind != "(" and kind != "[":
-                self.fail(IDENT, "0", "(", "[")
-            if self.depth == MAX_NESTING:
-                raise ParseError(f"'{text}' nested more than {MAX_NESTING} deep", at=at)
-            self.pos += 1
-            self.depth += 1
-            node = self.expr()
-            if kind == "(":
-                self.expect(")")
+        while (kind := kinds[pos]) != "}":
+            if kind == "let":
+                if kinds[pos + 1 : pos + 4] != (IDENT, "is", IDENT):
+                    self.expect(self.expect(self.expect(pos + 1, IDENT), "is"), IDENT)
+                statements.append(new(LetIs, (texts[pos + 1], texts[pos + 3], ats[pos])))
+                pos += 4
+            elif kind == IDENT:
+                if kinds[pos + 1] != ":=":
+                    self.fail(pos + 1, ":=")
+                body, end = self.expr(pos + 2)
+                statements.append(new(Define, (texts[pos], body, ats[pos])))
+                pos = end
             else:
-                op = self.expect("<:", "~").text
-                node = Guard(op, node, self.expr(), at)
-                self.expect("]")
-            self.depth -= 1
-        if tokens[self.pos].kind != "/":
-            return node
-        scopes: list[Name] = []
-        while tokens[self.pos].kind == "/":
-            self.pos += 1
-            scope = self.expect(IDENT)
-            scopes.append(Name(scope.text, scope.at))
-        return Slash(node, tuple(scopes))
+                self.fail(pos, "let", IDENT, "}")
+        return Namespace(name, tuple(statements)), pos + 1
+
+    def expr(self, pos: int) -> tuple[ExprNode, int]:
+        """A sum of products, read in one loop over the primaries: the
+        operator after a primary says whether it joins a product or ends
+        a term, and each chain is built once. A name and its scopes are
+        read here, a bracketed primary by ``nested``."""
+        kinds, texts, ats, new = self.kinds, self.texts, self.ats, tuple.__new__
+        terms: list[ExprNode] = []
+        factors: list[ExprNode] = []
+        while True:
+            kind = kinds[pos]
+            if kind == IDENT or kind == "0":
+                node = new(Name, (texts[pos], ats[pos]))
+                pos += 1
+            else:
+                node, pos = self.nested(pos)
+            if kinds[pos] == "/":
+                scopes = []
+                while kinds[pos] == "/":
+                    if kinds[pos + 1] != IDENT:
+                        self.fail(pos + 1, IDENT)
+                    scopes.append(new(Name, (texts[pos + 1], ats[pos + 1])))
+                    pos += 2
+                node = new(Slash, (node, tuple(scopes)))
+            kind = kinds[pos]
+            if kind == "*":
+                factors.append(node)
+            else:
+                if factors:
+                    factors.append(node)
+                    node, factors = new(Product, (tuple(factors),)), []
+                if kind != "+":
+                    if terms:
+                        terms.append(node)
+                        node = new(Sum, (tuple(terms),))
+                    return node, pos
+                terms.append(node)
+            pos += 1
+
+    def nested(self, pos: int) -> tuple[ExprNode, int]:
+        """``( expr )`` or ``[ expr op expr ]``, before any scope."""
+        kind, at = self.kinds[pos], self.ats[pos]
+        if kind != "(" and kind != "[":
+            self.fail(pos, IDENT, "0", "(", "[")
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"'{kind}' nested more than {MAX_NESTING} deep", at=at)
+        self.depth += 1
+        node, pos = self.expr(pos + 1)
+        if kind == "(":
+            pos = self.expect(pos, ")")
+        else:
+            op = self.texts[self.expect(pos, "<:", "~") - 1]
+            right, pos = self.expr(pos + 1)
+            node, pos = Guard(op, node, right, at), self.expect(pos, "]")
+        self.depth -= 1
+        return node, pos
 
 
 def parse_text(source: str, filename: str | None = None) -> Program:
@@ -376,9 +409,8 @@ def parse_expression(source: str) -> ExprNode:
     text is no file, so its errors give only a position."""
     with in_text(source):
         parser = _Parser(tokenize(source))
-        node = parser.expr()
-        if parser.tokens[parser.pos].kind != EOF:
-            parser.fail(EOF)
+        node, pos = parser.expr(0)
+        parser.expect(pos, EOF)
     return node
 
 

@@ -23,7 +23,26 @@ from privcalc import (
     RbacModel,
     Statement,
 )
-from privcalc.pal import EOF, IDENT, STRING, LexError, Token
+from privcalc.pal import (
+    EOF,
+    IDENT,
+    MAX_NESTING,
+    STRING,
+    Define,
+    ExprNode,
+    Guard,
+    LetIs,
+    LexError,
+    Name,
+    Namespace,
+    ParseError,
+    Product,
+    Program,
+    Slash,
+    StatementNode,
+    Sum,
+    Token,
+)
 
 Grant = tuple[str, str]
 
@@ -290,3 +309,133 @@ def reference_tokens(source: str) -> list[tuple[Token, tuple[int, int]]]:
         i, column = end, column + end - i
     emit(EOF, "")
     return tokens
+
+
+# --- PAL trees ---------------------------------------------------------------------
+
+
+def reference_parse(source: str, expression: bool = False) -> Program | ExprNode:
+    """PAL's tree of ``source`` by a recursive-descent parser that reads
+    one ``Token`` at a time, one method per grammar rule, from
+    ``reference_tokens``: a whole program, or with ``expression`` one
+    expression that must end the text. A ``ParseError`` is placed at its
+    token's offset, line and column as the reference lexer counted them;
+    a ``LexError`` is the reference lexer's."""
+    scanned = reference_tokens(source)
+    parser = _Parser([tok for tok, _ in scanned])
+    try:
+        if not expression:
+            return Program(parser.namespaces(), source)
+        node = parser.expr()
+        if parser.tokens[parser.pos].kind != EOF:
+            parser.fail(EOF)
+        return node
+    except ParseError as exc:
+        exc.line, exc.column = dict((tok.at, place) for tok, place in scanned)[exc.at]
+        raise
+
+
+_SPELLINGS = _PAL_SPELLINGS | {"0"}  # the kinds an error message quotes
+
+
+class _Parser:
+    """Reads ``tokens[pos]`` directly. Every token list ends in the EOF
+    token, which is never consumed, so ``pos`` always indexes a token."""
+
+    def __init__(self, tokens: list[Token]):
+        self.tokens = tokens
+        self.pos = 0
+        self.depth = 0  # "(" and "[" open around the current token
+
+    def expect(self, *kinds: str) -> Token:
+        tok = self.tokens[self.pos]
+        if tok.kind not in kinds:
+            self.fail(*kinds)
+        self.pos += 1
+        return tok
+
+    def fail(self, *kinds: str):
+        tok = self.tokens[self.pos]
+        names = sorted(f"'{k}'" if k in _SPELLINGS else k for k in kinds)
+        found = EOF if tok.kind == EOF else f"'{tok.text}'"
+        raise ParseError(f"expected {' or '.join(names)}, found {found}", at=tok.at)
+
+    # program := namespace*
+    def namespaces(self) -> tuple[Namespace, ...]:
+        namespaces: list[Namespace] = []
+        seen: set[str] = set()
+        while (tok := self.tokens[self.pos]).kind != EOF:
+            ns = self.namespace()
+            if ns.name in seen:
+                raise ParseError(f'duplicate namespace "{ns.name}"', at=tok.at)
+            seen.add(ns.name)
+            namespaces.append(ns)
+        return tuple(namespaces)
+
+    def namespace(self) -> Namespace:
+        self.expect("namespace")
+        name = self.expect(STRING).text
+        self.expect("{")
+        statements: list[StatementNode] = []
+        while self.tokens[self.pos].kind != "}":
+            statements.append(self.statement())
+        self.expect("}")
+        return Namespace(name, tuple(statements))
+
+    def statement(self) -> StatementNode:
+        tok = self.tokens[self.pos]
+        if tok.kind == "let":
+            self.pos += 1
+            entity = self.expect(IDENT).text
+            self.expect("is")
+            category = self.expect(IDENT).text
+            return LetIs(entity, category, tok.at)
+        if tok.kind == IDENT:
+            self.pos += 1
+            self.expect(":=")
+            return Define(tok.text, self.expr(), tok.at)
+        self.fail("let", IDENT, "}")
+        raise AssertionError("unreachable")
+
+    def expr(self) -> ExprNode:
+        """A sum of products, each chain built once from a loop."""
+        tokens, terms = self.tokens, []
+        while True:
+            factors = [self.primary()]
+            while tokens[self.pos].kind == "*":
+                self.pos += 1
+                factors.append(self.primary())
+            terms.append(Product(tuple(factors)) if len(factors) > 1 else factors[0])
+            if tokens[self.pos].kind != "+":
+                return Sum(tuple(terms)) if len(terms) > 1 else terms[0]
+            self.pos += 1
+
+    def primary(self) -> ExprNode:
+        tokens = self.tokens
+        kind, text, at = tokens[self.pos]
+        if kind == IDENT or kind == "0":
+            self.pos += 1
+            node: ExprNode = Name(text, at)
+        else:
+            if kind != "(" and kind != "[":
+                self.fail(IDENT, "0", "(", "[")
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"'{text}' nested more than {MAX_NESTING} deep", at=at)
+            self.pos += 1
+            self.depth += 1
+            node = self.expr()
+            if kind == "(":
+                self.expect(")")
+            else:
+                op = self.expect("<:", "~").text
+                node = Guard(op, node, self.expr(), at)
+                self.expect("]")
+            self.depth -= 1
+        if tokens[self.pos].kind != "/":
+            return node
+        scopes: list[Name] = []
+        while tokens[self.pos].kind == "/":
+            self.pos += 1
+            scope = self.expect(IDENT)
+            scopes.append(Name(scope.text, scope.at))
+        return Slash(node, tuple(scopes))

@@ -38,7 +38,7 @@ from privcalc.pal import (
 )
 
 from fixtures import CHILD_ENV, EXAMPLE_PAL
-from oracles import reference_tokens
+from oracles import reference_parse, reference_tokens
 
 
 def _place(source: str, at: int) -> tuple[int, int]:
@@ -274,6 +274,32 @@ def test_megabyte_of_comment_lines_lexes_in_constant_memory():
     assert int(proc.stdout) < 32 * 1024  # KiB
 
 
+_CHAIN = 'namespace "n" {\n  x := a' + " + a" * (MEGABYTE // 4) + "\n}\n"
+_DEFINITIONS = (
+    'namespace "n" {\n'
+    + "".join(f"  x{i} := a{i} * b/C + c\n" for i in range(40_000))
+    + "}\n"
+)
+
+
+@pytest.mark.parametrize("source", [_CHAIN, _DEFINITIONS], ids=["one-sum", "many-definitions"])
+def test_megabyte_programs_parse_in_linear_time(source):
+    # One long chain is one node built once, and many statements are
+    # read in one pass; a quadratic step would not finish within the
+    # bound. Each parse takes about 1 s on a 2-core VM, so the bound is
+    # on this process's CPU time, which other tenants do not inflate.
+    start = time.process_time()
+    (namespace,) = parse_text(source).namespaces
+    assert time.process_time() - start < 2.0
+    last = namespace.statements[-1]
+    if source is _CHAIN:
+        assert len(namespace.statements) == 1 and len(last.body.operands) == MEGABYTE // 4 + 1
+    else:
+        assert len(namespace.statements) == 40_000 and last.at == source.rindex("x39999")
+        product = Product((Name("a39999"), Slash(Name("b"), (Name("C"),))))
+        assert last.body == Sum((product, Name("c")))
+
+
 # --- expression parsing -------------------------------------------------------
 
 
@@ -328,6 +354,10 @@ def test_ast_equality_ignores_positions():
     assert parse_expression("a +\n  b") == parse_expression("a + b")
     assert parse_expression("x/Y") == Slash(Name("x", 9), (Name("Y", 1),))
     assert parse_expression(" [a ~ b]") == Guard("~", a, b, 7)
+    assert hash(Name("x", 9)) == hash(Name("x")) and not Name("x", 9) != Name("x")
+    # a node is a tuple of its fields, but equals only a node of its type
+    assert Sum((a, b)) != Product((a, b)) and Name("x") != ("x", 0)
+    assert {Define("x", a, 3), Define("x", a)} == {Define("x", a, 5)}
 
 
 def test_nodes_keep_the_positions_of_names_and_brackets():
@@ -535,15 +565,20 @@ _FAULTS = st.sampled_from(["$", "é", '"', "9", ":", "<", "+", ")", "]", "{", "n
 
 
 @st.composite
-def _pal_sources(draw):
-    """A program's canonical text with each blank replaced by layout and,
-    in about half the draws, one fault spliced in."""
-    pieces = format_program(draw(_programs())).split(" ")
+def _laid_out(draw, texts):
+    """A text drawn from ``texts`` with each blank replaced by layout
+    and, in about half the draws, one fault spliced in."""
+    pieces = draw(texts).split(" ")
     source = "".join(piece + draw(_LAYOUT) for piece in pieces)
     if draw(st.booleans()):
         cut = draw(st.integers(0, len(source)))
         source = source[:cut] + draw(_FAULTS) + source[cut:]
     return source
+
+
+def _pal_sources():
+    """A program's canonical text, laid out, perhaps with a fault."""
+    return _laid_out(_programs().map(format_program))
 
 
 @settings(max_examples=150)
@@ -566,3 +601,38 @@ def test_offsets_place_tokens_and_errors_as_the_reference_lexer_counts(source):
         # a parse fault sits at a token, where the reference lexer put it
         assert (exc.line, exc.column) == places[exc.at]
         assert str(exc).startswith(f"g.pal:{exc.line}:{exc.column}: ")
+
+
+# Sources for the parser referee: soups of PAL's spellings, alone or
+# inside a namespace, and the texts of small programs and expressions,
+# laid out, perhaps with a fault.
+_SOUPS = st.lists(_DIFF_PIECES, max_size=40).map("".join)
+_REFEREE_SOURCES = st.one_of(
+    _SOUPS,
+    _SOUPS.map(lambda soup: 'namespace "n" {\n  ' + soup),
+    _laid_out(
+        st.lists(st.one_of(st.builds(LetIs, _names, _scopes), st.builds(Define, _names, _exprs(2))), max_size=3)
+        .map(lambda statements: format_program(Program((Namespace("n", tuple(statements)),))))
+    ),
+    _laid_out(_exprs(3).map(format_expr)),
+)
+
+
+def _read(parse, source):
+    """``parse``'s tree with every position shown, or its error's type,
+    message and place."""
+    try:
+        return repr(parse(source))
+    except (LexError, ParseError) as exc:
+        return type(exc), exc.message, exc.at, exc.line, exc.column
+
+
+@settings(max_examples=500)
+@given(_REFEREE_SOURCES)
+def test_parser_agrees_with_the_reference_parser(source):
+    # The repr of a tree shows every node's fields, ``at`` included.
+    for expression, parse in ((False, parse_text), (True, parse_expression)):
+        expected = _read(lambda text: reference_parse(text, expression), source)
+        assert _read(parse, source) == expected
+        if isinstance(expected, str):
+            assert parse(source) == reference_parse(source, expression)

@@ -22,6 +22,11 @@ match on both sides:
   an arrangement, and definitions sharing a line that scope one empty
   category;
 - ``check`` of every prefix of each ``samples/*.pal``;
+- ``check`` of malformed copies of seed 1's smallest policy-load policy,
+  with its facts: at 20 seeded tokens, the token deleted, doubled or
+  swapped with the next one, and at the token nearest the middle of the
+  file, a comment, a string, a carriage return, a '"', a non-ASCII
+  character or a ``9`` inserted;
 - guarded-trace's seed-1 facts file (a 1,024-fact family closed from 10
   generators), program and atomic arrangement: its first 25 queries
   (``pulse``, ``trace`` and ``eq``), with two ``comply`` and one ``eq``
@@ -72,6 +77,12 @@ OPTION_SETS = (
 POLICY_SEEDS = (1, 2, 3)
 POLICY_COMMANDS = 80
 GUARDED_QUERIES = 25  # about 50 facts
+MALFORMED_OFFSETS = 20
+# Inserted at the token nearest the middle of a policy.
+INSERTIONS = ("# a comment", '"a string"', "\r", '"', "\u00e9", "9")
+# A token as ``check`` sees one, near enough to find where tokens start
+# and end: a string, a two-character operator, a word or one character.
+TOKEN = re.compile(r'"[^"\n]*"|:=|<:|\w+|\S')
 
 # name -> (program, commands run on it); each command is argv after the file
 SHAPES = {
@@ -227,6 +238,33 @@ def prefix_commands(workdir: Path) -> list[list[str]]:
     return commands
 
 
+def malformed_commands(workdir: Path) -> list[list[str]]:
+    """Run after ``policy_commands``, which writes seed 1's policies."""
+    seed_dir = workdir / "policy-load-1"
+    smallest = min(seed_dir.glob("policy*.pal"), key=lambda path: path.stat().st_size)
+    text = smallest.read_text(encoding="utf-8")
+    spans = [m.span() for m in TOKEN.finditer(text)]
+    rng = random.Random("differential/malformed")
+    variants = []
+    for i in sorted(rng.sample(range(len(spans) - 1), MALFORMED_OFFSETS)):
+        (start, end), (after, stop) = spans[i], spans[i + 1]
+        token, neighbour = text[start:end], text[after:stop]
+        variants += [
+            text[:start] + text[end:],
+            text[:end] + " " + token + text[end:],
+            text[:start] + neighbour + text[end:after] + token + text[stop:],
+        ]
+    middle = min(start for start, _ in spans if start >= len(text) // 2)
+    variants += [text[:middle] + insert + text[middle:] for insert in INSERTIONS]
+    (workdir / "malformed").mkdir()
+    commands = []
+    for n, variant in enumerate(variants):
+        path = f"malformed/{smallest.stem}-{n}.pal"
+        (workdir / path).write_text(variant, encoding="utf-8")
+        commands.append(["check", path, "--facts", str(seed_dir / "load.facts")])
+    return commands
+
+
 def run_tree(tree: Path, workdir: Path, corpus: Path, name: str) -> list:
     results = workdir / f"results-{name}.json"
     env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
@@ -252,8 +290,8 @@ def main(argv: list[str]) -> int:
         workdir = Path(tmp)
         shutil.copytree(ROOT / "samples", workdir / "samples")
         commands = (
-            sample_commands() + policy_commands(workdir) + shape_commands(workdir)
-            + prefix_commands(workdir) + guarded_commands(workdir)
+            sample_commands() + policy_commands(workdir) + malformed_commands(workdir)
+            + shape_commands(workdir) + prefix_commands(workdir) + guarded_commands(workdir)
         )
         corpus = workdir / "corpus.json"
         corpus.write_text(json.dumps(commands), encoding="utf-8")
