@@ -254,7 +254,7 @@ def _resolve(
         if env is None:
             env = Environment()
         text = (program.source, filename)
-        warned: set[tuple[int, str]] = set()  # (line, category) of each empty scope
+        warned: set[tuple[str, str]] = set()  # (line prefix, category) of each empty scope
         for stmt in block.statements:
             if type(stmt) is pal.LetIs:
                 _load_let(stmt, env)
@@ -295,19 +295,25 @@ def _load_define(
     if name in env.functions or name in env.categories or name in env.conditions:
         raise _clash(name, env, {"function", "category", "condition"}, "a privilege", at)
     if name in env._latest:
-        line_no = line_column(program.line_starts, at)[0]
-        env.warnings.append(f"line {line_no}: redefinition of '{name}' (latest wins)")
+        env.warnings.append(f"{_line_prefix(program, at)}redefinition of '{name}' (latest wins)")
     if not all(env.categories.values()):  # only a scope makes a category empty
         for scope in (s for n in _walk(body) if type(n) is pal.Slash for s in n.scopes):
-            key = (line_column(program.line_starts, scope.at)[0], scope.id)
+            key = (_line_prefix(program, scope.at), scope.id)
             if key not in warned and not env.categories.get(scope.id, True):
                 warned.add(key)  # once a line and category
                 env.warnings.append(
-                    f"line {key[0]}: category '{scope.id}' is empty here, "
+                    f"{key[0]}category '{scope.id}' is empty here, "
                     f"so '/{scope.id}' restricts everything away"
                 )
     env._latest[name] = definition = _Definition(body, bound, text)
     env._unread.append(definition)
+
+
+def _line_prefix(program: pal.Program, at: int) -> str:
+    """``line N: ``, or nothing for an offset from another text."""
+    if at > len(program.source):
+        return ""
+    return f"line {line_column(program.line_starts, at)[0]}: "
 
 
 def _eval_expr(node: pal.ExprNode, env: Environment) -> Privilege:

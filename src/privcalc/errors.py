@@ -21,6 +21,10 @@ class SourceError(PrivCalcError):
     ``line`` and ``column`` (``in_text``) before the error leaves it.
     Facts and RBAC raise sites give the line alone."""
 
+    # Set by the first reader whose text does not hold ``at``, so that no
+    # enclosing reader places the offset in a text it does not index.
+    _unplaced = False
+
     def __init__(
         self,
         message: str,
@@ -70,13 +74,18 @@ def in_text(text: str, filename: str | None = None) -> Iterator[None]:
     """Name ``filename`` in every ``SourceError`` raised in the block that
     names no file yet, and place in ``text`` every one with an offset and
     no line yet. Every reader wraps its work in this, so raise sites give
-    a position only; an inner reader's name and place win. Lines are
-    counted only here, so a text read without fault has none counted."""
+    a position only; an inner reader's name and place win. An offset past
+    the end of ``text`` is from another text: the error keeps ``at`` and
+    names no line, here and in every enclosing reader. Lines are counted
+    only here, so a text read without fault has none counted."""
     try:
         yield
     except SourceError as exc:
-        if exc.line is None and exc.at is not None:
-            exc.line, exc.column = line_column(line_starts(text), exc.at)
+        if exc.line is None and exc.at is not None and not exc._unplaced:
+            if exc.at <= len(text):
+                exc.line, exc.column = line_column(line_starts(text), exc.at)
+            else:
+                exc._unplaced = True
         if exc.filename is None:
             exc.filename = filename
         raise

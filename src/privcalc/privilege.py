@@ -240,18 +240,6 @@ def compose(*privileges: Privilege) -> Privilege:
     return Privilege(frozenset().union(*[p.atoms for p in privileges]))
 
 
-class _FunctionElements:
-    """The basis elements of one function symbol: the basis index of its
-    universal element and of each entity's element, and the mask of all."""
-
-    __slots__ = ("universal", "by_entity", "mask")
-
-    def __init__(self):
-        self.universal: int | None = None
-        self.by_entity: dict[Entity, int] = {}
-        self.mask = 0
-
-
 @dataclass(frozen=True)
 class Arrangement:
     """Ordered, pairwise merge-disjoint, non-empty employment basis.
@@ -259,43 +247,41 @@ class Arrangement:
     Order is significant only for display: it fixes the row order of
     normal and pulsed forms and trace matrices.
 
-    Construction indexes the basis by function symbol: per function,
-    the index of its universal element, if any, the index of the element
-    holding each entity of its finite elements, and the ``int`` mask of
-    all its elements (bit i for element i). Elements of different
-    functions never overlap, and two elements of one function overlap
-    exactly when both are universal, one is universal, or they share an
-    entity, so filling the index checks disjointness in O(sum of |E|)
-    over the elements f/E. ``overlapping`` answers with a mask: for a
-    universal employment, its function's stored mask; for a finite one,
-    the bits of its members' elements and of the universal element. The
-    index and the projections (weakly keyed by privilege value) take no
-    part in equality or hashing.
+    Construction indexes the basis in two dicts keyed by function
+    symbol. ``_elements`` maps each entity of a function's finite
+    elements to the basis index of its element, and ``None`` to the
+    index of its universal element, if any (as ``members is None``
+    encodes the universal set). ``_masks`` holds the ``int`` mask of
+    each function's elements (bit i for element i), filled once at the
+    end from ``_elements``' values. Elements of different functions
+    never overlap, and two elements of one function overlap exactly when
+    both are universal, one is universal, or they share an entity, so
+    filling the index checks disjointness in O(sum of |E|) over the
+    elements f/E. ``overlapping`` answers with a mask: for a universal
+    employment, its function's mask; for a finite one, the bits of its
+    members' elements and of the universal element. The index and the
+    projections (weakly keyed by privilege value) take no part in
+    equality or hashing.
     """
 
     basis: tuple[Employment, ...]
-    _index: dict[FunctionSymbol, _FunctionElements] = field(
+    _elements: dict[FunctionSymbol, dict[Entity | None, int]] = field(
         init=False, repr=False, compare=False
     )
+    _masks: dict[FunctionSymbol, int] = field(init=False, repr=False, compare=False)
     _projections: weakref.WeakKeyDictionary = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        index: dict[FunctionSymbol, _FunctionElements] = {}
-        # Each function's mask is filled once at the end: ORing in one bit
-        # per element would copy the growing mask every time.
-        elements: dict[FunctionSymbol, list[int]] = {}
+        elements: dict[FunctionSymbol, dict[Entity | None, int]] = {}
         for j, n in enumerate(self.basis):
             if n.entities.is_empty:
                 raise ArrangementError("arrangement elements must be non-empty")
-            slot = index.setdefault(n.function, _FunctionElements())
-            earlier = elements.setdefault(n.function, [])
+            earlier = elements.setdefault(n.function, {})
             members = n.entities.members
             if members is None:
-                clashes = earlier[:1]
+                clashes = earlier.values()
             else:
-                clashes = [slot.by_entity[e] for e in members if e in slot.by_entity]
-                if slot.universal is not None:
-                    clashes.append(slot.universal)
+                clashes = [earlier[e] for e in (*members, None) if e in earlier]
             if clashes:
                 m = self.basis[min(clashes)]
                 error = ArrangementError(
@@ -305,37 +291,35 @@ class Arrangement:
                 )
                 error.index = j
                 raise error
-            if members is None:
-                slot.universal = j
-            else:
-                slot.by_entity.update(dict.fromkeys(members, j))
-            earlier.append(j)
-        for function, slot in index.items():
+            earlier.update(dict.fromkeys((None,) if members is None else members, j))
+        # Each function's mask is filled once here: ORing in one bit per
+        # element would copy the growing mask every time.
+        masks = {}
+        for function, earlier in elements.items():
             bits = bytearray(len(self.basis) // 8 + 1)
-            for j in elements[function]:
+            for j in earlier.values():
                 bits[j >> 3] |= 1 << (j & 7)
-            slot.mask = int.from_bytes(bits, "little")
-        object.__setattr__(self, "_index", index)
+            masks[function] = int.from_bytes(bits, "little")
+        object.__setattr__(self, "_elements", elements)
+        object.__setattr__(self, "_masks", masks)
         object.__setattr__(self, "_projections", weakref.WeakKeyDictionary())
 
     def overlapping(self, employment: Employment) -> int:
         """The mask of the basis elements that ``employment`` overlaps: bit
         i is set when it overlaps element i."""
-        slot = self._index.get(employment.function)
-        if slot is None:
-            return 0
         members = employment.entities.members
         if members is None:
-            return slot.mask
+            return self._masks.get(employment.function, 0)
+        elements = self._elements.get(employment.function)
+        if elements is None or not members:
+            return 0
         hit = 0
-        by_entity = slot.by_entity
         for e in members:
-            j = by_entity.get(e)
+            j = elements.get(e)
             if j is not None:
                 hit |= 1 << j
-        if members and slot.universal is not None:
-            hit |= 1 << slot.universal
-        return hit
+        j = elements.get(None)
+        return hit if j is None else hit | 1 << j
 
     def __len__(self) -> int:
         return len(self.basis)

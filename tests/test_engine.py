@@ -42,6 +42,7 @@ from privcalc import (
     structural_eq,
 )
 from privcalc.engine import answer, build_environment, load_arrangement
+from privcalc.errors import in_text
 import privcalc.pal as pal
 
 from oracles import rbac_role_grants
@@ -134,6 +135,29 @@ def test_two_definitions_on_one_line_warn_once_per_category():
         "line 1: category 'D' is empty here, so '/D' restricts everything away",
         "line 2: category 'C' is empty here, so '/C' restricts everything away",
     ]
+
+
+def test_a_program_joined_from_two_texts_places_no_offset_in_its_empty_source():
+    # The statements keep the offsets of the texts they were read from,
+    # which the joined program's empty source does not hold: its errors
+    # and warnings name no line, even inside a reader of a longer text.
+    first = pal.parse_text('namespace "n" {\n  let d is C\n  x := read\n}\n', "first.pal")
+    second = pal.parse_text(
+        'namespace "n" {\n  x := write\n  y := list/D\n\n  C := read\n}\n', "second.pal"
+    )
+    statements = first.namespaces[0].statements + second.namespaces[0].statements
+    env = load_program(pal.Program((pal.Namespace("n", statements[:-1]),)), filename="joined.pal")
+    assert env.warnings == [
+        "redefinition of 'x' (latest wins)",
+        "category 'D' is empty here, so '/D' restricts everything away",
+    ]
+    joined = pal.Program((pal.Namespace("n", statements),))
+    with pytest.raises(ResolutionError) as info:
+        with in_text(second.source):
+            load_program(joined, filename="joined.pal")
+    error = info.value
+    assert str(error) == "joined.pal: 'C' is already a category, cannot use it as a privilege"
+    assert (error.line, error.column, error.at) == (None, None, second.source.index("C :="))
 
 
 def test_scopes_over_members_and_entities_do_not_warn():

@@ -620,19 +620,21 @@ def _index_privileges(draw):
     return Privilege(frozenset(atoms))
 
 
-def _names_a_clash(message: str, basis) -> bool:
-    if message == "arrangement elements must be non-empty":
-        return any(m.entities.is_empty for m in basis)
-    pairs = list(itertools.combinations(basis, 2))
-    if message.startswith("duplicate arrangement element "):
-        named = message.removeprefix("duplicate arrangement element ")
-        return any(m == n and m.render() == named for m, n in pairs)
-    return any(
-        message == f"arrangement elements overlap: {m.render()} and {n.render()}"
-        and m != n
-        and employment_meet(m, n) is not None
-        for m, n in pairs
-    )
+def _first_refusal(basis) -> tuple[str, int | None] | None:
+    """What a brute force over the elements in order refuses first, as
+    (message, index): the first element that is empty, or that meets an
+    earlier one, named with the earliest element it meets; None when
+    the basis is disjoint."""
+    for j, n in enumerate(basis):
+        if n.entities.is_empty:
+            return "arrangement elements must be non-empty", None
+        met = [m for m in basis[:j] if employment_meet(m, n) is not None]
+        if met:
+            m = met[0]
+            if m == n:
+                return f"duplicate arrangement element {m.render()}", j
+            return f"arrangement elements overlap: {m.render()} and {n.render()}", j
+    return None
 
 
 @settings(max_examples=300)
@@ -642,15 +644,20 @@ def _names_a_clash(message: str, basis) -> bool:
 @example((Employment(READ, UNIVERSAL), Employment(READ, UNIVERSAL)))
 @example((Employment(READ, EntitySet.finite([_A, _B])), _READ_B))
 @example((Employment(READ, EntitySet.finite([_A], "X")), _READ_A))
+@example((_READ_B, _READ_A, Employment(READ, EntitySet.finite([_A, _B]))))
+@example((_READ_A, Employment(WRITE, UNIVERSAL), _READ_B, Employment(WRITE, UNIVERSAL)))
+@example((_READ_A, Employment(READ, EntitySet.finite([]))))
 def test_arrangement_accepts_exactly_the_disjoint_bases(basis):
-    if pairwise_disjoint(basis):
+    refusal = _first_refusal(basis)
+    assert (refusal is None) == pairwise_disjoint(basis)
+    if refusal is None:
         arr = Arrangement(basis)
         assert arr.basis == basis
         assert arr == Arrangement(basis) and hash(arr) == hash(Arrangement(basis))
     else:
         with pytest.raises(ArrangementError) as info:
             Arrangement(basis)
-        assert _names_a_clash(str(info.value), basis), str(info.value)
+        assert (str(info.value), info.value.index) == refusal
 
 
 def test_arrangement_rejects_empty_entity_set():

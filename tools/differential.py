@@ -21,6 +21,13 @@ match on both sides:
   deep through names after the queried name, a guard read without
   an arrangement, and definitions sharing a line that scope one empty
   category;
+- ``check`` and ``nf`` over arrangements that clash in each way the
+  basis index decides (a universal element after a finite one, a finite
+  one after a universal one, a category's element then one of its
+  members, a duplicate inside parentheses, two functions interleaved)
+  and one clean arrangement; and over a program that ``let``s 2,000
+  entities, with an ``@FILE`` arrangement of one ``read/eN`` line per
+  entity, once clean and once with a clash near the end;
 - ``check`` of every prefix of each ``samples/*.pal``;
 - ``check`` of malformed copies of seed 1's smallest policy-load policy,
   with its facts: at 20 seeded tokens, the token deleted, doubled or
@@ -115,6 +122,21 @@ SHAPES = {
         [["check"], ["eval", "--expr", "x"], ["eval", "--expr", "y"]],
     ),
 }
+
+# Inline arrangements over ``clashes.pal``, where C holds d1 and d2.
+CLASHES = (
+    "read/d1 + read",  # a universal element after a finite one
+    "read + read/d1",  # a finite element after a universal one
+    "read/C + read/d2",  # a category's element, then one of its members
+    "read/d1 + (write + read/d1)",  # a duplicate inside parentheses
+    "read/d1 + write/d1 + read/d2 + write/d2 + write/C",  # two functions interleaved
+    "read/d1 + write/d1 + read/d2 + write/d2 + read/d3",  # clean
+)
+CLASH_PROGRAM = (
+    'namespace "a" {\n  let d1 is C\n  let d2 is C\n  let d3 is D\n'
+    "  x := read/C + write/d1\n}\n"
+)
+ENTITIES = 2000
 
 # Runs in each child: reads the corpus, writes one [stdout, stderr, code]
 # per invocation.
@@ -226,6 +248,28 @@ def shape_commands(workdir: Path) -> list[list[str]]:
     return commands
 
 
+def arrangement_commands(workdir: Path) -> list[list[str]]:
+    (workdir / "clashes.pal").write_text(CLASH_PROGRAM, encoding="utf-8")
+    commands = []
+    for arrangement in CLASHES:
+        commands += [
+            ["check", "clashes.pal", "--arrangement", arrangement],
+            ["nf", "clashes.pal", "--expr", "x", "--arrangement", arrangement],
+        ]
+    lets = "".join(f"  let e{i} is E\n" for i in range(ENTITIES))
+    program = f'namespace "e" {{\n{lets}  x := read/E + write\n}}\n'
+    (workdir / "entities.pal").write_text(program, encoding="utf-8")
+    lines = [f"read/e{i}" for i in range(ENTITIES)]
+    clashing = lines[:-3] + [lines[-10]] + lines[-3:]
+    for name, basis in (("entities.arr", lines), ("entities-clash.arr", clashing)):
+        (workdir / name).write_text("\n+ ".join(basis) + "\n", encoding="utf-8")
+        commands += [
+            ["check", "entities.pal", "--arrangement", f"@{name}"],
+            ["nf", "entities.pal", "--expr", "x", "--arrangement", f"@{name}"],
+        ]
+    return commands
+
+
 def prefix_commands(workdir: Path) -> list[list[str]]:
     commands = []
     (workdir / "prefixes").mkdir()
@@ -291,7 +335,8 @@ def main(argv: list[str]) -> int:
         shutil.copytree(ROOT / "samples", workdir / "samples")
         commands = (
             sample_commands() + policy_commands(workdir) + malformed_commands(workdir)
-            + shape_commands(workdir) + prefix_commands(workdir) + guarded_commands(workdir)
+            + shape_commands(workdir) + arrangement_commands(workdir)
+            + prefix_commands(workdir) + guarded_commands(workdir)
         )
         corpus = workdir / "corpus.json"
         corpus.write_text(json.dumps(commands), encoding="utf-8")
