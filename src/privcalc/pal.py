@@ -38,13 +38,16 @@ only for an error that leaves it (``errors.in_text``), and the engine
 only for a warning. Tokens and nodes are named tuples, which the lexer
 and parser build with ``tuple.__new__``, bypassing a Python-level
 constructor per token and node; a node's equality and hash ignore
-``at``.
+``at``. ``parse_text`` and ``parse_expression`` pause the cyclic
+garbage collector while they read (``_collector_paused``).
 """
 
 from __future__ import annotations
 
+import gc
 import re
 from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
@@ -398,16 +401,35 @@ class _Parser:
         return node, pos
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Run the block with the cyclic garbage collector disabled, and
+    enable it again after the block only if it was enabled before, so a
+    caller's own ``gc.disable()`` stands. Every token and node is a tuple
+    the collector tracks, so collections during a reading would walk its
+    growing trees and the rest of the heap again and again; a reading
+    builds no reference cycle, so refcounting alone frees its garbage.
+    The switch is process-wide: other threads' collections wait until
+    the reading ends."""
+    paused = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if paused:
+            gc.enable()
+
+
 def parse_text(source: str, filename: str | None = None) -> Program:
     """Parse a whole program; its errors name ``filename``."""
-    with in_text(source, filename):
+    with _collector_paused(), in_text(source, filename):
         return Program(_Parser(tokenize(source)).namespaces(), source)
 
 
 def parse_expression(source: str) -> ExprNode:
     """Parse a bare expression: the whole text must be one expr. The
     text is no file, so its errors give only a position."""
-    with in_text(source):
+    with _collector_paused(), in_text(source):
         parser = _Parser(tokenize(source))
         node, pos = parser.expr(0)
         parser.expect(pos, EOF)

@@ -251,17 +251,18 @@ class Arrangement:
     symbol. ``_elements`` maps each entity of a function's finite
     elements to the basis index of its element, and ``None`` to the
     index of its universal element, if any (as ``members is None``
-    encodes the universal set). ``_masks`` holds the ``int`` mask of
-    each function's elements (bit i for element i), filled once at the
-    end from ``_elements``' values. Elements of different functions
-    never overlap, and two elements of one function overlap exactly when
-    both are universal, one is universal, or they share an entity, so
-    filling the index checks disjointness in O(sum of |E|) over the
-    elements f/E. ``overlapping`` answers with a mask: for a universal
-    employment, its function's mask; for a finite one, the bits of its
-    members' elements and of the universal element. The index and the
-    projections (weakly keyed by privilege value) take no part in
-    equality or hashing.
+    encodes the universal set). Elements of different functions never
+    overlap, and two elements of one function overlap exactly when both
+    are universal, one is universal, or they share an entity, so filling
+    the index checks disjointness in O(sum of |E|) over the elements f/E.
+    ``overlapping`` answers with a mask: for a finite employment, the
+    bits of its members' elements and of the universal element; for a
+    universal one, the ``int`` mask of its function's elements (bit i
+    for element i), built from ``_elements`` when first asked for and
+    kept in ``_masks``. A mask holds a bit per basis element, so masks
+    built up front would take space quadratic in a basis of many
+    functions. The index, the masks and the projections (weakly keyed by
+    privilege value) take no part in equality or hashing.
     """
 
     basis: tuple[Employment, ...]
@@ -292,25 +293,26 @@ class Arrangement:
                 error.index = j
                 raise error
             earlier.update(dict.fromkeys((None,) if members is None else members, j))
-        # Each function's mask is filled once here: ORing in one bit per
-        # element would copy the growing mask every time.
-        masks = {}
-        for function, earlier in elements.items():
-            bits = bytearray(len(self.basis) // 8 + 1)
-            for j in earlier.values():
-                bits[j >> 3] |= 1 << (j & 7)
-            masks[function] = int.from_bytes(bits, "little")
         object.__setattr__(self, "_elements", elements)
-        object.__setattr__(self, "_masks", masks)
+        object.__setattr__(self, "_masks", {})
         object.__setattr__(self, "_projections", weakref.WeakKeyDictionary())
 
     def overlapping(self, employment: Employment) -> int:
         """The mask of the basis elements that ``employment`` overlaps: bit
         i is set when it overlaps element i."""
         members = employment.entities.members
+        function = employment.function
         if members is None:
-            return self._masks.get(employment.function, 0)
-        elements = self._elements.get(employment.function)
+            mask = self._masks.get(function)
+            if mask is None:
+                # filled in one buffer: ORing in one bit per element would
+                # copy the growing mask every time
+                bits = bytearray(len(self.basis) // 8 + 1)
+                for j in self._elements.get(function, {}).values():
+                    bits[j >> 3] |= 1 << (j & 7)
+                mask = self._masks[function] = int.from_bytes(bits, "little")
+            return mask
+        elements = self._elements.get(function)
         if elements is None or not members:
             return 0
         hit = 0

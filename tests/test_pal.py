@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import re
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -28,6 +30,7 @@ from privcalc.pal import (
     STRING,
     Sum,
     Token,
+    _Parser,
     chain,
     format_expr,
     format_program,
@@ -298,6 +301,107 @@ def test_megabyte_programs_parse_in_linear_time(source):
         assert len(namespace.statements) == 40_000 and last.at == source.rindex("x39999")
         product = Product((Name("a39999"), Slash(Name("b"), (Name("C"),))))
         assert last.body == Sum((product, Name("c")))
+
+
+# --- the collector while a text is read ---------------------------------------
+
+
+@pytest.fixture
+def collector():
+    """The collector enabled for the test, and enabled again after it."""
+    gc.enable()
+    yield
+    gc.enable()
+
+
+# the code of the lexer and of every parser rule
+_READER_CODE = {tokenize.__code__} | {
+    rule.__code__ for rule in vars(_Parser).values() if hasattr(rule, "__code__")
+}
+
+
+def _collections(read) -> list[int]:
+    """The generation of each collection that starts while ``read()`` is
+    in the lexer or the parser. The one that falls due when a reading
+    ends and enables the collector again is not one of them."""
+    started: list[int] = []
+
+    def record(phase, info):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code not in _READER_CODE:
+            frame = frame.f_back
+        if phase == "start" and frame is not None:
+            started.append(info["generation"])
+
+    gc.callbacks.append(record)
+    try:
+        read()
+    finally:
+        gc.callbacks.remove(record)
+    return started
+
+
+def test_reading_a_text_runs_no_collection(collector):
+    # Every token and node is a tuple the collector tracks: a reading
+    # with the collector on starts thousands of collections on this text.
+    program = 'namespace "n" {\n  x := a' + " + a" * 100_000 + "\n}\n"
+    assert len(program) > 300_000
+    assert _collections(lambda: parse_text(program)) == []
+    assert _collections(lambda: parse_expression("a" + " + a" * 100_000)) == []
+    assert gc.isenabled()
+
+
+# each reading, and the error it raises, if any
+_READINGS = {
+    "program": (lambda: parse_text('namespace "n" {\n  x := a + b\n}\n'), None),
+    "expression": (lambda: parse_expression("a * [b <: c]"), None),
+    "lex-error": (lambda: parse_text('namespace "n" {\n  x := a $ b\n}\n'), LexError),
+    "parse-error": (lambda: parse_expression("a + * b"), ParseError),
+    "nesting-bound": (
+        lambda: parse_expression("(" * (MAX_NESTING + 1) + "a" + ")" * (MAX_NESTING + 1)),
+        ParseError,
+    ),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("reading", list(_READINGS))
+def test_a_reading_leaves_the_collector_as_it_found_it(collector, reading, enabled):
+    # A caller's own gc.disable() survives a reading, and an error leaves
+    # the collector as a success does.
+    read, error = _READINGS[reading]
+    if not enabled:
+        gc.disable()
+    if error is None:
+        read()
+    else:
+        with pytest.raises(error):
+            read()
+    assert gc.isenabled() is enabled
+
+
+def test_readings_in_two_threads_leave_the_collector_enabled(collector):
+    # Each reading re-enables only a pause that it made, so whichever
+    # thread ends last, the collector is on once both have ended.
+    text = 'namespace "n" {\n  x := a' + " + a" * 2_000 + "\n}\n"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            start, done = threading.Barrier(2, timeout=10), []
+            read = [
+                lambda: (start.wait(), done.append(parse_text(text))),
+                lambda: (start.wait(), done.append(parse_expression("b" + " * b" * 2_000))),
+            ]
+            threads = [threading.Thread(target=r) for r in read]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads) and len(done) == 2
+            assert gc.isenabled()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # --- expression parsing -------------------------------------------------------

@@ -5,6 +5,8 @@ from __future__ import annotations
 import gc
 import itertools
 import pickle
+import subprocess
+import sys
 import weakref
 from types import SimpleNamespace
 
@@ -54,7 +56,7 @@ from oracles import (
     pointwise_pulse,
     privilege_grants,
 )
-from fixtures import power_family
+from fixtures import CHILD_ENV, power_family
 
 READ = FunctionSymbol("read")
 LIST_ = FunctionSymbol("list")
@@ -687,6 +689,27 @@ def test_overlapping_mask_sets_exactly_the_elements_an_employment_meets(basis, f
     employment = Employment(f, es)
     want = sum(1 << i for i, n in enumerate(basis) if employment_meet(employment, n) is not None)
     assert Arrangement(basis).overlapping(employment) == want
+
+
+def test_an_arrangement_builds_a_function_mask_when_first_asked_for_it():
+    # Function i's mask holds bit i, so masks built with the index would
+    # take about n**2 / 16 bytes for n functions: some 100 MB here.
+    script = (
+        "import resource\n"
+        "from privcalc import Arrangement, Employment, UNIVERSAL\n"
+        "basis = tuple(Employment(f'f{i}', UNIVERSAL) for i in range(40_000))\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "arr = Arrangement(basis)\n"
+        "asked = [arr.overlapping(Employment(f, UNIVERSAL)) for f in ('f7', 'f39999', 'g')]\n"
+        "assert asked == [1 << 7, 1 << 39999, 0], asked\n"
+        "assert arr.overlapping(Employment('f7', UNIVERSAL)) == 1 << 7\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 32 * 1024  # KiB
 
 
 @given(_disjoint_bases(), _index_privileges())

@@ -28,6 +28,11 @@ match on both sides:
   and one clean arrangement; and over a program that ``let``s 2,000
   entities, with an ``@FILE`` arrangement of one ``read/eN`` line per
   entity, once clean and once with a clash near the end;
+- ``check``, ``nf`` and ``pulse`` of ``x := f17 + f4999`` over an
+  ``@FILE`` arrangement of 5,000 distinct functions, once clean and once
+  with a duplicate ``f0`` appended;
+- ``check`` of a 200 KB ``a + a + ...`` chain, once clean and once with
+  a stray ``9`` near its end;
 - ``check`` of every prefix of each ``samples/*.pal``;
 - ``check`` of malformed copies of seed 1's smallest policy-load policy,
   with its facts: at 20 seeded tokens, the token deleted, doubled or
@@ -137,6 +142,8 @@ CLASH_PROGRAM = (
     "  x := read/C + write/d1\n}\n"
 )
 ENTITIES = 2000
+FUNCTIONS = 5000
+CHAIN_TERMS = 50_000  # "a + " each, about 200 KB
 
 # Runs in each child: reads the corpus, writes one [stdout, stderr, code]
 # per invocation.
@@ -267,7 +274,24 @@ def arrangement_commands(workdir: Path) -> list[list[str]]:
             ["check", "entities.pal", "--arrangement", f"@{name}"],
             ["nf", "entities.pal", "--expr", "x", "--arrangement", f"@{name}"],
         ]
+    (workdir / "functions.pal").write_text('namespace "f" {\n  x := f17 + f4999\n}\n', encoding="utf-8")
+    functions = [f"f{i}" for i in range(FUNCTIONS)]
+    for name, basis in (("functions.arr", functions), ("functions-clash.arr", functions + ["f0"])):
+        (workdir / name).write_text(" + ".join(basis) + "\n", encoding="utf-8")
+        commands += [
+            [query, "functions.pal", *args, "--arrangement", f"@{name}"]
+            for query, *args in (["check"], ["nf", "--expr", "x"], ["pulse", "--expr", "x"])
+        ]
     return commands
+
+
+def chain_commands(workdir: Path) -> list[list[str]]:
+    terms = ["a"] * CHAIN_TERMS
+    faulty = terms[:-10] + ["9"] + terms[-10:]
+    for name, chain in (("chain.pal", terms), ("chain-fault.pal", faulty)):
+        text = 'namespace "c" {\n  x := ' + " + ".join(chain) + "\n}\n"
+        (workdir / name).write_text(text, encoding="utf-8")
+    return [["check", "chain.pal"], ["check", "chain-fault.pal"]]
 
 
 def prefix_commands(workdir: Path) -> list[list[str]]:
@@ -335,7 +359,7 @@ def main(argv: list[str]) -> int:
         shutil.copytree(ROOT / "samples", workdir / "samples")
         commands = (
             sample_commands() + policy_commands(workdir) + malformed_commands(workdir)
-            + shape_commands(workdir) + arrangement_commands(workdir)
+            + shape_commands(workdir) + arrangement_commands(workdir) + chain_commands(workdir)
             + prefix_commands(workdir) + guarded_commands(workdir)
         )
         corpus = workdir / "corpus.json"
