@@ -21,14 +21,18 @@ arrangement, while it lives, into its distinct coefficients with ``int``
 masks of the elements they cover. The projection works on masks
 throughout: it ORs the masks of the atoms that share a condition set,
 and folds one coefficient per combination of condition sets over an
-element, not one per element.
+element, not one per element. The first pulse, trace or normal form of
+a value walks each coefficient's mask once into the basis indices of
+its elements, which the projection keeps; each one after that fills a
+false row and writes only the coefficients that are not false, at their
+kept indices. Comparisons never walk a mask.
 
 Over a fact family, a coefficient, like a condition, is also a mask,
 with bit k for the family's k-th fact (``facts.Masked``): the OR of the
 ANDs of its conditions' masks, built once per family. So a query reads
-bits: a pulse reads one per coefficient, and a comparison reads only the
-pairs of coefficients that differ. An equal pair agrees at every fact,
-so its masks are never built.
+bits: a pulse reads one per coefficient at a fact it places once, and
+a comparison reads only the pairs of coefficients that differ. An equal
+pair agrees at every fact, so its masks are never built.
 
 Congruence at a fact is pulsed-form equality, and p complies with q
 when p*q is congruent to q. A guard (``HighOrderCondition``) packages
@@ -410,13 +414,26 @@ def _indices(mask: int) -> Iterator[int]:
         mask ^= 1 << i
 
 
-def _overlapped(
-    p: Privilege, arrangement: Arrangement
-) -> tuple[tuple[Coefficient, int], ...]:
-    """The distinct coefficients other than false of the elements some
-    atom of ``p`` overlaps, each with the mask of the elements it covers,
-    by lowest element; every other element's coefficient is constant
-    false. Computed once per arrangement while ``p``'s value is alive.
+class _Projection:
+    """A privilege value's projection onto one arrangement. ``classes``
+    are the distinct coefficients other than false of the elements some
+    atom of the value overlaps, each with the mask of the elements it
+    covers, by lowest element; every other element's coefficient is
+    constant false. ``positions`` are the same coefficients, each with
+    the basis indices of its mask, walked when a pulse, trace or normal
+    form first asks; comparisons read only the classes."""
+
+    def __init__(self, classes: tuple[tuple[Coefficient, int], ...]):
+        self.classes = classes
+
+    @cached_property
+    def positions(self) -> tuple[tuple[Coefficient, tuple[int, ...]], ...]:
+        return tuple((c, tuple(_indices(mask))) for c, mask in self.classes)
+
+
+def _projection(p: Privilege, arrangement: Arrangement) -> _Projection:
+    """``p``'s projection, computed once per arrangement while ``p``'s
+    value is alive.
 
     An element's coefficient depends only on the condition sets of the
     atoms over it, so the atoms' masks are ORed per condition set, and
@@ -426,8 +443,8 @@ def _overlapped(
     by the combination of sets over them, and each combination takes
     one fold. So no input folds more than once per overlapped element,
     and an unconditioned privilege folds once."""
-    classes = arrangement._projections.get(p)
-    if classes is None:
+    projection = arrangement._projections.get(p)
+    if projection is None:
         by_conditions: dict[frozenset[Condition], int] = {}
         for atom in p.atoms:
             mask = arrangement.overlapping(atom.employment)
@@ -454,19 +471,21 @@ def _overlapped(
             masks[coefficient] = masks.get(coefficient, 0) | mask
         masks.pop(_FALSE, None)
         classes = tuple(sorted(masks.items(), key=lambda item: _low(item[1])))
-        arrangement._projections[p] = classes
-    return classes
+        projection = arrangement._projections[p] = _Projection(classes)
+    return projection
 
 
 def _spread(p: Privilege, arrangement: Arrangement, read, false) -> tuple:
     """Per basis element, ``read`` of its normal-form coefficient: each
-    distinct coefficient is read once and its value placed by one walk
-    of its mask, and elements ``p`` does not overlap take ``false``."""
+    distinct coefficient is read once, and a value other than ``false``
+    is written at the class's kept positions; every other element keeps
+    ``false``."""
     values = [false] * len(arrangement)
-    for coefficient, mask in _overlapped(p, arrangement):
+    for coefficient, positions in _projection(p, arrangement).positions:
         value = read(coefficient)
-        for i in _indices(mask):
-            values[i] = value
+        if value != false:
+            for i in positions:
+                values[i] = value
     return tuple(values)
 
 
@@ -486,8 +505,10 @@ class PulsedForm:
 
 
 def pulse(p: Privilege, arrangement: Arrangement, fact: Fact) -> PulsedForm:
-    """Normal-form coefficients evaluated at one fact."""
-    return PulsedForm(_spread(p, arrangement, lambda c: c.evaluate(fact), False))
+    """Normal-form coefficients evaluated at one fact: each reads its
+    mask's bit at the fact, which is placed once."""
+    family, k = fact.placed()
+    return PulsedForm(_spread(p, arrangement, lambda c: c.mask(family) >> k & 1 == 1, False))
 
 
 @dataclass(frozen=True)
@@ -512,11 +533,16 @@ def trace(
     p: Privilege, arrangement: Arrangement, sequence: Sequence[Fact]
 ) -> TraceMatrix:
     """Pulses along the sequence: each row is its coefficient evaluated
-    at every fact."""
+    at every fact. Each fact is placed once, and the families placed
+    are held until the rows are read, so a fact that no family placed,
+    however often it repeats, is placed in one family of its own."""
     sequence = tuple(sequence)
-    cells = _spread(
-        p, arrangement, lambda c: tuple(map(c.evaluate, sequence)), (False,) * len(sequence)
-    )
+    places = [fact.placed() for fact in sequence]
+
+    def read(c: Coefficient) -> tuple[bool, ...]:
+        return tuple([c.mask(family) >> k & 1 == 1 for family, k in places])
+
+    cells = _spread(p, arrangement, read, (False,) * len(sequence))
     return TraceMatrix(arrangement, sequence, cells)
 
 
@@ -529,7 +555,7 @@ def _overlapped_pairs(
     these pairs' masks are ever built. The first pair to disagree at a
     fact holds the first element that does, and a walk at one fact stops
     there. Each pair costs O(log k) mask operations over k classes."""
-    cu, cv = _overlapped(u, arrangement), _overlapped(v, arrangement)
+    cu, cv = _projection(u, arrangement).classes, _projection(v, arrangement).classes
     span_u, span_v = (sum(m for _, m in side) for side in (cu, cv))
     # Disjoint masks add without a carry; an overlap on either side loses a bit.
     if sum(m.bit_count() for _, m in cu + cv) != span_u.bit_count() + span_v.bit_count():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import privcalc.privilege as privilege_module
-from privcalc.facts import Masked
+from privcalc.facts import FactFamily, Masked
 from privcalc import (
     Arrangement,
     ArrangementError,
@@ -893,6 +893,61 @@ def test_queries_agree_with_the_pointwise_oracle_at_every_fact(world, mode, data
     )
 
 
+# Facts of two families, and one that no family placed.
+_FAM3 = power_family("s1", "s2", "s3")
+_HAND = Fact("hand", frozenset({Statement("s2"), Statement("s3")}))
+_C3 = WitnessCondition("c3", frozenset({Statement("s3")}))
+_SEQUENCE_FACTS = [*FAM.facts, *_FAM3.facts, _HAND]
+
+
+@st.composite
+def _odd_worlds(draw):
+    """An atomic basis whose size is not a multiple of 8, and a
+    privilege over its functions and entities, and over ones it lacks."""
+    functions = draw(st.lists(st.sampled_from(_IDX_FUNCTIONS), min_size=1, unique=True))
+    count = draw(st.integers(1, 12).filter(lambda m: len(functions) * m % 8))
+    entities = [Entity(f"e{i:02d}") for i in range(count)]
+    arr = atomic_arrangement(functions, entities)
+    sets = st.one_of(
+        st.just(UNIVERSAL),
+        st.just(EntitySet.finite([_OUTSIDE])),
+        st.frozensets(st.sampled_from(entities), min_size=1).map(EntitySet.finite),
+    )
+    fns = st.sampled_from(_IDX_FUNCTIONS + [REMOVE])
+    conds = st.frozensets(st.sampled_from([C1, C2, _C3, OPEN, SEALED]), max_size=2)
+    atom = st.builds(PrivilegeAtom, st.builds(Employment, fns, sets), conds)
+    return arr, Privilege(frozenset(draw(st.lists(atom, max_size=5))))
+
+
+_ODD_ARR = atomic_arrangement([READ, WRITE, LIST_], _IDX_ENTITIES[:3])  # 9 elements
+
+
+@settings(max_examples=150, deadline=None)
+@given(_odd_worlds(), st.lists(st.sampled_from(_SEQUENCE_FACTS), max_size=6))
+@example((_ODD_ARR, priv((READ, UNIVERSAL, [C1]), (WRITE, UNIVERSAL, [_C3]))), [])
+@example(
+    (_ODD_ARR, priv((READ, UNIVERSAL, [C1]), (WRITE, EntitySet.finite([_A]), [_C3]))),
+    [T_S1, _HAND, _FAM3.fact("s3"), T_S1, _HAND, T_EMPTY],
+)
+@example((_ODD_ARR, priv((REMOVE, UNIVERSAL, [C1]))), [T_S1, T_S1])
+def test_pulse_trace_and_normal_form_agree_with_the_oracle_fact_by_fact(world, sequence):
+    # Empty sequences, repeated facts, facts of two families and a fact
+    # no family placed: every row, column and coefficient is the dense
+    # definition's, and every cell is a bool.
+    arr, p = world
+    rows = [tuple(pointwise_pulse(p, arr.basis, t)) for t in sequence]
+    cells = trace(p, arr, sequence).cells
+    assert cells == (tuple(zip(*rows)) if rows else ((),) * len(arr))
+    assert all(type(b) is bool for row in cells for b in row)
+    coefficients = normal_form(p, arr).coefficients
+    assert len(coefficients) == len(arr)
+    for t, row in zip(sequence, rows):
+        bits = pulse(p, arr, t).bits
+        assert bits == row
+        assert all(type(b) is bool for b in bits)
+        assert tuple(c.evaluate(t) for c in coefficients) == row
+
+
 def test_masks_pin_neither_families_nor_guards():
     # A family is freed by reference counting alone: its facts and the
     # masks built over it hold it weakly. A guard whose masks were built
@@ -963,33 +1018,84 @@ def test_merge_pairs_atoms_only_within_a_function(monkeypatch):
 
 
 def test_pulse_and_trace_evaluate_only_overlapped_elements(monkeypatch):
-    # Each distinct coefficient of the overlapped elements is evaluated
-    # once per fact, and no other element's coefficient is evaluated.
+    # Each distinct coefficient of the overlapped elements reads its mask
+    # once per fact, and no other element's coefficient reads one.
     entities = [Entity(f"e{i:03d}") for i in range(100)]
     arr = atomic_arrangement([READ, WRITE, LIST_, REMOVE], entities)
-    evaluated = []
-    evaluate = Coefficient.evaluate
+    read = []
+    mask = Coefficient.mask
 
-    def counting(self, fact):
-        evaluated.append((self, fact))
-        return evaluate(self, fact)
+    def counting(self, family):
+        read.append((self, family))
+        return mask(self, family)
 
-    monkeypatch.setattr(Coefficient, "evaluate", counting)
+    monkeypatch.setattr(Coefficient, "mask", counting)
     p = priv(
         (READ, EntitySet.finite(entities[:2]), [C1]),
         (WRITE, EntitySet.finite(entities[:3]), [C2]),
     )
     on_read, on_write = (Coefficient.from_conjunctions([{c}]) for c in (C1, C2))
     assert pulse(p, arr, T_S1).bits.count(True) == 2
-    assert sorted(evaluated, key=repr) == sorted(
-        [(on_read, T_S1), (on_write, T_S1)], key=repr
-    )
-    evaluated.clear()
+    assert sorted(read, key=repr) == sorted([(on_read, FAM), (on_write, FAM)], key=repr)
+    read.clear()
     cells = trace(p, arr, [T_EMPTY, T_S1]).cells
     assert sum(row.count(True) for row in cells) == 2
-    assert sorted(evaluated, key=repr) == sorted(
-        [(c, t) for c in (on_read, on_write) for t in (T_EMPTY, T_S1)], key=repr
+    assert sorted(read, key=repr) == sorted(
+        [(c, FAM) for c in (on_read, on_write) for _ in (T_EMPTY, T_S1)], key=repr
     )
+
+
+def test_a_hand_built_fact_is_placed_once_per_query(monkeypatch):
+    # A fact no family placed becomes the one fact of a family of its
+    # own; a query places it once, not once per class or per repeat.
+    arr = atomic_arrangement([READ, WRITE, LIST_], _IDX_ENTITIES)
+    p = priv((READ, UNIVERSAL, [C1]), (WRITE, UNIVERSAL, [C2]), (LIST_, UNIVERSAL, [OPEN]))
+    assert len(privilege_module._projection(p, arr).classes) == 3
+    hand = Fact("hand", frozenset({Statement("s1")}))
+    built = []
+    init = FactFamily.__init__
+
+    def counting(self, *args):
+        built.append(len(built))  # the family itself is not kept alive
+        init(self, *args)
+
+    monkeypatch.setattr(FactFamily, "__init__", counting)
+    want = tuple(pointwise_pulse(p, arr.basis, hand))
+    assert pulse(p, arr, hand).bits == want
+    assert len(built) == 1
+    built.clear()
+    assert trace(p, arr, [hand, hand]).cells == tuple(zip(want, want))
+    assert len(built) == 1
+
+
+def test_comparisons_keep_no_positions():
+    # Only a pulse, trace or normal form walks a class's mask into basis
+    # indices; a comparison or a guard reads the classes alone.
+    arr = atomic_arrangement([READ, WRITE, LIST_], _IDX_ENTITIES)
+    p = priv((READ, UNIVERSAL, [C1]), (WRITE, EntitySet.finite([_A, _B]), [C2]))
+    q = priv((READ, EntitySet.finite([_A]), []), (LIST_, UNIVERSAL, [C1]))
+    # p*q in each mode, kept alive so that its projection stays
+    merged = [merge(p, q, mode) for mode in (INTER, UNION)]
+    guards = [congruence_condition(p, q, arr)]
+    for m in merged:
+        structural_eq(m, q, arr, FAM)
+    structural_eq(p, q, arr, FAM)
+    congruent(p, q, arr, T_S1)
+    for mode in (INTER, UNION):
+        compliant(p, q, arr, T_S1, mode)
+        guards.append(compliance_condition(p, q, arr, mode))
+    for guard in guards:
+        guard.mask(FAM)
+    projections = list(arr._projections.values())
+    assert len(projections) == 2 + len(set(merged)) == 4
+    assert not any("positions" in vars(projection) for projection in projections)
+    queries = (lambda x: pulse(x, arr, T_S1), lambda x: trace(x, arr, [T_S1]),
+               lambda x: normal_form(x, arr))
+    for query, cs in zip(queries, ([C2], [OPEN], [C1, C2])):
+        x = compose(p, priv((LIST_, EntitySet.finite([_A]), cs)))
+        query(x)
+        assert "positions" in vars(arr._projections[x])
+    assert not any("positions" in vars(projection) for projection in projections)
 
 
 def test_the_pair_walk_stops_at_the_first_element_that_disagrees(monkeypatch):
@@ -1083,7 +1189,9 @@ def test_the_pair_walk_fails_rather_than_hangs_on_overlapping_classes(monkeypatc
         (((c1, 0b011), (c2, 0b110)), ((c2, 0b111),)),  # both u classes hold e1
     ]
     for broken in ({"u": u, "v": v} for u, v in cases):
-        monkeypatch.setattr(privilege_module, "_overlapped", lambda p, arrangement: broken[p])
+        monkeypatch.setattr(
+            privilege_module, "_projection", lambda p, arrangement: SimpleNamespace(classes=broken[p])
+        )
         with pytest.raises(AssertionError, match="classes of one side overlap"):
             privilege_module._overlapped_pairs("u", "v", arr)
 
@@ -1146,7 +1254,7 @@ def test_a_projection_keeps_no_false_class():
     # every element not in a class has: read's element is in no class.
     arr = Arrangement((Employment(READ, UNIVERSAL), Employment(WRITE, UNIVERSAL)))
     p = priv((READ, UNIVERSAL, [FalseCondition("f")]), (WRITE, UNIVERSAL, []))
-    assert privilege_module._overlapped(p, arr) == ((Coefficient((frozenset(),)), 0b10),)
+    assert privilege_module._projection(p, arr).classes == ((Coefficient((frozenset(),)), 0b10),)
     assert normal_form(p, arr).render() == "read/*: false\nwrite/*: true"
 
 
@@ -1197,9 +1305,12 @@ def test_projections_pin_neither_values_nor_guards():
     for mode in (INTER, UNION):
         compliant(p, g, arr, T_S1, mode)
     assert len(privilege_module._guards) == guards + 1
-    refs = [weakref.ref(x) for x in (p, guard, g)]
-    del p, guard, g
+    # The positions a pulse keeps live in g's projection and go with it.
+    projection = arr._projections[g]
+    assert "positions" in vars(projection)
+    refs = [weakref.ref(x) for x in (p, guard, g, projection)]
+    del p, guard, g, projection
     gc.collect()
-    assert [r() for r in refs] == [None] * 3
+    assert [r() for r in refs] == [None] * 4
     assert len(privilege_module._guards) == guards
     assert len(arr._projections) == 0

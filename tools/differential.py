@@ -20,7 +20,8 @@ match on both sides:
   scope taken before a ``let`` grows its category, a guard nested too
   deep through names after the queried name, a guard read without
   an arrangement, and definitions sharing a line that scope one empty
-  category;
+  category; and a ``trace`` whose ``--seq`` repeats facts, with
+  ``pulse``, ``trace`` and ``nf`` of a privilege that covers no element;
 - ``check`` and ``nf`` over arrangements that clash in each way the
   basis index decides (a universal element after a finite one, a finite
   one after a universal one, a category's element then one of its
@@ -125,6 +126,14 @@ SHAPES = {
     "guarded.pal": (
         'namespace "g" {\n  x := read\n  y := read * [x <: read]\n}\n',
         [["check"], ["eval", "--expr", "x"], ["eval", "--expr", "y"]],
+    ),
+    "uncovered.pal": (
+        'namespace "u" {\n  x := list * logged + read\n  y := remove\n}\n',
+        [[*query, "--facts", "samples/store.facts", "--arrangement", "read + list + write"] for query in (
+            ["trace", "--expr", "x", "--seq", "empty,office,empty,office,roaming"],
+            ["pulse", "--expr", "y"], ["nf", "--expr", "y"],
+            ["trace", "--expr", "y", "--seq", "office,office"],
+        )],
     ),
 }
 
