@@ -35,11 +35,14 @@ A token's kind is its spelling for a keyword or punctuation (``"let"``,
 token or node holds its source position as one character offset,
 ``at``. The reader of a text counts the line and column of an offset
 only for an error that leaves it (``errors.in_text``), and the engine
-only for a warning. Tokens and nodes are named tuples, which the lexer
-and parser build with ``tuple.__new__``, bypassing a Python-level
-constructor per token and node; a node's equality and hash ignore
-``at``. ``parse_text`` and ``parse_expression`` pause the cyclic
-garbage collector while they read (``_collector_paused``).
+only for a warning. The lexer, ``_scan``, hands the parser three
+columns, the tokens' kinds, texts and offsets, built by passes over the
+whole text rather than a loop per token; ``tokenize`` is a view of
+those columns as ``Token`` named tuples, which no reader builds. Nodes
+are named tuples, which the parser builds with ``tuple.__new__``,
+bypassing a Python-level constructor per node; a node's equality and
+hash ignore ``at``. ``parse_text`` and ``parse_expression`` pause the
+cyclic garbage collector while they read (``_collector_paused``).
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
+from itertools import accumulate, repeat, starmap
+from operator import add
 from typing import Container, Iterable, Iterator, NamedTuple, NoReturn, Union
 
 from .errors import SourceError, in_text, line_starts
@@ -96,10 +100,11 @@ class ParseError(SourceError):
     """The token stream does not match the grammar."""
 
 
-# A keyword or punctuation token's kind is its spelling (``_SPELLINGS``);
-# the other kinds are named as an error message prints them.
+# A keyword or punctuation token's kind is its spelling (``_SPELLINGS``
+# maps each to itself); the other kinds are named as an error message
+# prints them.
 IDENT, STRING, EOF = "identifier", "string", "end of input"
-_SPELLINGS = frozenset("namespace let is := + * / ( ) { } [ ] <: ~ 0".split())
+_SPELLINGS = {s: s for s in "namespace let is := + * / ( ) { } [ ] <: ~ 0".split()}
 
 
 class Token(NamedTuple):
@@ -160,32 +165,45 @@ def declarations(text: str) -> Iterator[tuple[int, str, str]]:
             yield line_no, head, line[len(head) :].lstrip(BLANKS)
 
 
-def tokenize(source: str) -> list[Token]:
-    """Scan the whole text. A token's ``at`` is the offset of its first
-    character, a string's opening '"'; the end-of-input token's is the
-    text's length. A ``LexError`` is placed at the character at fault."""
-    tokens: list[Token] = []
-    append, spellings, new = tokens.append, _SPELLINGS, tuple.__new__
-    at = 0  # each match starts where the last one ended
-    with in_text(source):
-        # four strings a match, the empty gap before it and its groups
-        pieces = iter(_TOKEN.split(source))
-        for _, skip, word, other in zip(pieces, pieces, pieces, pieces):
-            at += len(skip)
-            if word:
-                # Token's own constructor, less a Python-level call per token
-                append(new(Token, (word if word in spellings else IDENT, word, at)))
-                at += len(word)
-            elif len(other) > 1 and other[-1] == '"':
-                append(Token(STRING, other[1:-1], at))
-                at += len(other)
-            elif other[:1] == '"':
+def _scan(source: str) -> tuple[list[str], list[str], list[int]]:
+    """Scan the whole text into three columns: each token's kind, text
+    and ``at``, the offset of its first character (a string's opening
+    '"'; the end-of-input token's is the text's length). A ``LexError``
+    is placed at the character at fault. The columns are built by passes
+    over the whole text, not a loop per token: only the tokens that are
+    neither words nor operators are looked at one by one."""
+    # four strings a match, the empty gap before it and its groups
+    pieces = _TOKEN.split(source)
+    texts = pieces[2::4]  # a word or operator, None for any other token
+    kinds = list(map(_SPELLINGS.get, texts, repeat(IDENT)))
+    strings = []
+    i = texts.index(None)
+    while other := pieces[4 * i + 3]:  # the first empty one is the end of input
+        if len(other) < 2 or other[-1] != '"':
+            # the fault starts after every piece before its own group 3
+            at = sum(map(len, filter(None, pieces[: 4 * i + 2])))
+            if other[0] == '"':
                 raise LexError("unterminated string", at=at)
-            elif other:
-                raise LexError(f"unexpected character {other!r}", at=at)
-            else:
-                append(Token(EOF, "", at))
-                return tokens
+            raise LexError(f"unexpected character {other!r}", at=at)
+        kinds[i], texts[i] = STRING, other
+        strings.append(i)
+        i = texts.index(None, i + 1)
+    # a match that ends the text with its layout is followed by an empty one
+    del kinds[i + 1 :], texts[i + 1 :]
+    kinds[i], texts[i] = EOF, ""
+    # each token starts after the one before it, its spelling and the
+    # layout between them; a string's spelling holds its quotes
+    layouts = map(len, pieces[5 : 4 * i + 2 : 4])  # up to the end of input
+    ats = list(accumulate(map(add, map(len, texts), layouts), initial=len(pieces[1])))
+    for i in strings:
+        texts[i] = texts[i][1:-1]
+    return kinds, texts, ats
+
+
+def tokenize(source: str) -> list[Token]:
+    """The tokens of the whole text: ``_scan``'s columns, zipped."""
+    with in_text(source):
+        return list(starmap(Token, zip(*_scan(source))))
 
 
 class _Node(tuple):
@@ -286,15 +304,14 @@ MAX_NESTING = 100
 
 
 class _Parser:
-    """Reads the columns of a token list, ``kinds[pos]``, ``texts[pos]``
-    and ``ats[pos]``: each rule takes the index of its first token and
-    returns what it read with the index after it. Every token list ends
-    in the EOF token, which no rule consumes, so an index past a token
-    that is not EOF indexes a token."""
+    """Reads the token columns of ``_scan``, ``kinds[pos]``,
+    ``texts[pos]`` and ``ats[pos]``: each rule takes the index of its
+    first token and returns what it read with the index after it. The
+    columns end in the EOF token, which no rule consumes, so an index
+    past a token that is not EOF indexes a token."""
 
-    def __init__(self, tokens: list[Token]):
-        # not zip(*tokens), which makes an iterator for every token
-        self.kinds, self.texts, self.ats = (tuple(map(itemgetter(i), tokens)) for i in range(3))
+    def __init__(self, kinds: list[str], texts: list[str], ats: list[int]):
+        self.kinds, self.texts, self.ats = kinds, texts, ats
         self.depth = 0  # "(" and "[" open around the current token
 
     def expect(self, pos: int, *kinds: str) -> int:
@@ -330,7 +347,7 @@ class _Parser:
         statements: list[StatementNode] = []
         while (kind := kinds[pos]) != "}":
             if kind == "let":
-                if kinds[pos + 1 : pos + 4] != (IDENT, "is", IDENT):
+                if kinds[pos + 1 : pos + 4] != [IDENT, "is", IDENT]:
                     self.expect(self.expect(self.expect(pos + 1, IDENT), "is"), IDENT)
                 statements.append(new(LetIs, (texts[pos + 1], texts[pos + 3], ats[pos])))
                 pos += 4
@@ -405,8 +422,8 @@ class _Parser:
 def _collector_paused() -> Iterator[None]:
     """Run the block with the cyclic garbage collector disabled, and
     enable it again after the block only if it was enabled before, so a
-    caller's own ``gc.disable()`` stands. Every token and node is a tuple
-    the collector tracks, so collections during a reading would walk its
+    caller's own ``gc.disable()`` stands. Every node is a tuple the
+    collector tracks, so collections during a reading would walk its
     growing trees and the rest of the heap again and again; a reading
     builds no reference cycle, so refcounting alone frees its garbage.
     The switch is process-wide: other threads' collections wait until
@@ -423,14 +440,14 @@ def _collector_paused() -> Iterator[None]:
 def parse_text(source: str, filename: str | None = None) -> Program:
     """Parse a whole program; its errors name ``filename``."""
     with _collector_paused(), in_text(source, filename):
-        return Program(_Parser(tokenize(source)).namespaces(), source)
+        return Program(_Parser(*_scan(source)).namespaces(), source)
 
 
 def parse_expression(source: str) -> ExprNode:
     """Parse a bare expression: the whole text must be one expr. The
     text is no file, so its errors give only a position."""
     with _collector_paused(), in_text(source):
-        parser = _Parser(tokenize(source))
+        parser = _Parser(*_scan(source))
         node, pos = parser.expr(0)
         parser.expect(pos, EOF)
     return node

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import collections
+import contextlib
 import inspect
+import io
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from privcalc import (
     Arrangement,
@@ -32,9 +35,11 @@ from privcalc import engine, pal
 from privcalc.cli import main
 from privcalc.engine import answer, build_environment
 from privcalc.facts import MAX_FAMILY
-from privcalc.pal import MAX_NESTING
+from privcalc.pal import MAX_NESTING, LexError, ParseError, format_program
 
 from fixtures import CHILD_ENV, EXAMPLE_PAL, GUARDS_PAL, SESSION_ARRANGEMENT
+from oracles import reference_parse
+from test_pal import _laid_out, _programs
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -1063,3 +1068,39 @@ def test_a_query_evaluates_only_its_cone(workspace, capsys, monkeypatch):
     arrangement = ["--arrangement", "read + list + write + remove"]
     both = ["--left", "a_bob", "--right", "a_bob"]
     assert computed("eq", *both, *arrangement) == {**cone, "a_bob": 1}
+
+
+# Every command that reads a program, with arguments that are
+# well-formed whatever the program holds.
+_PROGRAM_COMMANDS = (
+    ["check"],
+    ["eval", "--expr", "0"],
+    ["pulse", "--expr", "0"],
+    ["trace", "--expr", "0", "--seq", "empty"],
+    ["comply", "--p", "0", "--q", "0"],
+)
+
+
+@pytest.fixture(scope="module")
+def fault_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("faults") / "f.pal"
+
+
+@settings(max_examples=100)
+@given(_laid_out(_programs().map(format_program), spliced=st.just(True)))
+def test_every_command_reports_a_syntax_fault_where_check_does(fault_file, source):
+    # Whatever a command then asks, it reads the whole file first, so
+    # one fault anywhere in it is reported by each command at the place
+    # the reference lexer and parser give it.
+    try:
+        reference_parse(source)
+    except (LexError, ParseError) as exc:
+        expected = f"error: {fault_file}:{exc.line}:{exc.column}: {exc.message}\n"
+    else:
+        assume(False)  # the fault landed in a comment or a string
+    fault_file.write_bytes(source.encode())
+    for command, *options in _PROGRAM_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(fault_file), *options])
+        assert (command, code, out.getvalue(), err.getvalue()) == (command, 2, "", expected)

@@ -368,10 +368,10 @@ def test_arrangement_rejects_the_programs_privileges():
 )
 def test_privilege_in_the_arrangement_is_named_at_its_first_use(monkeypatch, arrangement, position):
     # Scopes, guard operands and later elements are all searched, and the
-    # arrangement is tokenized once, after the program.
+    # arrangement is scanned once, after the program.
     calls = []
-    tokenize = pal.tokenize
-    monkeypatch.setattr(pal, "tokenize", lambda *a: calls.append(a) or tokenize(*a))
+    scan = pal._scan
+    monkeypatch.setattr(pal, "_scan", lambda *a: calls.append(a) or scan(*a))
     source = 'namespace "n" {\n  let d is C\n  x := read\n}\n'
     with pytest.raises(ArrangementError) as exc:
         build_environment(source, arrangement=arrangement)

@@ -8,10 +8,12 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from privcalc import pal
 from privcalc.errors import line_column, line_starts
 from privcalc.pal import (
     Define,
@@ -31,6 +33,7 @@ from privcalc.pal import (
     Sum,
     Token,
     _Parser,
+    _scan,
     chain,
     format_expr,
     format_program,
@@ -225,6 +228,17 @@ def test_tokenize_agrees_with_the_reference_lexer(source):
     assert [_place(source, tok.at) for tok in tokens] == [place for _, place in expected]
 
 
+@pytest.mark.parametrize(
+    "source", ["", " ", "a", "a \n", '"s"', '"s" # c', "a\n#c\n", "0 ~\t", 'namespace "n" {\n  x := a + b\n}\n']
+)
+def test_scan_columns_hold_one_entry_per_token_and_end_in_eof(source):
+    # A text that ends in layout splits into one more empty match after
+    # the end of input, which no column keeps.
+    kinds, texts, ats = _scan(source)
+    assert len(kinds) == len(texts) == len(ats)
+    assert (kinds.index(EOF), kinds[-1], texts[-1], ats[-1]) == (len(kinds) - 1, EOF, "", len(source))
+
+
 def test_tokens_are_named_tuples():
     (tok, eof) = tokenize("read")
     assert tok == Token(IDENT, "read", 0) == (IDENT, "read", 0)
@@ -315,7 +329,7 @@ def collector():
 
 
 # the code of the lexer and of every parser rule
-_READER_CODE = {tokenize.__code__} | {
+_READER_CODE = {tokenize.__code__, _scan.__code__} | {
     rule.__code__ for rule in vars(_Parser).values() if hasattr(rule, "__code__")
 }
 
@@ -342,7 +356,7 @@ def _collections(read) -> list[int]:
 
 
 def test_reading_a_text_runs_no_collection(collector):
-    # Every token and node is a tuple the collector tracks: a reading
+    # Every node is a tuple the collector tracks: a reading
     # with the collector on starts thousands of collections on this text.
     program = 'namespace "n" {\n  x := a' + " + a" * 100_000 + "\n}\n"
     assert len(program) > 300_000
@@ -402,6 +416,26 @@ def test_readings_in_two_threads_leave_the_collector_enabled(collector):
             assert gc.isenabled()
     finally:
         sys.setswitchinterval(interval)
+
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+def test_readers_build_no_token(monkeypatch):
+    # The readers take the scanner's columns; ``tokenize`` is a view of
+    # them that no reader calls.
+    def refused(source):
+        raise AssertionError("a reader built tokens")
+
+    monkeypatch.setattr(pal, "tokenize", refused)
+    programs = sorted(SAMPLES.glob("*.pal"))
+    expressions = [(SAMPLES / "sessions.arr").read_text(), "read/C * [a <: b/D] + ([c ~ d] + 0)"]
+    assert len(programs) == 3
+    for text in (path.read_text() for path in programs):
+        # the repr of a tree shows every node's ``at``
+        assert repr(parse_text(text)) == repr(reference_parse(text))
+    for text in expressions:
+        assert repr(parse_expression(text)) == repr(reference_parse(text, expression=True))
 
 
 # --- expression parsing -------------------------------------------------------
@@ -549,6 +583,9 @@ def test_nesting_is_bounded_at_the_opening_token():
     with pytest.raises(ParseError, match=r"'\(' nested more than") as exc:
         parse_expression("(" + deepest + ")")
     assert (exc.value.at, exc.value.line, exc.value.column) == (MAX_NESTING, 1, MAX_NESTING + 1)
+    # brackets closed before it leave the depth as they found it
+    with pytest.raises(ParseError, match=r"'\(' nested more than"):
+        parse_expression("(a) * [a ~ b] + (" + deepest + ")")
     guards = "[" * MAX_NESTING + "a" + " ~ b]" * MAX_NESTING
     with pytest.raises(ParseError, match=r"'\[' nested more than") as exc:
         parse_text(f'namespace "n" {{\n  x := [{guards} ~ a]\n}}', filename="d.pal")
@@ -669,12 +706,13 @@ _FAULTS = st.sampled_from(["$", "é", '"', "9", ":", "<", "+", ")", "]", "{", "n
 
 
 @st.composite
-def _laid_out(draw, texts):
+def _laid_out(draw, texts, spliced=st.booleans()):
     """A text drawn from ``texts`` with each blank replaced by layout
-    and, in about half the draws, one fault spliced in."""
+    and, in the draws where ``spliced`` is true (by default about half),
+    one fault spliced in."""
     pieces = draw(texts).split(" ")
     source = "".join(piece + draw(_LAYOUT) for piece in pieces)
-    if draw(st.booleans()):
+    if draw(spliced):
         cut = draw(st.integers(0, len(source)))
         source = source[:cut] + draw(_FAULTS) + source[cut:]
     return source

@@ -22,6 +22,13 @@ match on both sides:
   an arrangement, and definitions sharing a line that scope one empty
   category; and a ``trace`` whose ``--seq`` repeats facts, with
   ``pulse``, ``trace`` and ``nf`` of a privilege that covers no element;
+- the lexer's edges, each through ``check``, ``eval`` (also in a
+  namespace whose name holds ``#`` and blanks) and ``pulse``: an
+  unterminated string mid-file and at the end of the file, a stray
+  character as the last byte, ``0a``, namespace names holding ``#`` or
+  only a blank, CRLF line ends (clean and with a fault), no trailing
+  newline, a file that is only a comment, an empty file, and a
+  non-ASCII letter in a name;
 - ``check`` and ``nf`` over arrangements that clash in each way the
   basis index decides (a universal element after a finite one, a finite
   one after a universal one, a category's element then one of its
@@ -136,6 +143,27 @@ SHAPES = {
         )],
     ),
 }
+
+# Lexer edges: name -> program, each run through ``LEXER_QUERIES``.
+LEXER_EDGES = {
+    "unterminated-mid.pal": 'namespace "n" {\n  x := read\n  y := "write\n  z := list\n}\n',
+    "unterminated-end.pal": 'namespace "n" {\n  x := read\n}\nnamespace "m',
+    "stray-last.pal": 'namespace "n" {\n  x := read\n}$',
+    "zero-a.pal": 'namespace "n" {\n  x := read + 0a\n}\n',
+    "hash-namespace.pal": 'namespace "a #b  c" {\n  x := read # "q\n}\nnamespace " " { x := write }\n',
+    "crlf.pal": 'namespace "n" {\r\n  x := read\r\n  y := x + write/C\r\n  let d is C\r\n}\r\n',
+    "crlf-fault.pal": 'namespace "n" {\r\n  x := read\r\n  y := x + $\r\n}\r\n',
+    "no-newline.pal": 'namespace "n" {\n  x := read\n}',
+    "comment-only.pal": "# nothing but a comment",
+    "empty.pal": "",
+    "non-ascii.pal": 'namespace "n" {\n  x := r\u00e9ad\n}\n',
+}
+LEXER_QUERIES = (
+    ["check"],
+    ["eval", "--expr", "x"],
+    ["eval", "--expr", "x", "--namespace", "a #b  c"],
+    ["pulse", "--expr", "x + read", "--arrangement", "read + write"],
+)
 
 # Inline arrangements over ``clashes.pal``, where C holds d1 and d2.
 CLASHES = (
@@ -264,6 +292,14 @@ def shape_commands(workdir: Path) -> list[list[str]]:
     return commands
 
 
+def lexer_commands(workdir: Path) -> list[list[str]]:
+    commands = []
+    for name, text in LEXER_EDGES.items():
+        (workdir / name).write_bytes(text.encode("utf-8"))  # as written: CRLF stays
+        commands += [[query[0], name, *query[1:]] for query in LEXER_QUERIES]
+    return commands
+
+
 def arrangement_commands(workdir: Path) -> list[list[str]]:
     (workdir / "clashes.pal").write_text(CLASH_PROGRAM, encoding="utf-8")
     commands = []
@@ -368,7 +404,8 @@ def main(argv: list[str]) -> int:
         shutil.copytree(ROOT / "samples", workdir / "samples")
         commands = (
             sample_commands() + policy_commands(workdir) + malformed_commands(workdir)
-            + shape_commands(workdir) + arrangement_commands(workdir) + chain_commands(workdir)
+            + shape_commands(workdir) + lexer_commands(workdir) + arrangement_commands(workdir)
+            + chain_commands(workdir)
             + prefix_commands(workdir) + guarded_commands(workdir)
         )
         corpus = workdir / "corpus.json"

@@ -201,6 +201,9 @@ def main(argv: list[str]) -> int:
             print("the unmutated tree fails Tier-1; no mutant run", file=sys.stderr)
             return 2
         outcomes: dict[Mutant, str] = {}
+        # described from the copy, so that edits to the tree during the
+        # campaign do not move the text a report line shows
+        described: dict[Mutant, str] = {}
         for n, mutant in enumerate(campaign, 1):
             path = copy / PACKAGE / f"{mutant.module}.py"
             original = path.read_text(encoding="utf-8")
@@ -210,8 +213,9 @@ def main(argv: list[str]) -> int:
                 outcomes[mutant] = run_tests(copy, mutant.module)
             finally:
                 path.write_text(original, encoding="utf-8")
+            described[mutant] = mutant.describe(original)
             print(f"[{n}/{len(campaign)}] {outcomes[mutant]} in {time.monotonic() - began:.0f} s: "
-                  f"{mutant.describe(original)}", file=sys.stderr)
+                  f"{described[mutant]}", file=sys.stderr)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -226,8 +230,7 @@ def main(argv: list[str]) -> int:
     for outcome in ("survived", "timed out"):
         for mutant, o in outcomes.items():
             if o == outcome:
-                source = (ROOT / PACKAGE / f"{mutant.module}.py").read_text(encoding="utf-8")
-                print(f"{outcome}: {mutant.describe(source)}")
+                print(f"{outcome}: {described[mutant]}")
     return 0
 
 
