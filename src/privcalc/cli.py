@@ -135,8 +135,11 @@ def _warn(filename: str, envs: list[engine.Environment]) -> None:
 def _cmd_program(args: argparse.Namespace) -> int:
     """Read the program, ``--facts`` and ``--arrangement``, in that
     order, then load the program and answer the query, or print ``ok``
-    for ``check``, which loads every namespace unless one is named."""
-    program = pal.parse_text(_read(args.file), filename=args.file)
+    for ``check``, which loads every namespace unless one is named. The
+    program is read once, to its token columns (``pal.read_columns``):
+    its syntax faults come first, and a body is parsed only when a
+    definition is computed."""
+    program = pal.read_columns(_read(args.file), filename=args.file)
     family = conditions = path = None
     if args.facts:
         family, conditions = load_facts(_read(args.facts), filename=args.facts)
@@ -146,7 +149,7 @@ def _cmd_program(args: argparse.Namespace) -> int:
         arrangement = _read(path)
     names = [args.namespace]
     if args.query is None and args.namespace is None:
-        names = [ns.name for ns in program.namespaces] or [None]
+        names = list(program.namespaces) or [None]
     mode = ConditionMergeMode(args.merge_conditions)
     # The program's faults name the program, so an error that leaves
     # ``build_environment`` naming no file is the arrangement's.

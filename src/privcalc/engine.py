@@ -20,6 +20,13 @@ so the definitions form a graph in which each reads only earlier ones.
 A definition's value is computed on its first read, after the unread
 definitions it reads, and kept. ``load_program`` reads them all;
 ``build_environment`` reads none, so a query computes its cone only.
+One binder (``_Binder``) reads every expression as token columns: a
+program's text as ``pal.read_columns`` scanned and checked it, whose
+bodies are parsed only when their definitions are computed, so a query
+parses only its cone; a ``Program`` or an expression built as nodes as
+``pal`` lays them out. A syntax fault anywhere in the text, and a
+clash or kind fault anywhere in the namespace, still fails every
+command that loads it.
 
 Guards need an arrangement to project onto, so expressions containing
 ``[p <: q]`` or ``[u ~ v]`` require ``Environment.arrangement`` to be
@@ -158,11 +165,14 @@ class Environment:
 
 class _Definition:
     """One ``:=``: its body and what each name it reads denotes, until
-    its value is computed; then the value alone."""
+    its value is computed; then the value alone. The body is a node, or
+    for a program read from text the index of its first token in the
+    columns of ``text``'s parser, parsed when the value is computed;
+    ``text`` is (source, file name, parser) of the program."""
 
     __slots__ = ("body", "bound", "text", "value")
 
-    def __init__(self, body: pal.ExprNode, bound: list, text: tuple):
+    def __init__(self, body: pal.ExprNode | int, bound: list, text: tuple):
         self.body, self.bound, self.text, self.value = body, bound, text, None
 
 
@@ -202,25 +212,29 @@ def _evaluate(env: Environment, wanted: list) -> None:
         if unread:
             stack += [definition, *unread]
             continue
+        source, filename, parser = definition.text
         try:
-            definition.value = _value(definition.body, env, iter(definition.bound))
+            body = definition.body
+            if type(body) is int:
+                body = parser.expr(body)[0]
+            definition.value = _value(body, env, iter(definition.bound))
         except SourceError:
-            with in_text(*definition.text):
+            with in_text(source, filename):
                 raise
         definition.body = definition.bound = definition.text = None
 
 
-def _pick_namespace(program: pal.Program, namespace: str | None) -> pal.Namespace:
-    if not program.namespaces:
+def _pick_namespace(names: list[str], namespace: str | None) -> int:
+    """The index of ``namespace`` among a program's namespace names."""
+    if not names:
         raise ResolutionError("program has no namespaces")
     if namespace is None:
-        if len(program.namespaces) > 1:
-            names = ", ".join(f'"{ns.name}"' for ns in program.namespaces)
-            raise ResolutionError(f"program defines several namespaces ({names}); pick one")
-        return program.namespaces[0]
-    for ns in program.namespaces:
-        if ns.name == namespace:
-            return ns
+        if len(names) > 1:
+            listed = ", ".join(f'"{name}"' for name in names)
+            raise ResolutionError(f"program defines several namespaces ({listed}); pick one")
+        return 0
+    if namespace in names:
+        return names.index(namespace)
     raise ResolutionError(f'no namespace "{namespace}" in program')
 
 
@@ -244,22 +258,59 @@ def load_program(
 
 
 def _resolve(
-    program: pal.Program, env: Environment | None, namespace: str | None, filename: str | None
+    program: pal.Program | pal.Columns,
+    env: Environment | None,
+    namespace: str | None,
+    filename: str | None,
 ) -> Environment:
     """Load the statements, computing no value: fix each name's kind at
     each line and bind each name a definition reads, raising every clash
-    and kind error and recording every warning, in source order."""
-    with in_text(program.source, filename):
-        block = _pick_namespace(program, namespace)
+    and kind error and recording every warning, in source order. A
+    program read from text is bound from its token columns and keeps its
+    bodies unparsed; a ``Program`` of nodes lays its statements out as
+    columns (``pal.statement_columns``) for the same binder and keeps
+    its bodies. A program built by hand has the empty source, which
+    holds no offset, so its errors and warnings name no line."""
+    source = program.source or None
+    with in_text(source, filename):
+        if isinstance(program, pal.Program):
+            block = program.namespaces[
+                _pick_namespace([ns.name for ns in program.namespaces], namespace)
+            ]
+            columns, heads = pal.statement_columns(block.statements)
+            bodies = [stmt[1] for stmt in block.statements]  # read for definitions only
+            parser = None
+        else:
+            names = list(program.namespaces)
+            heads = program.namespaces[names[_pick_namespace(names, namespace)]]
+            parser = program.parser
+            columns, bodies = (parser.kinds, parser.texts, parser.ats), None
         if env is None:
             env = Environment()
-        text = (program.source, filename)
+        binder = _Binder(env, *columns)
+        kinds, texts, ats = columns
+        latest, categories, unread = env._latest, env.categories, env._unread
+        text = (source, filename, parser)
         warned: set[tuple[str, str]] = set()  # (line prefix, category) of each empty scope
-        for stmt in block.statements:
-            if type(stmt) is pal.LetIs:
-                _load_let(stmt, env)
-            else:
-                _load_define(stmt, env, program, text, warned)
+        for i, head in enumerate(heads):
+            if kinds[head] == "let":
+                _load_let(texts[head + 1], texts[head + 3], ats[head], env)
+                continue
+            name, bound = texts[head], []
+            binder.bound = bound
+            end = binder.expr(head + 2)
+            if name in env.functions or name in categories or name in env.conditions:
+                taken = {"function", "category", "condition"}
+                raise _clash(name, env, taken, "a privilege", ats[head])
+            if name in latest:
+                message = f"redefinition of '{name}' (latest wins)"
+                env.warnings.append(_line_prefix(program, ats[head]) + message)
+            if not all(categories.values()):  # only a scope makes a category empty
+                _warn_empty_scopes(binder, head + 2, end, program, warned)
+            latest[name] = definition = _Definition(
+                head + 2 if bodies is None else bodies[i], bound, text
+            )
+            unread.append(definition)
     return env
 
 
@@ -272,8 +323,7 @@ def _clash(name: str, env: Environment, kinds: set[str], wanted: str, at: int) -
     return ResolutionError(message, at=at)
 
 
-def _load_let(stmt: pal.LetIs, env: Environment) -> None:
-    entity, category, at = stmt
+def _load_let(entity: str, category: str, at: int, env: Environment) -> None:
     if entity in env.functions or entity in env.categories or entity in env.conditions:
         raise _clash(entity, env, {"function", "category", "condition"}, "an entity", at)
     if (  # `let x is x` would make x both
@@ -286,32 +336,26 @@ def _load_let(stmt: pal.LetIs, env: Environment) -> None:
     env.categories.setdefault(category, set()).add(Entity(entity))
 
 
-def _load_define(
-    stmt: pal.Define, env: Environment, program: pal.Program, text: tuple, warned: set
-) -> None:
-    name, body, at = stmt
-    bound: list = []
-    _bind(body, env, bound)
-    if name in env.functions or name in env.categories or name in env.conditions:
-        raise _clash(name, env, {"function", "category", "condition"}, "a privilege", at)
-    if name in env._latest:
-        env.warnings.append(f"{_line_prefix(program, at)}redefinition of '{name}' (latest wins)")
-    if not all(env.categories.values()):  # only a scope makes a category empty
-        for scope in (s for n in _walk(body) if type(n) is pal.Slash for s in n.scopes):
-            key = (_line_prefix(program, scope.at), scope.id)
-            if key not in warned and not env.categories.get(scope.id, True):
-                warned.add(key)  # once a line and category
-                env.warnings.append(
-                    f"{key[0]}category '{scope.id}' is empty here, "
-                    f"so '/{scope.id}' restricts everything away"
-                )
-    env._latest[name] = definition = _Definition(body, bound, text)
-    env._unread.append(definition)
+def _warn_empty_scopes(binder: _Binder, start: int, end: int, program, warned: set) -> None:
+    """Warn of each scope over an empty category among the binder's
+    tokens from ``start`` to ``end``, once a line and category."""
+    kinds, texts, ats, env = binder.kinds, binder.texts, binder.ats, binder.env
+    for scope in range(start + 1, end):  # each token after a "/"
+        if kinds[scope - 1] != "/":
+            continue
+        key = (_line_prefix(program, ats[scope]), texts[scope])
+        if key not in warned and not env.categories.get(key[1], True):
+            warned.add(key)
+            env.warnings.append(
+                f"{key[0]}category '{key[1]}' is empty here, "
+                f"so '/{key[1]}' restricts everything away"
+            )
 
 
-def _line_prefix(program: pal.Program, at: int) -> str:
-    """``line N: ``, or nothing for an offset from another text."""
-    if at > len(program.source):
+def _line_prefix(program, at: int) -> str:
+    """``line N: ``, or nothing for an offset from another text or a
+    program built by hand."""
+    if not program.source or at > len(program.source):
         return ""
     return f"line {line_column(program.line_starts, at)[0]}: "
 
@@ -319,10 +363,10 @@ def _line_prefix(program: pal.Program, at: int) -> str:
 def _eval_expr(node: pal.ExprNode, env: Environment) -> Privilege:
     """Evaluate an expression to a privilege value (a snapshot): bind its
     names in ``env``, compute the definitions they read, then its value."""
-    bound: list = []
-    _bind(node, env, bound)
-    _evaluate(env, bound)
-    return _value(node, env, iter(bound))
+    binder = _Binder(env, *pal.expression_columns(node))
+    binder.expr(0)
+    _evaluate(env, binder.bound)
+    return _value(node, env, iter(binder.bound))
 
 
 def eval_text(source: str, env: Environment) -> Privilege:
@@ -340,65 +384,171 @@ def _reader(env: Environment) -> Environment:
     return reader
 
 
-def _bind(node: pal.ExprNode, env: Environment, bound: list) -> None:
-    """Append to ``bound`` what each name of ``node`` denotes where it
-    stands: a definition, a function's name, ``0``'s value or, after
-    ``/``, an entity set. The names come in the order ``_value`` reads
-    them, which takes one binding a read, and a fault of a name is the
-    one that the first faulty read would meet. Recursion is bounded as
-    the parser bounds nesting; the node shapes come most common first."""
-    kind = type(node)
-    if kind is pal.Sum:
-        for operand in node.operands:
-            _bind(operand, env, bound)
-    elif kind is pal.Slash:
-        _bind(node.operand, env, bound)
-        for scope in node.scopes:
-            bound.append(_resolve_scope(scope, env))
-    elif kind is pal.Name:
-        if node.id in env._latest:
-            bound.append(env._latest[node.id])
-        elif node.id in env.functions:  # settled by the name's first read
-            bound.append(node.id)
+# The change in bracket depth at each bracket kind.
+_DEPTHS = {"(": 1, "[": 1, ")": -1, "]": -1}
+
+
+class _Binder:
+    """The one binder: reads an expression's tokens from ``_scan``'s
+    columns (or ``pal``'s layout of nodes as such columns) and appends to
+    ``bound`` what each name denotes where it stands: a definition, a
+    function's name, ``0``'s value, after ``/`` an entity set, and as a
+    factor after the first a condition. Before the factors of each
+    product it appends whether the first two swap: a leading guard or
+    condition, in parentheses or not, goes after the second factor when
+    that one is neither, and binds after it. So the bindings come in
+    the order ``_value`` reads them, one a read, and a fault of a name
+    is the one that the first faulty read would meet. Each bracket costs
+    two frames (``expr`` and ``nested``), as in the parser."""
+
+    __slots__ = ("env", "kinds", "texts", "ats", "bound", "_closes")
+
+    def __init__(self, env: Environment, kinds: list[str], texts: list[str], ats: list[int]):
+        self.env, self.kinds, self.texts, self.ats = env, kinds, texts, ats
+        self.bound: list = []
+        self._closes: dict[int, int] = {}  # a bracket's index: the index after its closer
+
+    def expr(self, pos: int) -> int:
+        """Bind the expression from token ``pos``; the index after it.
+        Names and their scopes are bound here, a bracketed primary by
+        ``nested``."""
+        kinds, texts, bound, env = self.kinds, self.texts, self.bound, self.env
+        latest, functions, conditions = env._latest, env.functions, env.conditions
+        while True:  # over the terms
+            mark, deferred, flagged = len(bound), None, False
+            kind = kinds[pos]
+            if kind != "0" and (kind != pal.IDENT or texts[pos] in conditions):
+                end = self.condition(pos)
+                if end is not None and kinds[end] == "*":
+                    flagged = True
+                    if self.condition(end + 1) is None:
+                        bound.append(True)
+                        deferred, pos = pos, end + 1
+                    else:
+                        bound.append(False)
+            rest = False  # past the term's first factor
+            while True:  # over the factors
+                kind = kinds[pos]
+                if kind == pal.IDENT or kind == "0":
+                    name = texts[pos]
+                    if name in latest:
+                        bound.append(latest[name])
+                    elif name in functions:  # settled by the name's first read
+                        bound.append(name)
+                    elif rest and name in conditions and kinds[pos + 1] != "/":
+                        bound.append(conditions[name])
+                    else:
+                        bound.append(_bind_name(name, self.ats[pos], env))
+                    pos += 1
+                    while kinds[pos] == "/":
+                        bound.append(_resolve_scope(texts[pos + 1], self.ats[pos + 1], env))
+                        pos += 2
+                else:
+                    pos = rest and self.named_condition(pos) or self.nested(pos)
+                if deferred is not None:
+                    self.named_condition(deferred) or self.nested(deferred)
+                    deferred = None
+                if kinds[pos] != "*":
+                    break
+                if not flagged:
+                    bound.insert(mark, False)
+                    flagged = True
+                pos, rest = pos + 1, True
+            if kinds[pos] != "+":
+                return pos
+            pos += 1
+
+    def condition(self, pos: int) -> int | None:
+        """The index after the factor at ``pos`` if it is a guard or a
+        condition's name, in parentheses or not and with no scope."""
+        kinds = self.kinds
+        name = pos
+        while kinds[name] == "(":
+            name += 1
+        kind = kinds[name]
+        if kind == "[":
+            end = self.closing(name)
+        elif kind == pal.IDENT and self.texts[name] in self.env.conditions:
+            end = name + 1
         else:
-            bound.append(_bind_name(node, env))
-    elif kind is pal.Product:
-        first, *rest = _factors(node.operands, env)
-        _bind(first, env, bound)
-        for factor in rest:
-            if type(factor) is pal.Guard or not _is_condition(factor, env):
-                _bind(factor, env, bound)
-    elif kind is pal.Guard:
-        if env.arrangement is None:
-            message = (
-                "guard expressions need an arrangement in scope "
-                "(set one before loading, or pass --arrangement)"
-            )
-            raise ResolutionError(message, at=node.at)
-        _bind(node.left, env, bound)
-        _bind(node.right, env, bound)
-    else:
-        raise TypeError(f"not an expression node: {node!r}")
+            return None
+        while name > pos:  # each "(" closes right after
+            if kinds[end] != ")":
+                return None
+            name, end = name - 1, end + 1
+        return None if kinds[end] == "/" else end
+
+    def named_condition(self, pos: int) -> int | None:
+        """If the factor at ``pos``, one after the first, is a
+        condition's name in parentheses or not, bind its condition and
+        return the index after it."""
+        name = pos
+        while self.kinds[name] == "(":
+            name += 1
+        if self.kinds[name] != pal.IDENT:
+            return None
+        end = self.condition(pos)
+        if end is not None:
+            self.bound.append(self.env.conditions[self.texts[name]])
+        return end
+
+    def nested(self, pos: int) -> int:
+        """Bind ``( expr )`` or ``[ expr op expr ]`` at ``pos`` and its
+        scopes; the index after them."""
+        kinds, env = self.kinds, self.env
+        if kinds[pos] == "(":
+            pos = self.expr(pos + 1) + 1
+        else:
+            if env.arrangement is None:
+                message = (
+                    "guard expressions need an arrangement in scope "
+                    "(set one before loading, or pass --arrangement)"
+                )
+                raise ResolutionError(message, at=self.ats[pos])
+            pos = self.expr(self.expr(pos + 1) + 1) + 1
+        while kinds[pos] == "/":
+            self.bound.append(_resolve_scope(self.texts[pos + 1], self.ats[pos + 1], env))
+            pos += 2
+        return pos
+
+    def closing(self, pos: int) -> int:
+        """The index after the bracket that closes the one at ``pos``.
+        One walk finds the closer of every bracket inside it too."""
+        closes = self._closes
+        if pos not in closes:
+            kinds, opened = self.kinds, []
+            for i in range(pos, len(kinds)):
+                step = _DEPTHS.get(kinds[i])
+                if step == 1:
+                    opened.append(i)
+                elif step == -1:
+                    closes[opened.pop()] = i + 1
+                    if not opened:
+                        break
+        return closes[pos]
 
 
-def _bind_name(node: pal.Name, env: Environment) -> str | Privilege:
+def _bind_name(name: str, at: int, env: Environment) -> str | Privilege:
     """What a name that is neither a privilege nor a function denotes:
     ``0``'s value, or else a new function."""
-    if node.id == "0":
+    if name == "0":
         return Privilege()
-    kinds = env.kinds_of(node.id)
+    kinds = env.kinds_of(name)
     if "entity" in kinds or "category" in kinds:
         article = "an entity" if "entity" in kinds else "a category"
-        message = f"'{node.id}' is {article} and has no privilege value"
-        raise ResolutionError(message, at=node.at)
+        message = f"'{name}' is {article} and has no privilege value"
+        raise ResolutionError(message, at=at)
     if "condition" in kinds:
-        message = f"'{node.id}' is a condition; attach it with '*'"
-        raise ResolutionError(message, at=node.at)
-    env.functions.add(node.id)
-    return node.id
+        message = f"'{name}' is a condition; attach it with '*'"
+        raise ResolutionError(message, at=at)
+    env.functions.add(name)
+    return name
 
 
 def _value(node: pal.ExprNode, env: Environment, bound: Iterator) -> Privilege:
+    """The value of ``node``, reading its names' bindings from ``bound``
+    in ``_Binder``'s order. A condition's name, which only a product
+    reads, gives its condition."""
     kind = type(node)
     if kind is pal.Name:
         binding = next(bound)
@@ -420,38 +570,28 @@ def _value(node: pal.ExprNode, env: Environment, bound: Iterator) -> Privilege:
     return Privilege.single(Employment(GUARD_FUNCTION, UNIVERSAL), [condition])
 
 
-def _is_condition(node: pal.ExprNode, env: Environment) -> bool:
-    return isinstance(node, pal.Guard) or isinstance(node, pal.Name) and node.id in env.conditions
-
-
-def _factors(factors: tuple[pal.ExprNode, ...], env: Environment) -> list[pal.ExprNode]:
-    """Left to right, but a leading guard or condition goes to the
-    second factor, after that factor is evaluated."""
-    first, second, *rest = factors
-    if _is_condition(first, env) and not _is_condition(second, env):
-        return [second, first, *rest]
-    return [first, second, *rest]
-
-
 def _eval_product(
     factors: tuple[pal.ExprNode, ...], env: Environment, bound: Iterator
 ) -> Privilege:
     # A guard or condition operand hands its condition to the other
-    # side's atoms instead of merging as a separate atom.
-    first, *rest = _factors(factors, env)
-    value = _value(first, env, bound)
-    for factor in rest:
-        if isinstance(factor, pal.Guard):
+    # side's atoms instead of merging as a separate atom. The binder
+    # decided whether the first two factors swap.
+    if next(bound):
+        factors = (factors[1], factors[0], *factors[2:])
+    value = _value(factors[0], env, bound)
+    for factor in factors[1:]:
+        if type(factor) is pal.Guard:
             value = value.with_condition(_guard_condition(factor, env, bound))
-        elif _is_condition(factor, env):
-            value = value.with_condition(env.conditions[factor.id])
+            continue
+        other = _value(factor, env, bound)
+        if isinstance(other, Condition):
+            value = value.with_condition(other)
         else:
-            value = merge(value, _value(factor, env, bound), env.merge_mode)
+            value = merge(value, other, env.merge_mode)
     return value
 
 
-def _resolve_scope(scope: pal.Name, env: Environment) -> EntitySet:
-    name = scope.id
+def _resolve_scope(name: str, at: int, env: Environment) -> EntitySet:
     if name in env.categories:
         key = (name, len(env.categories[name]))
         if key not in env._snapshots:
@@ -462,7 +602,7 @@ def _resolve_scope(scope: pal.Name, env: Environment) -> EntitySet:
     kinds = env.kinds_of(name)
     if kinds:
         message = f"'{name}' is a {kinds[0]}; '/' needs a category or an entity"
-        raise ResolutionError(message, at=scope.at)
+        raise ResolutionError(message, at=at)
     # Unknown scope: a new, empty category. A later let adds members to
     # the category but not to this snapshot, which restricts everything
     # away; loading warns of it.
@@ -802,7 +942,7 @@ class QueryResult:
 
 
 def build_environment(
-    source: str | pal.Program,
+    source: str | pal.Program | pal.Columns,
     family: FactFamily | None = None,
     conditions: dict[str, Condition] | None = None,
     arrangement: str | None = None,
@@ -812,20 +952,24 @@ def build_environment(
 ) -> Environment:
     """Resolve one namespace of a program over facts and an arrangement.
 
-    Inputs are read in one order, as the command line reads them: the
-    program is parsed, then the arrangement; the program's names are
+    ``source`` is the program's text, a ``Program``, or the text as
+    ``pal.read_columns`` read it (as ``pal`` hands it over, so that a
+    file of several namespaces is scanned once). Inputs are read in one
+    order, as the command line reads them: the program is read (its
+    syntax faults first), then the arrangement; the program's names are
     resolved, so a clash or kind error in it comes first; then the
     arrangement is evaluated in a scope of the conditions and the
     namespace's final ``let`` membership over the empty basis, where a
     guard is a condition it carries. No definition is computed here:
     each is on its first read, so a query computes only the definitions
-    its names depend on, and meets a fault of a value (a guard nested
-    too deep through names) only there; ``read_all`` computes them all.
+    its names depend on, parsing a body read from text only then, and
+    meets a fault of a value (a guard nested too deep through names)
+    only there; ``read_all`` computes them all.
     ``filename`` names the program in its errors; the arrangement's
     errors name no file.
     """
     if isinstance(source, str):
-        source = pal.parse_text(source, filename)
+        source = pal.read_columns(source, filename)
     # Until the arrangement is evaluated, the empty basis stands in for
     # it: binding a guard asks only whether there is one.
     basis = None if arrangement is None else Arrangement(())

@@ -70,19 +70,21 @@ def line_column(starts: Sequence[int], at: int) -> tuple[int, int]:
 
 
 @contextmanager
-def in_text(text: str, filename: str | None = None) -> Iterator[None]:
+def in_text(text: str | None, filename: str | None = None) -> Iterator[None]:
     """Name ``filename`` in every ``SourceError`` raised in the block that
     names no file yet, and place in ``text`` every one with an offset and
     no line yet. Every reader wraps its work in this, so raise sites give
     a position only; an inner reader's name and place win. An offset past
-    the end of ``text`` is from another text: the error keeps ``at`` and
-    names no line, here and in every enclosing reader. Lines are counted
-    only here, so a text read without fault has none counted."""
+    the end of ``text``, or any offset when ``text`` is None (no text,
+    as for a program built by hand), is from another text: the error
+    keeps ``at`` and names no line, here and in every enclosing reader.
+    Lines are counted only here, so a text read without fault has none
+    counted."""
     try:
         yield
     except SourceError as exc:
         if exc.line is None and exc.at is not None and not exc._unplaced:
-            if exc.at <= len(text):
+            if text is not None and exc.at <= len(text):
                 exc.line, exc.column = line_column(line_starts(text), exc.at)
             else:
                 exc._unplaced = True

@@ -43,6 +43,18 @@ are named tuples, which the parser builds with ``tuple.__new__``,
 bypassing a Python-level constructor per node; a node's equality and
 hash ignore ``at``. ``parse_text`` and ``parse_expression`` pause the
 cyclic garbage collector while they read (``_collector_paused``).
+
+``read_columns`` reads a program for the engine without building a
+node: it scans the text once, checks the kind column against the
+grammar (``_grammatical``, regular expressions over one character per
+token), and splits each namespace into its statements at their ``let``
+and ``IDENT :=`` tokens. A text the check rejects is handed to
+``_Parser``, which raises the fault it meets first, so every syntax
+error reads as ``parse_text`` reports it. ``_Parser.expr`` then parses a
+definition's body from the columns when the engine computes it, so a
+query builds nodes only for the bodies it computes. A program built as
+nodes is laid out as the same columns (``statement_columns``,
+``expression_columns``) for the engine's one binder.
 """
 
 from __future__ import annotations
@@ -61,6 +73,7 @@ from .errors import SourceError, in_text, line_starts
 
 __all__ = [
     "BLANKS",
+    "Columns",
     "Define",
     "EOF",
     "ExprNode",
@@ -82,11 +95,14 @@ __all__ = [
     "chain",
     "declarations",
     "declared_name",
+    "expression_columns",
     "format_expr",
     "format_program",
     "is_identifier",
     "parse_expression",
     "parse_text",
+    "read_columns",
+    "statement_columns",
     "tokenize",
     "words",
 ]
@@ -443,6 +459,74 @@ def parse_text(source: str, filename: str | None = None) -> Program:
         return Program(_Parser(*_scan(source)).namespaces(), source)
 
 
+# One character per token kind, so that the grammar check reads the kind
+# column as a string: IDENT "i", STRING "s", EOF "$", "0" "z", "namespace"
+# "n", "let" "l", "is" "e", ":=" "=", "<:" "<", and each other
+# punctuation its own spelling.
+_CODES = {
+    **{s: s for s in "+ * / ( ) { } [ ] ~".split()},
+    IDENT: "i", STRING: "s", EOF: "$", "0": "z",
+    "namespace": "n", "let": "l", "is": "e", ":=": "=", "<:": "<",
+}
+# An expression whose bracketed primaries each read as one "p".
+_FLAT = r"[izp](?:/i)*+(?:[+*][izp](?:/i)*+)*+"
+_INNERMOST = re.compile(rf"\({_FLAT}\)|\[{_FLAT}[<~]{_FLAT}\]")
+_GRAMMAR = re.compile(rf"(?:ns\{{(?:liei|i={_FLAT})*+\}})*+\$")
+# In a program's codes, the first token of each statement.
+_STATEMENT = re.compile("l|i=")
+
+
+def _grammatical(code: str) -> bool:
+    """Whether a text whose kinds spell ``code`` is a program, nesting
+    and all: each pass reads every innermost bracketed primary as one,
+    so a bracket nested ``MAX_NESTING`` deep is read on the last pass
+    and one nested deeper is left, which no program holds."""
+    for _ in range(MAX_NESTING):
+        code, found = _INNERMOST.subn("p", code)
+        if not found:
+            break
+    return _GRAMMAR.fullmatch(code) is not None
+
+
+@dataclass(frozen=True, eq=False)
+class Columns:
+    """A program's text read to its token columns and checked, with no
+    node built: ``parser`` holds the columns, and ``namespaces`` maps
+    each namespace's name to the index of each of its statements' first
+    token, in order. ``parser.expr`` reads a definition's body from the
+    token after its ``:=`` when the body is wanted."""
+
+    source: str
+    parser: _Parser
+    namespaces: dict[str, list[int]]
+
+    @cached_property
+    def line_starts(self) -> list[int]:
+        """``errors.line_starts`` of the source, found on first use."""
+        return line_starts(self.source)
+
+
+def read_columns(source: str, filename: str | None = None) -> Columns:
+    """Scan a whole program and check its kind column against the
+    grammar, building no node. A text the check rejects is read by
+    ``_Parser``, which raises the fault it meets first, so a fault is
+    reported as ``parse_text`` reports it; errors name ``filename``."""
+    with _collector_paused(), in_text(source, filename):
+        parser = _Parser(*_scan(source))
+        code = "".join(map(_CODES.__getitem__, parser.kinds))
+        if _grammatical(code):
+            namespaces = {
+                parser.texts[n + 1]: [
+                    m.start() for m in _STATEMENT.finditer(code, n + 3, code.index("}", n))
+                ]
+                for n in (m.start() for m in re.finditer("n", code))
+            }
+            if len(namespaces) == code.count("n"):  # no name is taken twice
+                return Columns(source, parser, namespaces)
+        parser.namespaces()
+        raise AssertionError("the grammar check rejected a program the parser reads")
+
+
 def parse_expression(source: str) -> ExprNode:
     """Parse a bare expression: the whole text must be one expr. The
     text is no file, so its errors give only a position."""
@@ -476,6 +560,105 @@ def _expr_text(node: ExprNode, context: int) -> str:
     else:
         text = _JOINERS[type(node)].join([_expr_text(o, prec) for o in node.operands])
     return f"({text})" if prec <= context else text
+
+
+def _lay_out(node: ExprNode, kinds: list, texts: list, ats: list, context: int = 0) -> None:
+    """Append to the columns each token of ``node``, as ``_scan`` reads
+    ``format_expr(node)``, with each name's and guard's ``at``: columns
+    that ``_Parser`` would read back into ``node``. ``context`` is as in
+    ``_expr_text``, whose parentheses it lays out as tokens."""
+    kind = type(node)
+    if kind is Name:
+        kinds.append("0" if node.id == "0" else IDENT)
+        texts.append(node.id)
+        ats.append(node.at)
+    elif kind is Sum or kind is Product:
+        prec = _PRECEDENCE[kind]
+        joiner = "+" if kind is Sum else "*"
+        if prec <= context:
+            kinds.append("(")
+            texts.append("(")
+            ats.append(0)
+        for i, operand in enumerate(node.operands):
+            if i:
+                kinds.append(joiner)
+                texts.append(joiner)
+                ats.append(0)
+            _lay_out(operand, kinds, texts, ats, prec)
+        if prec <= context:
+            kinds.append(")")
+            texts.append(")")
+            ats.append(0)
+    elif kind is Slash:
+        if context == 3:
+            kinds.append("(")
+            texts.append("(")
+            ats.append(0)
+        _lay_out(node.operand, kinds, texts, ats, 3)
+        for scope in node.scopes:
+            kinds += ("/", IDENT)
+            texts += ("/", scope.id)
+            ats += (scope.at, scope.at)
+        if context == 3:
+            kinds.append(")")
+            texts.append(")")
+            ats.append(0)
+    elif kind is Guard:
+        kinds.append("[")
+        texts.append("[")
+        ats.append(node.at)
+        _lay_out(node.left, kinds, texts, ats)
+        kinds.append(node.op)
+        texts.append(node.op)
+        ats.append(node.at)
+        _lay_out(node.right, kinds, texts, ats)
+        kinds.append("]")
+        texts.append("]")
+        ats.append(node.at)
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+
+
+def expression_columns(node: ExprNode) -> tuple[list[str], list[str], list[int]]:
+    """The token columns of an expression built as nodes (``_lay_out``),
+    ending in EOF."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    ats: list[int] = []
+    _lay_out(node, kinds, texts, ats)
+    kinds.append(EOF)
+    texts.append("")
+    ats.append(0)
+    return kinds, texts, ats
+
+
+def statement_columns(
+    statements: Iterable[StatementNode],
+) -> tuple[tuple[list[str], list[str], list[int]], list[int]]:
+    """The token columns of a namespace's statements built as nodes,
+    ending in its "}" and EOF, with the index of each statement's first
+    token, as ``read_columns`` gives them for a text."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    ats: list[int] = []
+    heads = []
+    for stmt in statements:
+        heads.append(len(kinds))
+        if type(stmt) is LetIs:
+            entity, category, at = stmt
+            kinds += ("let", IDENT, "is", IDENT)
+            texts += ("let", entity, "is", category)
+            ats += (at, at, at, at)
+        else:
+            name, body, at = stmt
+            kinds += (IDENT, ":=")
+            texts += (name, ":=")
+            ats += (at, at)
+            _lay_out(body, kinds, texts, ats)
+    kinds += ("}", EOF)
+    texts += ("}", "")
+    ats += (0, 0)
+    return (kinds, texts, ats), heads
 
 
 def format_program(program: Program) -> str:

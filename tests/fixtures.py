@@ -61,7 +61,8 @@ GUARDS_PAL = EXAMPLE_PAL.replace(
 SESSION_ARRANGEMENT = "read + list + write + remove"
 
 # Environment for child interpreters: they import privcalc from the tree
-# under test, whether that is on PYTHONPATH or only on pytest's own path.
+# under test, whether that is on PYTHONPATH or only on the path that
+# tests/conftest.py gives pytest.
 CHILD_ENV = {
     **os.environ,
     "PYTHONPATH": os.pathsep.join(

@@ -35,11 +35,11 @@ from privcalc import engine, pal
 from privcalc.cli import main
 from privcalc.engine import answer, build_environment
 from privcalc.facts import MAX_FAMILY
-from privcalc.pal import MAX_NESTING, LexError, ParseError, format_program
+from privcalc.pal import MAX_NESTING, LetIs, LexError, ParseError, format_expr, format_program
 
 from fixtures import CHILD_ENV, EXAMPLE_PAL, GUARDS_PAL, SESSION_ARRANGEMENT
 from oracles import reference_parse
-from test_pal import _laid_out, _programs
+from test_pal import _laid_out, _programs, _statements
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -1031,35 +1031,50 @@ namespace "org" {
 
 
 def test_a_query_evaluates_only_its_cone(workspace, capsys, monkeypatch):
-    # `_value` meets a definition's body only when it computes that
-    # definition, so counting those calls counts computations.
+    # A command reads the program to its token columns; a body is parsed
+    # from them when its definition is computed, and `_value` meets the
+    # body only then, so these counts are parses and computations.
     path = workspace / "org.pal"
     path.write_text(ORG_PAL)
-    bodies: dict[int, str] = {}
+    starts: dict[int, str] = {}  # a body's first token: its definition's name
+    bodies: dict[int, str] = {}  # a parsed body's id: its definition's name
+    parsed: collections.Counter = collections.Counter()
     counts: collections.Counter = collections.Counter()
-    parse_text, value = pal.parse_text, engine._value
+    program = []
+    read, expr, value = pal.read_columns, pal._Parser.expr, engine._value
 
-    def parsing(text, filename=None):
-        program = parse_text(text, filename)
-        for stmt in program.namespaces[0].statements:
-            if isinstance(stmt, pal.Define):
-                bodies[id(stmt.body)] = stmt.name
-        return program
+    def reading(text, filename=None):
+        columns = read(text, filename)
+        program[:] = [columns.parser]
+        kinds, texts = columns.parser.kinds, columns.parser.texts
+        for heads in columns.namespaces.values():
+            starts.update((head + 2, texts[head]) for head in heads if kinds[head] != "let")
+        return columns
+
+    def parsing(parser, pos):
+        node, end = expr(parser, pos)
+        if parser is program[0] and parser.depth == 0:
+            parsed[starts[pos]] += 1
+            bodies[id(node)] = starts[pos]
+            program.append(node)  # alive, so that no later node takes its id
+        return node, end
 
     def counting(node, env, bound):
         counts[bodies.get(id(node))] += 1
         return value(node, env, bound)
 
-    monkeypatch.setattr(pal, "parse_text", parsing)
+    monkeypatch.setattr(pal, "read_columns", reading)
+    monkeypatch.setattr(pal._Parser, "expr", parsing)
     monkeypatch.setattr(engine, "_value", counting)
 
     def computed(command, *options):
-        bodies.clear()
-        counts.clear()
+        for counter in (starts, bodies, parsed, counts):
+            counter.clear()
         facts = ["--facts", str(workspace / "store.facts")]
         code, out, err = run(capsys, command, str(path), *options, *facts)
         assert code == 0 and out and not err
-        return {name: n for name, n in counts.items() if name is not None}
+        assert {name: n for name, n in counts.items() if name is not None} == parsed
+        return dict(parsed)
 
     cone = {"reader": 1, "writer": 1, "bob": 1, "desk": 1, "s_bob": 1}
     assert computed("eval", "--expr", "s_bob") == cone
@@ -1104,3 +1119,64 @@ def test_every_command_reports_a_syntax_fault_where_check_does(fault_file, sourc
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command, str(fault_file), *options])
         assert (command, code, out.getvalue(), err.getvalue()) == (command, 2, "", expected)
+
+
+# Lines that make a program faulty or warn, and the name each defines,
+# which the queried name reads when the lines stand in its cone.
+_RESOLUTION_FAULTS = {
+    "clash": (["let k is K", "K := read"], "K"),
+    "redefinition": (["f := read", "f := write/K"], "f"),
+    "empty scope": (["f := read/Empty + write"], "f"),
+}
+# Every command that reads a program, asking for "q" over an
+# arrangement that no program's name clashes with.
+_QUERIES_OF_Q = (
+    ["check"],
+    ["eval", "--expr", "q"],
+    ["pulse", "--expr", "q"],
+    ["trace", "--expr", "q", "--seq", "empty"],
+    ["comply", "--p", "q", "--q", "q"],
+)
+
+
+@settings(max_examples=40)
+@given(
+    st.lists(_statements, max_size=4),
+    st.sampled_from(sorted(_RESOLUTION_FAULTS)),
+    st.booleans(),
+    st.data(),
+)
+def test_every_command_reports_a_resolution_fault_or_warning_as_check_does(
+    fault_file, statements, shape, in_cone, data
+):
+    # A query parses only the bodies it computes, but it binds every
+    # name of the file first: a clash anywhere fails it as it fails
+    # `check`, and every warning is printed, whether or not the faulty
+    # or warned line is in the queried name's cone.
+    lines = [
+        f"let {s.entity} is {s.category}" if isinstance(s, LetIs)
+        else f"{s.name} := {format_expr(s.body)}"
+        for s in statements
+    ]
+    faulty, name = _RESOLUTION_FAULTS[shape]
+    cut = data.draw(st.integers(0, len(lines)))
+    lines[cut:cut] = faulty
+    lines.append(f"q := read + {name}" if in_cone else "q := read")
+    text = 'namespace "n" { ' + " ".join(line.replace(" ", "  ") for line in lines) + " }"
+    fault_file.write_bytes(data.draw(_laid_out(st.just(text), spliced=st.just(False))).encode())
+    results = []
+    for command, *options in _QUERIES_OF_Q:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(fault_file), *options, "--arrangement", "zz"])
+        results.append((command, code, out.getvalue(), err.getvalue()))
+    check = results[0]
+    warnings = [line for line in check[3].splitlines() if ": warning: " in line]
+    assert (check[1] == 2) == (not check[2])
+    for command, code, out, err in results[1:]:
+        if check[1] == 2:
+            assert (command, code, out, err) == (command, 2, "", check[3])
+        else:
+            assert (command, err.splitlines()) == (command, warnings)
+            assert code in (0, 1) and out
+    assert check[1] == 2 or shape != "clash" and warnings

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -46,6 +48,7 @@ from privcalc.errors import in_text
 import privcalc.pal as pal
 
 from oracles import rbac_role_grants
+from test_pal import _programs
 from fixtures import (
     EXAMPLE_PAL,
     GUARDS_PAL,
@@ -158,6 +161,33 @@ def test_a_program_joined_from_two_texts_places_no_offset_in_its_empty_source():
     error = info.value
     assert str(error) == "joined.pal: 'C' is already a category, cannot use it as a privilege"
     assert (error.line, error.column, error.at) == (None, None, second.source.index("C :="))
+
+
+def test_a_program_built_by_hand_places_no_offset():
+    # Nodes built by hand hold at=0, a position the program never had:
+    # a program built by hand has the empty source, which holds no
+    # offset, so its errors and warnings name no line, also inside a
+    # reader of another text.
+    clash = (pal.LetIs("d", "C"), pal.Define("C", pal.Name("read")))
+    program = pal.Program((pal.Namespace("n", clash),))
+    for outer in ("", "namespace\n"):
+        with pytest.raises(ResolutionError) as info:
+            with in_text(outer, "outer.pal"):
+                load_program(program, filename="hand.pal")
+        error = info.value
+        assert str(error) == "hand.pal: 'C' is already a category, cannot use it as a privilege"
+        assert (error.line, error.column, error.at) == (None, None, 0)
+    scoped = pal.Slash(pal.Name("read"), (pal.Name("E"),))
+    statements = (pal.Define("x", pal.Name("read")), pal.Define("x", scoped))
+    for load in (load_program, build_environment):
+        assert load(pal.Program((pal.Namespace("n", statements),))).warnings == [
+            "redefinition of 'x' (latest wins)",
+            "category 'E' is empty here, so '/E' restricts everything away",
+        ]
+    # An expression's text is no program: its end is 1:1 of the empty text.
+    with pytest.raises(pal.ParseError) as info:
+        pal.parse_expression("")
+    assert str(info.value) == "1:1: expected '(' or '0' or '[' or identifier, found end of input"
 
 
 def test_scopes_over_members_and_entities_do_not_warn():
@@ -622,6 +652,68 @@ def _value_or_error(text: str, env: Environment) -> Privilege | str:
         return f"error: {exc}"
 
 
+def _loaded(source, conditions: dict, arrangement: str | None, namespace: str | None):
+    """A program's error, or its warnings and each name's value."""
+    family = power_family("s1", "s2")
+    try:
+        env = build_environment(source, family, conditions, arrangement, namespace=namespace)
+    except PrivCalcError as exc:
+        return type(exc), str(exc)
+    values = {}
+    for name in env.privileges:
+        try:
+            values[name] = env.privileges[name].text()
+        except PrivCalcError as exc:
+            values[name] = str(exc)
+    return env.warnings, values
+
+
+@settings(max_examples=150)
+@given(
+    _programs(),
+    st.sampled_from(["(c)", "((c))", "c"]),
+    st.sampled_from([None, "read + b", "guard + read"]),
+)
+def test_a_text_binds_as_its_tree_does(program, wrapped, arrangement):
+    # A text is bound from its token columns and a ``Program`` from the
+    # columns its nodes lay out, by one binder, so the two agree on
+    # every error, warning and value. Here "c" names a condition, and
+    # the text wraps it in parentheses, which the tree does not keep:
+    # a leading condition swaps with the factor after it either way.
+    lines = []
+    for ns in program.namespaces:
+        lines.append(f'namespace "{ns.name}" {{')
+        for stmt in ns.statements:
+            if isinstance(stmt, pal.LetIs):
+                lines.append(f"  let {stmt.entity} is {stmt.category}")
+            else:
+                body = re.sub(r"\bc\b", wrapped, pal.format_expr(stmt.body))
+                lines.append(f"  {stmt.name} := {body}")
+        lines.append("}")
+    text = "\n".join(lines) + "\n"
+    tree = parse_text(text)
+    assert tree == program
+    c = next(iter(power_family("s1", "s2").fact("s2").statements))
+    conditions = {"c": WitnessCondition("c", frozenset({c}))}
+    namespace = program.namespaces[0].name if program.namespaces else None
+    assert _loaded(text, conditions, arrangement, namespace) == _loaded(
+        tree, conditions, arrangement, namespace
+    )
+
+
+@pytest.mark.parametrize("lead", ["[read <: write]", "([read <: write])", "logged", "((logged))"])
+def test_a_leading_guard_or_condition_attaches_to_the_factor_after_it(lead):
+    # From a text, in parentheses or not, and from its tree, a leading
+    # guard or condition goes to the second factor's atoms, as a later
+    # one does.
+    env = _condition_env()
+    source = f'namespace "n" {{ let d is C  x := {lead} * write/C  y := write/C * {lead} }}'
+    for program in (source, parse_text(source)):
+        loaded = build_environment(program, env.family, env.conditions, arrangement="read + write")
+        x, y = loaded.privileges["x"], loaded.privileges["y"]
+        assert x == y and x.text() == f"write/C * {lead.strip('()')}"
+
+
 @given(
     st.lists(st.sampled_from(_FACTORS), min_size=2, max_size=6),
     st.sampled_from([ConditionMergeMode.INTERSECTION, UNION]),
@@ -847,6 +939,21 @@ def test_guard_is_the_bare_guards_function_and_cannot_be_rebound():
             build_environment(f'namespace "g" {{ {statement} }}')
         assert str(exc.value) == message
     assert not pal.is_identifier("guard")
+
+
+@pytest.mark.parametrize(
+    "body", ["read/read", "(read + list)/read", "[read <: list]/read", "list * (read)/C/read"]
+)
+def test_a_faulty_scope_is_placed_at_its_name(body):
+    # After a name, parentheses or a guard alike, read from a text or
+    # from its tree.
+    line = f"  x := {body}"
+    source = f'namespace "n" {{\n{line}\n}}\n'
+    place = f"s.pal:2:{line.rindex('read') + 1}"
+    for program in (source, parse_text(source)):
+        with pytest.raises(ResolutionError) as exc:
+            build_environment(program, arrangement="list", filename="s.pal")
+        assert str(exc.value) == f"{place}: 'read' is a function; '/' needs a category or an entity"
 
 
 # --- role-model import ------------------------------------------------------------

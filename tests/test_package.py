@@ -25,6 +25,7 @@ SOURCES = sorted((ROOT / "src" / "privcalc").glob("*.py"))
 LAYERS = ("errors", "algebra", "pal", "facts", "privilege", "engine", "cli")
 
 PAL_INTERNALS = {
+    "Columns",
     "Define",
     "EOF",
     "ExprNode",
@@ -40,6 +41,9 @@ PAL_INTERNALS = {
     "StatementNode",
     "Sum",
     "Token",
+    "expression_columns",
+    "read_columns",
+    "statement_columns",
     "tokenize",
 }
 

@@ -32,7 +32,9 @@ from privcalc.pal import (
     STRING,
     Sum,
     Token,
+    _CODES,
     _Parser,
+    _grammatical,
     _scan,
     chain,
     format_expr,
@@ -40,6 +42,7 @@ from privcalc.pal import (
     is_identifier,
     parse_expression,
     parse_text,
+    read_columns,
     tokenize,
 )
 
@@ -778,3 +781,80 @@ def test_parser_agrees_with_the_reference_parser(source):
         assert _read(parse, source) == expected
         if isinstance(expected, str):
             assert parse(source) == reference_parse(source, expression)
+
+
+# --- the reader that checks a program and builds no node ---------------------
+
+
+def _codes(source: str) -> str:
+    return "".join(map(_CODES.__getitem__, _scan(source)[0]))
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        _pal_sources(), _laid_out(_programs().map(format_program), st.just(True)), _REFEREE_SOURCES
+    )
+)
+def test_the_grammar_check_passes_exactly_the_programs_the_parser_reads(source):
+    # ``read_columns`` checks the kind column and builds no node: a text
+    # the reference parser rejects raises its error, at its place, and
+    # fails the check (or names a namespace twice); one it reads passes,
+    # and each statement read from the columns is the reference's, every
+    # position included.
+    try:
+        program = reference_parse(source)
+    except (LexError, ParseError) as exc:
+        with pytest.raises(type(exc)) as got:
+            read_columns(source, "g.pal")
+        error = got.value
+        assert (error.message, error.at, error.line, error.column) == (
+            exc.message, exc.at, exc.line, exc.column
+        )
+        assert str(error) == f"g.pal:{exc}"
+        if isinstance(exc, ParseError) and not exc.message.startswith("duplicate namespace"):
+            assert not _grammatical(_codes(source))
+        return
+    assert _grammatical(_codes(source))
+    columns = read_columns(source, "g.pal")
+    parser = columns.parser
+    kinds, texts, ats = parser.kinds, parser.texts, parser.ats
+    assert columns.source == source
+    assert list(columns.namespaces) == [ns.name for ns in program.namespaces]
+    for ns, heads in zip(program.namespaces, columns.namespaces.values()):
+        assert len(heads) == len(ns.statements)
+        for stmt, head in zip(ns.statements, heads):
+            if isinstance(stmt, LetIs):
+                read = LetIs(texts[head + 1], texts[head + 3], ats[head])
+                assert kinds[head] == "let"
+            else:
+                read = Define(texts[head], parser.expr(head + 2)[0], ats[head])
+                assert kinds[head + 1] == ":=" and parser.depth == 0
+            assert repr(read) == repr(stmt)
+
+
+@pytest.mark.parametrize("opened, closed", [("(", ")"), ("[", " <: a]")])
+def test_the_grammar_check_reads_brackets_as_deep_as_the_parser(opened, closed):
+    for depth in (MAX_NESTING, MAX_NESTING + 1):
+        source = f'namespace "n" {{ x := {opened * depth}a{closed * depth} + b }}'
+        assert _grammatical(_codes(source)) == (depth == MAX_NESTING)
+        try:
+            parse_text(source)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                read_columns(source)
+            assert str(got.value) == str(exc) and depth > MAX_NESTING
+        else:
+            assert list(read_columns(source).namespaces) == ["n"]
+
+
+def test_the_reader_splits_statements_at_their_first_tokens():
+    source = 'namespace "a" { let d is C x := y/C * (z) y := [x <: 0] }\nnamespace "b" {}\n'
+    columns = read_columns(source)
+    texts = columns.parser.texts
+    heads = columns.namespaces
+    assert {name: [texts[head] for head in heads[name]] for name in heads} == {
+        "a": ["let", "x", "y"],
+        "b": [],
+    }
+    assert read_columns("").namespaces == {}

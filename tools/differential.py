@@ -22,6 +22,16 @@ match on both sides:
   an arrangement, and definitions sharing a line that scope one empty
   category; and a ``trace`` whose ``--seq`` repeats facts, with
   ``pulse``, ``trace`` and ``nf`` of a privilege that covers no element;
+- the cone corpus: a file of two namespaces whose first defines a
+  leading condition (``c * x``, ``(c) * x``, ``((c)) * (x)``), a
+  condition after the first factor, a ``0`` factor and, in one copy,
+  leading and later guards (``[p <: q] * x``, ``([p <: q]) * x``), with
+  one fault or warning line (a kind clash, an entity or a condition as a
+  privilege, a scope over a function or a privilege, a redefinition, a
+  scope over an empty category, a parse fault, a lexer fault, a guard)
+  inside or outside the queried name's cone, through every command
+  that reads a program, under three option sets and with no, the first
+  or the second ``--namespace``;
 - the lexer's edges, each through ``check``, ``eval`` (also in a
   namespace whose name holds ``#`` and blanks) and ``pulse``: an
   unterminated string mid-file and at the end of the file, a stray
@@ -143,6 +153,52 @@ SHAPES = {
         )],
     ),
 }
+
+# The cone corpus: namespace "a" defines the shapes that a product binds
+# out of order or not at all (a leading condition or guard, in
+# parentheses or not, a condition after the first factor, a 0 factor),
+# and ``q`` reads some of them; namespace "b" is another scope in the
+# same file. Each fault or warning line of ``CONE_FAULTS`` goes either
+# into ``q``'s cone (before ``q``, which reads the name it defines) or
+# out of it (after ``q``).
+CONE_PLAIN = (
+    "let d1 is C", "let d2 is C",
+    "r := read + list", "w := write/C + 0", "z := 0 * r + r * 0 * w",
+    "c1 := logged * r", "c2 := (logged) * r + ((logged)) * (r + w)",
+    "c3 := r * (logged) * w * logged",
+)
+CONE_GUARDED = CONE_PLAIN + (
+    "g1 := [r <: read + list] * w", "g2 := ([r <: write]) * r + r * [w ~ write] * logged",
+)
+CONE_OTHER = 'namespace "b" {\n  let e is D\n  r := write/D\n  q := r * logged + 0 * r\n}\n'
+CONE_FAULTS = {
+    "clean": None,
+    "clash": "C := read",  # a category as a privilege
+    "entity": "f := d1 + read",  # an entity as a privilege
+    "condition": "f := logged + read",  # a condition standing alone
+    "scope-function": "f := read/read",
+    "scope-privilege": "f := read/r",
+    "redefinition": "r := write",  # a warning
+    "empty-scope": "f := read/Empty",  # a warning
+    "parse": "f := read + * write",
+    "lex": "f := read $ write",
+    "guard": "f := read * [r <: write]",  # a fault without an arrangement
+}
+CONE_QUERIES = (
+    ["check"],
+    ["eval", "--expr", "q"],
+    ["nf", "--expr", "q"],
+    ["eq", "--left", "q", "--right", "r * logged"],
+    ["pulse", "--expr", "q", "--fact", "office"],
+    ["trace", "--expr", "q", "--seq", "empty,office,roaming"],
+    ["comply", "--p", "q", "--q", "write/d1", "--fact", "office"],
+)
+CONE_OPTIONS = (
+    ["--facts", "samples/store.facts"],
+    ["--facts", "samples/store.facts", "--arrangement", "@samples/sessions.arr"],
+    ["--facts", "samples/store.facts", "--arrangement", "read + write/C + list",
+     "--merge-conditions", "union"],
+)
 
 # Lexer edges: name -> program, each run through ``LEXER_QUERIES``.
 LEXER_EDGES = {
@@ -292,6 +348,33 @@ def shape_commands(workdir: Path) -> list[list[str]]:
     return commands
 
 
+def cone_commands(workdir: Path) -> list[list[str]]:
+    (workdir / "cone").mkdir()
+    commands = []
+    for base, lines in (("plain", CONE_PLAIN), ("guarded", CONE_GUARDED)):
+        for fault, line in CONE_FAULTS.items():
+            for inside in (True, False):
+                if line is None and not inside:
+                    continue
+                name = line.split()[0] if line else "c1"
+                head = [*lines, line] if line and inside else list(lines)
+                tail = [line] if line and not inside else []
+                query = f"q := c1 + {name if inside else 'z'}"
+                if base == "guarded":
+                    query += " + g2"
+                body = "".join(f"  {stmt}\n" for stmt in [*head, query, *tail])
+                path = f"cone/{base}-{fault}-{'in' if inside else 'out'}.pal"
+                text = f'namespace "a" {{\n{body}}}\n' + CONE_OTHER
+                (workdir / path).write_text(text, encoding="utf-8")
+                for options in CONE_OPTIONS:
+                    for namespace in ([], ["--namespace", "a"], ["--namespace", "b"]):
+                        commands += [
+                            [command, path, *args, *options, *namespace]
+                            for command, *args in CONE_QUERIES
+                        ]
+    return commands
+
+
 def lexer_commands(workdir: Path) -> list[list[str]]:
     commands = []
     for name, text in LEXER_EDGES.items():
@@ -404,7 +487,8 @@ def main(argv: list[str]) -> int:
         shutil.copytree(ROOT / "samples", workdir / "samples")
         commands = (
             sample_commands() + policy_commands(workdir) + malformed_commands(workdir)
-            + shape_commands(workdir) + lexer_commands(workdir) + arrangement_commands(workdir)
+            + shape_commands(workdir) + cone_commands(workdir) + lexer_commands(workdir)
+            + arrangement_commands(workdir)
             + chain_commands(workdir)
             + prefix_commands(workdir) + guarded_commands(workdir)
         )
